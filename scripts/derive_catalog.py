@@ -12,8 +12,9 @@ Every generator set is produced from a first-principles construction:
   PSL(2,11) and M_11;
 * wreath-type embeddings and one-point paddings for the imprimitive and
   intransitive groups the reference tables need;
-* an exhaustive enumeration of the transitive subgroup classes of S_8 and
-  of the subgroups of S_3 wr S_3 of order >= 162.
+* the subgroup-closure walk ``setorbits.subgroups.subgroup_classes``, run
+  over S_8 for its transitive classes and over S_3 wr S_3 for the classes
+  of order >= 162, the latter grouped under S_9 with ``conjugate_in_sn``.
 
 Everything is verified on the spot (order, transitivity, primitivity and,
 against an independent subset-orbit enumeration, the set-orbit count)
@@ -31,6 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from setorbits.catalog import PRIMITIVE_COUNTS, TRANSITIVE_8_COUNT
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.perm import (
     PermGroup,
@@ -40,7 +42,7 @@ from setorbits.perm import (
     is_primitive,
     is_transitive,
 )
-from setorbits.subgroups import all_subgroups
+from setorbits.subgroups import all_subgroups, conjugate_in_sn, subgroup_classes
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "setorbits" / "data" / "groups.cat"
 
@@ -341,104 +343,6 @@ def _transitive8_classes() -> list[_Trans8Class]:
                          rec["order"]) for rec in data]
 
 
-def subgroup_classes_within(gens: list[Permutation], n: int):
-    """Subgroup classes of <gens> up to conjugacy inside <gens> itself.
-
-    Same incremental closure walk as the S_n enumerator, restricted to a
-    parent group.  Returns (generator tuple, element frozenset, order) per
-    class.
-    """
-    from setorbits.subgroups import _prime_power_order
-    from setorbits.perm import _conjugate_t, _cycle_lengths, _identity_t
-
-    parent = build_group(gens, degree=n)
-    elems = sorted(parent.iter_element_tuples())
-    candidates = [t for t in elems if _prime_power_order(_cycle_lengths(t))]
-    conj_gens = [g.images for g in parent.generators]
-    ident = _identity_t(n)
-
-    classes = []
-    by_order: dict[int, list] = {}
-    set_to_class: dict[frozenset, int] = {}
-
-    def register(elements, gg):
-        rec = (gg, elements, len(elements))
-        idx = len(classes)
-        classes.append(rec)
-        by_order.setdefault(len(elements), []).append(rec)
-        orbit = {elements}
-        queue = [elements]
-        set_to_class[elements] = idx
-        while queue:
-            cur = queue.pop()
-            for s in conj_gens:
-                img = frozenset(_conjugate_t(s, x) for x in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-                    set_to_class[img] = idx
-
-    register(frozenset([ident]), ())
-    pos = 0
-    while pos < len(classes):
-        gg, E, order = classes[pos]
-        pos += 1
-        if order == parent.order:
-            continue
-        covered: set = set()
-        for g in candidates:
-            if g in E or g in covered:
-                continue
-            new_gens = gg + (g,)
-            ch = _Chain(new_gens, n)
-            for rec in by_order.get(ch.order, ()):
-                ce = rec[1]
-                if g in ce and all(x in ce for x in gg):
-                    break
-            else:
-                ee = frozenset(ch.iter_elements())
-                if ee not in set_to_class:
-                    register(ee, new_gens)
-            ginv = tuple(sorted(range(n), key=g.__getitem__))
-            for h in E:
-                hinv = tuple(sorted(range(n), key=h.__getitem__))
-                covered.add(tuple(map(h.__getitem__, g)))
-                covered.add(tuple(map(g.__getitem__, h)))
-                covered.add(_conjugate_t(h, g))
-                covered.add(tuple(map(h.__getitem__, ginv)))
-                covered.add(tuple(map(ginv.__getitem__, h)))
-                covered.add(_conjugate_t(h, ginv))
-    return classes
-
-
-def fuse_under_sn(classes: list, n: int) -> list[list[int]]:
-    """Group indices of (gens, elements, order) records into S_n-classes."""
-    from setorbits.perm import _conjugate_t
-    s_gens = [tuple([1, 0] + list(range(2, n))),
-              tuple(list(range(1, n)) + [0])]
-    buckets: list[list[int]] = []
-    seen_sets: dict[frozenset, int] = {}
-    for i, (gg, E, order) in enumerate(classes):
-        if E in seen_sets:
-            buckets[seen_sets[E]].append(i)
-            continue
-        # new S_n-class: record its whole conjugate orbit
-        b = len(buckets)
-        buckets.append([i])
-        orbit = {E}
-        queue = [E]
-        seen_sets[E] = b
-        while queue:
-            cur = queue.pop()
-            for s in s_gens:
-                img = frozenset(_conjugate_t(s, x) for x in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-                    seen_sets[img] = b
-    return buckets
-
-
 def pad(gens: list[Permutation], extra: int) -> list[Permutation]:
     """Same permutations acting on ``extra`` additional fixed points."""
     n = gens[0].degree
@@ -563,7 +467,7 @@ def main():
 
     # ---- degree 8: remaining transitive classes + padded A7/S7 -----------
     trans8 = _transitive8_classes()
-    assert len(trans8) == 50, len(trans8)
+    assert len(trans8) == TRANSITIVE_8_COUNT, len(trans8)
     primitive_orders = {56, 168, 336, 1344, 20160, 40320}
     named8 = {(24, 19): ("8S154", "SL(2,3)", ("8S154",)),
               (48, 18): ("8S216", "GL(2,3)", ("8S216",)),
@@ -625,25 +529,28 @@ def main():
     # (order, set-orbit count) signature the reference tables cite
     print("enumerating subgroup classes of S3 wr S3 ...", flush=True)
     t0 = time.time()
-    wcls = subgroup_classes_within(w9, 9)
+    wcls = subgroup_classes(build_group(w9, degree=9))
     print(f"  {len(wcls)} classes inside the wreath ({time.time() - t0:.0f}s)",
           flush=True)
     targets9 = {(162, 20): 2, (324, 20): 1, (648, 20): 2}
-    matched9: dict[tuple[int, int], list] = {}
-    for gg, E, order in wcls:
-        if order not in {162, 324, 648}:
+    matched9: dict[tuple[int, int], list[PermGroup]] = {}
+    for c in wcls:
+        if c.order not in {162, 324, 648}:
             continue
-        s = count_set_orbits(build_group([Permutation(t) for t in gg], degree=9))
-        if (order, s) in targets9:
-            matched9.setdefault((order, s), []).append((gg, E, order))
+        s = count_set_orbits(c.representative)
+        if (c.order, s) in targets9:
+            matched9.setdefault((c.order, s), []).append(c.representative)
     xc9 = 7
     for key in sorted(targets9):
-        picked = matched9.get(key, [])
-        buckets = fuse_under_sn(picked, 9)
-        assert len(buckets) == targets9[key], (key, len(buckets))
+        # one representative per S_9-class, the first the wreath walk lists
+        reps: list[PermGroup] = []
+        for G in matched9.get(key, []):
+            if all(conjugate_in_sn(R, G) is None for R in reps):
+                reps.append(G)
+        assert len(reps) == targets9[key], (key, len(reps))
         order, s = key
-        for j, bucket in enumerate(buckets, start=1):
-            gens = [Permutation(t) for t in picked[bucket[0]][0]]
+        for j, G in enumerate(reps, start=1):
+            gens = list(G.generators)
             if key == (324, 20):
                 add(Entry("9S497", "3^3:C3:(C2xC2)", gens, order, s=s,
                           cite=("9S497",)))
@@ -787,18 +694,16 @@ def check_entries(entries):
     for e in entries:
         if e.primitive:
             prim[e.degree] = prim.get(e.degree, 0) + 1
-    expected = {2: 1, 3: 2, 4: 2, 5: 5, 6: 4, 7: 7, 8: 7, 9: 11, 10: 9,
-                11: 8, 12: 6}
-    assert prim == expected, (prim, expected)
+    assert prim == PRIMITIVE_COUNTS, (prim, PRIMITIVE_COUNTS)
     t8 = sum(1 for e in entries if e.degree == 8 and e.transitive)
-    assert t8 == 50, t8
+    assert t8 == TRANSITIVE_8_COUNT, t8
     ids = [e.ident for e in entries]
     assert len(ids) == len(set(ids))
     # each primitive entry is transitive
     for e in entries:
         if e.primitive:
             assert e.transitive
-    print(f"primitive counts per degree OK: {expected}")
+    print(f"primitive counts per degree OK: {PRIMITIVE_COUNTS}")
 
 
 if __name__ == "__main__":

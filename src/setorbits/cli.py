@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import catalog as cat
 from . import pipeline
@@ -114,12 +113,7 @@ def cmd_subgroups(args) -> int:
 
 def cmd_catalog_verify(args) -> int:
     entries = cat.load_default()
-    jobs = max(1, args.jobs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(cat.verify_entry, entries))
-    else:
-        reports = [cat.verify_entry(e) for e in entries]
+    reports = [cat.verify_entry(e) for e in entries]
     bad = 0
     for rep in reports:
         if not rep.ok:
@@ -173,8 +167,6 @@ def build_parser() -> _Parser:
                             "permutation groups")
     p.add_argument("--element-cap", type=int, default=None,
                    help="max group order for element iteration")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for batch verification")
     sub = p.add_subparsers(dest="command", required=True)
 
     po = sub.add_parser("orbits", help="set-orbit counts for one group")

@@ -69,14 +69,6 @@ def _restriction_to_support(G: PermGroup) -> tuple[PermGroup, int] | None:
     return build_group(gens, degree=len(moved)), len(fixed)
 
 
-def _cycle_type_histogram(G: PermGroup, cap: int) -> Counter:
-    """Multiset of cycle-length tuples over all elements of G."""
-    hist: Counter = Counter()
-    for t in G.iter_element_tuples(cap):
-        hist[_cycle_lengths(t)] += 1
-    return hist
-
-
 def _profile_from_histogram(n: int, order: int, hist: Counter) -> tuple[int, ...]:
     total_counts = [0] * (n + 1)
     for lengths, mult in hist.items():
@@ -124,32 +116,14 @@ def orbit_profile(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> OrbitProfile:
         raise GroupTooLargeError(
             f"group of order {G.order} exceeds the element-iteration cap {cap}"
             " and no symmetric/alternating shortcut applies")
-    hist = _cycle_type_histogram(G, cap)
+    hist = Counter(map(_cycle_lengths, G.iter_element_tuples(cap)))
     by_size = _profile_from_histogram(n, G.order, hist)
     return OrbitProfile(n, by_size, sum(by_size))
 
 
 def count_set_orbits(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
     """s(G) = (sum over g of 2^(#cycles of g)) / |G|, computed exactly."""
-    n = G.degree
-    if G.is_natural_symmetric() or (n >= 3 and G.is_natural_alternating()):
-        return n + 1
-    split = _restriction_to_support(G)
-    if split is not None:
-        core, k = split
-        return count_set_orbits(core, cap) << k
-    if G.order > cap:
-        raise GroupTooLargeError(
-            f"group of order {G.order} exceeds the element-iteration cap {cap}"
-            " and no symmetric/alternating shortcut applies")
-    total = 0
-    for t in G.iter_element_tuples(cap):
-        total += 1 << len(_cycle_lengths(t))
-    q, r = divmod(total, G.order)
-    if r:
-        raise ArithmeticError(
-            f"Burnside numerator {total} not divisible by |G| = {G.order}")
-    return q
+    return orbit_profile(G, cap).total
 
 
 def enumerate_set_orbits(G: PermGroup) -> list[list[int]]:

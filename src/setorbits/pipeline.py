@@ -99,6 +99,13 @@ def _divides_filter(n: int, r: int, order: int) -> bool:
     return t is None or order % math.comb(n, t) == 0
 
 
+def _require_count(pool: list, want: int, n: int, kind: str) -> None:
+    """A catalog pool that lacks classical count entries is a data gap."""
+    if len(pool) != want:
+        raise DataGapError([f"{kind} catalog incomplete: degree {n}: "
+                            f"{len(pool)} {kind} entries, expected {want}"])
+
+
 def candidate_groups(n: int, r: int,
                      entries: Iterable[cat.CatalogEntry] | None = None) -> list[Candidate]:
     """Candidates for s(G) = n + r at a surviving degree n.
@@ -115,11 +122,7 @@ def candidate_groups(n: int, r: int,
             raise DataGapError([f"degree {n}: primitive catalog does not "
                                 f"cover degree {n}"])
         pool = cat.candidates(n, "primitive", entries=entries)
-        problems = [p for p in cat.check_manifest(entries)
-                    if p.startswith(f"degree {n}:")]
-        if problems:
-            raise DataGapError([f"primitive catalog incomplete: {p}"
-                                for p in problems])
+        _require_count(pool, cat.PRIMITIVE_COUNTS[n], n, "primitive")
         for e in pool:
             if _divides_filter(n, r, e.expected_order):
                 out.append(Candidate(e.group(), e.id, e.name))
@@ -130,11 +133,12 @@ def candidate_groups(n: int, r: int,
                     out.append(Candidate(c.representative, f"S{n}-cls{c.index}",
                                          f"transitive class {c.index} of S_{n}"))
         else:
-            pool = cat.candidates(n, "transitive", entries=entries)
             if n != 8:
                 raise DataGapError(
                     [f"degree {n}: needs subgroup data for S_{n} (cap "
                      f"{subgroup_cap()}) or a complete transitive catalog"])
+            pool = cat.candidates(n, "transitive", entries=entries)
+            _require_count(pool, cat.TRANSITIVE_8_COUNT, n, "transitive")
             for e in pool:
                 if _divides_filter(n, r, e.expected_order):
                     out.append(Candidate(e.group(), e.id, e.name))

@@ -1,16 +1,18 @@
-"""Subgroups of S_n up to conjugacy, for small n.
+"""Subgroups of a permutation group up to conjugacy, for small groups.
 
-Enumeration is an incremental closure: starting from the trivial group,
-every known class representative H is extended by single elements g of
-prime-power order (every subgroup arises as <M, g> with M maximal and g of
-prime-power order outside M, so the walk is exhaustive), and the closures
-are deduplicated against an exact map from element sets to classes that
-covers every conjugate of every discovered subgroup.
+``subgroup_classes(parent)`` is an incremental closure: starting from the
+trivial group, every known class representative H is extended by single
+elements g of prime-power order in the parent (every subgroup arises as
+<M, g> with M maximal and g of prime-power order outside M, so the walk is
+exhaustive), and the closures are deduplicated against an exact map from
+element sets to classes that covers every parent-conjugate of every
+discovered subgroup.
 
-The default degree cap is 7 (S_7: 96 classes, ~11000 subgroups); degree 8
-is permitted but issues a resource warning.  Everything is deterministic:
-candidates are scanned in sorted order and the result is sorted by
-(order, canonical key), where the canonical key of a class is the
+The default case is the parent S_n: ``all_subgroups(n)`` caches it per
+degree.  Its default degree cap is 7 (S_7: 96 classes, ~11000 subgroups);
+degree 8 is permitted but issues a resource warning.  Everything is
+deterministic: candidates are scanned in sorted order and the result is
+sorted by (order, canonical key), where the canonical key of a class is the
 lexicographically minimal sorted element list over all its conjugates.
 """
 
@@ -21,9 +23,9 @@ import os
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
 from typing import Optional
 
+from .catalog import builtin
 from .perm import (
     PermGroup,
     Permutation,
@@ -45,7 +47,8 @@ class SubgroupCapError(ValueError):
 
 @dataclass(frozen=True)
 class SubgroupClass:
-    """One conjugacy class of subgroups of S_n."""
+    """One conjugacy class of subgroups of a parent group (S_n by default);
+    ``class_size`` counts the conjugates under the parent."""
 
     representative: PermGroup
     order: int
@@ -69,11 +72,6 @@ def _prime_power_order(lengths: tuple[int, ...]) -> bool:
     return o == 1
 
 
-def _prime_power_elements(n: int) -> list[tuple[int, ...]]:
-    return sorted(t for t in permutations(range(n))
-                  if _prime_power_order(_cycle_lengths(t)))
-
-
 class _ClassRec:
     __slots__ = ("gens", "elements", "order", "class_size", "canonical_key")
 
@@ -94,15 +92,9 @@ def subgroup_cap() -> int:
     return int(env) if env else DEFAULT_SUBGROUP_CAP
 
 
-def _enumerate_classes(n: int) -> list[_ClassRec]:
-    ident = _identity_t(n)
-    sym_order = math.factorial(n)
-    conj_gens = []
-    if n >= 2:
-        conj_gens.append(tuple([1, 0] + list(range(2, n))))
-    if n >= 3:
-        conj_gens.append(tuple(list(range(1, n)) + [0]))
-
+def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
+    n = parent.degree
+    conj_gens = parent.generator_tuples()
     classes: list[_ClassRec] = []
     by_order: dict[int, list[_ClassRec]] = {}
     set_to_class: dict[frozenset, int] = {}
@@ -131,13 +123,14 @@ def _enumerate_classes(n: int) -> list[_ClassRec]:
         rec.canonical_key = canon
         return idx
 
-    register(frozenset([ident]), ())
-    candidates = _prime_power_elements(n)
+    register(frozenset([_identity_t(n)]), ())
+    candidates = sorted(t for t in parent.iter_element_tuples()
+                        if _prime_power_order(_cycle_lengths(t)))
     pos = 0
     while pos < len(classes):
         rec = classes[pos]
         pos += 1
-        if rec.order == sym_order:
+        if rec.order == parent.order:
             continue
         E, gens = rec.elements, rec.gens
         small = rec.order <= 48
@@ -177,9 +170,16 @@ def _enumerate_classes(n: int) -> list[_ClassRec]:
     return classes
 
 
-@lru_cache(maxsize=None)
-def _all_subgroups_cached(n: int) -> tuple[SubgroupClass, ...]:
-    recs = _enumerate_classes(n)
+def subgroup_classes(parent: PermGroup) -> tuple[SubgroupClass, ...]:
+    """All conjugacy classes of subgroups of ``parent`` under conjugation by
+    ``parent``, sorted by (order, canonical key) and numbered from 1.
+
+    Includes the trivial group and ``parent`` itself.  Every element of the
+    parent is listed, so this is meant for parents of a few ten thousand
+    elements at most.
+    """
+    n = parent.degree
+    recs = _enumerate_classes(parent)
     recs.sort(key=lambda r: (r.order, r.canonical_key))
     out = []
     for i, rec in enumerate(recs, start=1):
@@ -191,6 +191,11 @@ def _all_subgroups_cached(n: int) -> tuple[SubgroupClass, ...]:
             representative=G, order=rec.order, class_size=rec.class_size,
             canonical_key=rec.canonical_key, transitive=transitive, index=i))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _all_subgroups_cached(n: int) -> tuple[SubgroupClass, ...]:
+    return subgroup_classes(builtin("symmetric", n))
 
 
 def all_subgroups(n: int, cap: Optional[int] = None) -> tuple[SubgroupClass, ...]:

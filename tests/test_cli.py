@@ -98,11 +98,6 @@ def test_catalog_verify_passes(capout):
     assert "manifest ok" in out
 
 
-def test_catalog_verify_parallel(capout):
-    out = capout(["--jobs", "2", "catalog-verify"]).out
-    assert "manifest ok" in out
-
-
 # ---------------------------------------------------------------------------
 # classify
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from setorbits.catalog import load_default
 from setorbits.pipeline import (
     ClassificationRow,
     DataGapError,
@@ -78,6 +79,30 @@ def test_transitive_regime_degree8_uses_catalog():
 def test_degree9_transitive_regime_is_a_gap():
     with pytest.raises(DataGapError, match="S_9"):
         candidate_groups(9, 7)
+
+
+def _without_one_imprimitive_degree8():
+    entries = list(load_default())
+    drop = next(e for e in entries if e.degree == 8
+                and "transitive" in e.tags and "primitive" not in e.tags)
+    return [e for e in entries if e is not drop]
+
+
+@pytest.mark.parametrize("r", [6, 7])
+def test_missing_transitive_degree8_entry_is_a_gap(r):
+    with pytest.raises(DataGapError, match="transitive catalog incomplete"):
+        candidate_groups(8, r, entries=_without_one_imprimitive_degree8())
+
+
+def test_transitive_degree8_gap_spares_primitive_regime():
+    cands = candidate_groups(8, 5, entries=_without_one_imprimitive_degree8())
+    assert [c.label for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
+
+
+def test_missing_primitive_entry_is_a_gap():
+    entries = [e for e in load_default() if e.id != "8P4"]
+    with pytest.raises(DataGapError, match="primitive catalog incomplete"):
+        candidate_groups(8, 2, entries=entries)
 
 
 # ---------------------------------------------------------------------------

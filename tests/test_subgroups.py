@@ -3,12 +3,14 @@ from itertools import permutations
 
 import pytest
 
+from setorbits.catalog import builtin
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.perm import Permutation, build_group, parse_permutation
 from setorbits.subgroups import (
     SubgroupCapError,
     all_subgroups,
     conjugate_in_sn,
+    subgroup_classes,
     total_subgroup_count,
     transitive_classes,
 )
@@ -142,6 +144,57 @@ def test_burnside_vs_enumeration_cross_validation():
 def test_deterministic_ordering():
     a = [(c.order, c.canonical_key) for c in all_subgroups(5)]
     assert a == sorted(a)
+
+
+# ---------------------------------------------------------------------------
+# the closure walk over other parent groups
+
+def _fields(c):
+    return (c.index, c.order, c.class_size, c.canonical_key, c.transitive,
+            c.representative.generator_tuples())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_symmetric_parent_is_all_subgroups(n):
+    """S_n generated by adjacent transpositions: other conjugating
+    generators, the same classes field for field."""
+    adjacent = [Permutation(list(range(i)) + [i + 1, i] + list(range(i + 2, n)))
+                for i in range(n - 1)]
+    got = subgroup_classes(build_group(adjacent, degree=n))
+    assert list(map(_fields, got)) == list(map(_fields, all_subgroups(n)))
+
+
+@pytest.mark.parametrize("family,n,classes", [
+    ("alternating", 4, 5), ("alternating", 5, 9), ("dihedral", 4, 8),
+])
+def test_classical_class_counts(family, n, classes):
+    parent = builtin(family, n)
+    got = subgroup_classes(parent)
+    assert len(got) == classes
+    assert got[0].order == 1 and got[-1].order == parent.order
+    for c in got:
+        assert parent.order % c.order == 0
+        assert parent.order % c.class_size == 0
+
+
+YOUNG_AND_WREATH = {
+    "S2wrS2": (4, ["(1,2)", "(1,3)(2,4)"], 8),
+    "S2xS3": (5, ["(1,2)", "(3,4)", "(3,4,5)"], 12),
+    "S2wrS3": (6, ["(1,2)", "(1,3)(2,4)", "(1,3,5)(2,4,6)"], 48),
+    "S3wrS2": (6, ["(1,2)", "(1,2,3)", "(1,4)(2,5)(3,6)"], 72),
+}
+
+
+@pytest.mark.parametrize("name", sorted(YOUNG_AND_WREATH))
+def test_young_and_wreath_classes_fuse_into_sn(name):
+    n, gens, order = YOUNG_AND_WREATH[name]
+    parent = build_group([parse_permutation(g, n) for g in gens])
+    assert parent.order == order
+    sn = all_subgroups(n)
+    for c in subgroup_classes(parent):
+        hits = [d.index for d in sn if d.order == c.order and
+                conjugate_in_sn(c.representative, d.representative) is not None]
+        assert len(hits) == 1, (name, c.index, hits)
 
 
 # ---------------------------------------------------------------------------
