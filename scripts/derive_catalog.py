@@ -32,7 +32,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from setorbits.catalog import PRIMITIVE_COUNTS, TRANSITIVE_8_COUNT
+from setorbits.catalog import PRIMITIVE_COUNTS, TRANSITIVE_8_COUNT, builtin
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.perm import (
     PermGroup,
@@ -42,7 +42,7 @@ from setorbits.perm import (
     is_primitive,
     is_transitive,
 )
-from setorbits.subgroups import all_subgroups, conjugate_in_sn, subgroup_classes
+from setorbits.subgroups import SubgroupClass, conjugate_in_sn, subgroup_classes
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "setorbits" / "data" / "groups.cat"
 
@@ -306,41 +306,14 @@ def find_subgroup_of_order(G: PermGroup, order: int, seed: int) -> frozenset:
     raise RuntimeError(f"no subgroup of order {order} found")
 
 
-class _Trans8Class:
-    def __init__(self, gens: list[Permutation], order: int):
-        self.representative = build_group(gens, degree=8)
-        self.order = order
-
-
-def _transitive8_classes() -> list[_Trans8Class]:
-    """Transitive subgroup classes of S_8, cached across runs in /tmp.
-
-    The cache only stores generator words; orders are re-verified on load.
-    """
-    import json
-    cache = Path("/tmp/setorbits_trans8.json")
-    if cache.exists():
-        data = json.loads(cache.read_text())
-        out = [_Trans8Class([Permutation.parse(t, 8) for t in rec["gens"]],
-                            rec["order"]) for rec in data]
-        assert all(c.representative.order == c.order for c in out)
-        print(f"loaded {len(out)} transitive degree-8 classes from cache",
-              flush=True)
-        return out
+def _transitive8_classes() -> list[SubgroupClass]:
+    """Transitive subgroup classes of S_8, walked afresh on every run."""
     print("enumerating subgroup classes of S_8 ...", flush=True)
     t0 = time.time()
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        classes8 = all_subgroups(8, cap=8)
+    classes8 = subgroup_classes(builtin("symmetric", 8))
     print(f"  {len(classes8)} classes ({time.time() - t0:.0f}s)", flush=True)
     assert len(classes8) == 296
-    trans = [c for c in classes8 if c.transitive]
-    data = [{"gens": [str(g) for g in c.representative.generators],
-             "order": c.order} for c in trans]
-    cache.write_text(json.dumps(data))
-    return [_Trans8Class([Permutation.parse(t, 8) for t in rec["gens"]],
-                         rec["order"]) for rec in data]
+    return [c for c in classes8 if c.transitive]
 
 
 def pad(gens: list[Permutation], extra: int) -> list[Permutation]:

@@ -15,7 +15,6 @@ Record format, one per line, ``#`` starts a comment:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -159,7 +158,7 @@ class EntryReport:
                 if not passed]
 
 
-def verify_entry(e: CatalogEntry, s_degree_limit: int = 14) -> EntryReport:
+def verify_entry(e: CatalogEntry) -> EntryReport:
     """Rebuild the group and check order, tags and recorded s-value."""
     checks: list[tuple[str, bool, str]] = []
     try:
@@ -176,7 +175,7 @@ def verify_entry(e: CatalogEntry, s_degree_limit: int = 14) -> EntryReport:
     checks.append(("primitive-tag", prim == ("primitive" in e.tags),
                    f"group {'is' if prim else 'is not'} primitive, tag "
                    f"{'present' if 'primitive' in e.tags else 'absent'}"))
-    if e.expected_s is not None and e.degree <= s_degree_limit:
+    if e.expected_s is not None:
         s = count_set_orbits(G)
         checks.append(("set-orbits", s == e.expected_s,
                        f"computed {s}, expected {e.expected_s}"))
@@ -257,10 +256,8 @@ def _cycle(n: int) -> Permutation:
 # candidate selection
 
 def candidates(degree: int, filter: str = "all",
-               divisibility: Optional[tuple[int, int]] = None,
                entries: Iterable[CatalogEntry] | None = None) -> list[CatalogEntry]:
-    """Catalog entries of one degree passing a tag filter and an optional
-    C(n, t) | order test.  ``divisibility`` is (t, C(degree, t))."""
+    """Catalog entries of one degree passing a tag filter."""
     if filter not in ("all", "transitive", "primitive"):
         raise ValueError(f"unknown filter {filter!r}")
     if entries is None:
@@ -271,11 +268,5 @@ def candidates(degree: int, filter: str = "all",
             continue
         if filter != "all" and filter not in e.tags:
             continue
-        if divisibility is not None:
-            t, binom = divisibility
-            if math.comb(degree, t) != binom:
-                raise ValueError("inconsistent divisibility pair")
-            if e.expected_order % binom:
-                continue
         out.append(e)
     return out

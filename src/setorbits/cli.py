@@ -8,25 +8,17 @@ Subcommands:
   classify        full classification run for one r, with optional golden diff
 
 Exit codes: 0 success, 1 verification or diff failure, 2 usage error.
-Caps can also be set via SETORBITS_ELEMENT_CAP / SETORBITS_SUBGROUP_CAP.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import catalog as cat
 from . import pipeline
 from .orbitcount import count_set_orbits, dump_orbits, orbit_profile
-from .perm import (
-    DEFAULT_ELEMENT_CAP,
-    GroupTooLargeError,
-    PermGroup,
-    build_group,
-    parse_permutation,
-)
+from .perm import GroupTooLargeError, PermGroup, build_group, parse_permutation
 from .prune import degree_range, prune_degree
 from .subgroups import SubgroupCapError, all_subgroups
 
@@ -36,13 +28,6 @@ USAGE_ERROR = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(USAGE_ERROR, f"error: {message}\n")
-
-
-def _element_cap(args) -> int:
-    if args.element_cap is not None:
-        return args.element_cap
-    env = os.environ.get("SETORBITS_ELEMENT_CAP")
-    return int(env) if env else DEFAULT_ELEMENT_CAP
 
 
 def _resolve_group(spec: str) -> tuple[PermGroup, str]:
@@ -71,12 +56,11 @@ def cmd_orbits(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    cap = _element_cap(args)
     if args.per_size:
-        prof = orbit_profile(G, cap)
+        prof = orbit_profile(G)
         print(" ".join(map(str, prof.by_size)) + f" | s={prof.total}")
     else:
-        print(f"s={count_set_orbits(G, cap)}")
+        print(f"s={count_set_orbits(G)}")
     if args.dump:
         for line in dump_orbits(G):
             print(line)
@@ -96,15 +80,14 @@ def cmd_prune(args) -> int:
 
 def cmd_subgroups(args) -> int:
     try:
-        classes = all_subgroups(args.degree, cap=args.cap)
+        classes = all_subgroups(args.degree)
     except SubgroupCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cap = _element_cap(args)
     for c in classes:
         if args.transitive and not c.transitive:
             continue
-        s = count_set_orbits(c.representative, cap)
+        s = count_set_orbits(c.representative)
         gens = ";".join(str(g) for g in c.representative.generators) or "()"
         flag = "yes" if c.transitive else "no"
         print(f"{c.index}\t{c.order}\t{c.class_size}\t{flag}\t{s}\t{gens}")
@@ -165,8 +148,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="setorbits",
                 description="set-orbit counting and classification for "
                             "permutation groups")
-    p.add_argument("--element-cap", type=int, default=None,
-                   help="max group order for element iteration")
     sub = p.add_subparsers(dest="command", required=True)
 
     po = sub.add_parser("orbits", help="set-orbit counts for one group")
@@ -184,7 +165,6 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("subgroups", help="subgroup classes of S_n")
     ps.add_argument("--degree", type=int, required=True)
     ps.add_argument("--transitive", action="store_true")
-    ps.add_argument("--cap", type=int, default=None)
     ps.set_defaults(func=cmd_subgroups)
 
     pv = sub.add_parser("catalog-verify", help="check every catalog entry")

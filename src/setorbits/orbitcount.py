@@ -6,9 +6,10 @@ prod_i (1 + x^(l_i)) over the cycle lengths l_i.  Averaging over the group
 gives s(G) and the profile (s_0, ..., s_n); every division is asserted exact.
 
 Two independent routes are kept deliberately separate: the Burnside average
-over a stabilizer chain (scales with |G|) and a breadth-first enumeration of
-all 2^n subset bitmasks (scales with 2^n).  Tests hold them equal wherever
-both run.
+over a stabilizer chain (scales with |G|, runs for |G| <= 10^7) and a
+breadth-first enumeration of all 2^n subset bitmasks (scales with 2^n, runs
+for n <= 22).  Tests hold them equal wherever both run; ``orbit_profile``
+falls back to enumeration when the group is too large for Burnside.
 
 Subsets are encoded as bitmasks with point i on bit i-1, so orbit dumps are
 reproducible bit for bit.
@@ -20,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .perm import (
-    DEFAULT_ELEMENT_CAP,
+    ITERATION_MAX_ORDER,
     GroupTooLargeError,
     PermGroup,
     Permutation,
@@ -91,13 +92,16 @@ def _profile_from_histogram(n: int, order: int, hist: Counter) -> tuple[int, ...
     return tuple(out)
 
 
-def orbit_profile(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> OrbitProfile:
+def orbit_profile(G: PermGroup) -> OrbitProfile:
     """Exact per-size set-orbit counts (s_0, ..., s_n).
 
     Natural symmetric and alternating groups short-circuit to the all-ones
     profile; a group whose fixed points can be split off is reduced to its
     support first (each fixed point doubles every entry's contribution
-    pattern: the profile is the convolution with (1, 1)).
+    pattern: the profile is the convolution with (1, 1)).  The rest is
+    counted by Burnside when |G| <= ITERATION_MAX_ORDER, else by subset
+    enumeration when n <= ENUMERATION_MAX_DEGREE; a group beyond both routes
+    raises GroupTooLargeError.
     """
     n = G.degree
     if G.is_natural_symmetric() or (n >= 3 and G.is_natural_alternating()):
@@ -106,24 +110,27 @@ def orbit_profile(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> OrbitProfile:
     split = _restriction_to_support(G)
     if split is not None:
         core, k = split
-        inner = orbit_profile(core, cap)
+        inner = orbit_profile(core)
         by_size = list(inner.by_size) + [0] * k
         for _ in range(k):  # convolve with (1, 1) per fixed point
             by_size = [by_size[t] + (by_size[t - 1] if t else 0)
                        for t in range(len(by_size))]
         return OrbitProfile(n, tuple(by_size), sum(by_size))
-    if G.order > cap:
+    if G.order > ITERATION_MAX_ORDER:
+        if n <= ENUMERATION_MAX_DEGREE:
+            return profile_from_enumeration(G)
         raise GroupTooLargeError(
-            f"group of order {G.order} exceeds the element-iteration cap {cap}"
-            " and no symmetric/alternating shortcut applies")
-    hist = Counter(map(_cycle_lengths, G.iter_element_tuples(cap)))
+            f"group of order {G.order} on {n} points fits no exact route: "
+            f"Burnside needs order <= {ITERATION_MAX_ORDER}, subset "
+            f"enumeration needs degree <= {ENUMERATION_MAX_DEGREE}")
+    hist = Counter(map(_cycle_lengths, G.iter_element_tuples()))
     by_size = _profile_from_histogram(n, G.order, hist)
     return OrbitProfile(n, by_size, sum(by_size))
 
 
-def count_set_orbits(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> int:
+def count_set_orbits(G: PermGroup) -> int:
     """s(G) = (sum over g of 2^(#cycles of g)) / |G|, computed exactly."""
-    return orbit_profile(G, cap).total
+    return orbit_profile(G).total
 
 
 def enumerate_set_orbits(G: PermGroup) -> list[list[int]]:
@@ -176,17 +183,16 @@ def profile_from_enumeration(G: PermGroup) -> OrbitProfile:
     return OrbitProfile(n, tuple(by_size), sum(by_size))
 
 
-def is_t_set_transitive(G: PermGroup, t: int,
-                        cap: int = DEFAULT_ELEMENT_CAP) -> bool:
+def is_t_set_transitive(G: PermGroup, t: int) -> bool:
     """True iff s_t(G) = 1."""
     if not 0 <= t <= G.degree:
         raise ValueError(f"t = {t} out of range 0..{G.degree}")
-    return orbit_profile(G, cap).by_size[t] == 1
+    return orbit_profile(G).by_size[t] == 1
 
 
-def is_set_transitive(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> bool:
+def is_set_transitive(G: PermGroup) -> bool:
     """True iff s(G) = n + 1, i.e. one orbit for every subset size."""
-    return count_set_orbits(G, cap) == G.degree + 1
+    return count_set_orbits(G) == G.degree + 1
 
 
 def dump_orbits(G: PermGroup) -> list[str]:

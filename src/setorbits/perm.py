@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-DEFAULT_ELEMENT_CAP = 10**7
+#: largest group order whose elements are ever listed one by one
+ITERATION_MAX_ORDER = 10**7
 
 
 class PermError(ValueError):
@@ -25,7 +26,8 @@ class PermError(ValueError):
 
 
 class GroupTooLargeError(RuntimeError):
-    """Group order exceeds the configured element-iteration cap."""
+    """Group beyond the fixed limit of element iteration or subset
+    enumeration (for counting: beyond both)."""
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +413,11 @@ class PermGroup:
     def generator_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(g.images for g in self.generators)
 
-    def iter_element_tuples(self, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[tuple[int, ...]]:
-        if self.order > cap:
+    def iter_element_tuples(self) -> Iterator[tuple[int, ...]]:
+        if self.order > ITERATION_MAX_ORDER:
             raise GroupTooLargeError(
                 f"group of order {self.order} too large for element iteration"
-                f" (cap {cap})")
+                f" (limit {ITERATION_MAX_ORDER})")
         return self._chain.iter_elements()
 
     def is_natural_symmetric(self) -> bool:
@@ -465,12 +467,12 @@ def build_group(gens: Sequence[Permutation], degree: int | None = None) -> PermG
     return PermGroup(gens, degree)
 
 
-def elements(G: PermGroup, cap: int = DEFAULT_ELEMENT_CAP) -> Iterator[Permutation]:
+def elements(G: PermGroup) -> Iterator[Permutation]:
     """Stream every element of G exactly once.
 
-    Raises GroupTooLargeError when order(G) exceeds ``cap``.
+    Raises GroupTooLargeError when order(G) exceeds ITERATION_MAX_ORDER.
     """
-    for t in G.iter_element_tuples(cap):
+    for t in G.iter_element_tuples():
         yield Permutation(t)
 
 

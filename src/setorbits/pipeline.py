@@ -10,8 +10,8 @@ excess forces:
   candidates are primitive and C(n, t*) must divide the order, where t* is
   the largest size whose orbit count is forced to 1;
 * r < n: a split size 1 would overshoot, so candidates are the transitive
-  classes (subgroup enumeration for n <= 7, the catalog's transitive
-  entries otherwise);
+  classes (subgroup enumeration for n <= SUBGROUP_MAX_DEGREE = 7, the
+  catalog's transitive entries otherwise);
 * r >= n: every subgroup class of S_n is checked.
 
 Groups containing A_n always have s = n + 1 and are excluded throughout.
@@ -19,7 +19,6 @@ Groups containing A_n always have s = n + 1 and are excluded throughout.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -28,8 +27,8 @@ from typing import Iterable, Optional
 from . import catalog as cat
 from .orbitcount import count_set_orbits
 from .perm import PermGroup
-from .prune import PruneVerdict, degree_range, prune_degree
-from .subgroups import SubgroupCapError, all_subgroups, subgroup_cap, transitive_classes
+from .prune import PruneVerdict, binomial_divides, degree_range, prune_degree
+from .subgroups import SUBGROUP_MAX_DEGREE, SubgroupCapError, all_subgroups, transitive_classes
 
 MIN_R, MAX_R = 2, 11
 
@@ -96,7 +95,7 @@ class Candidate:
 
 def _divides_filter(n: int, r: int, order: int) -> bool:
     t = forced_transitive_size(n, r)
-    return t is None or order % math.comb(n, t) == 0
+    return t is None or binomial_divides(n, t, order)
 
 
 def _require_count(pool: list, want: int, n: int, kind: str) -> None:
@@ -127,7 +126,7 @@ def candidate_groups(n: int, r: int,
             if _divides_filter(n, r, e.expected_order):
                 out.append(Candidate(e.group(), e.id, e.name))
     elif r < n:
-        if n <= subgroup_cap():
+        if n <= SUBGROUP_MAX_DEGREE:
             for c in transitive_classes(n):
                 if _divides_filter(n, r, c.order):
                     out.append(Candidate(c.representative, f"S{n}-cls{c.index}",
@@ -136,7 +135,7 @@ def candidate_groups(n: int, r: int,
             if n != 8:
                 raise DataGapError(
                     [f"degree {n}: needs subgroup data for S_{n} (cap "
-                     f"{subgroup_cap()}) or a complete transitive catalog"])
+                     f"{SUBGROUP_MAX_DEGREE}) or a complete transitive catalog"])
             pool = cat.candidates(n, "transitive", entries=entries)
             _require_count(pool, cat.TRANSITIVE_8_COUNT, n, "transitive")
             for e in pool:
@@ -340,17 +339,17 @@ def spot_check_golden(r: int,
             if _s_of(e.group()) == row.s_value:
                 hit = f"catalog {e.id}"
                 break
-        if hit is None and row.degree <= subgroup_cap():
+        if hit is None and row.degree <= SUBGROUP_MAX_DEGREE:
             for c in all_subgroups(row.degree):
                 if c.order == row.order and _s_of(c.representative) == row.s_value:
                     hit = f"subgroup class {c.index} of S_{row.degree}"
                     break
         if hit is not None:
             reproduced.append((row, hit))
-        elif row.degree > subgroup_cap():
+        elif row.degree > SUBGROUP_MAX_DEGREE:
             out_of_cap.append(
                 (row, f"needs subgroup enumeration of S_{row.degree}, cap is "
-                      f"{subgroup_cap()}"))
+                      f"{SUBGROUP_MAX_DEGREE}"))
         else:
             failed.append((row, "no group with this degree/order/s found"))
     return SpotCheckReport(r, reproduced, out_of_cap, failed)

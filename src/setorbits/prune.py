@@ -8,8 +8,9 @@ any group not containing A_n, which rules degrees out wholesale:
   floor(n/2) + k for all k <= k0 (2*k0 sizes for odd n, 2*k0 + 1 for even
   n, counting mirror sizes once).
 * step 2: a transitivity bound from decompositions n = m*p0 + rem (p0 prime,
-  p0 > m, rem > m: no such group is more than rem-transitive) contradicts
-  the (n - p + 1)-transitivity forced by a prime floor(n/2) + k1 < p <= n.
+  p0 > m, rem > m: no such group is more than rem-transitive, save the
+  3-transitive families of ``known_transitivity_floor``) contradicts the
+  (n - p + 1)-transitivity forced by a prime floor(n/2) + k1 < p <= n.
 
 All boundary comparisons are exact integer arithmetic; nothing goes through
 floats.
@@ -75,6 +76,12 @@ class MillerDecomposition:
     def __str__(self) -> str:
         return f"{self.m}x{self.p0}+{self.rem}"
 
+    @property
+    def bound(self) -> int:
+        """Most transitivity a degree-n group without A_n can have: rem,
+        raised to ``known_transitivity_floor(n)``."""
+        return max(self.rem, known_transitivity_floor(self.n))
+
 
 @dataclass(frozen=True)
 class PruneVerdict:
@@ -93,7 +100,9 @@ class PruneVerdict:
         if self.stage == "step1":
             return f"p={self.witness_prime}"
         if self.stage == "step2":
-            return f"miller={self.miller},p={self.witness_prime}"
+            bound = self.miller.bound
+            floor = f",floor={bound}" if bound != self.miller.rem else ""
+            return f"miller={self.miller}{floor},p={self.witness_prime}"
         return "-"
 
 
@@ -161,32 +170,55 @@ def miller_bound(n: int) -> Optional[tuple[int, MillerDecomposition]]:
     return best
 
 
-# Degree 9 carries 3-transitive groups without A_9 (the projective groups on
-# the 9-point line over GF(8)), so the raw decomposition 9 = 1*7 + 2 would
-# understate their transitivity; the effective bound there is 3.
-_MILLER_FLOOR = {9: 3}
+# The 4- and 5-transitive Mathieu groups, and the 3-transitive M_22 and
+# Aut(M_22), by degree: their transitivity.
+_MATHIEU_TRANSITIVITY = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}
+
+
+def is_prime_power(q: int) -> bool:
+    if q < 2:
+        return False
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    while q % p == 0:
+        q //= p
+    return q == 1
+
+
+def known_transitivity_floor(n: int) -> int:
+    """Highest transitivity of a known group of degree n without A_n, when it
+    is at least 3; 0 otherwise.
+
+    By the classification of 2-transitive groups, the 3-transitive groups
+    without A_n are PGL(2, q) <= G <= PGammaL(2, q) on the q + 1 points of
+    the projective line (q >= 5), AGL(d, 2) and its subgroups on 2^d points
+    (d >= 3), and the Mathieu groups.  The Miller remainder can fall short of
+    them (9 = 1*7 + 2 and 33 = 1*31 + 2 carry PGammaL(2, 8) and PGammaL(2, 32)).
+    """
+    floor = _MATHIEU_TRANSITIVITY.get(n, 0)
+    if (n >= 6 and is_prime_power(n - 1)) or (n >= 8 and n & (n - 1) == 0):
+        floor = max(floor, 3)
+    return floor
 
 
 def step2_eliminates(n: int, r: int) -> Optional[tuple[int, MillerDecomposition]]:
     """Witness (p, decomposition) eliminating degree n via the Miller bound.
 
     Uses the smallest prime p with floor(n/2) + k1 < p <= n; the degree is
-    eliminated when n - p + 1 exceeds the transitivity bound, since a group
-    with few set-orbits would have to be (n - p + 1)-transitive.
+    eliminated when n - p + 1 exceeds the decomposition's ``bound``, since
+    a group with few set-orbits would have to be (n - p + 1)-transitive.
     """
     if n < 3:
         return None
     mb = miller_bound(n)
     if mb is None:
         return None
-    rem, decomp = mb
-    bound = max(rem, _MILLER_FLOOR.get(n, 0))
+    decomp = mb[1]
     k1 = required_k0("odd" if n % 2 else "even", r)
     lo = n // 2 + k1
     if lo >= n:
         return None
     window = primes_in(lo, n, include_hi=True)
-    if window and n - window[0] + 1 > bound:
+    if window and n - window[0] + 1 > decomp.bound:
         return window[0], decomp
     return None
 

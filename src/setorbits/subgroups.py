@@ -9,8 +9,9 @@ element sets to classes that covers every parent-conjugate of every
 discovered subgroup.
 
 The default case is the parent S_n: ``all_subgroups(n)`` caches it per
-degree.  Its default degree cap is 7 (S_7: 96 classes, ~11000 subgroups);
-degree 8 is permitted but issues a resource warning.  Everything is
+degree for n <= SUBGROUP_MAX_DEGREE = 7 (S_7: 96 classes, ~11000
+subgroups, about 10 s); the S_8 walk takes minutes and is run only by
+calling ``subgroup_classes`` on S_8 directly.  Everything is
 deterministic: candidates are scanned in sorted order and the result is
 sorted by (order, canonical key), where the canonical key of a class is the
 lexicographically minimal sorted element list over all its conjugates.
@@ -19,13 +20,12 @@ lexicographically minimal sorted element list over all its conjugates.
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 from .catalog import builtin
+from .prune import is_prime_power
 from .perm import (
     PermGroup,
     Permutation,
@@ -37,12 +37,12 @@ from .perm import (
     _inverse_t,
 )
 
-DEFAULT_SUBGROUP_CAP = 7
-HARD_SUBGROUP_CAP = 8
+#: largest n for which ``all_subgroups(n)`` walks and caches S_n
+SUBGROUP_MAX_DEGREE = 7
 
 
 class SubgroupCapError(ValueError):
-    """Requested degree exceeds the subgroup-enumeration cap."""
+    """Requested degree exceeds SUBGROUP_MAX_DEGREE."""
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,7 @@ class SubgroupClass:
 
 
 def _prime_power_order(lengths: tuple[int, ...]) -> bool:
-    o = math.lcm(*lengths)
-    if o == 1:
-        return False
-    p = min(f for f in range(2, o + 1) if o % f == 0)
-    while o % p == 0:
-        o //= p
-    return o == 1
+    return is_prime_power(math.lcm(*lengths))
 
 
 class _ClassRec:
@@ -85,11 +79,6 @@ class _ClassRec:
 
 def _conjugate_set(elems: frozenset, s: tuple[int, ...]) -> frozenset:
     return frozenset(_conjugate_t(s, x) for x in elems)
-
-
-def subgroup_cap() -> int:
-    env = os.environ.get("SETORBITS_SUBGROUP_CAP")
-    return int(env) if env else DEFAULT_SUBGROUP_CAP
 
 
 def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
@@ -198,34 +187,29 @@ def _all_subgroups_cached(n: int) -> tuple[SubgroupClass, ...]:
     return subgroup_classes(builtin("symmetric", n))
 
 
-def all_subgroups(n: int, cap: Optional[int] = None) -> tuple[SubgroupClass, ...]:
+def all_subgroups(n: int) -> tuple[SubgroupClass, ...]:
     """All conjugacy classes of subgroups of S_n, sorted by (order, key).
 
-    Includes the trivial group and S_n itself.  ``cap`` defaults to 7 (or the
-    SETORBITS_SUBGROUP_CAP environment variable); degree 8 works but is slow
-    and warns.
+    Includes the trivial group and S_n itself.  Raises SubgroupCapError for
+    n > SUBGROUP_MAX_DEGREE.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
-    effective = cap if cap is not None else subgroup_cap()
-    if n > min(effective, HARD_SUBGROUP_CAP):
+    if n > SUBGROUP_MAX_DEGREE:
         raise SubgroupCapError(
-            f"subgroup enumeration of S_{n} is beyond the cap "
-            f"({min(effective, HARD_SUBGROUP_CAP)})")
-    if n == HARD_SUBGROUP_CAP:
-        warnings.warn("subgroup enumeration of S_8 takes minutes and "
-                      "hundreds of MB", ResourceWarning, stacklevel=2)
+            f"subgroup enumeration of S_{n} is beyond the cap of the cached "
+            f"S_n walk (n <= {SUBGROUP_MAX_DEGREE})")
     return _all_subgroups_cached(n)
 
 
-def transitive_classes(n: int, cap: Optional[int] = None) -> tuple[SubgroupClass, ...]:
+def transitive_classes(n: int) -> tuple[SubgroupClass, ...]:
     """Conjugacy classes with a transitive representative, same ordering."""
-    return tuple(c for c in all_subgroups(n, cap) if c.transitive)
+    return tuple(c for c in all_subgroups(n) if c.transitive)
 
 
-def total_subgroup_count(n: int, cap: Optional[int] = None) -> int:
+def total_subgroup_count(n: int) -> int:
     """Number of subgroups of S_n (classes weighted by their sizes)."""
-    return sum(c.class_size for c in all_subgroups(n, cap))
+    return sum(c.class_size for c in all_subgroups(n))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from setorbits.catalog import (
 )
 from setorbits.orbitcount import count_set_orbits
 from setorbits.perm import is_primitive, is_transitive
+from setorbits.pipeline import candidate_groups, forced_transitive_size
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +133,19 @@ def test_builtin_rejects_unknown():
 # candidate filtering
 
 def test_degree8_primitive_with_divisor():
-    got = {e.id for e in candidates(8, "primitive", divisibility=(3, 56))}
-    assert {"8P1", "8P2", "8P3", "8P4", "8P5"} <= got
-    # every remaining degree-8 primitive entry is A_8 or S_8, then 56 | order
-    assert got == {"8P1", "8P2", "8P3", "8P4", "8P5", "8X1", "8X2"}
+    # s = 8 + 2 forces t* = 3: primitive entries with C(8, 3) = 56 | order,
+    # less A_8 and S_8 (8X1, 8X2)
+    assert forced_transitive_size(8, 2) == 3
+    got = {c.label for c in candidate_groups(8, 2)}
+    assert got == {"8P1", "8P2", "8P3", "8P4", "8P5"}
 
 
 def test_degree9_primitive_with_divisor_36():
-    got = {e.name for e in candidates(9, "primitive", divisibility=(2, 36))}
+    # s = 9 + 5 forces t* = 2: C(9, 2) = 36 divides the order
+    assert forced_transitive_size(9, 5) == 2
+    got = {c.name for c in candidate_groups(9, 5)}
     assert {"ASL(2,3)", "AGL(2,3)"} <= got
+    assert all(c.group.order % 36 == 0 for c in candidate_groups(9, 5))
 
 
 def test_transitive_filter_semantics():
@@ -148,11 +153,6 @@ def test_transitive_filter_semantics():
     assert {e.id for e in six} == {"6P1", "6X1", "6X2", "6X3"}
     allsix = candidates(6, "all")
     assert len(allsix) == len(six)  # no intransitive degree-6 entries shipped
-
-
-def test_divisibility_pair_validated():
-    with pytest.raises(ValueError):
-        candidates(8, "primitive", divisibility=(3, 57))
 
 
 def test_transitive_degree8_complete():

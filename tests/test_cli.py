@@ -1,8 +1,10 @@
+import shlex
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from setorbits.cli import run
+from setorbits.cli import build_parser, run
 
 
 @pytest.fixture
@@ -47,6 +49,37 @@ def test_unknown_flag_is_usage_error(capout):
 
 def test_missing_subcommand_is_usage_error():
     assert run([]) == 2
+
+
+S8_WR_S2 = "gens:(1,2);(1,2,3,4,5,6,7,8);" + "".join(
+    f"({i},{i + 8})" for i in range(1, 9))
+
+
+def test_orbits_beyond_burnside_limit(capout):
+    # order 2 * 8!^2 > 10^7: counted by subset enumeration instead
+    out = capout(["orbits", "--group", S8_WR_S2]).out
+    assert out.strip() == "s=45"
+
+
+def test_orbits_beyond_both_routes_fails(capout):
+    # S12 wr S2: order above 10^7 on 24 > 22 points
+    spec = ("gens:(1,2);(1,2,3,4,5,6,7,8,9,10,11,12);"
+            + "".join(f"({i},{i + 12})" for i in range(1, 13)))
+    cap = capout(["orbits", "--group", spec], expect=1)
+    assert "no exact route" in cap.err
+
+
+def test_readme_command_lines_parse():
+    """Every ``setorbits ...`` line of README's Command line block parses."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines()
+             if line.startswith("setorbits ")]
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -134,16 +167,3 @@ def test_classify_gap_failure_names_resource(capout):
 def test_classify_allow_gaps(capout):
     out = capout(["classify", "--r", "7", "--allow-gaps"], expect=1).out
     assert "gaps:" in out
-
-
-def test_element_cap_env_override(capout, monkeypatch):
-    monkeypatch.setenv("SETORBITS_ELEMENT_CAP", "10")
-    # M12 exceeds a cap of 10 and has no symmetric/alternating shortcut
-    cap = capout(["orbits", "--group", "12P2"], expect=1)
-    assert cap.err.startswith("error:")
-
-
-def test_element_cap_flag(capout):
-    cap = capout(["--element-cap", "10", "orbits", "--group", "12P2"],
-                 expect=1)
-    assert "cap" in cap.err

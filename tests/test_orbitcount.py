@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import pytest
@@ -96,11 +97,31 @@ def test_c7_c3_total():
     assert brute_profile(F21) == orbit_profile(F21).by_size
 
 
+def wreath_s2(k):
+    """S_k wr S_2 on 2k points: S_k on {1..k}, and the swap of the halves."""
+    cycle = "(" + ",".join(map(str, range(1, k + 1))) + ")"
+    swap = "".join(f"({i},{i + k})" for i in range(1, k + 1))
+    return gset("(1,2)", cycle, swap, degree=2 * k)
+
+
+def test_enumeration_fallback_beyond_burnside_limit():
+    # |S8 wr S2| = 2 * 8!^2 > 10^7 and no shortcut applies: the profile
+    # comes from subset enumeration (16 <= 22), C(10, 2) = 45 orbits
+    G = wreath_s2(8)
+    assert G.order == 2 * math.factorial(8) ** 2
+    assert orbit_profile(G).by_size == (1, 1, 2, 2, 3, 3, 4, 4, 5, 4, 4, 3, 3,
+                                        2, 2, 1, 1)
+    assert count_set_orbits(G) == 45
+
+
 def test_cap_exceeded_without_shortcut():
-    m12 = gset("(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)",
-               "(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", degree=12)
+    # S12 wr S2: order above 10^7 and degree 24 > 22, so no exact route fits
+    G = wreath_s2(12)
+    assert G.order > 10**7 and G.degree == 24
+    with pytest.raises(GroupTooLargeError, match="no exact route"):
+        orbit_profile(G)
     with pytest.raises(GroupTooLargeError):
-        count_set_orbits(m12, cap=1000)
+        count_set_orbits(G)
 
 
 def test_fixed_point_reduction_matches_oracle():

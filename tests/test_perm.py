@@ -169,10 +169,13 @@ def test_trivial_group_elements():
 
 
 def test_element_cap_enforced():
-    G = build_group([parse_permutation("(1,2)", 4),
-                     parse_permutation("(1,2,3,4)", 4)])
+    # |S_11| = 39916800 is above the element-iteration limit of 10^7
+    G = build_group([parse_permutation("(1,2)", 11),
+                     parse_permutation("(1,2,3,4,5,6,7,8,9,10,11)", 11)])
     with pytest.raises(GroupTooLargeError):
-        list(elements(G, cap=10))
+        next(elements(G))
+    with pytest.raises(GroupTooLargeError):
+        G.iter_element_tuples()
 
 
 @given(st.lists(st.permutations(range(6)).map(Permutation), min_size=1,

@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from setorbits.perm import Permutation, build_group, transitivity_degree
 from setorbits.prune import (
     MillerDecomposition,
     binomial_divides,
     degree_bound,
     is_prime,
+    known_transitivity_floor,
     miller_bound,
     parity_admissible,
     primes_in,
@@ -152,6 +154,65 @@ def test_degree9_survives_r3():
     # projective groups over GF(8) are 3-transitive without A_9, so step 2
     # must not eliminate the degree
     assert step2_eliminates(9, 3) is None
+
+
+def _pgl2_32():
+    """PGL(2, 32) = PSL(2, 32) on the projective line over GF(32): points
+    0..31 are field elements (bit vectors modulo x^5 + x^2 + 1), 32 is oo."""
+    def mul(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a & 32:
+                a ^= 0b100101
+        return out
+
+    inv = {a: next(b for b in range(1, 32) if mul(a, b) == 1)
+           for a in range(1, 32)}
+    inf = 32
+    shift = [x ^ 1 for x in range(32)] + [inf]
+    scale = [mul(2, x) for x in range(32)] + [inf]
+    invert = [inf] + [inv[x] for x in range(1, 32)] + [0]
+    return build_group([Permutation(g) for g in (shift, scale, invert)],
+                       degree=33)
+
+
+def test_degree33_bound_covers_pgl2_32():
+    G = _pgl2_32()
+    assert G.order == 32 * (32**2 - 1)
+    assert transitivity_degree(G) == 3
+    # the Miller remainder alone (33 = 1*31 + 2) would claim 2-transitive
+    rem, decomp = miller_bound(33)
+    assert rem == 2 and decomp.bound >= 3
+    v = prune_degree(33, 5)
+    assert v.stage == "step2" and v.miller.bound >= 3
+    assert v.witness_text() == "miller=1x31+2,floor=3,p=23"
+
+
+def test_known_floor_families():
+    assert known_transitivity_floor(9) == 3      # PGammaL(2, 8)
+    assert known_transitivity_floor(16) == 3     # AGL(4, 2)
+    assert known_transitivity_floor(12) == 5     # M_12
+    assert known_transitivity_floor(5) == 0      # PGL(2, 4) = A_5
+    assert known_transitivity_floor(15) == 0
+
+
+def test_bound_holds_for_every_built_group():
+    """No catalog group and no subgroup class of S_3..S_7 without A_n is
+    more transitive than step 2 allows."""
+    from setorbits.catalog import load_default
+    from setorbits.subgroups import all_subgroups
+    groups = [(e.id, e.group()) for e in load_default()]
+    groups += [(f"S{n}-cls{c.index}", c.representative)
+               for n in range(3, 8) for c in all_subgroups(n)]
+    for label, G in groups:
+        mb = miller_bound(G.degree)
+        if mb is None or G.contains_alternating():
+            continue
+        assert transitivity_degree(G) <= mb[1].bound, label
 
 
 # ---------------------------------------------------------------------------

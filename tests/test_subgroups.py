@@ -102,10 +102,11 @@ def test_no_intransitive_class_leaks():
 
 
 def test_cap_errors():
+    # the cached S_n walk stops at n = 7; S_8 goes through subgroup_classes
     with pytest.raises(SubgroupCapError):
-        all_subgroups(9, cap=9)
+        all_subgroups(8)
     with pytest.raises(SubgroupCapError):
-        all_subgroups(8)  # default cap is 7
+        transitive_classes(9)
 
 
 def test_class_size_orbit_stabilizer():
