@@ -126,6 +126,15 @@ def cmd_classify(args) -> int:
         for row in report.rows:
             print(f"  n={row.degree:2d}  {row.name:28s} order {row.order:<8d} "
                   f"s={row.s_value}  [{row.group_label}]")
+        print("candidates per surviving degree (source: count, routes):")
+        for n, source in report.candidate_sources.items():
+            if n not in report.candidate_counts:
+                print(f"  n={n:2d}  {source}: data gap")
+                continue
+            routes = ", ".join(f"{route} {k}" for route, k in
+                               sorted(report.route_counts[n].items()))
+            print(f"  n={n:2d}  {source}: {report.candidate_counts[n]}"
+                  f"{' (' + routes + ')' if routes else ''}")
         if report.gaps:
             print("gaps:")
             for g in report.gaps:

@@ -420,13 +420,6 @@ class PermGroup:
                 f" (limit {ITERATION_MAX_ORDER})")
         return self._chain.iter_elements()
 
-    def is_natural_symmetric(self) -> bool:
-        return self.order == math.factorial(self.degree)
-
-    def is_natural_alternating(self) -> bool:
-        # index 2 in S_n forces A_n, the unique such subgroup
-        return self.degree >= 2 and self.order * 2 == math.factorial(self.degree)
-
     def contains_alternating(self) -> bool:
         """True iff A_degree <= G (i.e. G is A_n or S_n in natural action)."""
         return 2 * self.order >= math.factorial(self.degree)

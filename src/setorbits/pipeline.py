@@ -9,12 +9,16 @@ excess forces:
 * r < n - 2: one split subset size of 2 would already overshoot, so
   candidates are primitive and C(n, t*) must divide the order, where t* is
   the largest size whose orbit count is forced to 1;
-* r < n: a split size 1 would overshoot, so candidates are the transitive
-  classes (subgroup enumeration for n <= SUBGROUP_MAX_DEGREE = 7, the
-  catalog's transitive entries otherwise);
+* r < n: a split size 1 would overshoot, so candidates are transitive.  At
+  a prime degree they are primitive too (a block size divides n), so they
+  come from the primitive catalog as above; otherwise they are the
+  transitive classes (subgroup enumeration for n <= SUBGROUP_MAX_DEGREE = 7,
+  the catalog's transitive entries otherwise);
 * r >= n: every subgroup class of S_n is checked.
 
 Groups containing A_n always have s = n + 1 and are excluded throughout.
+The run report records, per degree, where the candidates came from and how
+many of them each counting route (``orbitcount.counting_route``) took.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from importlib import resources
 from typing import Iterable, Optional
 
 from . import catalog as cat
-from .orbitcount import count_set_orbits
+from .orbitcount import count_set_orbits, counting_route
 from .perm import PermGroup
-from .prune import PruneVerdict, binomial_divides, degree_range, prune_degree
+from .prune import PruneVerdict, binomial_divides, degree_range, is_prime, prune_degree
 from .subgroups import SUBGROUP_MAX_DEGREE, SubgroupCapError, all_subgroups, transitive_classes
 
 MIN_R, MAX_R = 2, 11
@@ -59,6 +63,10 @@ class RunReport:
     rows: list[ClassificationRow]
     gaps: list[str] = field(default_factory=list)
     timing: dict[str, float] = field(default_factory=dict)
+    #: per surviving degree: where its candidates come from
+    candidate_sources: dict[int, str] = field(default_factory=dict)
+    #: per degree with candidates: counting route -> number of candidates
+    route_counts: dict[int, dict[str, int]] = field(default_factory=dict)
 
     def survivors(self) -> list[int]:
         return [v.n for v in self.degree_verdicts if not v.eliminated]
@@ -105,6 +113,24 @@ def _require_count(pool: list, want: int, n: int, kind: str) -> None:
                             f"{len(pool)} {kind} entries, expected {want}"])
 
 
+PRIMITIVE = "primitive catalog"
+PRIMITIVE_PRIME = "primitive catalog (prime degree)"
+TRANSITIVE_CATALOG = "transitive catalog"
+
+
+def candidate_source(n: int, r: int) -> str:
+    """Where the candidates for s(G) = n + r at degree n come from."""
+    if r < n - 2:
+        return PRIMITIVE
+    if r < n and is_prime(n):
+        return PRIMITIVE_PRIME
+    if r < n:
+        if n <= SUBGROUP_MAX_DEGREE:
+            return f"transitive classes of S_{n}"
+        return TRANSITIVE_CATALOG
+    return f"subgroup classes of S_{n}"
+
+
 def candidate_groups(n: int, r: int,
                      entries: Iterable[cat.CatalogEntry] | None = None) -> list[Candidate]:
     """Candidates for s(G) = n + r at a surviving degree n.
@@ -116,7 +142,8 @@ def candidate_groups(n: int, r: int,
         entries = cat.load_default()
     entries = list(entries)
     out: list[Candidate] = []
-    if r < n - 2:
+    source = candidate_source(n, r)
+    if source in (PRIMITIVE, PRIMITIVE_PRIME):
         if n not in cat.PRIMITIVE_COUNTS:
             raise DataGapError([f"degree {n}: primitive catalog does not "
                                 f"cover degree {n}"])
@@ -125,22 +152,21 @@ def candidate_groups(n: int, r: int,
         for e in pool:
             if _divides_filter(n, r, e.expected_order):
                 out.append(Candidate(e.group(), e.id, e.name))
+    elif source == TRANSITIVE_CATALOG:
+        if n != 8:
+            raise DataGapError(
+                [f"degree {n}: needs subgroup data for S_{n} (cap "
+                 f"{SUBGROUP_MAX_DEGREE}) or a complete transitive catalog"])
+        pool = cat.candidates(n, "transitive", entries=entries)
+        _require_count(pool, cat.TRANSITIVE_8_COUNT, n, "transitive")
+        for e in pool:
+            if _divides_filter(n, r, e.expected_order):
+                out.append(Candidate(e.group(), e.id, e.name))
     elif r < n:
-        if n <= SUBGROUP_MAX_DEGREE:
-            for c in transitive_classes(n):
-                if _divides_filter(n, r, c.order):
-                    out.append(Candidate(c.representative, f"S{n}-cls{c.index}",
-                                         f"transitive class {c.index} of S_{n}"))
-        else:
-            if n != 8:
-                raise DataGapError(
-                    [f"degree {n}: needs subgroup data for S_{n} (cap "
-                     f"{SUBGROUP_MAX_DEGREE}) or a complete transitive catalog"])
-            pool = cat.candidates(n, "transitive", entries=entries)
-            _require_count(pool, cat.TRANSITIVE_8_COUNT, n, "transitive")
-            for e in pool:
-                if _divides_filter(n, r, e.expected_order):
-                    out.append(Candidate(e.group(), e.id, e.name))
+        for c in transitive_classes(n):
+            if _divides_filter(n, r, c.order):
+                out.append(Candidate(c.representative, f"S{n}-cls{c.index}",
+                                     f"transitive class {c.index} of S_{n}"))
     else:
         try:
             classes = all_subgroups(n)
@@ -157,15 +183,20 @@ def candidate_groups(n: int, r: int,
     return [c for c in out if not c.group.contains_alternating()]
 
 
-_profile_cache: dict[tuple, int] = {}
+_profile_cache: dict[tuple, tuple[int, str]] = {}
 
 
-def _s_of(G: PermGroup) -> int:
+def _s_and_route(G: PermGroup) -> tuple[int, str]:
+    """s(G) and the counting route that computed it, cached per group."""
     key = (G.degree, G.order, G.generator_tuples())
     hit = _profile_cache.get(key)
     if hit is None:
-        hit = _profile_cache[key] = count_set_orbits(G)
+        hit = _profile_cache[key] = (count_set_orbits(G), counting_route(G))
     return hit
+
+
+def _s_of(G: PermGroup) -> int:
+    return _s_and_route(G)[0]
 
 
 def classify(r: int, strict: bool = True,
@@ -184,19 +215,24 @@ def classify(r: int, strict: bool = True,
     t1 = time.perf_counter()
     rows: list[ClassificationRow] = []
     counts: dict[int, int] = {}
+    sources: dict[int, str] = {}
+    routes: dict[int, dict[str, int]] = {}
     gaps: list[str] = []
     for v in verdicts:
         if v.eliminated:
             continue
         n = v.n
+        sources[n] = candidate_source(n, r)
         try:
             cands = candidate_groups(n, r, entries=entries)
         except DataGapError as exc:
             gaps.extend(exc.gaps)
             continue
         counts[n] = len(cands)
+        taken = routes[n] = {}
         for c in cands:
-            s = _s_of(c.group)
+            s, route = _s_and_route(c.group)
+            taken[route] = taken.get(route, 0) + 1
             if s == n + r:
                 rows.append(ClassificationRow(r, n, c.label, c.name,
                                               c.group.order, s))
@@ -206,7 +242,9 @@ def classify(r: int, strict: bool = True,
     t2 = time.perf_counter()
     return RunReport(r=r, degree_verdicts=verdicts, candidate_counts=counts,
                      rows=rows, gaps=gaps,
-                     timing={"prune": t1 - t0, "compute": t2 - t1})
+                     timing={"prune": t1 - t0, "compute": t2 - t1},
+                     candidate_sources=sources,
+                     route_counts=routes)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,14 @@ def test_classify_pretty(capout):
     assert "M11" in out and "8 group(s)" in out
 
 
+def test_classify_pretty_reports_sources_and_routes(capout):
+    out = capout(["classify", "--r", "3"]).out
+    assert "  n= 5  primitive catalog (prime degree): 3 (enumeration 3)" in out
+    assert "  n= 4  transitive classes of S_4: 3 (" in out
+    tsv = capout(["classify", "--r", "3", "--format", "tsv"]).out
+    assert "candidates" not in tsv and len(tsv.splitlines()) == 9
+
+
 def test_classify_gap_failure_names_resource(capout):
     cap = capout(["classify", "--r", "7"], expect=1)
     assert "S_9" in cap.err

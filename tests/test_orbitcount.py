@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from setorbits.catalog import builtin
+from setorbits import orbitcount
+from setorbits.catalog import builtin, load_default
 from setorbits.orbitcount import (
     OrbitProfile,
+    _burnside_profile,
+    _enumeration_profile,
     count_set_orbits,
+    counting_route,
     dump_orbits,
     enumerate_set_orbits,
     is_set_transitive,
@@ -24,6 +28,7 @@ from setorbits.perm import (
     parse_permutation,
     transitivity_degree,
 )
+from setorbits.subgroups import all_subgroups
 
 
 def brute_profile(G):
@@ -48,6 +53,9 @@ def gset(*texts, degree):
 
 
 C4 = gset("(1,2,3,4)", degree=4)
+M12 = gset("(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)",
+           "(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", degree=12)
+C8XC8 = gset("(1,2,3,4,5,6,7,8)", "(9,10,11,12,13,14,15,16)", degree=16)
 
 
 # ---------------------------------------------------------------------------
@@ -65,9 +73,7 @@ def test_c4_count_and_profile():
 
 
 def test_m12_count():
-    m12 = gset("(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)",
-               "(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", degree=12)
-    assert count_set_orbits(m12) == 14
+    assert count_set_orbits(M12) == 14
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 9, 20])
@@ -114,6 +120,17 @@ def test_enumeration_fallback_beyond_burnside_limit():
     assert count_set_orbits(G) == 45
 
 
+def test_enumeration_fallback_keeps_no_partition(monkeypatch):
+    # the counting kernel, not the partition oracle, counts S8 wr S2
+    def no_partition(G):
+        raise AssertionError("orbit partition built")
+
+    monkeypatch.setattr(orbitcount, "enumerate_set_orbits", no_partition)
+    prof = orbit_profile(wreath_s2(8))
+    assert prof.total == 45
+    assert prof.by_size == (1, 1, 2, 2, 3, 3, 4, 4, 5, 4, 4, 3, 3, 2, 2, 1, 1)
+
+
 def test_cap_exceeded_without_shortcut():
     # S12 wr S2: order above 10^7 and degree 24 > 22, so no exact route fits
     G = wreath_s2(12)
@@ -129,6 +146,60 @@ def test_fixed_point_reduction_matches_oracle():
     G = gset("(1,2,3)", "(2,3,4)", degree=5)
     assert orbit_profile(G).by_size == brute_profile(G)
     assert count_set_orbits(G) == 2 * count_set_orbits(builtin("alternating", 4))
+
+
+# ---------------------------------------------------------------------------
+# counting routes: each one checked directly, and the choice between them
+
+# Burnside sums over every element; the catalog entries above this order
+# are natural A_n / S_n of degree 9-11, with or without a fixed point, each
+# taking seconds, and are left to the other two routes
+BURNSIDE_CHECK_MAX_ORDER = 10**5
+
+ROUTE_GROUPS = (
+    [pytest.param(e.group(), id=e.id) for e in load_default()
+     if e.degree <= 16 and e.expected_order <= 10**7]
+    + [pytest.param(c.representative, id=f"S{n}-cls{c.index}")
+       for n in range(1, 7) for c in all_subgroups(n)])
+
+
+@pytest.mark.parametrize("G", ROUTE_GROUPS)
+def test_counting_routes_agree(G):
+    prof = _enumeration_profile(G)
+    assert prof == profile_from_enumeration(G) == orbit_profile(G)
+    if G.order <= BURNSIDE_CHECK_MAX_ORDER:
+        assert prof == _burnside_profile(G)
+
+
+def test_route_choice():
+    assert counting_route(M12) == "enumeration"
+    assert C8XC8.order == 64
+    assert counting_route(C8XC8) == "burnside"
+    assert counting_route(builtin("dihedral", 16)) == "burnside"
+    assert counting_route(wreath_s2(8)) == "enumeration"
+    # S_3 and A_4 on the support of a larger degree still take the shortcut
+    assert counting_route(gset("(1,2)", "(1,2,3)", degree=9)) == "shortcut"
+    assert counting_route(gset("(1,2,3)", "(2,3,4)", degree=5)) == "shortcut"
+    assert counting_route(builtin("symmetric", 9)) == "shortcut"
+    with pytest.raises(GroupTooLargeError, match="no exact route"):
+        counting_route(wreath_s2(12))
+
+
+def test_orbit_profile_follows_route(monkeypatch):
+    def fail(G):
+        raise AssertionError("route not chosen")
+
+    with monkeypatch.context() as m:
+        m.setattr(orbitcount, "_enumeration_profile", fail)
+        assert orbit_profile(C8XC8) == _burnside_profile(C8XC8)
+    with monkeypatch.context() as m:
+        m.setattr(orbitcount, "_burnside_profile", fail)
+        assert orbit_profile(M12).total == 14
+
+
+def test_enumeration_kernel_degree_cap():
+    with pytest.raises(GroupTooLargeError):
+        _enumeration_profile(builtin("cyclic", 23))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 
 import pytest
 
 from setorbits.catalog import load_default
+from setorbits.orbitcount import count_set_orbits
+from setorbits.perm import is_primitive
 from setorbits.pipeline import (
     ClassificationRow,
     DataGapError,
@@ -15,6 +18,7 @@ from setorbits.pipeline import (
     parse_golden,
     spot_check_golden,
 )
+from setorbits.subgroups import transitive_classes
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +110,52 @@ def test_missing_primitive_entry_is_a_gap():
 
 
 # ---------------------------------------------------------------------------
+# prime degree: a block size divides n, so transitive means primitive
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_transitive_classes_of_prime_degree_are_primitive(n):
+    assert all(is_primitive(c.representative) for c in transitive_classes(n))
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (7, 5), (7, 6)])
+def test_prime_degree_candidates_match_transitive_classes(n, r):
+    """The primitive pool gives the (order, s) multiset of the transitive
+    classes that pass the divisibility filter and do not contain A_n."""
+    t = forced_transitive_size(n, r)
+    want = Counter((c.order, count_set_orbits(c.representative))
+                   for c in transitive_classes(n)
+                   if not c.representative.contains_alternating()
+                   and (t is None or c.order % math.comb(n, t) == 0))
+    got = Counter((c.group.order, count_set_orbits(c.group))
+                  for c in candidate_groups(n, r))
+    assert got == want
+
+
+def test_prime_degree7_candidates():
+    assert [c.label for c in candidate_groups(7, 5)] == [
+        "7P1", "7P2", "7P3", "7P4", "7P5"]
+
+
+def test_prime_degree7_missing_primitive_entry_is_a_gap():
+    entries = [e for e in load_default() if e.id != "7P3"]
+    with pytest.raises(DataGapError, match="primitive catalog incomplete"):
+        candidate_groups(7, 5, entries=entries)
+
+
+def test_prime_degree11_gap_closed():
+    assert [c.label for c in candidate_groups(11, 9)] == [
+        "11X1", "11X2", "11X3", "11X4", "11X5", "11P6"]
+    report = classify(9, strict=False)
+    assert report.candidate_sources[11] == "primitive catalog (prime degree)"
+    assert not any("degree 11" in g for g in report.gaps)
+
+
+def test_prime_degree13_gap_still_reported():
+    report = classify(11, strict=False)
+    assert "degree 13: primitive catalog does not cover degree 13" in report.gaps
+
+
+# ---------------------------------------------------------------------------
 # classification runs
 
 @pytest.mark.parametrize("r,rows", [(2, 9), (3, 8), (4, 10), (5, 10)])
@@ -142,6 +192,20 @@ def test_emitted_rows_recomputed_by_enumeration():
                 three_cycles = [Permutation.parse(f"(1,2,{k})", n)
                                 for k in range(3, n + 1)]
                 assert not all(t in G for t in three_cycles)
+
+
+def test_report_records_sources_and_routes():
+    report = classify(3)
+    assert report.candidate_sources == {
+        3: "subgroup classes of S_3", 4: "transitive classes of S_4",
+        5: "primitive catalog (prime degree)", 6: "primitive catalog",
+        7: "primitive catalog", 8: "primitive catalog", 9: "primitive catalog",
+        11: "primitive catalog", 12: "primitive catalog"}
+    assert set(report.route_counts) == set(report.candidate_counts)
+    for n, routes in report.route_counts.items():
+        assert sum(routes.values()) == report.candidate_counts[n]
+        assert set(routes) <= {"shortcut", "burnside", "enumeration"}
+    assert report.route_counts[12] == {"enumeration": 2}  # M11 and M12
 
 
 def test_classification_deterministic():
