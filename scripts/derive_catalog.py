@@ -13,8 +13,9 @@ Every generator set is produced from a first-principles construction:
 * wreath-type embeddings and one-point paddings for the imprimitive and
   intransitive groups the reference tables need;
 * the subgroup-closure walk ``setorbits.subgroups.subgroup_classes``, run
-  over S_8 for its transitive classes and over S_3 wr S_3 for the classes
-  of order >= 162, the latter grouped under S_9 with ``conjugate_in_sn``.
+  over S_4, S_6 and S_8 for their transitive classes and over S_3 wr S_3
+  for the classes of order >= 162, the latter grouped under S_9 with
+  ``conjugate_in_sn``.
 
 Everything is verified on the spot (order, transitivity, primitivity and,
 against an independent subset-orbit enumeration, the set-orbit count)
@@ -24,6 +25,7 @@ file byte for byte.
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import time
@@ -32,12 +34,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from setorbits.catalog import PRIMITIVE_COUNTS, TRANSITIVE_8_COUNT, builtin
+from setorbits.catalog import PRIMITIVE_COUNTS, TRANSITIVE_COUNTS, builtin
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.perm import (
     PermGroup,
     Permutation,
     _Chain,
+    _cycle_lengths,
     build_group,
     is_primitive,
     is_transitive,
@@ -306,14 +309,56 @@ def find_subgroup_of_order(G: PermGroup, order: int, seed: int) -> frozenset:
     raise RuntimeError(f"no subgroup of order {order} found")
 
 
-def _transitive8_classes() -> list[SubgroupClass]:
-    """Transitive subgroup classes of S_8, walked afresh on every run."""
-    print("enumerating subgroup classes of S_8 ...", flush=True)
+#: number of subgroup classes of S_n, for the degrees walked here
+SN_CLASS_COUNTS = {4: 11, 6: 56, 8: 296}
+
+
+def _transitive_classes(n: int) -> list[SubgroupClass]:
+    """Transitive subgroup classes of S_n, walked afresh on every run."""
+    print(f"enumerating subgroup classes of S_{n} ...", flush=True)
     t0 = time.time()
-    classes8 = subgroup_classes(builtin("symmetric", 8))
-    print(f"  {len(classes8)} classes ({time.time() - t0:.0f}s)", flush=True)
-    assert len(classes8) == 296
-    return [c for c in classes8 if c.transitive]
+    classes = subgroup_classes(builtin("symmetric", n))
+    print(f"  {len(classes)} classes ({time.time() - t0:.1f}s)", flush=True)
+    assert len(classes) == SN_CLASS_COUNTS[n]
+    trans = [c for c in classes if c.transitive]
+    assert len(trans) == TRANSITIVE_COUNTS[n], len(trans)
+    return trans
+
+
+def _largest_element_order(G: PermGroup) -> int:
+    return max(math.lcm(*_cycle_lengths(x)) for x in G.iter_element_tuples())
+
+
+#: the imprimitive transitive groups of degrees 4 and 6, keyed by (order,
+#: set-orbit count, largest element order), which tells all of them apart;
+#: an ID that is not an X-ID is the label a reference table cites
+IMPRIMITIVE_NAMES = {
+    4: {(4, 6, 4): ("4T1", "C4"), (4, 7, 2): ("4T2", "C2xC2"),
+        (8, 6, 4): ("4T3", "D8")},
+    6: {(6, 14, 6): ("6S17", "C6"), (6, 16, 3): ("6X4", "S3"),
+        (12, 12, 3): ("6S31", "A4"), (12, 13, 6): ("6S33", "D12"),
+        (18, 10, 6): ("6T5", "C3xS3"), (24, 11, 6): ("6T6", "C2xA4"),
+        (24, 11, 4): ("6T7", "S4"), (24, 10, 4): ("6T8", "S4"),
+        (36, 10, 6): ("6T9", "S3xS3"), (36, 10, 4): ("6T10", "C3^2:C4"),
+        (48, 10, 6): ("6T11", "C2xS4"), (72, 10, 6): ("6T13", "C3^2:D8")},
+}
+
+
+def imprimitive_transitive(n: int) -> list["Entry"]:
+    """The imprimitive transitive classes of S_n, in walk order."""
+    names = dict(IMPRIMITIVE_NAMES[n])
+    out = []
+    for c in _transitive_classes(n):
+        G = c.representative
+        if is_primitive(G):
+            continue  # shipped from its own construction
+        s = count_set_orbits(G)
+        ident, name = names.pop((c.order, s, _largest_element_order(G)))
+        cite = () if ident.startswith(f"{n}X") else (ident,)
+        out.append(Entry(ident, name, list(G.generators), c.order, s=s,
+                         cite=cite))
+    assert not names, names
+    return out
 
 
 def pad(gens: list[Permutation], extra: int) -> list[Permutation]:
@@ -396,12 +441,13 @@ def main():
             return [three, perm_of(list(range(1, n)) + [0], n)]
         return [three, perm_of([0] + list(range(2, n)) + [1], n)]
 
-    # ---- degrees 2..5: all primitive groups -----------------------------
+    # ---- degrees 2..5: all primitive groups, and the transitive degree 4 --
     add(Entry("2P1", "S2", [cyc("(1,2)", 2)], 2, s=3))
     add(Entry("3P1", "C3", [cyc("(1,2,3)", 3)], 3, s=4))
     add(Entry("3P2", "S3", sym(3), 6, s=4))
     add(Entry("4P1", "A4", alt(4), 12, s=5))
     add(Entry("4P2", "S4", sym(4), 24, s=5))
+    entries += imprimitive_transitive(4)
     add(Entry("5P1", "C5", [cyc("(1,2,3,4,5)", 5)], 5, s=8))
     add(Entry("5P2", "D10", [cyc("(1,2,3,4,5)", 5), cyc("(2,5)(3,4)", 5)], 10, s=8))
     add(Entry("5P3", "AGL(1,5)", [cyc("(1,2,3,4,5)", 5), cyc("(2,3,5,4)", 5)], 20, s=6))
@@ -413,6 +459,7 @@ def main():
     add(Entry("6X1", "PGL(2,5)", pgl2(F5), 120, s=7))
     add(Entry("6X2", "A6", alt(6), 360, s=7))
     add(Entry("6X3", "S6", sym(6), 720, s=7))
+    entries += imprimitive_transitive(6)
 
     # ---- degree 7 --------------------------------------------------------
     add(Entry("7P1", "C7", [cyc("(1,2,3,4,5,6,7)", 7)], 7, s=20))
@@ -439,8 +486,7 @@ def main():
     add(Entry("8X2", "S8", sym(8), 40320, s=9))
 
     # ---- degree 8: remaining transitive classes + padded A7/S7 -----------
-    trans8 = _transitive8_classes()
-    assert len(trans8) == TRANSITIVE_8_COUNT, len(trans8)
+    trans8 = _transitive_classes(8)
     primitive_orders = {56, 168, 336, 1344, 20160, 40320}
     named8 = {(24, 19): ("8S154", "SL(2,3)", ("8S154",)),
               (48, 18): ("8S216", "GL(2,3)", ("8S216",)),
@@ -656,9 +702,9 @@ HEADER = """\
 #
 # Sources: projective/affine/linear actions over small finite fields, coset
 # actions, wreath embeddings, one-point paddings, and an exhaustive
-# enumeration of the transitive subgroup classes of S_8.  Regenerate with
-# scripts/derive_catalog.py; every entry is re-verified by the test suite
-# (order, transitivity, primitivity, set-orbit count).\
+# enumeration of the transitive subgroup classes of S_4, S_6 and S_8.
+# Regenerate with scripts/derive_catalog.py; every entry is re-verified by
+# the test suite (order, transitivity, primitivity, set-orbit count).\
 """
 
 
@@ -668,8 +714,9 @@ def check_entries(entries):
         if e.primitive:
             prim[e.degree] = prim.get(e.degree, 0) + 1
     assert prim == PRIMITIVE_COUNTS, (prim, PRIMITIVE_COUNTS)
-    t8 = sum(1 for e in entries if e.degree == 8 and e.transitive)
-    assert t8 == TRANSITIVE_8_COUNT, t8
+    trans = {n: sum(1 for e in entries if e.degree == n and e.transitive)
+             for n in TRANSITIVE_COUNTS}
+    assert trans == TRANSITIVE_COUNTS, (trans, TRANSITIVE_COUNTS)
     ids = [e.ident for e in entries]
     assert len(ids) == len(set(ids))
     # each primitive entry is transitive
@@ -677,6 +724,7 @@ def check_entries(entries):
         if e.primitive:
             assert e.transitive
     print(f"primitive counts per degree OK: {PRIMITIVE_COUNTS}")
+    print(f"transitive counts per degree OK: {TRANSITIVE_COUNTS}")
 
 
 if __name__ == "__main__":

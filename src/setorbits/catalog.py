@@ -1,12 +1,13 @@
 """Named permutation groups: built-in families and the shipped group database.
 
 The database (``data/groups.cat``) holds generator words in cycle notation
-for the primitive groups of every degree up to 12 (complete for degrees 6
-through 12), the transitive groups of degree 8, and the auxiliary groups
-needed to reproduce the reference classification tables.  No generator set
-is trusted: ``verify_entry`` rebuilds every group and checks its order, its
+for the primitive groups of every degree up to 12, the transitive groups of
+degrees 4, 6 and 8, and the auxiliary groups needed to reproduce the
+reference classification tables.  No generator set is trusted:
+``verify_entry`` rebuilds every group and checks its order, its
 transitivity/primitivity tags and (when recorded) its set-orbit count, and
-the test suite runs this over the whole file.
+the test suite runs this over the whole file.  ``by_id("<id>+1")`` is the
+entry ``<id>`` padded by one fixed point.
 
 Record format, one per line, ``#`` starts a comment:
 
@@ -32,10 +33,10 @@ _KNOWN_TAGS = ("transitive", "primitive")
 PRIMITIVE_COUNTS = {2: 1, 3: 2, 4: 2, 5: 5, 6: 4, 7: 7, 8: 7, 9: 11,
                     10: 9, 11: 8, 12: 6}
 
-#: number of transitive groups of degree 8; the shipped file carries all of
-#: them (7 primitive + 43 imprimitive, enumerated inside the two wreath
-#: closures that contain every imprimitive transitive group of degree 8)
-TRANSITIVE_8_COUNT = 50
+#: number of transitive groups of the degrees whose transitive groups the
+#: shipped file carries in full (primitive + imprimitive: 2 + 3, 4 + 12 and
+#: 7 + 43, the imprimitive ones taken from the subgroup classes of S_n)
+TRANSITIVE_COUNTS = {4: 5, 6: 16, 8: 50}
 
 
 class CatalogError(ValueError):
@@ -134,11 +135,27 @@ def load_default() -> tuple[CatalogEntry, ...]:
     return tuple(load_catalog(data))
 
 
+PAD_SUFFIX = "+1"
+
+
 def by_id(ident: str) -> CatalogEntry:
+    """The shipped entry ``ident``; ``<id>+1`` is entry ``<id>`` padded by
+    one fixed point."""
+    if ident.endswith(PAD_SUFFIX):
+        return padded(by_id(ident[:-len(PAD_SUFFIX)]))
     for e in load_default():
         if e.id == ident:
             return e
     raise KeyError(f"no catalog entry {ident!r}")
+
+
+def padded(e: CatalogEntry) -> CatalogEntry:
+    """``e`` acting on one more point, which every element fixes: the same
+    generator words and order, no transitivity tag, and twice the set-orbit
+    count (each set-orbit of ``e``, with and without the new point)."""
+    return CatalogEntry(e.id + PAD_SUFFIX, e.degree + 1, e.name + PAD_SUFFIX,
+                        e.expected_order, frozenset(), e.generator_texts,
+                        None if e.expected_s is None else 2 * e.expected_s)
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +199,10 @@ def verify_entry(e: CatalogEntry) -> EntryReport:
     return EntryReport(e.id, tuple(checks))
 
 
-def verify_catalog(entries: Iterable[CatalogEntry] | None = None) -> list[EntryReport]:
-    if entries is None:
-        entries = load_default()
-    return [verify_entry(e) for e in entries]
-
-
 def check_manifest(entries: Iterable[CatalogEntry] | None = None) -> list[str]:
-    """Completeness assertions: primitive counts per degree, transitive deg 8.
+    """Completeness assertions: the primitive entries of every degree in
+    PRIMITIVE_COUNTS and the transitive entries of every degree in
+    TRANSITIVE_COUNTS.
 
     Returns a list of problems (empty = complete).
     """
@@ -197,17 +210,13 @@ def check_manifest(entries: Iterable[CatalogEntry] | None = None) -> list[str]:
         entries = load_default()
     entries = list(entries)
     problems = []
-    for degree, want in PRIMITIVE_COUNTS.items():
-        got = sum(1 for e in entries
-                  if e.degree == degree and "primitive" in e.tags)
-        if got != want:
-            problems.append(f"degree {degree}: {got} primitive entries, "
-                            f"expected {want}")
-    got8 = sum(1 for e in entries
-               if e.degree == 8 and "transitive" in e.tags)
-    if got8 != TRANSITIVE_8_COUNT:
-        problems.append(f"degree 8: {got8} transitive entries, expected "
-                        f"{TRANSITIVE_8_COUNT}")
+    for tag, counts in (("primitive", PRIMITIVE_COUNTS),
+                        ("transitive", TRANSITIVE_COUNTS)):
+        for degree, want in counts.items():
+            got = sum(1 for e in entries if e.degree == degree and tag in e.tags)
+            if got != want:
+                problems.append(f"degree {degree}: {got} {tag} entries, "
+                                f"expected {want}")
     return problems
 
 

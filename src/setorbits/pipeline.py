@@ -9,20 +9,29 @@ excess forces:
 * r < n - 2: one split subset size of 2 would already overshoot, so
   candidates are primitive and C(n, t*) must divide the order, where t* is
   the largest size whose orbit count is forced to 1;
-* r < n: a split size 1 would overshoot, so candidates are transitive.  At
-  a prime degree they are primitive too (a block size divides n), so they
-  come from the primitive catalog as above; otherwise they are the
-  transitive classes (subgroup enumeration for n <= SUBGROUP_MAX_DEGREE = 7,
-  the catalog's transitive entries otherwise);
-* r >= n: every subgroup class of S_n is checked.
+* r < n: a split size 1 would overshoot, so candidates are transitive.  A
+  transitive G with m blocks of size k has s(G) >= C(m + k, k) (block
+  shape), so when every factorisation n = m * k gives more than n + r, and
+  in particular at a prime degree, they are primitive too and come from the
+  primitive catalog; otherwise from the transitive catalog (degrees 4, 6
+  and 8), with the same C(n, t*) filter;
+* r = n >= 3: a G with orbits O_1..O_k, k >= 2, has s(G) >= prod(|O_i| + 1)
+  >= 2n (orbit shape), with equality only for the orbits (n - 1, 1) and a
+  set-transitive constituent on the n - 1 points.  So the candidates are
+  the transitive ones as for r < n, plus H+1 for every set-transitive H of
+  degree n - 1, all of which are in the primitive catalog;
+* r > n: every subgroup class of S_n is checked (the cached walk, n <= 7).
 
-Groups containing A_n always have s = n + 1 and are excluded throughout.
-The run report records, per degree, where the candidates came from and how
-many of them each counting route (``orbitcount.counting_route``) took.
+Each catalog pool is checked against its classical count, so a missing
+entry is a data gap.  Groups containing A_n always have s = n + 1 and are
+excluded throughout.  The run report records, per degree, where the
+candidates came from and how many of them each counting route
+(``orbitcount.counting_route``) took.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -31,8 +40,8 @@ from typing import Iterable, Optional
 from . import catalog as cat
 from .orbitcount import count_set_orbits, counting_route
 from .perm import PermGroup
-from .prune import PruneVerdict, binomial_divides, degree_range, is_prime, prune_degree
-from .subgroups import SUBGROUP_MAX_DEGREE, SubgroupCapError, all_subgroups, transitive_classes
+from .prune import PruneVerdict, binomial_divides, degree_range, prune_degree
+from .subgroups import SUBGROUP_MAX_DEGREE, SubgroupCapError, all_subgroups
 
 MIN_R, MAX_R = 2, 11
 
@@ -94,6 +103,18 @@ def forced_transitive_size(n: int, r: int) -> Optional[int]:
     return t if t >= 1 else None
 
 
+def block_shape_floor(n: int) -> Optional[int]:
+    """Least s(G) of a transitive imprimitive G of degree n, as far as its
+    block shape tells, or None when n has no block shape (n prime).
+
+    With m blocks of size k, the multiset of the sizes in which a subset
+    meets the blocks is constant on its G-orbit, and each of the C(m + k, k)
+    multisets occurs, so s(G) >= C(m + k, k).
+    """
+    return min((math.comb(n // k + k, k) for k in range(2, n) if n % k == 0),
+               default=None)
+
+
 @dataclass(frozen=True)
 class Candidate:
     group: PermGroup
@@ -113,22 +134,40 @@ def _require_count(pool: list, want: int, n: int, kind: str) -> None:
                             f"{len(pool)} {kind} entries, expected {want}"])
 
 
+def _catalog_pool(n: int, kind: str,
+                  entries: list[cat.CatalogEntry]) -> list[cat.CatalogEntry]:
+    """All ``kind`` ("primitive" or "transitive") entries of degree n, or a
+    data gap when the catalog does not hold all of them."""
+    counts = cat.PRIMITIVE_COUNTS if kind == "primitive" else cat.TRANSITIVE_COUNTS
+    if n not in counts:
+        raise DataGapError([f"degree {n}: {kind} catalog does not cover "
+                            f"degree {n}"])
+    pool = cat.candidates(n, kind, entries=entries)
+    _require_count(pool, counts[n], n, kind)
+    return pool
+
+
 PRIMITIVE = "primitive catalog"
 PRIMITIVE_PRIME = "primitive catalog (prime degree)"
+PRIMITIVE_BLOCKS = "primitive catalog (block shape)"
 TRANSITIVE_CATALOG = "transitive catalog"
+PADDINGS = " + one-point paddings"
 
 
 def candidate_source(n: int, r: int) -> str:
     """Where the candidates for s(G) = n + r at degree n come from."""
     if r < n - 2:
         return PRIMITIVE
-    if r < n and is_prime(n):
-        return PRIMITIVE_PRIME
-    if r < n:
-        if n <= SUBGROUP_MAX_DEGREE:
-            return f"transitive classes of S_{n}"
-        return TRANSITIVE_CATALOG
-    return f"subgroup classes of S_{n}"
+    if r > n or n < 3:
+        return f"subgroup classes of S_{n}"
+    floor = block_shape_floor(n)
+    if floor is None:
+        source = PRIMITIVE_PRIME
+    elif n + r < floor:
+        source = PRIMITIVE_BLOCKS
+    else:
+        source = TRANSITIVE_CATALOG
+    return source + PADDINGS if r == n else source
 
 
 def candidate_groups(n: int, r: int,
@@ -141,41 +180,28 @@ def candidate_groups(n: int, r: int,
     if entries is None:
         entries = cat.load_default()
     entries = list(entries)
-    out: list[Candidate] = []
     source = candidate_source(n, r)
-    if source in (PRIMITIVE, PRIMITIVE_PRIME):
-        if n not in cat.PRIMITIVE_COUNTS:
-            raise DataGapError([f"degree {n}: primitive catalog does not "
-                                f"cover degree {n}"])
-        pool = cat.candidates(n, "primitive", entries=entries)
-        _require_count(pool, cat.PRIMITIVE_COUNTS[n], n, "primitive")
-        for e in pool:
-            if _divides_filter(n, r, e.expected_order):
-                out.append(Candidate(e.group(), e.id, e.name))
-    elif source == TRANSITIVE_CATALOG:
-        if n != 8:
-            raise DataGapError(
-                [f"degree {n}: needs subgroup data for S_{n} (cap "
-                 f"{SUBGROUP_MAX_DEGREE}) or a complete transitive catalog"])
-        pool = cat.candidates(n, "transitive", entries=entries)
-        _require_count(pool, cat.TRANSITIVE_8_COUNT, n, "transitive")
-        for e in pool:
-            if _divides_filter(n, r, e.expected_order):
-                out.append(Candidate(e.group(), e.id, e.name))
-    elif r < n:
-        for c in transitive_classes(n):
-            if _divides_filter(n, r, c.order):
-                out.append(Candidate(c.representative, f"S{n}-cls{c.index}",
-                                     f"transitive class {c.index} of S_{n}"))
-    else:
+    if source.startswith("subgroup classes"):
         try:
             classes = all_subgroups(n)
         except SubgroupCapError as exc:
             raise DataGapError([f"degree {n}: needs subgroup data for S_{n} "
                                 f"({exc})"]) from None
-        for c in classes:
-            out.append(Candidate(c.representative, f"S{n}-cls{c.index}",
-                                 f"subgroup class {c.index} of S_{n}"))
+        out = [Candidate(c.representative, f"S{n}-cls{c.index}",
+                         f"subgroup class {c.index} of S_{n}") for c in classes]
+    else:
+        kind = "transitive" if source.startswith(TRANSITIVE_CATALOG) else "primitive"
+        out = [Candidate(e.group(), e.id, e.name)
+               for e in _catalog_pool(n, kind, entries)
+               if _divides_filter(n, r, e.expected_order)]
+        if source.endswith(PADDINGS):
+            # the set-transitive groups of degree n - 1: 2-homogeneous, hence
+            # primitive, from degree 3 on; S_2 at degree 2.  s(H) is read
+            # from the catalog; an entry that records none is kept
+            for e in _catalog_pool(n - 1, "primitive", entries):
+                if e.expected_s in (None, n):
+                    p = cat.padded(e)
+                    out.append(Candidate(p.group(), p.id, p.name))
     if n <= 2:
         # A_1 and A_2 are trivial; the s = n + 1 exclusion only applies from
         # degree 3 on (the trivial group on 2 points has s = 4)

@@ -4,7 +4,7 @@ import pytest
 
 from setorbits.catalog import (
     CatalogError,
-    TRANSITIVE_8_COUNT,
+    TRANSITIVE_COUNTS,
     builtin,
     by_id,
     candidates,
@@ -150,14 +150,16 @@ def test_degree9_primitive_with_divisor_36():
 
 def test_transitive_filter_semantics():
     six = candidates(6, "transitive")
-    assert {e.id for e in six} == {"6P1", "6X1", "6X2", "6X3"}
+    assert len(six) == TRANSITIVE_COUNTS[6]
+    assert {e.id for e in candidates(6, "primitive")} == {
+        "6P1", "6X1", "6X2", "6X3"}
     allsix = candidates(6, "all")
     assert len(allsix) == len(six)  # no intransitive degree-6 entries shipped
 
 
 def test_transitive_degree8_complete():
     assert sum(1 for e in load_default()
-               if e.degree == 8 and "transitive" in e.tags) == TRANSITIVE_8_COUNT
+               if e.degree == 8 and "transitive" in e.tags) == TRANSITIVE_COUNTS[8]
 
 
 def test_tags_match_recomputation_spotwise():
@@ -166,3 +168,28 @@ def test_tags_match_recomputation_spotwise():
         G = e.group()
         assert is_transitive(G) == ("transitive" in e.tags)
         assert is_primitive(G) == ("primitive" in e.tags)
+
+
+# ---------------------------------------------------------------------------
+# one-point paddings
+
+def test_padded_by_id():
+    e = by_id("5P4+1")
+    assert (e.id, e.degree, e.name, e.expected_order) == ("5P4+1", 6, "A5+1", 60)
+    assert e.expected_s == 12 and not e.tags
+    G = e.group()
+    assert G.degree == 6 and G.order == 60 and count_set_orbits(G) == 12
+    assert G.fixed_points() == (5,)
+    assert verify_entry(e).ok
+    assert by_id("5P4+1").group() is G  # the cached builder, no second chain
+
+
+def test_padded_by_id_unknown_base():
+    with pytest.raises(KeyError):
+        by_id("99ZZ+1")
+
+
+def test_manifest_reports_missing_transitive_entry():
+    entries = [e for e in load_default() if e.id != "6T9"]
+    assert check_manifest(entries) == [
+        "degree 6: 15 transitive entries, expected 16"]

@@ -162,16 +162,18 @@ def test_classify_pretty(capout):
 def test_classify_pretty_reports_sources_and_routes(capout):
     out = capout(["classify", "--r", "3"]).out
     assert "  n= 5  primitive catalog (prime degree): 3 (enumeration 3)" in out
-    assert "  n= 4  transitive classes of S_4: 3 (" in out
+    assert "  n= 4  transitive catalog: 3 (" in out
+    assert ("  n= 3  primitive catalog (prime degree) + one-point paddings: "
+            "1 (shortcut 1)") in out
     tsv = capout(["classify", "--r", "3", "--format", "tsv"]).out
     assert "candidates" not in tsv and len(tsv.splitlines()) == 9
 
 
 def test_classify_gap_failure_names_resource(capout):
-    cap = capout(["classify", "--r", "7"], expect=1)
-    assert "S_9" in cap.err
+    cap = capout(["classify", "--r", "8"], expect=1)
+    assert "primitive catalog does not cover degree 14" in cap.err
 
 
 def test_classify_allow_gaps(capout):
-    out = capout(["classify", "--r", "7", "--allow-gaps"], expect=1).out
+    out = capout(["classify", "--r", "8", "--allow-gaps"], expect=1).out
     assert "gaps:" in out

@@ -63,7 +63,7 @@ def test_transitive_regime_degree4():
 
 
 def test_all_subgroups_regime_degree4():
-    cands = candidate_groups(4, 4)
+    cands = candidate_groups(4, 5)  # r > n; at r = n the orbit-shape route
     assert len(cands) == 9  # 11 classes minus A_4 and S_4
     orders = sorted(c.group.order for c in cands)
     assert orders == [1, 2, 2, 3, 4, 4, 4, 6, 8]
@@ -75,14 +75,9 @@ def test_degree2_keeps_trivial_group():
 
 
 def test_transitive_regime_degree8_uses_catalog():
-    cands = candidate_groups(8, 6)
+    cands = candidate_groups(8, 7)  # r <= 6 is primitive by block shape
     assert len(cands) == 48  # 50 transitive classes minus A_8 and S_8
     assert all(c.group.degree == 8 for c in cands)
-
-
-def test_degree9_transitive_regime_is_a_gap():
-    with pytest.raises(DataGapError, match="S_9"):
-        candidate_groups(9, 7)
 
 
 def _without_one_imprimitive_degree8():
@@ -92,7 +87,7 @@ def _without_one_imprimitive_degree8():
     return [e for e in entries if e is not drop]
 
 
-@pytest.mark.parametrize("r", [6, 7])
+@pytest.mark.parametrize("r", [7, 8])
 def test_missing_transitive_degree8_entry_is_a_gap(r):
     with pytest.raises(DataGapError, match="transitive catalog incomplete"):
         candidate_groups(8, r, entries=_without_one_imprimitive_degree8())
@@ -100,6 +95,12 @@ def test_missing_transitive_degree8_entry_is_a_gap(r):
 
 def test_transitive_degree8_gap_spares_primitive_regime():
     cands = candidate_groups(8, 5, entries=_without_one_imprimitive_degree8())
+    assert [c.label for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
+
+
+def test_transitive_degree8_gap_spares_block_shape_regime():
+    # at r = 6, 2 blocks of 4 or 4 blocks of 2 would need s >= 15 > 14
+    cands = candidate_groups(8, 6, entries=_without_one_imprimitive_degree8())
     assert [c.label for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
 
 
@@ -197,7 +198,8 @@ def test_emitted_rows_recomputed_by_enumeration():
 def test_report_records_sources_and_routes():
     report = classify(3)
     assert report.candidate_sources == {
-        3: "subgroup classes of S_3", 4: "transitive classes of S_4",
+        3: "primitive catalog (prime degree) + one-point paddings",
+        4: "transitive catalog",
         5: "primitive catalog (prime degree)", 6: "primitive catalog",
         7: "primitive catalog", 8: "primitive catalog", 9: "primitive catalog",
         11: "primitive catalog", 12: "primitive catalog"}
@@ -234,14 +236,15 @@ def test_classify_r6_runs_clean():
     assert diff.empty
 
 
-def test_classify_r7_with_gaps():
-    # degree 9 transitive data is out of reach at the default cap
-    with pytest.raises(DataGapError):
-        classify(7)
-    report = classify(7, strict=False)
-    assert any("S_9" in g for g in report.gaps)
-    # everything except the two degree-9 rows is still found
-    assert len(report.rows) == len(load_golden(7)) - 2
+def test_classify_r7_strict():
+    # degree 7 takes the one-point paddings (PGL(2,5)+1, A6+1, S6+1) and
+    # degree 9 only primitive candidates (block shape)
+    report = classify(7)
+    assert len(report.rows) == 19
+    diff = compare_to_golden(report, load_golden(7))
+    assert diff.empty, (diff.missing, diff.extra)
+    assert {row.group_label for row in report.rows if row.degree == 7} == {
+        "6X1+1", "6X2+1", "6X3+1"}
 
 
 # ---------------------------------------------------------------------------
