@@ -8,16 +8,13 @@ attaining a given small excess r over the minimum n + 1.
 """
 
 from .perm import (
-    CycleStructure,
     GroupTooLargeError,
     PermError,
     Permutation,
     PermGroup,
     build_group,
     compose,
-    cycle_type,
     elements,
-    inverse,
     is_primitive,
     is_transitive,
     parse_permutation,
@@ -33,7 +30,6 @@ from .orbitcount import (
 )
 
 __all__ = [
-    "CycleStructure",
     "GroupTooLargeError",
     "OrbitProfile",
     "PermError",
@@ -42,10 +38,8 @@ __all__ = [
     "build_group",
     "compose",
     "count_set_orbits",
-    "cycle_type",
     "elements",
     "enumerate_set_orbits",
-    "inverse",
     "is_primitive",
     "is_set_transitive",
     "is_t_set_transitive",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import IO, Iterable, Optional
+from typing import Iterable, Optional
 
 from .orbitcount import count_set_orbits
 from .perm import PermGroup, Permutation, build_group, is_primitive, is_transitive, parse_permutation
@@ -55,11 +55,6 @@ class CatalogEntry:
 
     def group(self) -> PermGroup:
         return _build_entry_group(self)
-
-    def cited_ids(self) -> tuple[str, ...]:
-        """IDs from the reference tables this entry is tagged with."""
-        return tuple(sorted(t.split(":", 1)[1] for t in self.tags
-                            if t.startswith("paper:")))
 
 
 @lru_cache(maxsize=None)
@@ -117,22 +112,12 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
     return entries
 
 
-def load_catalog(source: IO[bytes] | bytes | str) -> list[CatalogEntry]:
-    """Parse catalog records from a byte stream, bytes or text."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read().decode("utf-8")
-    return parse_catalog(text)
-
-
 @lru_cache(maxsize=1)
 def load_default() -> tuple[CatalogEntry, ...]:
     """The catalog shipped with the package."""
-    data = resources.files("setorbits").joinpath("data/groups.cat").read_bytes()
-    return tuple(load_catalog(data))
+    text = resources.files("setorbits").joinpath("data/groups.cat").read_text(
+        encoding="utf-8")
+    return tuple(parse_catalog(text))
 
 
 PAD_SUFFIX = "+1"

@@ -56,14 +56,6 @@ class OrbitProfile:
         if self.total != sum(self.by_size):
             raise ValueError("total must equal the sum of the entries")
 
-    def is_symmetric(self) -> bool:
-        return self.by_size == self.by_size[::-1]
-
-    def is_monotone_to_middle(self) -> bool:
-        half = self.degree // 2
-        return all(self.by_size[t - 1] <= self.by_size[t]
-                   for t in range(1, half + 1))
-
 
 def _restriction_to_support(G: PermGroup) -> tuple[PermGroup, int] | None:
     """(G restricted to its moved points, #fixed points), or None if faithful

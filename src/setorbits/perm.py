@@ -13,8 +13,6 @@ can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 #: largest group order whose elements are ever listed one by one
@@ -129,9 +127,6 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
-    def __invert__(self) -> "Permutation":
-        return inverse(self)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -154,25 +149,6 @@ class Permutation:
     @staticmethod
     def identity(degree: int) -> "Permutation":
         return Permutation(range(degree))
-
-
-@dataclass(frozen=True)
-class CycleStructure:
-    """Multiset of cycle lengths of a permutation (fixed points included)."""
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(l < 1 for l in self.lengths):
-            raise PermError("cycle lengths must be positive")
-        object.__setattr__(self, "lengths", tuple(sorted(self.lengths)))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.lengths)
-
-    def as_counter(self) -> Counter:
-        return Counter(self.lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -227,14 +203,6 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     if a.degree != b.degree:
         raise PermError(f"degree mismatch: {a.degree} != {b.degree}")
     return Permutation(_compose_t(a.images, b.images))
-
-
-def inverse(a: Permutation) -> Permutation:
-    return Permutation(_inverse_t(a.images))
-
-
-def cycle_type(p: Permutation) -> CycleStructure:
-    return CycleStructure(_cycle_lengths(p.images))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +329,6 @@ class _Chain:
 
         yield from rec(0, _identity_t(self.n))
 
-    def basic_orbit_lengths(self) -> tuple[int, ...]:
-        return tuple(len(t) for t in self.trans)
-
 
 class PermGroup:
     """A permutation group given by generators, with an exact stabilizer chain.
@@ -401,9 +366,6 @@ class PermGroup:
         if p.degree != self.degree:
             return False
         return self._chain.contains(p.images)
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "()"

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Optional
@@ -41,7 +42,7 @@ from . import catalog as cat
 from .orbitcount import count_set_orbits, counting_route
 from .perm import PermGroup
 from .prune import PruneVerdict, binomial_divides, degree_range, prune_degree
-from .subgroups import SUBGROUP_MAX_DEGREE, SubgroupCapError, all_subgroups
+from .subgroups import SubgroupCapError, all_subgroups
 
 MIN_R, MAX_R = 2, 11
 
@@ -221,10 +222,6 @@ def _s_and_route(G: PermGroup) -> tuple[int, str]:
     return hit
 
 
-def _s_of(G: PermGroup) -> int:
-    return _s_and_route(G)[0]
-
-
 def classify(r: int, strict: bool = True,
              entries: Iterable[cat.CatalogEntry] | None = None) -> RunReport:
     """Classify all permutation groups with s(G) = n + r.
@@ -335,7 +332,6 @@ def compare_to_golden(report: RunReport, golden: list[GoldenRow]) -> GoldenDiff:
     Signatures shared by several rows are matched as multisets and flagged
     as ambiguous rather than paired individually.
     """
-    from collections import Counter
     gold = Counter((g.degree, g.order, g.s_value) for g in golden)
     got = Counter((row.degree, row.order, row.s_value) for row in report.rows)
     missing = []
@@ -346,74 +342,12 @@ def compare_to_golden(report: RunReport, golden: list[GoldenRow]) -> GoldenDiff:
         else:
             missing.append(g)
     extra = []
-    gold2 = Counter((g.degree, g.order, g.s_value) for g in golden)
+    unmatched = gold.copy()
     for row in report.rows:
         key = (row.degree, row.order, row.s_value)
-        if gold2[key] > 0:
-            gold2[key] -= 1
+        if unmatched[key] > 0:
+            unmatched[key] -= 1
         else:
             extra.append(row)
-    ambiguous = [(d, o, s, m) for (d, o, s), m in
-                 Counter((g.degree, g.order, g.s_value) for g in golden).items()
-                 if m > 1]
+    ambiguous = [(d, o, s, m) for (d, o, s), m in gold.items() if m > 1]
     return GoldenDiff(missing, extra, sorted(ambiguous))
-
-
-# ---------------------------------------------------------------------------
-# spot checks for the large-r tables
-
-@dataclass
-class SpotCheckReport:
-    r: int
-    reproduced: list[tuple[GoldenRow, str]]   # (row, how)
-    out_of_cap: list[tuple[GoldenRow, str]]   # (row, why)
-    failed: list[tuple[GoldenRow, str]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failed
-
-    def lines(self) -> list[str]:
-        out = []
-        for row, how in self.reproduced:
-            out.append(f"r={row.r} {row.label}: s={row.s_value} reproduced ({how})")
-        for row, why in self.out_of_cap:
-            out.append(f"r={row.r} {row.label}: out of cap ({why})")
-        for row, why in self.failed:
-            out.append(f"r={row.r} {row.label}: FAILED ({why})")
-        return out
-
-
-def spot_check_golden(r: int,
-                      entries: Iterable[cat.CatalogEntry] | None = None) -> SpotCheckReport:
-    """Reproduce each golden row from the catalog or subgroup enumeration.
-
-    Rows whose groups would require subgroup enumeration beyond the cap are
-    reported as out-of-cap, never silently dropped.
-    """
-    if entries is None:
-        entries = cat.load_default()
-    entries = list(entries)
-    reproduced, out_of_cap, failed = [], [], []
-    for row in load_golden(r):
-        matches = [e for e in entries
-                   if e.degree == row.degree and e.expected_order == row.order]
-        hit = None
-        for e in matches:
-            if _s_of(e.group()) == row.s_value:
-                hit = f"catalog {e.id}"
-                break
-        if hit is None and row.degree <= SUBGROUP_MAX_DEGREE:
-            for c in all_subgroups(row.degree):
-                if c.order == row.order and _s_of(c.representative) == row.s_value:
-                    hit = f"subgroup class {c.index} of S_{row.degree}"
-                    break
-        if hit is not None:
-            reproduced.append((row, hit))
-        elif row.degree > SUBGROUP_MAX_DEGREE:
-            out_of_cap.append(
-                (row, f"needs subgroup enumeration of S_{row.degree}, cap is "
-                      f"{SUBGROUP_MAX_DEGREE}"))
-        else:
-            failed.append((row, "no group with this degree/order/s found"))
-    return SpotCheckReport(r, reproduced, out_of_cap, failed)

@@ -20,39 +20,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Literal, Optional
 
-_SIEVE_LIMIT = 10**6
-_sieve_cache: bytearray | None = None
 
-
-def _sieve() -> bytearray:
-    global _sieve_cache
-    if _sieve_cache is None:
-        flags = bytearray([1]) * (_SIEVE_LIMIT + 1)
-        flags[0] = flags[1] = 0
-        for p in range(2, math.isqrt(_SIEVE_LIMIT) + 1):
-            if flags[p]:
-                flags[p * p::p] = bytearray(len(flags[p * p::p]))
-        _sieve_cache = flags
-    return _sieve_cache
-
-
+@cache
 def is_prime(n: int) -> bool:
-    if not 0 <= n <= _SIEVE_LIMIT:
-        raise ValueError(f"{n} outside the sieve range 0..{_SIEVE_LIMIT}")
-    return bool(_sieve()[n])
+    """Trial division; cached because every classify(r) prunes the whole
+    degree window (n <= 81) again."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def primes_in(lo: int, hi: int, include_hi: bool = False) -> list[int]:
     """Sorted primes p with lo < p < hi (or lo < p <= hi when include_hi)."""
     if lo > hi:
         raise ValueError(f"inverted bounds ({lo}, {hi})")
-    if not 0 <= lo <= hi <= _SIEVE_LIMIT:
-        raise ValueError(f"bounds must sit in 0..{_SIEVE_LIMIT}")
-    flags = _sieve()
     stop = hi + 1 if include_hi else hi
-    return [p for p in range(lo + 1, stop) if flags[p]]
+    return [p for p in range(lo + 1, stop) if is_prime(p)]
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,6 @@ def transitive_classes(n: int) -> tuple[SubgroupClass, ...]:
     return tuple(c for c in all_subgroups(n) if c.transitive)
 
 
-def total_subgroup_count(n: int) -> int:
-    """Number of subgroups of S_n (classes weighted by their sizes)."""
-    return sum(c.class_size for c in all_subgroups(n))
-
-
 # ---------------------------------------------------------------------------
 # conjugacy search
 

@@ -9,7 +9,6 @@ from setorbits.catalog import (
     by_id,
     candidates,
     check_manifest,
-    load_catalog,
     load_default,
     parse_catalog,
     verify_entry,
@@ -31,7 +30,7 @@ def test_parse_simple_record():
 
 
 def test_parse_empty_stream():
-    assert load_catalog(b"") == []
+    assert parse_catalog("") == []
 
 
 def test_duplicate_id_rejected():

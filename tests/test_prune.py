@@ -31,6 +31,12 @@ def test_primes_in_windows():
     assert primes_in(40, 54) == [41, 43, 47, 53]
 
 
+def test_is_prime_below_100():
+    want = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
+            61, 67, 71, 73, 79, 83, 89, 97]
+    assert [n for n in range(-3, 100) if is_prime(n)] == want
+
+
 def test_primes_in_rejects_inverted_bounds():
     with pytest.raises(ValueError):
         primes_in(10, 5)
