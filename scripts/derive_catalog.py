@@ -13,39 +13,39 @@ Every generator set is produced from a first-principles construction:
 * wreath-type embeddings and one-point paddings for the imprimitive and
   intransitive groups the reference tables need;
 * the subgroup-closure walk ``setorbits.subgroups.subgroup_classes``, run
-  over S_4, S_6 and S_8 for their transitive classes and over S_3 wr S_3
-  for the classes of order >= 162, the latter grouped under S_9 with
-  ``conjugate_in_sn``.
+  over the wreath products S_k wr S_m with k*m = 4, 6, 8, 9 for the
+  imprimitive transitive groups (``imprimitive_transitive``); no S_n is
+  walked.
 
 Everything is verified on the spot (order, transitivity, primitivity and,
-against an independent subset-orbit enumeration, the set-orbit count)
-before it is written out.  Rerunning the script reproduces the shipped
-file byte for byte.
+against an independent subset-orbit enumeration, the set-orbit count) and
+the text is checked with ``catalog.check_manifest`` before it is written
+out.  The run takes about 30 s on one core; rerunning it reproduces the
+shipped file byte for byte.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 import time
-from itertools import combinations, product
+from collections import Counter
+from itertools import combinations, count, product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from setorbits.catalog import PRIMITIVE_COUNTS, TRANSITIVE_COUNTS, builtin
+from setorbits.catalog import TRANSITIVE_COUNTS, builtin, check_manifest, parse_catalog
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.perm import (
     PermGroup,
     Permutation,
     _Chain,
-    _cycle_lengths,
     build_group,
     is_primitive,
     is_transitive,
 )
-from setorbits.subgroups import SubgroupClass, conjugate_in_sn, subgroup_classes
+from setorbits.subgroups import canonical_key, conjugate_in_sn, subgroup_classes
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "setorbits" / "data" / "groups.cat"
 
@@ -309,55 +309,98 @@ def find_subgroup_of_order(G: PermGroup, order: int, seed: int) -> frozenset:
     raise RuntimeError(f"no subgroup of order {order} found")
 
 
-#: number of subgroup classes of S_n, for the degrees walked here
-SN_CLASS_COUNTS = {4: 11, 6: 56, 8: 296}
+def wreath(k: int, m: int) -> list[Permutation]:
+    """S_k wr S_m on the m blocks {ik+1, ..., ik+k}: a k-cycle and a
+    transposition inside every block, then an m-cycle and a transposition of
+    whole blocks (a transposition is left out where it equals its cycle)."""
+    blocks = [range(b * k + 1, b * k + k + 1) for b in range(m)]
+    columns = list(zip(*blocks))
+
+    def word(cycles) -> Permutation:
+        return cyc("".join(f"({','.join(map(str, c))})" for c in cycles), k * m)
+
+    gens = []
+    for b in blocks:
+        gens += [word([b]), word([b[:2]])][:1 if k == 2 else 2]
+    return gens + [word(columns), word(c[:2] for c in columns)][:1 if m == 2 else 2]
 
 
-def _transitive_classes(n: int) -> list[SubgroupClass]:
-    """Transitive subgroup classes of S_n, walked afresh on every run."""
-    print(f"enumerating subgroup classes of S_{n} ...", flush=True)
-    t0 = time.time()
-    classes = subgroup_classes(builtin("symmetric", n))
-    print(f"  {len(classes)} classes ({time.time() - t0:.1f}s)", flush=True)
-    assert len(classes) == SN_CLASS_COUNTS[n]
-    trans = [c for c in classes if c.transitive]
-    assert len(trans) == TRANSITIVE_COUNTS[n], len(trans)
-    return trans
-
-
-def _largest_element_order(G: PermGroup) -> int:
-    return max(math.lcm(*_cycle_lengths(x)) for x in G.iter_element_tuples())
-
-
-#: the imprimitive transitive groups of degrees 4 and 6, keyed by (order,
-#: set-orbit count, largest element order), which tells all of them apart;
-#: an ID that is not an X-ID is the label a reference table cites
+#: the imprimitive transitive classes by degree and (order, set-orbit count),
+#: in the order ``imprimitive_transitive`` sorts them; an ID that is not an
+#: X-ID is the label a reference table cites.  Degrees 4, 6 and 8 ship every
+#: class, an unnamed one as "T(n) order ... s=..." under the next free X-ID;
+#: degree 9 ships only the classes named here.
 IMPRIMITIVE_NAMES = {
-    4: {(4, 6, 4): ("4T1", "C4"), (4, 7, 2): ("4T2", "C2xC2"),
-        (8, 6, 4): ("4T3", "D8")},
-    6: {(6, 14, 6): ("6S17", "C6"), (6, 16, 3): ("6X4", "S3"),
-        (12, 12, 3): ("6S31", "A4"), (12, 13, 6): ("6S33", "D12"),
-        (18, 10, 6): ("6T5", "C3xS3"), (24, 11, 6): ("6T6", "C2xA4"),
-        (24, 11, 4): ("6T7", "S4"), (24, 10, 4): ("6T8", "S4"),
-        (36, 10, 6): ("6T9", "S3xS3"), (36, 10, 4): ("6T10", "C3^2:C4"),
-        (48, 10, 6): ("6T11", "C2xS4"), (72, 10, 6): ("6T13", "C3^2:D8")},
+    4: {(4, 6): [("4T1", "C4")], (4, 7): [("4T2", "C2xC2")],
+        (8, 6): [("4T3", "D8")]},
+    6: {(6, 14): [("6S17", "C6")], (6, 16): [("6X4", "S3")],
+        (12, 12): [("6S31", "A4")], (12, 13): [("6S33", "D12")],
+        (18, 10): [("6T5", "C3xS3")],
+        (24, 11): [("6T6", "C2xA4"), ("6T7", "S4")], (24, 10): [("6T8", "S4")],
+        (36, 10): [("6T9", "S3xS3"), ("6T10", "C3^2:C4")],
+        (48, 10): [("6T11", "C2xS4")], (72, 10): [("6T13", "C3^2:D8")]},
+    8: {(24, 19): [("8S154", "SL(2,3)")], (48, 18): [("8S216", "GL(2,3)")],
+        (96, 17): [("8S240", "2^4:C3:C2")],
+        (288, 15): [("8T42", "2^4:C3:C2:C3")],
+        (384, 15): [("8T44", "2^4:C2:C2:C3:C2")],
+        (1152, 15): [("8T47", "(S4xS4):C2")]},
+    9: {(162, 20): [("9X7", "wreath block group order 162 #1"),
+                    ("9X8", "wreath block group order 162 #2")],
+        (324, 20): [("9S497", "3^3:C3:(C2xC2)")],
+        (648, 20): [("9X9", "wreath block group order 648 #1"),
+                    ("9X10", "wreath block group order 648 #2")]},
 }
 
 
-def imprimitive_transitive(n: int) -> list["Entry"]:
-    """The imprimitive transitive classes of S_n, in walk order."""
-    names = dict(IMPRIMITIVE_NAMES[n])
+def imprimitive_transitive(n: int, entries: list["Entry"]) -> list["Entry"]:
+    """The imprimitive transitive groups of degree n, one per S_n-class.
+
+    A block system of m blocks of size k puts a group inside a conjugate of
+    S_k wr S_m, so every such group is S_n-conjugate to a transitive
+    subgroup class of one of these wreath products (n = m*k, 1 < k < n).
+    The classes are fused under S_n by (order, s) and ``conjugate_in_sn``,
+    keeping the first one walked, and sorted by (order, canonical key under
+    S_n), the order of ``subgroup_classes(S_n)``.  None is primitive, since
+    each keeps the blocks of its wreath.  Degrees outside TRANSITIVE_COUNTS
+    keep only the signatures IMPRIMITIVE_NAMES lists.  ``entries`` (the ones
+    built so far) fixes the next free X-ID.
+    """
+    names = IMPRIMITIVE_NAMES[n]
+    fused: dict[tuple[int, int], list[PermGroup]] = {}
+    for k in (k for k in range(2, n) if n % k == 0):
+        t0 = time.time()
+        classes = subgroup_classes(build_group(wreath(k, n // k)))
+        print(f"S{k} wr S{n // k}: {len(classes)} subgroup classes "
+              f"({time.time() - t0:.1f}s)", flush=True)
+        for c in classes:
+            if not c.transitive:
+                continue
+            sig = (c.order, count_set_orbits(c.representative))
+            if n not in TRANSITIVE_COUNTS and sig not in names:
+                continue
+            reps = fused.setdefault(sig, [])
+            if all(conjugate_in_sn(R, c.representative) is None for R in reps):
+                reps.append(c.representative)
+    sn = builtin("symmetric", n)
+    ordered = sorted(((G.order, canonical_key(G, sn), s, G)
+                      for (_, s), reps in fused.items() for G in reps),
+                     key=lambda t: t[:2])
+    free_x = count(1 + sum(e.ident.startswith(f"{n}X") for e in entries))
+    seen: Counter = Counter()
     out = []
-    for c in _transitive_classes(n):
-        G = c.representative
-        if is_primitive(G):
-            continue  # shipped from its own construction
-        s = count_set_orbits(G)
-        ident, name = names.pop((c.order, s, _largest_element_order(G)))
+    for order, _, s, G in ordered:
+        seen[order, s] += 1
+        j = seen[order, s]
+        cited = names.get((order, s), [])
+        if j <= len(cited):
+            ident, name = cited[j - 1]
+        else:
+            ident = f"{n}X{next(free_x)}"
+            name = f"T({n}) order {order} s={s}" + (f" #{j}" if j > 1 else "")
         cite = () if ident.startswith(f"{n}X") else (ident,)
-        out.append(Entry(ident, name, list(G.generators), c.order, s=s,
-                         cite=cite))
-    assert not names, names
+        out.append(Entry(ident, name, list(G.generators), order, s=s, cite=cite))
+        assert not out[-1].primitive
+    assert all(seen[sig] >= len(cited) for sig, cited in names.items()), seen
     return out
 
 
@@ -447,7 +490,7 @@ def main():
     add(Entry("3P2", "S3", sym(3), 6, s=4))
     add(Entry("4P1", "A4", alt(4), 12, s=5))
     add(Entry("4P2", "S4", sym(4), 24, s=5))
-    entries += imprimitive_transitive(4)
+    entries += imprimitive_transitive(4, entries)
     add(Entry("5P1", "C5", [cyc("(1,2,3,4,5)", 5)], 5, s=8))
     add(Entry("5P2", "D10", [cyc("(1,2,3,4,5)", 5), cyc("(2,5)(3,4)", 5)], 10, s=8))
     add(Entry("5P3", "AGL(1,5)", [cyc("(1,2,3,4,5)", 5), cyc("(2,3,5,4)", 5)], 20, s=6))
@@ -459,7 +502,7 @@ def main():
     add(Entry("6X1", "PGL(2,5)", pgl2(F5), 120, s=7))
     add(Entry("6X2", "A6", alt(6), 360, s=7))
     add(Entry("6X3", "S6", sym(6), 720, s=7))
-    entries += imprimitive_transitive(6)
+    entries += imprimitive_transitive(6, entries)
 
     # ---- degree 7 --------------------------------------------------------
     add(Entry("7P1", "C7", [cyc("(1,2,3,4,5,6,7)", 7)], 7, s=20))
@@ -485,34 +528,8 @@ def main():
     add(Entry("8X1", "A8", alt(8), 20160, s=9))
     add(Entry("8X2", "S8", sym(8), 40320, s=9))
 
-    # ---- degree 8: remaining transitive classes + padded A7/S7 -----------
-    trans8 = _transitive_classes(8)
-    primitive_orders = {56, 168, 336, 1344, 20160, 40320}
-    named8 = {(24, 19): ("8S154", "SL(2,3)", ("8S154",)),
-              (48, 18): ("8S216", "GL(2,3)", ("8S216",)),
-              (96, 17): ("8S240", "2^4:C3:C2", ("8S240",)),
-              (288, 15): ("8T42", "2^4:C3:C2:C3", ("8T42",)),
-              (384, 15): ("8T44", "2^4:C2:C2:C3:C2", ("8T44",)),
-              (1152, 15): ("8T47", "(S4xS4):C2", ("8T47",))}
-    seen_sig: dict[tuple[int, int], int] = {}
-    xc = 3
-    for c in trans8:
-        G = c.representative
-        s = count_set_orbits(G)
-        if c.order in primitive_orders and is_primitive(G):
-            continue  # already shipped from its own construction
-        sig = (c.order, s)
-        if sig in named8 and sig not in seen_sig:
-            ident, name, cite = named8[sig]
-        else:
-            k = seen_sig.get(sig, 0)
-            ident, name, cite = f"8X{xc}", f"T(8) order {c.order} s={s}" + \
-                (f" #{k + 1}" if (sig in named8 or k) else ""), ()
-            xc += 1
-        seen_sig[sig] = seen_sig.get(sig, 0) + 1
-        add(Entry(ident, name, list(G.generators), c.order, s=s, cite=cite))
-    # intransitive classes the reference tables cite: the two 96/16 and two
-    # 192/16 groups are transitive and already included; A7/S7 pad below
+    # ---- degree 8: imprimitive transitive + padded A7/S7 ------------------
+    entries += imprimitive_transitive(8, entries)
     add(Entry("8S293", "A7+1", pad(alt(7), 1), 2520, s=16, cite=("8S293",)))
     add(Entry("8S294", "S7+1", pad(sym(7), 1), 5040, s=16, cite=("8S294",)))
 
@@ -538,47 +555,9 @@ def main():
     add(Entry("9X5", "A9", alt(9), 181440, s=10))
     add(Entry("9X6", "S9", sym(9), 362880, s=10))
 
-    # ---- degree 9: S3 wr S3 family and one-point paddings -----------------
-    w9 = [cyc("(1,2,3)", 9), cyc("(1,2)", 9), cyc("(4,5,6)", 9), cyc("(4,5)", 9),
-          cyc("(7,8,9)", 9), cyc("(7,8)", 9),
-          cyc("(1,4,7)(2,5,8)(3,6,9)", 9), cyc("(1,4)(2,5)(3,6)", 9)]
-    add(Entry("9S534", "S3wrS3", w9, 1296, s=20, cite=("9S534",)))
-    # every block-imprimitive group of degree 9 sits inside S3 wr S3 up to
-    # conjugacy; enumerate its subgroup classes and keep those whose
-    # (order, set-orbit count) signature the reference tables cite
-    print("enumerating subgroup classes of S3 wr S3 ...", flush=True)
-    t0 = time.time()
-    wcls = subgroup_classes(build_group(w9, degree=9))
-    print(f"  {len(wcls)} classes inside the wreath ({time.time() - t0:.0f}s)",
-          flush=True)
-    targets9 = {(162, 20): 2, (324, 20): 1, (648, 20): 2}
-    matched9: dict[tuple[int, int], list[PermGroup]] = {}
-    for c in wcls:
-        if c.order not in {162, 324, 648}:
-            continue
-        s = count_set_orbits(c.representative)
-        if (c.order, s) in targets9:
-            matched9.setdefault((c.order, s), []).append(c.representative)
-    xc9 = 7
-    for key in sorted(targets9):
-        # one representative per S_9-class, the first the wreath walk lists
-        reps: list[PermGroup] = []
-        for G in matched9.get(key, []):
-            if all(conjugate_in_sn(R, G) is None for R in reps):
-                reps.append(G)
-        assert len(reps) == targets9[key], (key, len(reps))
-        order, s = key
-        for j, G in enumerate(reps, start=1):
-            gens = list(G.generators)
-            if key == (324, 20):
-                add(Entry("9S497", "3^3:C3:(C2xC2)", gens, order, s=s,
-                          cite=("9S497",)))
-            else:
-                suffix = f" #{j}" if targets9[key] > 1 else ""
-                add(Entry(f"9X{xc9}", f"wreath block group order {order}{suffix}",
-                          gens, order, s=s))
-                xc9 += 1
-
+    # ---- degree 9: S3 wr S3, its cited subgroups, one-point paddings -----
+    add(Entry("9S534", "S3wrS3", wreath(3, 3), 1296, s=20, cite=("9S534",)))
+    entries += imprimitive_transitive(9, entries)
     add(Entry("9S355", "AGL(1,8)+1", pad(affine_line(F8, [g8]), 1), 56, s=20,
               cite=("9S355",)))
     add(Entry("9S462", "AGammaL(1,8)+1",
@@ -688,11 +667,11 @@ def main():
         flags = ("P" if e.primitive else "") + ("T" if e.transitive else "")
         print(f"  {e.ident:10s} deg={e.degree:2d} order={e.order:<9d} "
               f"s={e.s:<3d} {flags:2s} {e.name}")
-    check_entries(entries)
-    lines = [HEADER] + [e.line() for e in entries]
-    OUT.parent.mkdir(parents=True, exist_ok=True)
-    OUT.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"wrote {OUT} with {len(entries)} entries "
+    text = "\n".join([HEADER] + [e.line() for e in entries]) + "\n"
+    problems = check_manifest(parse_catalog(text))
+    assert not problems, problems
+    OUT.write_text(text, encoding="utf-8")
+    print(f"manifest OK; wrote {OUT} with {len(entries)} entries "
           f"({time.time() - t_start:.0f}s total)")
 
 
@@ -701,30 +680,12 @@ HEADER = """\
 # id|degree|name|order|tags|generators|set-orbit count
 #
 # Sources: projective/affine/linear actions over small finite fields, coset
-# actions, wreath embeddings, one-point paddings, and an exhaustive
-# enumeration of the transitive subgroup classes of S_4, S_6 and S_8.
+# actions, wreath embeddings, one-point paddings, and the transitive
+# subgroup classes of the wreath products S_k wr S_m (k*m = 4, 6, 8, 9),
+# fused under S_n.
 # Regenerate with scripts/derive_catalog.py; every entry is re-verified by
 # the test suite (order, transitivity, primitivity, set-orbit count).\
 """
-
-
-def check_entries(entries):
-    prim = {}
-    for e in entries:
-        if e.primitive:
-            prim[e.degree] = prim.get(e.degree, 0) + 1
-    assert prim == PRIMITIVE_COUNTS, (prim, PRIMITIVE_COUNTS)
-    trans = {n: sum(1 for e in entries if e.degree == n and e.transitive)
-             for n in TRANSITIVE_COUNTS}
-    assert trans == TRANSITIVE_COUNTS, (trans, TRANSITIVE_COUNTS)
-    ids = [e.ident for e in entries]
-    assert len(ids) == len(set(ids))
-    # each primitive entry is transitive
-    for e in entries:
-        if e.primitive:
-            assert e.transitive
-    print(f"primitive counts per degree OK: {PRIMITIVE_COUNTS}")
-    print(f"transitive counts per degree OK: {TRANSITIVE_COUNTS}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ PRIMITIVE_COUNTS = {2: 1, 3: 2, 4: 2, 5: 5, 6: 4, 7: 7, 8: 7, 9: 11,
 
 #: number of transitive groups of the degrees whose transitive groups the
 #: shipped file carries in full (primitive + imprimitive: 2 + 3, 4 + 12 and
-#: 7 + 43, the imprimitive ones taken from the subgroup classes of S_n)
+#: 7 + 43, the imprimitive ones taken from the transitive subgroup classes of
+#: the wreath products S_k wr S_m with k*m = n, fused under S_n)
 TRANSITIVE_COUNTS = {4: 5, 6: 16, 8: 50}
 
 

@@ -19,7 +19,7 @@ from . import catalog as cat
 from . import pipeline
 from .orbitcount import count_set_orbits, dump_orbits, orbit_profile
 from .perm import GroupTooLargeError, PermGroup, build_group, parse_permutation
-from .prune import degree_range, prune_degree
+from .prune import R_RANGE, degree_range, prune_degree
 from .subgroups import SubgroupCapError, all_subgroups
 
 USAGE_ERROR = 2
@@ -167,7 +167,8 @@ def build_parser() -> _Parser:
     po.set_defaults(func=cmd_orbits)
 
     pp = sub.add_parser("prune", help="degree elimination verdicts")
-    pp.add_argument("--r", type=int, required=True)
+    pp.add_argument("--r", type=int, required=True, choices=R_RANGE,
+                    metavar="R", help="2..15")
     pp.add_argument("--max-degree", type=int, default=None)
     pp.set_defaults(func=cmd_prune)
 
@@ -180,7 +181,9 @@ def build_parser() -> _Parser:
     pv.set_defaults(func=cmd_catalog_verify)
 
     pc = sub.add_parser("classify", help="classification run for one r")
-    pc.add_argument("--r", type=int, required=True)
+    pc.add_argument("--r", type=int, required=True, metavar="R",
+                    choices=range(pipeline.MIN_R, pipeline.MAX_R + 1),
+                    help=f"{pipeline.MIN_R}..{pipeline.MAX_R}")
     pc.add_argument("--golden", default=None,
                     help="reference table to diff against")
     pc.add_argument("--format", choices=("tsv", "pretty"), default="pretty")

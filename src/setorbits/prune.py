@@ -24,10 +24,8 @@ from functools import cache
 from typing import Literal, Optional
 
 
-@cache
 def is_prime(n: int) -> bool:
-    """Trial division; cached because every classify(r) prunes the whole
-    degree window (n <= 81) again."""
+    """Trial division."""
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
@@ -224,9 +222,13 @@ def thm37_max_k0(n: int) -> Optional[int]:
     return hi
 
 
+#: the r for which the elimination stages and the degree bound are defined
+R_RANGE = range(2, 16)
+
+
 def degree_bound(r: int) -> int:
     """Universal degree cap for the search: n <= 81 whenever r < 16."""
-    if not 1 <= r <= 15:
+    if r not in R_RANGE:
         raise ValueError(f"method cap exceeded: no degree bound for r = {r}")
     return 81
 
@@ -241,8 +243,10 @@ def binomial_divides(n: int, t: int, order: int) -> bool:
 # ---------------------------------------------------------------------------
 # per-degree driver
 
+@cache
 def prune_degree(n: int, r: int) -> PruneVerdict:
-    """Run parity, step 1 and step 2 for one degree."""
+    """Run parity, step 1 and step 2 for one degree; cached, since every
+    classify(r) prunes the whole degree window (n <= 81) again."""
     if not parity_admissible(n, r):
         return PruneVerdict(n, "parity")
     p = step1_eliminates(n, r)

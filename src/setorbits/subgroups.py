@@ -10,11 +10,13 @@ discovered subgroup.
 
 The default case is the parent S_n: ``all_subgroups(n)`` caches it per
 degree for n <= SUBGROUP_MAX_DEGREE = 7 (S_7: 96 classes, ~11000
-subgroups, about 10 s); the S_8 walk takes minutes and is run only by
-calling ``subgroup_classes`` on S_8 directly.  Everything is
-deterministic: candidates are scanned in sorted order and the result is
-sorted by (order, canonical key), where the canonical key of a class is the
-lexicographically minimal sorted element list over all its conjugates.
+subgroups, about 10 s).  Nothing walks S_8, which takes minutes: the
+imprimitive transitive groups of degree 8 are walked inside S_2 wr S_4 and
+S_4 wr S_2 (scripts/derive_catalog.py) and put in S_8 order by
+``canonical_key``.  Everything is deterministic: candidates are scanned in
+sorted order and the result is sorted by (order, canonical key), where the
+canonical key of a class is the lexicographically minimal sorted element
+list over all its conjugates.
 """
 
 from __future__ import annotations
@@ -81,6 +83,32 @@ def _conjugate_set(elems: frozenset, s: tuple[int, ...]) -> frozenset:
     return frozenset(_conjugate_t(s, x) for x in elems)
 
 
+def _conjugacy_orbit(elements: frozenset, conj_gens) -> tuple[set, tuple]:
+    """The element sets of all conjugates of one subgroup under the group
+    generated by ``conj_gens``, and the class's canonical key: the
+    lexicographically least sorted element list among them."""
+    orbit = {elements}
+    queue = [elements]
+    canon = tuple(sorted(elements))
+    while queue:
+        cur = queue.pop()
+        for s in conj_gens:
+            img = _conjugate_set(cur, s)
+            if img not in orbit:
+                orbit.add(img)
+                queue.append(img)
+                key = tuple(sorted(img))
+                if key < canon:
+                    canon = key
+    return orbit, canon
+
+
+def canonical_key(G: PermGroup, parent: PermGroup) -> tuple:
+    """The key ``subgroup_classes(parent)`` sorts the class of G by."""
+    return _conjugacy_orbit(frozenset(G.iter_element_tuples()),
+                            parent.generator_tuples())[1]
+
+
 def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
     n = parent.degree
     conj_gens = parent.generator_tuples()
@@ -93,23 +121,9 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
         idx = len(classes)
         classes.append(rec)
         by_order.setdefault(rec.order, []).append(rec)
-        orbit = {elements}
-        queue = [elements]
-        canon = tuple(sorted(elements))
-        set_to_class[elements] = idx
-        while queue:
-            cur = queue.pop()
-            for s in conj_gens:
-                img = _conjugate_set(cur, s)
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-                    set_to_class[img] = idx
-                    key = tuple(sorted(img))
-                    if key < canon:
-                        canon = key
+        orbit, rec.canonical_key = _conjugacy_orbit(elements, conj_gens)
         rec.class_size = len(orbit)
-        rec.canonical_key = canon
+        set_to_class.update(dict.fromkeys(orbit, idx))
         return idx
 
     register(frozenset([_identity_t(n)]), ())

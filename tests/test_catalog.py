@@ -1,8 +1,12 @@
+import importlib.util
 import math
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from setorbits.catalog import (
+    PRIMITIVE_COUNTS,
     CatalogError,
     TRANSITIVE_COUNTS,
     builtin,
@@ -192,3 +196,30 @@ def test_manifest_reports_missing_transitive_entry():
     entries = [e for e in load_default() if e.id != "6T9"]
     assert check_manifest(entries) == [
         "degree 6: 15 transitive entries, expected 16"]
+
+
+# ---------------------------------------------------------------------------
+# the derivation script
+
+def _derive_catalog_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "derive_catalog.py"
+    spec = importlib.util.spec_from_file_location("derive_catalog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_derived_imprimitive_entries_are_the_shipped_lines(n):
+    """The wreath-closure derivation prints exactly the shipped imprimitive
+    transitive lines of degree n, in order (degree 8 is left to the script
+    itself, about 16 s)."""
+    text = resources.files("setorbits").joinpath("data/groups.cat").read_text(
+        encoding="utf-8")
+    shipped = [line for line, e in zip(
+        (l for l in text.splitlines() if l.strip() and not l.startswith("#")),
+        parse_catalog(text))
+        if e.degree == n and e.tags & {"transitive", "primitive"} == {"transitive"}]
+    derived = _derive_catalog_script().imprimitive_transitive(n, [])
+    assert [e.line() for e in derived] == shipped
+    assert len(shipped) == TRANSITIVE_COUNTS[n] - PRIMITIVE_COUNTS[n]

@@ -99,6 +99,15 @@ def test_prune_full_range_has_81_degrees(capout):
     assert len(out.strip().splitlines()) == 80  # degrees 2..81
 
 
+@pytest.mark.parametrize("argv", [["classify", "--r", "1"],
+                                  ["classify", "--r", "12"],
+                                  ["prune", "--r", "1"],
+                                  ["prune", "--r", "16"]])
+def test_r_out_of_range_is_usage_error(argv, capout):
+    cap = capout(argv, expect=2)
+    assert "invalid choice" in cap.err and not cap.out
+
+
 # ---------------------------------------------------------------------------
 # subgroups
 

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from setorbits import prune
 from setorbits.catalog import load_default
 from setorbits.orbitcount import count_set_orbits
 from setorbits.perm import is_primitive
@@ -214,6 +215,17 @@ def test_report_records_sources_and_routes():
 
 def test_classification_deterministic():
     assert classify(3).to_tsv() == classify(3).to_tsv()
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 6])
+def test_second_classify_reuses_prune_verdicts(r, monkeypatch):
+    first = classify(r).to_tsv()
+
+    def unreachable(n, r):
+        raise AssertionError(f"degree {n} pruned again for r={r}")
+
+    monkeypatch.setattr(prune, "step1_eliminates", unreachable)
+    assert classify(r).to_tsv() == first
 
 
 def test_survivor_sets_match_published_lists():

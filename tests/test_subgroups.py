@@ -9,6 +9,7 @@ from setorbits.perm import Permutation, build_group, parse_permutation
 from setorbits.subgroups import (
     SubgroupCapError,
     all_subgroups,
+    canonical_key,
     conjugate_in_sn,
     subgroup_classes,
     transitive_classes,
@@ -187,14 +188,18 @@ YOUNG_AND_WREATH = {
 
 @pytest.mark.parametrize("name", sorted(YOUNG_AND_WREATH))
 def test_young_and_wreath_classes_fuse_into_sn(name):
+    """Each class meets exactly one S_n-class, and ``canonical_key`` under
+    S_n gives that class's key, so S_n's order is known without its walk."""
     n, gens, order = YOUNG_AND_WREATH[name]
     parent = build_group([parse_permutation(g, n) for g in gens])
     assert parent.order == order
     sn = all_subgroups(n)
     for c in subgroup_classes(parent):
-        hits = [d.index for d in sn if d.order == c.order and
+        hits = [d for d in sn if d.order == c.order and
                 conjugate_in_sn(c.representative, d.representative) is not None]
-        assert len(hits) == 1, (name, c.index, hits)
+        assert len(hits) == 1, (name, c.index, [d.index for d in hits])
+        key = canonical_key(c.representative, builtin("symmetric", n))
+        assert key == hits[0].canonical_key
 
 
 # ---------------------------------------------------------------------------
