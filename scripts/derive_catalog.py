@@ -13,14 +13,15 @@ Every generator set is produced from a first-principles construction:
 * wreath-type embeddings and one-point paddings for the imprimitive and
   intransitive groups the reference tables need;
 * the subgroup-closure walk ``setorbits.subgroups.subgroup_classes``, run
-  over the wreath products S_k wr S_m with k*m = 4, 6, 8, 9 for the
-  imprimitive transitive groups (``imprimitive_transitive``); no S_n is
-  walked.
+  by ``closure_entries`` over the wreath products S_k wr S_m with
+  k*m = 4, 6, 8, 9 for the imprimitive transitive groups, and over the
+  Young subgroups S_a x S_b with a + b = 4..7 for the groups with two
+  orbits and no fixed point; no S_n is walked.
 
-Everything is verified on the spot (order, transitivity, primitivity and,
-against an independent subset-orbit enumeration, the set-orbit count) and
-the text is checked with ``catalog.check_manifest`` before it is written
-out.  The run takes about 30 s on one core; rerunning it reproduces the
+Everything is verified on the spot (order, transitivity, primitivity, the
+two-orbit shape and, against an independent subset-orbit enumeration, the
+set-orbit count) and the text is checked with ``catalog.check_manifest``
+before it is written out.  The run takes about 30 s on one core; rerunning it reproduces the
 shipped file byte for byte.
 """
 
@@ -35,8 +36,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from setorbits.catalog import TRANSITIVE_COUNTS, builtin, check_manifest, parse_catalog
+from setorbits.catalog import (
+    TRANSITIVE_COUNTS,
+    builtin,
+    check_manifest,
+    has_two_orbits,
+    parse_catalog,
+)
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
+from setorbits.pipeline import MAX_R
 from setorbits.perm import (
     PermGroup,
     Permutation,
@@ -325,82 +333,147 @@ def wreath(k: int, m: int) -> list[Permutation]:
     return gens + [word(columns), word(c[:2] for c in columns)][:1 if m == 2 else 2]
 
 
-#: the imprimitive transitive classes by degree and (order, set-orbit count),
-#: in the order ``imprimitive_transitive`` sorts them; an ID that is not an
-#: X-ID is the label a reference table cites.  Degrees 4, 6 and 8 ship every
-#: class, an unnamed one as "T(n) order ... s=..." under the next free X-ID;
-#: degree 9 ships only the classes named here.
-IMPRIMITIVE_NAMES = {
-    4: {(4, 6): [("4T1", "C4")], (4, 7): [("4T2", "C2xC2")],
-        (8, 6): [("4T3", "D8")]},
-    6: {(6, 14): [("6S17", "C6")], (6, 16): [("6X4", "S3")],
-        (12, 12): [("6S31", "A4")], (12, 13): [("6S33", "D12")],
-        (18, 10): [("6T5", "C3xS3")],
-        (24, 11): [("6T6", "C2xA4"), ("6T7", "S4")], (24, 10): [("6T8", "S4")],
-        (36, 10): [("6T9", "S3xS3"), ("6T10", "C3^2:C4")],
-        (48, 10): [("6T11", "C2xS4")], (72, 10): [("6T13", "C3^2:D8")]},
-    8: {(24, 19): [("8S154", "SL(2,3)")], (48, 18): [("8S216", "GL(2,3)")],
-        (96, 17): [("8S240", "2^4:C3:C2")],
-        (288, 15): [("8T42", "2^4:C3:C2:C3")],
-        (384, 15): [("8T44", "2^4:C2:C2:C3:C2")],
-        (1152, 15): [("8T47", "(S4xS4):C2")]},
-    9: {(162, 20): [("9X7", "wreath block group order 162 #1"),
-                    ("9X8", "wreath block group order 162 #2")],
-        (324, 20): [("9S497", "3^3:C3:(C2xC2)")],
-        (648, 20): [("9X9", "wreath block group order 648 #1"),
-                    ("9X10", "wreath block group order 648 #2")]},
+#: the classes ``closure_entries`` derives, by kind, degree and (order,
+#: set-orbit count), in the order it sorts them; an ID that is not an X-ID is
+#: the label a reference table cites.  The transitive kind ships every class
+#: of degrees 4, 6 and 8, an unnamed one as "T(n) order ... s=..." under the
+#: next free X-ID, and of degree 9 only the classes named here.  Where two
+#: classes share a signature, a name with a third field goes to the class
+#: whose centre is nontrivial (True) or trivial (False), and the others go
+#: by position.
+CLOSURE_NAMES = {
+    "transitive": {
+        4: {(4, 6): [("4T1", "C4")], (4, 7): [("4T2", "C2xC2")],
+            (8, 6): [("4T3", "D8")]},
+        6: {(6, 14): [("6S17", "C6")], (6, 16): [("6X4", "S3")],
+            (12, 12): [("6S31", "A4")], (12, 13): [("6S33", "D12")],
+            (18, 10): [("6T5", "C3xS3")],
+            (24, 11): [("6T6", "C2xA4", True), ("6T7", "S4", False)],
+            (24, 10): [("6T8", "S4")],
+            (36, 10): [("6T9", "S3xS3"), ("6T10", "C3^2:C4")],
+            (48, 10): [("6T11", "C2xS4")], (72, 10): [("6T13", "C3^2:D8")]},
+        8: {(24, 19): [("8S154", "SL(2,3)")], (48, 18): [("8S216", "GL(2,3)")],
+            (96, 17): [("8S240", "2^4:C3:C2")],
+            (288, 15): [("8T42", "2^4:C3:C2:C3")],
+            (384, 15): [("8T44", "2^4:C2:C2:C3:C2")],
+            (1152, 15): [("8T47", "(S4xS4):C2")]},
+        9: {(162, 20): [("9X7", "wreath block group order 162 #1"),
+                        ("9X8", "wreath block group order 162 #2")],
+            (324, 20): [("9S497", "3^3:C3:(C2xC2)")],
+            (648, 20): [("9X9", "wreath block group order 648 #1"),
+                        ("9X10", "wreath block group order 648 #2")]},
+    },
+    "two-orbit": {
+        4: {(2, 10): [("4S2", "C2")], (4, 9): [("4S6", "C2xC2")]},
+        5: {(6, 12): [("5S10", "S3", False), ("5S11", "C6", True)],
+            (12, 12): [("5S15", "D12")]},
+        6: {(9, 16): [("6S28", "C3xC3")],
+            (18, 16): [("6S35", "(C3xC3):C2", False), ("6S37", "C3xS3", True)],
+            (24, 15): [("6S40", "C2xA4", True), ("6S41", "S4", False)],
+            (36, 16): [("6S45", "S3xS3")], (48, 15): [("6S49", "C2xS4")]},
+        7: {(40, 18): [("7S75", "C2x(C5:C4)")],
+            (120, 18): [("7S87", "S5", False), ("7S88", "C2xA5", True)],
+            (240, 18): [("7S92", "C2xS5")]},
+    },
 }
 
 
-def imprimitive_transitive(n: int, entries: list["Entry"]) -> list["Entry"]:
-    """The imprimitive transitive groups of degree n, one per S_n-class.
+def young(a: int, b: int) -> list[Permutation]:
+    """S_a x S_b on the orbits {1..a} and {a+1..a+b}: a cycle and a
+    transposition on each (a transposition is left out where it equals its
+    cycle)."""
+    def sym_on(lo: int, k: int) -> list[Permutation]:
+        pts = ",".join(map(str, range(lo, lo + k)))
+        return [cyc(f"({pts})", a + b), cyc(f"({lo},{lo + 1})", a + b)][:1 if k == 2 else 2]
+
+    return sym_on(1, a) + sym_on(a + 1, b)
+
+
+def has_centre(G: PermGroup) -> bool:
+    """Whether some element other than the identity commutes with every
+    generator."""
+    gens = [g.images for g in G.generators]
+    return any(any(x[i] != i for i in range(G.degree))
+               and all(x[g[i]] == g[x[i]] for g in gens for i in range(G.degree))
+               for x in G.iter_element_tuples())
+
+
+def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
+    """The closures every group of the kind is S_n-conjugate into: for the
+    transitive kind, S_k wr S_m for each block shape n = m*k; for the
+    two-orbit kind, S_a x S_b for each pair of orbits with
+    (a + 1)(b + 1) <= n + MAX_R, the orbit-shape floor of s."""
+    if kind == "transitive":
+        return [(f"S{k} wr S{n // k}", build_group(wreath(k, n // k)))
+                for k in range(2, n) if n % k == 0]
+    return [(f"S{a} x S{n - a}", build_group(young(a, n - a)))
+            for a in range(2, n // 2 + 1) if (a + 1) * (n - a + 1) <= n + MAX_R]
+
+
+def closure_entries(n: int, kind: str, entries: list["Entry"]) -> list["Entry"]:
+    """The groups of degree n of one kind, one per S_n-class: "transitive"
+    gives the imprimitive transitive groups, "two-orbit" the groups with two
+    orbits, no fixed point and s <= n + MAX_R.
 
     A block system of m blocks of size k puts a group inside a conjugate of
-    S_k wr S_m, so every such group is S_n-conjugate to a transitive
-    subgroup class of one of these wreath products (n = m*k, 1 < k < n).
-    The classes are fused under S_n by (order, s) and ``conjugate_in_sn``,
-    keeping the first one walked, and sorted by (order, canonical key under
-    S_n), the order of ``subgroup_classes(S_n)``.  None is primitive, since
-    each keeps the blocks of its wreath.  Degrees outside TRANSITIVE_COUNTS
-    keep only the signatures IMPRIMITIVE_NAMES lists.  ``entries`` (the ones
-    built so far) fixes the next free X-ID.
+    S_k wr S_m, and orbits of sizes a and b put it inside a conjugate of
+    S_a x S_b, so every such group is S_n-conjugate to a subgroup class of
+    one of ``_parents``: a transitive class of a wreath product, or a class
+    of a Young subgroup whose orbits are its two parts.  The classes are
+    fused under S_n by (order, s) and ``conjugate_in_sn``, keeping the first
+    one walked, and sorted by (order, canonical key under S_n), the order of
+    ``subgroup_classes(S_n)``.  A transitive group is not primitive, since
+    it keeps the blocks of its wreath.  Transitive degrees outside
+    TRANSITIVE_COUNTS keep only the signatures CLOSURE_NAMES lists.
+    ``entries`` (the ones built so far) fixes the next free X-ID.
     """
-    names = IMPRIMITIVE_NAMES[n]
+    names = CLOSURE_NAMES[kind][n]
     fused: dict[tuple[int, int], list[PermGroup]] = {}
-    for k in (k for k in range(2, n) if n % k == 0):
+    for label, parent in _parents(n, kind):
         t0 = time.time()
-        classes = subgroup_classes(build_group(wreath(k, n // k)))
-        print(f"S{k} wr S{n // k}: {len(classes)} subgroup classes "
+        classes = subgroup_classes(parent)
+        print(f"{label}: {len(classes)} subgroup classes "
               f"({time.time() - t0:.1f}s)", flush=True)
         for c in classes:
-            if not c.transitive:
+            G = c.representative
+            if not (c.transitive if kind == "transitive" else has_two_orbits(G)):
                 continue
-            sig = (c.order, count_set_orbits(c.representative))
-            if n not in TRANSITIVE_COUNTS and sig not in names:
+            sig = (c.order, count_set_orbits(G))
+            if kind == "transitive" and n not in TRANSITIVE_COUNTS and sig not in names:
+                continue
+            if kind == "two-orbit" and sig[1] > n + MAX_R:
                 continue
             reps = fused.setdefault(sig, [])
-            if all(conjugate_in_sn(R, c.representative) is None for R in reps):
-                reps.append(c.representative)
+            if all(conjugate_in_sn(R, G) is None for R in reps):
+                reps.append(G)
     sn = builtin("symmetric", n)
     ordered = sorted(((G.order, canonical_key(G, sn), s, G)
                       for (_, s), reps in fused.items() for G in reps),
                      key=lambda t: t[:2])
+    named = {}
+    for sig, cited in names.items():
+        at = [i for i, (order, _, s, _) in enumerate(ordered) if (order, s) == sig]
+        assert len(at) >= len(cited), (sig, len(at))
+        if len(cited[0]) == 3:
+            by_centre = {has_centre(ordered[i][3]): i for i in at}
+            assert len(by_centre) == len(at) == len(cited), sig
+            at = [by_centre[central] for _, _, central in cited]
+        named.update((i, c[:2]) for i, c in zip(at, cited))
     free_x = count(1 + sum(e.ident.startswith(f"{n}X") for e in entries))
     seen: Counter = Counter()
     out = []
-    for order, _, s, G in ordered:
+    for i, (order, _, s, G) in enumerate(ordered):
         seen[order, s] += 1
         j = seen[order, s]
-        cited = names.get((order, s), [])
-        if j <= len(cited):
-            ident, name = cited[j - 1]
+        if i in named:
+            ident, name = named[i]
         else:
+            assert kind == "transitive", (order, s)
             ident = f"{n}X{next(free_x)}"
             name = f"T({n}) order {order} s={s}" + (f" #{j}" if j > 1 else "")
         cite = () if ident.startswith(f"{n}X") else (ident,)
         out.append(Entry(ident, name, list(G.generators), order, s=s, cite=cite))
         assert not out[-1].primitive
-    assert all(seen[sig] >= len(cited) for sig, cited in names.items()), seen
     return out
 
 
@@ -443,6 +516,7 @@ class Entry:
         self.order = order
         self.transitive = is_transitive(G)
         self.primitive = is_primitive(G)
+        self.two_orbit = has_two_orbits(G)
         self.s = count_set_orbits(G)
         if s is not None:
             assert self.s == s, f"{ident}: s = {self.s}, expected {s}"
@@ -457,6 +531,8 @@ class Entry:
             tags.append("transitive")
         if self.primitive:
             tags.append("primitive")
+        if self.two_orbit:
+            tags.append("two-orbit")
         tags += [f"paper:{c}" for c in self.cite]
         gens = ";".join(str(g) for g in self.gens)
         return (f"{self.ident}|{self.degree}|{self.name}|{self.order}|"
@@ -484,25 +560,30 @@ def main():
             return [three, perm_of(list(range(1, n)) + [0], n)]
         return [three, perm_of([0] + list(range(2, n)) + [1], n)]
 
-    # ---- degrees 2..5: all primitive groups, and the transitive degree 4 --
+    # ---- degrees 1..5: all primitive groups, the transitive degree 4 and
+    # the two-orbit degrees 4 and 5 -----------------------------------------
+    add(Entry("1P1", "e", sym(1), 1, s=2))
     add(Entry("2P1", "S2", [cyc("(1,2)", 2)], 2, s=3))
     add(Entry("3P1", "C3", [cyc("(1,2,3)", 3)], 3, s=4))
     add(Entry("3P2", "S3", sym(3), 6, s=4))
     add(Entry("4P1", "A4", alt(4), 12, s=5))
     add(Entry("4P2", "S4", sym(4), 24, s=5))
-    entries += imprimitive_transitive(4, entries)
+    entries += closure_entries(4, "transitive", entries)
+    entries += closure_entries(4, "two-orbit", entries)
     add(Entry("5P1", "C5", [cyc("(1,2,3,4,5)", 5)], 5, s=8))
     add(Entry("5P2", "D10", [cyc("(1,2,3,4,5)", 5), cyc("(2,5)(3,4)", 5)], 10, s=8))
     add(Entry("5P3", "AGL(1,5)", [cyc("(1,2,3,4,5)", 5), cyc("(2,3,5,4)", 5)], 20, s=6))
     add(Entry("5P4", "A5", alt(5), 60, s=6))
     add(Entry("5P5", "S5", sym(5), 120, s=6))
+    entries += closure_entries(5, "two-orbit", entries)
 
     # ---- degree 6 --------------------------------------------------------
     add(Entry("6P1", "PSL(2,5)", psl2(F5), 60, s=8, cite=("6P1",)))
     add(Entry("6X1", "PGL(2,5)", pgl2(F5), 120, s=7))
     add(Entry("6X2", "A6", alt(6), 360, s=7))
     add(Entry("6X3", "S6", sym(6), 720, s=7))
-    entries += imprimitive_transitive(6, entries)
+    entries += closure_entries(6, "transitive", entries)
+    entries += closure_entries(6, "two-orbit", entries)
 
     # ---- degree 7 --------------------------------------------------------
     add(Entry("7P1", "C7", [cyc("(1,2,3,4,5,6,7)", 7)], 7, s=20))
@@ -514,6 +595,7 @@ def main():
               168, s=10, cite=("7P5",)))
     add(Entry("7X1", "A7", alt(7), 2520, s=8))
     add(Entry("7X2", "S7", sym(7), 5040, s=8))
+    entries += closure_entries(7, "two-orbit", entries)
 
     # ---- degree 8: primitive ---------------------------------------------
     g8 = F8.generator()
@@ -529,7 +611,7 @@ def main():
     add(Entry("8X2", "S8", sym(8), 40320, s=9))
 
     # ---- degree 8: imprimitive transitive + padded A7/S7 ------------------
-    entries += imprimitive_transitive(8, entries)
+    entries += closure_entries(8, "transitive", entries)
     add(Entry("8S293", "A7+1", pad(alt(7), 1), 2520, s=16, cite=("8S293",)))
     add(Entry("8S294", "S7+1", pad(sym(7), 1), 5040, s=16, cite=("8S294",)))
 
@@ -557,7 +639,7 @@ def main():
 
     # ---- degree 9: S3 wr S3, its cited subgroups, one-point paddings -----
     add(Entry("9S534", "S3wrS3", wreath(3, 3), 1296, s=20, cite=("9S534",)))
-    entries += imprimitive_transitive(9, entries)
+    entries += closure_entries(9, "transitive", entries)
     add(Entry("9S355", "AGL(1,8)+1", pad(affine_line(F8, [g8]), 1), 56, s=20,
               cite=("9S355",)))
     add(Entry("9S462", "AGammaL(1,8)+1",
@@ -680,11 +762,13 @@ HEADER = """\
 # id|degree|name|order|tags|generators|set-orbit count
 #
 # Sources: projective/affine/linear actions over small finite fields, coset
-# actions, wreath embeddings, one-point paddings, and the transitive
-# subgroup classes of the wreath products S_k wr S_m (k*m = 4, 6, 8, 9),
+# actions, wreath embeddings, one-point paddings, the transitive subgroup
+# classes of the wreath products S_k wr S_m (k*m = 4, 6, 8, 9) and the
+# two-orbit subgroup classes of the Young subgroups S_a x S_b (a + b = 4..7),
 # fused under S_n.
 # Regenerate with scripts/derive_catalog.py; every entry is re-verified by
-# the test suite (order, transitivity, primitivity, set-orbit count).\
+# the test suite (order, transitivity, primitivity, two-orbit shape,
+# set-orbit count).\
 """
 
 

@@ -1,13 +1,14 @@
 """Named permutation groups: built-in families and the shipped group database.
 
 The database (``data/groups.cat``) holds generator words in cycle notation
-for the primitive groups of every degree up to 12, the transitive groups of
-degrees 4, 6 and 8, and the auxiliary groups needed to reproduce the
-reference classification tables.  No generator set is trusted:
-``verify_entry`` rebuilds every group and checks its order, its
-transitivity/primitivity tags and (when recorded) its set-orbit count, and
-the test suite runs this over the whole file.  ``by_id("<id>+1")`` is the
-entry ``<id>`` padded by one fixed point.
+for the primitive groups of every degree up to 12 (and the trivial group of
+degree 1), the transitive groups of degrees 4, 6 and 8, the groups of
+degrees 4 to 7 with two orbits, no fixed point and s <= n + 11, and the
+auxiliary groups needed to reproduce the reference classification tables.
+No generator set is trusted: ``verify_entry`` rebuilds every group and
+checks its order, its transitivity/primitivity/two-orbit tags and (when
+recorded) its set-orbit count, and the test suite runs this over the whole
+file.  ``by_id("<id>+1")`` is the entry ``<id>`` padded by one fixed point.
 
 Record format, one per line, ``#`` starts a comment:
 
@@ -25,12 +26,12 @@ from .orbitcount import count_set_orbits
 from .perm import PermGroup, Permutation, build_group, is_primitive, is_transitive, parse_permutation
 
 _KNOWN_TAG_PREFIXES = ("paper:",)
-_KNOWN_TAGS = ("transitive", "primitive")
+_KNOWN_TAGS = ("transitive", "primitive", "two-orbit")
 
 #: number of primitive groups of each degree; the shipped file must carry
 #: exactly this many primitive-tagged entries per degree (classical counts,
 #: rechecked against our own subgroup enumeration for degree <= 7)
-PRIMITIVE_COUNTS = {2: 1, 3: 2, 4: 2, 5: 5, 6: 4, 7: 7, 8: 7, 9: 11,
+PRIMITIVE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 2, 5: 5, 6: 4, 7: 7, 8: 7, 9: 11,
                     10: 9, 11: 8, 12: 6}
 
 #: number of transitive groups of the degrees whose transitive groups the
@@ -38,6 +39,18 @@ PRIMITIVE_COUNTS = {2: 1, 3: 2, 4: 2, 5: 5, 6: 4, 7: 7, 8: 7, 9: 11,
 #: 7 + 43, the imprimitive ones taken from the transitive subgroup classes of
 #: the wreath products S_k wr S_m with k*m = n, fused under S_n)
 TRANSITIVE_COUNTS = {4: 5, 6: 16, 8: 50}
+
+#: number of groups of degree n with no fixed point, exactly two orbits and
+#: s <= n + 11, up to S_n-conjugacy.  Their orbits are (2, 2) at degree 4,
+#: (2, 3) at 5, (2, 4) or (3, 3) at 6 and (2, 5) at 7, the only shapes with
+#: prod(|O_i| + 1) <= n + 11.  They are the subgroup classes of the Young
+#: subgroups S_a x S_b with these orbits, fused under S_n, and every one is a
+#: reference-table row.  The entries carry the tag "two-orbit".
+TWO_ORBIT_COUNTS = {4: 2, 5: 3, 6: 7, 7: 4}
+
+#: the completeness counts per tag
+MANIFEST = {"primitive": PRIMITIVE_COUNTS, "transitive": TRANSITIVE_COUNTS,
+            "two-orbit": TWO_ORBIT_COUNTS}
 
 
 class CatalogError(ValueError):
@@ -178,6 +191,11 @@ def verify_entry(e: CatalogEntry) -> EntryReport:
     checks.append(("primitive-tag", prim == ("primitive" in e.tags),
                    f"group {'is' if prim else 'is not'} primitive, tag "
                    f"{'present' if 'primitive' in e.tags else 'absent'}"))
+    two = has_two_orbits(G)
+    checks.append(("two-orbit-tag", two == ("two-orbit" in e.tags),
+                   f"group {'has' if two else 'lacks'} two orbits and no "
+                   f"fixed point, tag "
+                   f"{'present' if 'two-orbit' in e.tags else 'absent'}"))
     if e.expected_s is not None:
         s = count_set_orbits(G)
         checks.append(("set-orbits", s == e.expected_s,
@@ -185,10 +203,15 @@ def verify_entry(e: CatalogEntry) -> EntryReport:
     return EntryReport(e.id, tuple(checks))
 
 
+def has_two_orbits(G: PermGroup) -> bool:
+    """Exactly two orbits, and no fixed point."""
+    orbits = G.orbits()
+    return len(orbits) == 2 and min(map(len, orbits)) > 1
+
+
 def check_manifest(entries: Iterable[CatalogEntry] | None = None) -> list[str]:
-    """Completeness assertions: the primitive entries of every degree in
-    PRIMITIVE_COUNTS and the transitive entries of every degree in
-    TRANSITIVE_COUNTS.
+    """Completeness assertions: for every tag in MANIFEST, the entries of
+    every degree its counts list.
 
     Returns a list of problems (empty = complete).
     """
@@ -196,8 +219,7 @@ def check_manifest(entries: Iterable[CatalogEntry] | None = None) -> list[str]:
         entries = load_default()
     entries = list(entries)
     problems = []
-    for tag, counts in (("primitive", PRIMITIVE_COUNTS),
-                        ("transitive", TRANSITIVE_COUNTS)):
+    for tag, counts in MANIFEST.items():
         for degree, want in counts.items():
             got = sum(1 for e in entries if e.degree == degree and tag in e.tags)
             if got != want:
@@ -253,7 +275,7 @@ def _cycle(n: int) -> Permutation:
 def candidates(degree: int, filter: str = "all",
                entries: Iterable[CatalogEntry] | None = None) -> list[CatalogEntry]:
     """Catalog entries of one degree passing a tag filter."""
-    if filter not in ("all", "transitive", "primitive"):
+    if filter != "all" and filter not in MANIFEST:
         raise ValueError(f"unknown filter {filter!r}")
     if entries is None:
         entries = load_default()

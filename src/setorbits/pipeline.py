@@ -3,24 +3,27 @@
 For a target excess r, the run bounds the degree (n <= 81 for r < 16),
 eliminates degrees by parity and the two prime-window arguments, selects
 candidate groups per surviving degree, computes s(G) exactly for each and
-keeps the hits.  Candidate selection splits on how much transitivity the
-excess forces:
+keeps the hits.  The candidates for s(G) = s at degree n form a pool built
+by one recursion on (n, s), from the shipped catalog only:
 
-* r < n - 2: one split subset size of 2 would already overshoot, so
-  candidates are primitive and C(n, t*) must divide the order, where t* is
-  the largest size whose orbit count is forced to 1;
-* r < n: a split size 1 would overshoot, so candidates are transitive.  A
-  transitive G with m blocks of size k has s(G) >= C(m + k, k) (block
-  shape), so when every factorisation n = m * k gives more than n + r, and
-  in particular at a prime degree, they are primitive too and come from the
-  primitive catalog; otherwise from the transitive catalog (degrees 4, 6
-  and 8), with the same C(n, t*) filter;
-* r = n >= 3: a G with orbits O_1..O_k, k >= 2, has s(G) >= prod(|O_i| + 1)
-  >= 2n (orbit shape), with equality only for the orbits (n - 1, 1) and a
-  set-transitive constituent on the n - 1 points.  So the candidates are
-  the transitive ones as for r < n, plus H+1 for every set-transitive H of
-  degree n - 1, all of which are in the primitive catalog;
-* r > n: every subgroup class of S_n is checked (the cached walk, n <= 7).
+* the transitive groups.  With s = n + r, r < n - 2 makes them primitive
+  (one split subset size of 2 would already overshoot), and C(n, t*) must
+  divide the order, where t* is the largest size whose orbit count is
+  forced to 1.  A transitive G with m blocks of size k has
+  s(G) >= C(m + k, k) (block shape), so when every factorisation
+  n = m * k gives more than s, and in particular at a prime degree, they
+  are primitive too and come from the primitive catalog; otherwise from
+  the transitive catalog (degrees 4, 6 and 8), with the same C(n, t*)
+  filter;
+* the groups with orbits O_1..O_k, k >= 2, and no fixed point.  The tuple
+  of restricted orbits of a subset is constant on its G-orbit and every
+  tuple occurs, so s(G) >= prod(|O_i| + 1) (orbit shape).  For s <= n + 11
+  only two orbits of sizes (2, 2), (2, 3), (2, 4), (3, 3) or (2, 5) fit;
+  these groups ship in the two-orbit catalog (degrees 4 to 7);
+* the groups with a fixed point: P+1 doubles s(P), so these are P+1 for
+  P in the pool of (n - 1, s / 2) when s is even.  A P whose catalog entry
+  records another s is dropped.  At s = 2n these are the set-transitive
+  groups of degree n - 1, padded.
 
 Each catalog pool is checked against its classical count, so a missing
 entry is a data gap.  Groups containing A_n always have s = n + 1 and are
@@ -32,9 +35,9 @@ candidates came from and how many of them each counting route
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Optional
 
@@ -42,7 +45,6 @@ from . import catalog as cat
 from .orbitcount import count_set_orbits, counting_route
 from .perm import PermGroup
 from .prune import PruneVerdict, binomial_divides, degree_range, prune_degree
-from .subgroups import SubgroupCapError, all_subgroups
 
 MIN_R, MAX_R = 2, 11
 
@@ -72,7 +74,6 @@ class RunReport:
     candidate_counts: dict[int, int]
     rows: list[ClassificationRow]
     gaps: list[str] = field(default_factory=list)
-    timing: dict[str, float] = field(default_factory=dict)
     #: per surviving degree: where its candidates come from
     candidate_sources: dict[int, str] = field(default_factory=dict)
     #: per degree with candidates: counting route -> number of candidates
@@ -95,8 +96,8 @@ def forced_transitive_size(n: int, r: int) -> Optional[int]:
     A split at size t propagates to every size in [t, n-t], costing
     n - 2t + 1 extra orbits against a budget of r - 1.
     """
-    if r < 2:
-        raise ValueError("defined for r >= 2")
+    if r < 1:
+        raise ValueError("defined for r >= 1")
     if n % 2 == 0:
         t = n // 2 - 1 - (r - 2) // 2
     else:
@@ -106,7 +107,7 @@ def forced_transitive_size(n: int, r: int) -> Optional[int]:
 
 def block_shape_floor(n: int) -> Optional[int]:
     """Least s(G) of a transitive imprimitive G of degree n, as far as its
-    block shape tells, or None when n has no block shape (n prime).
+    block shape tells, or None when n has no block shape (n prime or 1).
 
     With m blocks of size k, the multiset of the sizes in which a subset
     meets the blocks is constant on its G-orbit, and each of the C(m + k, k)
@@ -114,6 +115,21 @@ def block_shape_floor(n: int) -> Optional[int]:
     """
     return min((math.comb(n // k + k, k) for k in range(2, n) if n % k == 0),
                default=None)
+
+
+def two_orbit_shape_fits(n: int, s: int) -> bool:
+    """Whether a group of degree n with no fixed point and two or more
+    orbits can have s(G) = s.  The least prod(|O_i| + 1) over such orbit
+    shapes is 3 * (n - 1), from the orbits (2, n - 2); three orbits need at
+    least 9 * (n - 3), more than n + 11 at every n >= 6, so below that only
+    two orbits fit."""
+    return n >= 4 and 3 * (n - 1) <= s
+
+
+def pads_fit(n: int, s: int) -> bool:
+    """Whether a group of degree n with a fixed point can have s(G) = s:
+    G = P+1 with s(P) = s / 2, and s(P) >= n for P of degree n - 1."""
+    return n >= 2 and s % 2 == 0 and s >= 2 * n
 
 
 @dataclass(frozen=True)
@@ -128,23 +144,34 @@ def _divides_filter(n: int, r: int, order: int) -> bool:
     return t is None or binomial_divides(n, t, order)
 
 
-def _require_count(pool: list, want: int, n: int, kind: str) -> None:
-    """A catalog pool that lacks classical count entries is a data gap."""
-    if len(pool) != want:
-        raise DataGapError([f"{kind} catalog incomplete: degree {n}: "
-                            f"{len(pool)} {kind} entries, expected {want}"])
+_Index = dict[tuple[int, str], list[cat.CatalogEntry]]
 
 
-def _catalog_pool(n: int, kind: str,
-                  entries: list[cat.CatalogEntry]) -> list[cat.CatalogEntry]:
-    """All ``kind`` ("primitive" or "transitive") entries of degree n, or a
-    data gap when the catalog does not hold all of them."""
-    counts = cat.PRIMITIVE_COUNTS if kind == "primitive" else cat.TRANSITIVE_COUNTS
+def _index(entries: Iterable[cat.CatalogEntry]) -> _Index:
+    """The entries by (degree, manifest tag), from one scan."""
+    index: _Index = {}
+    for e in entries:
+        for tag in e.tags & cat.MANIFEST.keys():
+            index.setdefault((e.degree, tag), []).append(e)
+    return index
+
+
+@lru_cache(maxsize=1)
+def _default_index() -> _Index:
+    return _index(cat.load_default())
+
+
+def _catalog_pool(n: int, kind: str, index: _Index) -> list[cat.CatalogEntry]:
+    """All ``kind`` entries of degree n (a manifest tag), or a data gap when
+    the catalog does not hold all of them."""
+    counts = cat.MANIFEST[kind]
     if n not in counts:
         raise DataGapError([f"degree {n}: {kind} catalog does not cover "
                             f"degree {n}"])
-    pool = cat.candidates(n, kind, entries=entries)
-    _require_count(pool, counts[n], n, kind)
+    pool = index.get((n, kind), [])
+    if len(pool) != counts[n]:
+        raise DataGapError([f"{kind} catalog incomplete: degree {n}: "
+                            f"{len(pool)} {kind} entries, expected {counts[n]}"])
     return pool
 
 
@@ -152,57 +179,61 @@ PRIMITIVE = "primitive catalog"
 PRIMITIVE_PRIME = "primitive catalog (prime degree)"
 PRIMITIVE_BLOCKS = "primitive catalog (block shape)"
 TRANSITIVE_CATALOG = "transitive catalog"
+TWO_ORBITS = " + two-orbit catalog"
 PADDINGS = " + one-point paddings"
+
+
+def _transitive_source(n: int, r: int) -> str:
+    if r < n - 2:
+        return PRIMITIVE
+    floor = block_shape_floor(n)
+    if floor is None:
+        return PRIMITIVE_PRIME
+    return PRIMITIVE_BLOCKS if n + r < floor else TRANSITIVE_CATALOG
 
 
 def candidate_source(n: int, r: int) -> str:
     """Where the candidates for s(G) = n + r at degree n come from."""
-    if r < n - 2:
-        return PRIMITIVE
-    if r > n or n < 3:
-        return f"subgroup classes of S_{n}"
-    floor = block_shape_floor(n)
-    if floor is None:
-        source = PRIMITIVE_PRIME
-    elif n + r < floor:
-        source = PRIMITIVE_BLOCKS
-    else:
-        source = TRANSITIVE_CATALOG
-    return source + PADDINGS if r == n else source
+    source = _transitive_source(n, r)
+    if two_orbit_shape_fits(n, n + r):
+        source += TWO_ORBITS
+    if pads_fit(n, n + r):
+        source += PADDINGS
+    return source
+
+
+def _pool(n: int, s: int, index: _Index) -> list[cat.CatalogEntry]:
+    """Catalog entries, padded by fixed points as needed, among which every
+    group of degree n with s(G) = s has an S_n-conjugate (the recursion in
+    the module docstring); some have another s."""
+    r = s - n
+    kind = ("transitive" if _transitive_source(n, r) == TRANSITIVE_CATALOG
+            else "primitive")
+    out = [e for e in _catalog_pool(n, kind, index)
+           if _divides_filter(n, r, e.expected_order)]
+    if two_orbit_shape_fits(n, s):
+        out += [e for e in _catalog_pool(n, "two-orbit", index)
+                if math.prod(len(O) + 1 for O in e.group().orbits()) <= s]
+    if pads_fit(n, s):
+        out += [cat.padded(e) for e in _pool(n - 1, s // 2, index)
+                if e.expected_s in (None, s // 2)]
+    return out
 
 
 def candidate_groups(n: int, r: int,
                      entries: Iterable[cat.CatalogEntry] | None = None) -> list[Candidate]:
-    """Candidates for s(G) = n + r at a surviving degree n.
+    """Candidates for s(G) = n + r at a surviving degree n: the pool of
+    (n, n + r), less the groups containing A_n.  Labels are catalog IDs,
+    with a ``+1`` per padded fixed point.
 
-    Raises DataGapError when the needed subgroup enumeration or catalog
-    coverage is unavailable.
+    Raises DataGapError when a catalog pool the recursion needs is missing
+    or incomplete.
     """
-    if entries is None:
-        entries = cat.load_default()
-    entries = list(entries)
-    source = candidate_source(n, r)
-    if source.startswith("subgroup classes"):
-        try:
-            classes = all_subgroups(n)
-        except SubgroupCapError as exc:
-            raise DataGapError([f"degree {n}: needs subgroup data for S_{n} "
-                                f"({exc})"]) from None
-        out = [Candidate(c.representative, f"S{n}-cls{c.index}",
-                         f"subgroup class {c.index} of S_{n}") for c in classes]
-    else:
-        kind = "transitive" if source.startswith(TRANSITIVE_CATALOG) else "primitive"
-        out = [Candidate(e.group(), e.id, e.name)
-               for e in _catalog_pool(n, kind, entries)
-               if _divides_filter(n, r, e.expected_order)]
-        if source.endswith(PADDINGS):
-            # the set-transitive groups of degree n - 1: 2-homogeneous, hence
-            # primitive, from degree 3 on; S_2 at degree 2.  s(H) is read
-            # from the catalog; an entry that records none is kept
-            for e in _catalog_pool(n - 1, "primitive", entries):
-                if e.expected_s in (None, n):
-                    p = cat.padded(e)
-                    out.append(Candidate(p.group(), p.id, p.name))
+    if not MIN_R <= r <= MAX_R:
+        # the two-orbit catalog holds the groups with s <= n + MAX_R only
+        raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
+    index = _default_index() if entries is None else _index(entries)
+    out = [Candidate(e.group(), e.id, e.name) for e in _pool(n, n + r, index)]
     if n <= 2:
         # A_1 and A_2 are trivial; the s = n + 1 exclusion only applies from
         # degree 3 on (the trivial group on 2 points has s = 4)
@@ -233,9 +264,7 @@ def classify(r: int, strict: bool = True,
     """
     if not MIN_R <= r <= MAX_R:
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
-    t0 = time.perf_counter()
     verdicts = [prune_degree(n, r) for n in degree_range(r)]
-    t1 = time.perf_counter()
     rows: list[ClassificationRow] = []
     counts: dict[int, int] = {}
     sources: dict[int, str] = {}
@@ -262,11 +291,8 @@ def classify(r: int, strict: bool = True,
     if gaps and strict:
         raise DataGapError(gaps)
     rows.sort(key=lambda row: (row.degree, row.order, row.group_label))
-    t2 = time.perf_counter()
     return RunReport(r=r, degree_verdicts=verdicts, candidate_counts=counts,
-                     rows=rows, gaps=gaps,
-                     timing={"prune": t1 - t0, "compute": t2 - t1},
-                     candidate_sources=sources,
+                     rows=rows, gaps=gaps, candidate_sources=sources,
                      route_counts=routes)
 
 

@@ -9,6 +9,7 @@ from setorbits.catalog import (
     PRIMITIVE_COUNTS,
     CatalogError,
     TRANSITIVE_COUNTS,
+    TWO_ORBIT_COUNTS,
     builtin,
     by_id,
     candidates,
@@ -18,7 +19,7 @@ from setorbits.catalog import (
     verify_entry,
 )
 from setorbits.orbitcount import count_set_orbits
-from setorbits.perm import is_primitive, is_transitive
+from setorbits.perm import Permutation, build_group, is_primitive, is_transitive
 from setorbits.pipeline import candidate_groups, forced_transitive_size
 
 
@@ -157,7 +158,9 @@ def test_transitive_filter_semantics():
     assert {e.id for e in candidates(6, "primitive")} == {
         "6P1", "6X1", "6X2", "6X3"}
     allsix = candidates(6, "all")
-    assert len(allsix) == len(six)  # no intransitive degree-6 entries shipped
+    two = candidates(6, "two-orbit")
+    assert len(two) == TWO_ORBIT_COUNTS[6]
+    assert len(allsix) == len(six) + len(two)  # no other degree-6 entries
 
 
 def test_transitive_degree8_complete():
@@ -209,17 +212,48 @@ def _derive_catalog_script():
     return module
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_derived_imprimitive_entries_are_the_shipped_lines(n):
-    """The wreath-closure derivation prints exactly the shipped imprimitive
-    transitive lines of degree n, in order (degree 8 is left to the script
-    itself, about 16 s)."""
+    """The closure derivation prints exactly the shipped imprimitive
+    transitive and two-orbit lines of degree n, in order (the transitive
+    degree 8 is left to the script itself, about 16 s)."""
     text = resources.files("setorbits").joinpath("data/groups.cat").read_text(
         encoding="utf-8")
+    kinds = ({"transitive"}, {"two-orbit"})
     shipped = [line for line, e in zip(
         (l for l in text.splitlines() if l.strip() and not l.startswith("#")),
         parse_catalog(text))
-        if e.degree == n and e.tags & {"transitive", "primitive"} == {"transitive"}]
-    derived = _derive_catalog_script().imprimitive_transitive(n, [])
+        if e.degree == n and e.tags & {"transitive", "primitive", "two-orbit"} in kinds]
+    script = _derive_catalog_script()
+    derived = script.closure_entries(n, "two-orbit", [])
+    if n in TRANSITIVE_COUNTS:
+        derived = script.closure_entries(n, "transitive", []) + derived
     assert [e.line() for e in derived] == shipped
-    assert len(shipped) == TRANSITIVE_COUNTS[n] - PRIMITIVE_COUNTS[n]
+    assert len(shipped) == (TRANSITIVE_COUNTS.get(n, PRIMITIVE_COUNTS[n])
+                            - PRIMITIVE_COUNTS[n] + TWO_ORBIT_COUNTS[n])
+
+
+@pytest.mark.parametrize("ident,central", [
+    ("5S10", False), ("5S11", True), ("6S35", False), ("6S37", True),
+    ("6S40", True), ("6S41", False), ("7S87", False), ("7S88", True),
+    ("6T6", True), ("6T7", False)])
+def test_shared_signatures_named_by_centre(ident, central):
+    """Of two classes with one (order, s), the direct product (C6, C3xS3,
+    C2xA4, C2xA5) has a nontrivial centre and the other (S3, (C3xC3):C2,
+    S4, S5) has none; the derivation names them by this check."""
+    assert _derive_catalog_script().has_centre(by_id(ident).group()) is central
+
+
+@pytest.mark.parametrize("gens,degree,central", [
+    ("(1,2,3,4,5,6)", 6, True),                 # C6
+    ("(1,2);(1,2,3)", 3, False),                # S3
+    ("(1,2);(1,2,3,4)", 4, False),              # S4
+    ("(1,2);(1,2,3,4,5)", 5, False),            # S5
+    ("(1,2);(3,4,5);(4,5,6)", 6, True),         # C2xA4
+    ("(1,2);(3,4,5);(3,4,5,6,7)", 7, True),     # C2xA5
+    ("(1,2,3);(4,5);(4,5,6)", 6, True),         # C3xS3
+    ("(1,2,3);(4,5,6);(2,3)(5,6)", 6, False)])  # (C3xC3):C2
+def test_centre_check(gens, degree, central):
+    """The centre check on the eight groups, built apart from the catalog."""
+    G = build_group([Permutation.parse(g, degree) for g in gens.split(";")])
+    assert _derive_catalog_script().has_centre(G) is central

@@ -1,22 +1,29 @@
 """The candidate lemmas of ``pipeline.candidate_source``, each checked
-against the S_n subgroup walk it replaces."""
+against the S_n subgroup walk they replace."""
 
 import dataclasses
 import math
+import sys
 
 import pytest
 
-from setorbits import pipeline, subgroups
-from setorbits.catalog import TRANSITIVE_COUNTS, by_id, candidates, load_default, padded
+from setorbits.catalog import (
+    TRANSITIVE_COUNTS,
+    TWO_ORBIT_COUNTS,
+    by_id,
+    candidates,
+    load_default,
+    padded,
+)
 from setorbits.orbitcount import count_set_orbits
 from setorbits.perm import _minimal_block_size, is_primitive
 from setorbits.pipeline import (
+    MAX_R,
     block_shape_floor,
     candidate_groups,
     candidate_source,
     classify,
-    compare_to_golden,
-    load_golden,
+    two_orbit_shape_fits,
 )
 from setorbits.subgroups import all_subgroups, conjugate_in_sn, transitive_classes
 
@@ -53,7 +60,7 @@ def _transitive_groups():
 
 
 def test_block_shape_bound_holds_for_every_block_system():
-    """119 block systems on 167 groups; the bound is met exactly by 37 of
+    """119 block systems on 168 groups; the bound is met exactly by 37 of
     them (4T1 and D8 with blocks of 2, 6T13 with blocks of 3, ...)."""
     groups = systems = tight = 0
     for label, G in _transitive_groups():
@@ -64,7 +71,7 @@ def test_block_shape_bound_holds_for_every_block_system():
             floor = math.comb(n // k + k, k)
             assert s >= floor >= block_shape_floor(n), (label, k, s)
             tight += s == floor
-    assert (groups, systems, tight) == (167, 119, 37)
+    assert (groups, systems, tight) == (168, 119, 37)
 
 
 @pytest.mark.parametrize("n,floor", [
@@ -79,7 +86,12 @@ def test_block_shape_floor_values(n, floor):
     (8, 7, "transitive catalog"),
     (9, 7, "primitive catalog (block shape)"),
     (9, 9, "primitive catalog (block shape) + one-point paddings"),
-    (9, 11, "subgroup classes of S_9"),
+    (9, 11, "transitive catalog + one-point paddings"),
+    (4, 5, "transitive catalog + two-orbit catalog"),
+    (4, 6, "transitive catalog + two-orbit catalog + one-point paddings"),
+    (7, 11, "primitive catalog (prime degree) + two-orbit catalog"
+            " + one-point paddings"),
+    (2, 2, "primitive catalog (prime degree) + one-point paddings"),
     (10, 8, "primitive catalog (block shape)"),
     (10, 10, "primitive catalog (block shape) + one-point paddings"),
     (6, 4, "transitive catalog"),
@@ -96,6 +108,28 @@ def test_transitive_catalog_needed_only_at_degrees_4_6_8():
         for r in range(2, n + 1):
             if candidate_source(n, r).startswith("transitive catalog"):
                 assert n in TRANSITIVE_COUNTS, (n, r)
+
+
+def test_two_orbit_catalog_needed_only_at_degrees_4_to_7():
+    """A shape with no fixed point and two or more orbits has
+    prod(|O_i| + 1) <= n + MAX_R only for two orbits and n <= 7 (checked for
+    n < 200; merging two orbits lowers the product, so shapes with more than
+    three orbits need no separate check), and ``two_orbit_shape_fits`` says
+    exactly when one fits."""
+    for n in range(2, 200):
+        pairs = [(a, n - a) for a in range(2, n // 2 + 1)]
+        triples = [(a, b, n - a - b) for a in range(2, n // 3 + 1)
+                   for b in range(a, (n - a) // 2 + 1)]
+        assert all(math.prod(k + 1 for k in shape) > n + MAX_R
+                   for shape in triples), n
+        for s in range(n + 1, n + MAX_R + 1):
+            fits = any(math.prod(k + 1 for k in shape) <= s for shape in pairs)
+            assert two_orbit_shape_fits(n, s) == fits, (n, s)
+            if fits:
+                assert n in TWO_ORBIT_COUNTS, (n, s)
+        for r in range(2, MAX_R + 1):
+            if "two-orbit" in candidate_source(n, r):
+                assert n in TWO_ORBIT_COUNTS, (n, r)
 
 
 def test_block_shape_closes_degree9_and_10_gaps():
@@ -151,11 +185,15 @@ def test_intransitive_classes_at_2n_are_paddings(n, count):
 
 
 def test_padding_without_recorded_s_is_kept():
-    entries = [dataclasses.replace(e, expected_s=None) if e.id == "5P1" else e
+    """The padded pool of degree 5 at s = 6 is primitive with C(5, 2) = 10
+    dividing the order, so C5 (5P1) is never in it; D10 (5P2) is, and is
+    dropped by its recorded s = 8 unless it records none."""
+    entries = [dataclasses.replace(e, expected_s=None) if e.id == "5P2" else e
                for e in load_default()]
     labels = {c.label for c in candidate_groups(6, 6, entries=entries)}
-    assert {"5P1+1", "5P3+1", "5P4+1", "5P5+1"} <= labels
-    assert "5P2+1" not in labels  # D10 records s = 8, not 6
+    assert {"5P2+1", "5P3+1", "5P4+1", "5P5+1"} <= labels
+    assert "5P1+1" not in labels
+    assert "5P2+1" not in {c.label for c in candidate_groups(6, 6)}
 
 
 def test_set_transitive_groups_are_primitive():
@@ -166,28 +204,44 @@ def test_set_transitive_groups_are_primitive():
 
 
 def test_padded_rows_resolve_by_id():
-    for r in (3, 4, 5, 6):
-        for row in classify(r).rows:
-            if row.group_label.endswith("+1"):
-                e = by_id(row.group_label)
-                assert (e.degree, e.expected_order, e.expected_s) == (
-                    row.degree, row.order, row.s_value)
+    """Every row label, padded or not, is a catalog ID with a ``+1`` per
+    fixed point, and resolves to the row's degree, order and s."""
+    for r in range(2, MAX_R + 1):
+        for row in classify(r, strict=False).rows:
+            e = by_id(row.group_label)
+            assert (e.degree, e.expected_order, e.expected_s) == (
+                row.degree, row.order, row.s_value), (r, row)
 
 
 # ---------------------------------------------------------------------------
-# guard: r <= 6 needs no walk of S_6 or beyond
+# the orbit-shape recursion against the S_n walk
 
-def test_classify_up_to_r6_walks_no_s6(monkeypatch):
-    real = subgroups.all_subgroups
+@pytest.mark.parametrize("n", range(2, 8))
+def test_candidates_match_sn_walk(n):
+    """For r = 2..11, the candidates with s = n + r and the subgroup
+    classes of S_n with s = n + r (less A_n from degree 3 on) match one to
+    one up to S_n-conjugacy."""
+    classes = [(c.representative, count_set_orbits(c.representative))
+               for c in all_subgroups(n)
+               if n < 3 or not c.representative.contains_alternating()]
+    for r in range(2, MAX_R + 1):
+        walked = [G for G, s in classes if s == n + r]
+        cands = [c.group for c in candidate_groups(n, r)
+                 if count_set_orbits(c.group) == n + r]
+        assert _one_to_one(cands, walked), r
 
-    def guarded(n):
-        if n >= 6:
-            raise AssertionError(f"walked S_{n}")
-        return real(n)
 
-    monkeypatch.setattr(subgroups, "all_subgroups", guarded)
-    monkeypatch.setattr(pipeline, "all_subgroups", guarded)
-    for r in range(2, 7):
-        report = classify(r)
-        diff = compare_to_golden(report, load_golden(r))
-        assert diff.empty, (r, diff.missing, diff.extra)
+# ---------------------------------------------------------------------------
+# guard: classify walks no S_n
+
+def test_classify_walks_no_sn(monkeypatch):
+    def walk(*args):
+        raise AssertionError("subgroup walk")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("setorbits"):
+            for name in ("subgroup_classes", "all_subgroups"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, walk)
+    for r in range(2, MAX_R + 1):
+        assert classify(r, strict=False).rows

@@ -30,6 +30,7 @@ from setorbits.subgroups import transitive_classes
     (6, 3, 2), (7, 3, 2), (8, 3, 3), (9, 3, 3), (11, 3, 4), (12, 3, 5),
     (8, 4, 2), (10, 4, 3), (12, 4, 4),
     (9, 5, 2), (11, 5, 3), (10, 5, 3),
+    (4, 1, 2), (5, 1, 2),  # s = n + 1: every size up to n/2 is one orbit
 ])
 def test_forced_transitive_size_instantiations(n, r, t):
     assert forced_transitive_size(n, r) == t
@@ -63,16 +64,17 @@ def test_transitive_regime_degree4():
     assert sorted(c.group.order for c in cands) == [4, 4, 8]  # A4/S4 excluded
 
 
-def test_all_subgroups_regime_degree4():
-    cands = candidate_groups(4, 5)  # r > n; at r = n the orbit-shape route
-    assert len(cands) == 9  # 11 classes minus A_4 and S_4
-    orders = sorted(c.group.order for c in cands)
-    assert orders == [1, 2, 2, 3, 4, 4, 4, 6, 8]
+def test_orbit_shape_regime_degree4():
+    # r > n: the transitive catalog less A_4 and S_4, and the two-orbit
+    # groups, whose orbits (2, 2) give s >= 9; s = 9 is odd, so no padding
+    cands = candidate_groups(4, 5)
+    assert [c.label for c in cands] == ["4T2", "4T1", "4T3", "4S2", "4S6"]
+    assert sorted(c.group.order for c in cands) == [2, 4, 4, 4, 8]
 
 
 def test_degree2_keeps_trivial_group():
     cands = candidate_groups(2, 2)
-    assert sorted(c.group.order for c in cands) == [1, 2]
+    assert [(c.label, c.group.order) for c in cands] == [("2P1", 2), ("1P1+1", 1)]
 
 
 def test_transitive_regime_degree8_uses_catalog():
@@ -240,6 +242,8 @@ def test_classify_r_out_of_range():
         classify(1)
     with pytest.raises(ValueError):
         classify(12)
+    with pytest.raises(ValueError):
+        candidate_groups(4, 12)  # the two-orbit catalog stops at s = n + 11
 
 
 def test_classify_r6_runs_clean():
@@ -335,19 +339,19 @@ def test_spot_checks_fully_reproduce(r):
 
 
 @pytest.mark.parametrize("r,gaps", [
-    (8, {14, 18}), (9, {8, 13, 14, 17, 18}), (10, {8, 14, 16, 18}),
-    (11, {8, 9, 10, 13, 14, 15, 16, 17, 18})], ids=["8", "9", "10", "11"])
+    (8, {14, 18}), (9, {13, 14, 17, 18}), (10, {14, 16, 18}),
+    (11, {9, 10, 13, 14, 15, 16, 17, 18})], ids=["8", "9", "10", "11"])
 def test_nonstrict_gap_degrees(r, gaps):
     assert gap_degrees(nonstrict(r)) == gaps
 
 
 def test_golden_check_negative_control():
-    # degree 8 is a gap at r = 9, and one catalog entry has 8S240's signature
-    golden = load_golden(9)
-    (row,) = [g for g in golden if g.label == "8S240"]
-    assert golden_check_failures(nonstrict(9), golden) == []
-    assert golden_check_failures(nonstrict(9), golden + [row]) == [
-        "2 missing rows (8, 96, 17), 1 catalog entries"]
+    # degree 9 is a gap at r = 11, and one catalog entry has 9S497's signature
+    golden = load_golden(11)
+    (row,) = [g for g in golden if g.label == "9S497"]
+    assert golden_check_failures(nonstrict(11), golden) == []
+    assert golden_check_failures(nonstrict(11), golden + [row]) == [
+        "2 missing rows (9, 324, 20), 1 catalog entries"]
 
 
 @pytest.mark.parametrize("r,labels", [
