@@ -268,22 +268,3 @@ def builtin(family: str, n: int) -> PermGroup:
 def _cycle(n: int) -> Permutation:
     return Permutation(list(range(1, n)) + [0])
 
-
-# ---------------------------------------------------------------------------
-# candidate selection
-
-def candidates(degree: int, filter: str = "all",
-               entries: Iterable[CatalogEntry] | None = None) -> list[CatalogEntry]:
-    """Catalog entries of one degree passing a tag filter."""
-    if filter != "all" and filter not in MANIFEST:
-        raise ValueError(f"unknown filter {filter!r}")
-    if entries is None:
-        entries = load_default()
-    out = []
-    for e in entries:
-        if e.degree != degree:
-            continue
-        if filter != "all" and filter not in e.tags:
-            continue
-        out.append(e)
-    return out

@@ -11,10 +11,12 @@ over all 2^n subset bitmasks (scales with 2^n, runs for n <= 22).
 ``counting_route`` picks, for the support of each group, the shortcut for
 natural symmetric and alternating actions or else the cheaper route that
 fits, by the cost model |G|*n against ENUMERATION_COST_RATIO*2^n*|gens|.
-The enumeration route of ``orbit_profile`` is a counting-only kernel with
-per-generator image tables; ``enumerate_set_orbits`` builds the explicit
-partition (for dumps and as the oracle) and ``profile_from_enumeration``
-reads the profile off it.  Tests hold all three equal wherever they run.
+One table-driven walk over the masks, ``_orbits``, serves both the
+enumeration route of ``orbit_profile``, which only counts its orbits, and
+``enumerate_set_orbits``, which keeps them as the explicit partition (for
+dumps).  ``profile_from_enumeration`` is the oracle: a separate walk that
+computes every image bit by bit and shares no table or code with
+``_orbits``.  Tests hold the routes and the oracle equal wherever they run.
 
 Subsets are encoded as bitmasks with point i on bit i-1, so orbit dumps are
 reproducible bit for bit.
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator
 
 from .perm import (
     ITERATION_MAX_ORDER,
@@ -170,37 +173,49 @@ def _image_table(g: tuple[int, ...], first: int, width: int) -> list[int]:
     return t
 
 
-def _enumeration_profile(G: PermGroup) -> OrbitProfile:
-    """The counting kernel: orbits per size by a walk over all 2^n masks.
-
-    Per generator, one table maps the low byte of a mask to its image and
-    one maps the remaining n - 8 <= 14 bits, so an image costs two lookups.
-    Visited masks are marked in a bytearray and each orbit is counted at its
-    smallest mask, the first one the scan meets; no orbit is kept.
-    """
-    n = G.degree
+def _require_enumerable(n: int) -> None:
     if n > ENUMERATION_MAX_DEGREE:
         raise GroupTooLargeError(
             f"degree {n} too large for subset enumeration (max "
             f"{ENUMERATION_MAX_DEGREE})")
+
+
+def _orbits(G: PermGroup) -> Iterator[list[int]]:
+    """Every orbit of G on the 2^n subset masks, each starting at its
+    smallest mask; the starts ascend.
+
+    Per generator, one table maps the low byte of a mask to its image and
+    one maps the remaining n - 8 <= 14 bits, so an image costs two lookups.
+    Visited masks are marked in a bytearray, and each orbit list is its own
+    work queue.  The caller checks the degree first.
+    """
+    n = G.degree
     tables = [(_image_table(g, 0, min(n, 8)), _image_table(g, 8, max(n - 8, 0)))
               for g in G.generator_tuples()]
     seen = bytearray(1 << n)
-    by_size = [0] * (n + 1)
     start = 0
     while start >= 0:
         seen[start] = 1
-        by_size[start.bit_count()] += 1
-        stack = [start]
-        while stack:
-            m = stack.pop()
+        orbit = [start]
+        for m in orbit:
             low, high = m & 255, m >> 8
             for t_low, t_high in tables:
                 img = t_low[low] | t_high[high]
                 if not seen[img]:
                     seen[img] = 1
-                    stack.append(img)
+                    orbit.append(img)
+        yield orbit
         start = seen.find(0, start + 1)
+
+
+def _enumeration_profile(G: PermGroup) -> OrbitProfile:
+    """The counting kernel: orbits per size by the table-driven walk, each
+    counted at its smallest mask; no orbit is kept."""
+    n = G.degree
+    _require_enumerable(n)
+    by_size = [0] * (n + 1)
+    for orbit in _orbits(G):
+        by_size[orbit[0].bit_count()] += 1
     return OrbitProfile(n, tuple(by_size), sum(by_size))
 
 
@@ -215,21 +230,31 @@ def enumerate_set_orbits(G: PermGroup) -> list[list[int]]:
     Orbits are sorted by (subset size, smallest member mask); within an
     orbit, masks are ascending.  Requires degree <= 22.
     """
+    _require_enumerable(G.degree)
+    orbits = []
+    for orbit in _orbits(G):
+        orbit.sort()
+        orbits.append(orbit)
+    # the walk yields the orbits by ascending smallest mask: a stable sort by
+    # size leaves them in (size, smallest mask) order
+    orbits.sort(key=lambda orbit: orbit[0].bit_count())
+    return orbits
+
+
+def profile_from_enumeration(G: PermGroup) -> OrbitProfile:
+    """Orbits per size by a walk over all 2^n masks that computes every
+    image bit by bit: the oracle for the table-driven walk, sharing no table
+    or code with it."""
     n = G.degree
-    if n > ENUMERATION_MAX_DEGREE:
-        raise GroupTooLargeError(
-            f"degree {n} too large for subset enumeration (max "
-            f"{ENUMERATION_MAX_DEGREE})")
+    _require_enumerable(n)
     gens = G.generator_tuples()
-    # per generator: mask -> image mask, computed bit by bit
-    total = 1 << n
-    seen = bytearray(total)
-    orbits: list[list[int]] = []
-    for start in range(total):
+    seen = bytearray(1 << n)
+    by_size = [0] * (n + 1)
+    for start in range(1 << n):
         if seen[start]:
             continue
-        orbit = [start]
         seen[start] = 1
+        by_size[bin(start).count("1")] += 1
         stack = [start]
         while stack:
             m = stack.pop()
@@ -242,20 +267,7 @@ def enumerate_set_orbits(G: PermGroup) -> list[list[int]]:
                     rest ^= low
                 if not seen[img]:
                     seen[img] = 1
-                    orbit.append(img)
                     stack.append(img)
-        orbit.sort()
-        orbits.append(orbit)
-    orbits.sort(key=lambda orb: (bin(orb[0]).count("1"), orb[0]))
-    return orbits
-
-
-def profile_from_enumeration(G: PermGroup) -> OrbitProfile:
-    """Profile read off the explicit orbit partition (the oracle route)."""
-    n = G.degree
-    by_size = [0] * (n + 1)
-    for orb in enumerate_set_orbits(G):
-        by_size[bin(orb[0]).count("1")] += 1
     return OrbitProfile(n, tuple(by_size), sum(by_size))
 
 
@@ -273,11 +285,16 @@ def is_set_transitive(G: PermGroup) -> bool:
 
 def dump_orbits(G: PermGroup) -> list[str]:
     """Orbit dump lines: subsets as sorted {a,b,...} lists, one orbit per line."""
+    names = [str(i + 1) for i in range(G.degree)]
     lines = []
     for orb in enumerate_set_orbits(G):
         parts = []
         for mask in orb:
-            pts = [str(i + 1) for i in range(G.degree) if mask >> i & 1]
+            pts = []
+            while mask:
+                low = mask & -mask
+                pts.append(names[low.bit_length() - 1])
+                mask ^= low
             parts.append("{" + ",".join(pts) + "}")
         lines.append(" ".join(parts))
     return lines

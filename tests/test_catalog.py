@@ -12,7 +12,6 @@ from setorbits.catalog import (
     TWO_ORBIT_COUNTS,
     builtin,
     by_id,
-    candidates,
     check_manifest,
     load_default,
     parse_catalog,
@@ -153,12 +152,14 @@ def test_degree9_primitive_with_divisor_36():
 
 
 def test_transitive_filter_semantics():
-    six = candidates(6, "transitive")
+    def tagged(tag):
+        return [e for e in load_default() if e.degree == 6 and tag in e.tags]
+
+    six = tagged("transitive")
     assert len(six) == TRANSITIVE_COUNTS[6]
-    assert {e.id for e in candidates(6, "primitive")} == {
-        "6P1", "6X1", "6X2", "6X3"}
-    allsix = candidates(6, "all")
-    two = candidates(6, "two-orbit")
+    assert {e.id for e in tagged("primitive")} == {"6P1", "6X1", "6X2", "6X3"}
+    allsix = [e for e in load_default() if e.degree == 6]
+    two = tagged("two-orbit")
     assert len(two) == TWO_ORBIT_COUNTS[6]
     assert len(allsix) == len(six) + len(two)  # no other degree-6 entries
 

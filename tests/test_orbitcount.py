@@ -11,6 +11,7 @@ from setorbits.orbitcount import (
     OrbitProfile,
     _burnside_profile,
     _enumeration_profile,
+    _image_table,
     count_set_orbits,
     counting_route,
     dump_orbits,
@@ -31,19 +32,28 @@ from setorbits.perm import (
 from setorbits.subgroups import all_subgroups
 
 
-def brute_profile(G):
+def brute_orbits(G):
     """Oracle: orbits of frozensets under explicit full group multiplication,
-    independent of both the Burnside path and the bitmask enumerator."""
+    independent of both the Burnside path and the bitmask walks.  Returned
+    as masks in the order ``enumerate_set_orbits`` promises: each orbit
+    ascending, the orbits by (subset size, smallest mask)."""
     n = G.degree
     elems = [p.images for p in elements(G)]
     left = {frozenset(c) for k in range(n + 1)
             for c in combinations(range(n), k)}
-    by_size = [0] * (n + 1)
+    orbits = []
     while left:
         seed = next(iter(left))
         orbit = {frozenset(g[x] for x in seed) for g in elems}
-        by_size[len(seed)] += 1
         left -= orbit
+        orbits.append(sorted(sum(1 << x for x in s) for s in orbit))
+    return sorted(orbits, key=lambda orbit: (bin(orbit[0]).count("1"), orbit[0]))
+
+
+def brute_profile(G):
+    by_size = [0] * (G.degree + 1)
+    for orbit in brute_orbits(G):
+        by_size[bin(orbit[0]).count("1")] += 1
     return tuple(by_size)
 
 
@@ -231,6 +241,18 @@ def test_orbit_members_share_popcount():
 def test_enumeration_degree_cap():
     with pytest.raises(GroupTooLargeError):
         enumerate_set_orbits(builtin("cyclic", 23))
+    with pytest.raises(GroupTooLargeError):
+        profile_from_enumeration(builtin("cyclic", 23))
+
+
+def test_oracle_shares_no_table_walk(monkeypatch):
+    # the bit-by-bit oracle stays independent of the walk it checks
+    def fail(*args):
+        raise AssertionError("table walk used")
+
+    monkeypatch.setattr(orbitcount, "_orbits", fail)
+    monkeypatch.setattr(orbitcount, "_image_table", fail)
+    assert profile_from_enumeration(M12).total == 14
 
 
 def test_dump_format():
@@ -239,6 +261,34 @@ def test_dump_format():
     # within an orbit, subsets appear in ascending mask order
     assert "{1,2} {2,3} {1,4} {3,4}" in lines
     assert "{1,3} {2,4}" in lines
+
+
+def test_dump_matches_per_point_format():
+    # one point name per set bit, as testing every point of every mask gives
+    G = builtin("dihedral", 10)
+    want = [" ".join("{" + ",".join(str(i + 1) for i in range(10) if mask >> i & 1)
+                     + "}" for mask in orb)
+            for orb in enumerate_set_orbits(G)]
+    assert dump_orbits(G) == want
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_partition_matches_oracle(n):
+    for c in all_subgroups(n):
+        assert enumerate_set_orbits(c.representative) == brute_orbits(
+            c.representative), c.index
+
+
+@pytest.mark.parametrize(
+    "e", [pytest.param(e, id=e.id) for e in load_default() if e.degree <= 12])
+def test_image_tables_match_per_bit_images(e):
+    # the walk's two lookups give, for every mask, the image point by point
+    n = e.degree
+    for g in e.group().generator_tuples():
+        low, high = _image_table(g, 0, min(n, 8)), _image_table(g, 8, max(n - 8, 0))
+        for m in range(1 << n):
+            want = sum(1 << g[i] for i in range(n) if m >> i & 1)
+            assert low[m & 255] | high[m >> 8] == want, (g, m)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +341,7 @@ def test_burnside_equals_enumeration(G):
     prof = orbit_profile(G)
     assert prof == profile_from_enumeration(G)
     assert prof.by_size == brute_profile(G)
+    assert enumerate_set_orbits(G) == brute_orbits(G)
 
 
 @given(st.lists(st.permutations(range(6)).map(Permutation), min_size=2,
