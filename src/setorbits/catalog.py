@@ -72,13 +72,17 @@ class CatalogEntry:
 
 
 @lru_cache(maxsize=None)
-def _build_entry_group_cached(degree: int, gen_texts: tuple[str, ...]) -> PermGroup:
+def _build_entry_group_cached(degree: int, gen_texts: tuple[str, ...],
+                              order: int | None = None) -> PermGroup:
     gens = [parse_permutation(t, degree) for t in gen_texts]
-    return build_group(gens, degree=degree)
+    return build_group(gens, degree=degree, order=order)
 
 
 def _build_entry_group(e: CatalogEntry) -> PermGroup:
-    return _build_entry_group_cached(e.degree, e.generator_texts)
+    """The entry's group, trusting its recorded order: ``verify_entry``
+    certifies that order, and a chain built later cross-checks it."""
+    return _build_entry_group_cached(e.degree, e.generator_texts,
+                                     e.expected_order)
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +179,13 @@ class EntryReport:
 
 
 def verify_entry(e: CatalogEntry) -> EntryReport:
-    """Rebuild the group and check order, tags and recorded s-value."""
+    """Rebuild the group and check order, tags and recorded s-value.
+
+    The order comes from a chain built from the generators alone, never from
+    the recorded order that ``CatalogEntry.group`` trusts."""
     checks: list[tuple[str, bool, str]] = []
     try:
-        G = e.group()
+        G = _build_entry_group_cached(e.degree, e.generator_texts)
     except Exception as exc:
         return EntryReport(e.id, (("build", False, str(exc)),))
     checks.append(("order", G.order == e.expected_order,

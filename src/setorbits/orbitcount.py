@@ -62,7 +62,8 @@ class OrbitProfile:
 
 def _restriction_to_support(G: PermGroup) -> tuple[PermGroup, int] | None:
     """(G restricted to its moved points, #fixed points), or None if faithful
-    restriction does not drop any point."""
+    restriction does not drop any point.  The restriction is faithful, so it
+    carries G's order when that is known, and no chain is built for G."""
     fixed = G.fixed_points()
     if not fixed:
         return None
@@ -72,7 +73,7 @@ def _restriction_to_support(G: PermGroup) -> tuple[PermGroup, int] | None:
     index = {p: k for k, p in enumerate(moved)}
     gens = [Permutation([index[g[p]] for p in moved])
             for g in G.generator_tuples()]
-    return build_group(gens, degree=len(moved)), len(fixed)
+    return build_group(gens, degree=len(moved), order=G.known_order), len(fixed)
 
 
 def _profile_from_histogram(n: int, order: int, hist: Counter) -> tuple[int, ...]:

@@ -6,8 +6,13 @@ right-to-left: ``compose(a, b)`` applies ``b`` first, then ``a``.
 
 Groups are backed by a deterministic stabilizer chain (Schreier-Sims, no
 randomization), which gives exact orders, membership tests and duplicate-free
-element iteration.  A ``PermGroup`` is immutable once its chain is built and
-can be shared freely between threads.
+element iteration.  A ``PermGroup`` builds its chain on first need: the first
+membership test, element iteration or order query that the generators alone
+cannot answer.  A group given its ``order`` reports that order without a
+chain, trusting it, and checks it against the chain once one is built.  The
+generators and the order never change, so a group can be shared freely
+between threads: two threads that race on the first build produce equal
+chains, because the build is deterministic.
 """
 
 from __future__ import annotations
@@ -331,15 +336,21 @@ class _Chain:
 
 
 class PermGroup:
-    """A permutation group given by generators, with an exact stabilizer chain.
+    """A permutation group given by generators, with an exact stabilizer chain
+    built on first need.
 
-    Immutable after construction; all derived data (order, chain) is computed
-    deterministically so iteration order and reported orders are reproducible.
+    ``order``, when given, is trusted: ``order`` reports it, and the route
+    choices made from it need no chain.  Once a chain is built (for a
+    membership test, element iteration, or the order of a group given none),
+    its order is checked against the given one and a mismatch raises
+    PermError.  The chain is deterministic, so iteration order and reported
+    orders are reproducible, and a race on the first build is harmless.
     """
 
-    __slots__ = ("degree", "generators", "_chain")
+    __slots__ = ("degree", "generators", "_order", "_chain")
 
-    def __init__(self, generators: Sequence[Permutation], degree: int | None = None):
+    def __init__(self, generators: Sequence[Permutation], degree: int | None = None,
+                 order: int | None = None):
         gens = list(generators)
         if degree is None:
             if not gens:
@@ -352,20 +363,40 @@ class PermGroup:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "generators", tuple(g for g in gens
                                                      if not g.is_identity()))
-        object.__setattr__(self, "_chain",
-                           _Chain((g.images for g in self.generators), degree))
+        if order is not None and order < 1:
+            raise PermError(f"group order must be positive, got {order}")
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_chain", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PermGroup is immutable")
 
+    def _built_chain(self) -> _Chain:
+        chain = self._chain
+        if chain is None:
+            chain = _Chain((g.images for g in self.generators), self.degree)
+            if self._order is not None and chain.order != self._order:
+                raise PermError(f"generators give order {chain.order}, "
+                                f"the group was given order {self._order}")
+            object.__setattr__(self, "_order", chain.order)
+            object.__setattr__(self, "_chain", chain)
+        return chain
+
     @property
     def order(self) -> int:
-        return self._chain.order
+        if self._order is None:
+            self._built_chain()
+        return self._order
+
+    @property
+    def known_order(self) -> int | None:
+        """The order if it is known without building a chain, else None."""
+        return self._order
 
     def __contains__(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             return False
-        return self._chain.contains(p.images)
+        return self._built_chain().contains(p.images)
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "()"
@@ -380,7 +411,7 @@ class PermGroup:
             raise GroupTooLargeError(
                 f"group of order {self.order} too large for element iteration"
                 f" (limit {ITERATION_MAX_ORDER})")
-        return self._chain.iter_elements()
+        return self._built_chain().iter_elements()
 
     def contains_alternating(self) -> bool:
         """True iff A_degree <= G (i.e. G is A_n or S_n in natural action)."""
@@ -417,9 +448,11 @@ class PermGroup:
                      if all(g[i] == i for g in gens))
 
 
-def build_group(gens: Sequence[Permutation], degree: int | None = None) -> PermGroup:
-    """Group generated by ``gens``; empty list plus explicit degree gives {e}."""
-    return PermGroup(gens, degree)
+def build_group(gens: Sequence[Permutation], degree: int | None = None,
+                order: int | None = None) -> PermGroup:
+    """Group generated by ``gens``; empty list plus explicit degree gives {e}.
+    A given ``order`` is trusted until a chain is built (see PermGroup)."""
+    return PermGroup(gens, degree, order)
 
 
 def elements(G: PermGroup) -> Iterator[Permutation]:

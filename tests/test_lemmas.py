@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from setorbits import catalog, pipeline
 from setorbits.catalog import (
     TRANSITIVE_COUNTS,
     TWO_ORBIT_COUNTS,
@@ -245,3 +246,16 @@ def test_classify_walks_no_sn(monkeypatch):
                     monkeypatch.setattr(module, name, walk)
     for r in range(2, MAX_R + 1):
         assert classify(r, strict=False).rows
+
+
+def test_classify_builds_chains_only_for_burnside(chain_builds):
+    """Only the Burnside route iterates elements; every other route, the
+    A_n exclusion and the row orders read the catalog's certified order."""
+    for r in range(2, MAX_R + 1):
+        catalog._build_entry_group_cached.cache_clear()
+        pipeline._profile_cache.clear()
+        chain_builds.clear()
+        report = classify(r, strict=False)
+        burnside = sum(routes.get("burnside", 0)
+                       for routes in report.route_counts.values())
+        assert len(chain_builds) <= burnside, r

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setorbits import orbitcount
-from setorbits.catalog import builtin, load_default
+from setorbits.catalog import builtin, by_id, load_default
 from setorbits.orbitcount import (
     OrbitProfile,
     _burnside_profile,
     _enumeration_profile,
     _image_table,
+    _restriction_to_support,
     count_set_orbits,
     counting_route,
     dump_orbits,
@@ -156,6 +157,26 @@ def test_fixed_point_reduction_matches_oracle():
     G = gset("(1,2,3)", "(2,3,4)", degree=5)
     assert orbit_profile(G).by_size == brute_profile(G)
     assert count_set_orbits(G) == 2 * count_set_orbits(builtin("alternating", 4))
+
+
+@pytest.mark.parametrize("ident, route", [("8P1+1", "enumeration"),
+                                          ("7P2+1", "burnside"),
+                                          ("6X2+1", "shortcut")])
+def test_support_restriction_keeps_order(chain_builds, ident, route):
+    e = by_id(ident)
+    gens = [parse_permutation(t, e.degree) for t in e.generator_texts]
+    hinted = build_group(gens, degree=e.degree, order=e.expected_order)
+    core, fixed = _restriction_to_support(hinted)
+    assert fixed == 1 and core.known_order == hinted.order == e.expected_order
+    assert counting_route(hinted) == route
+
+    prof = orbit_profile(build_group(gens, degree=e.degree, order=e.expected_order))
+    assert len(chain_builds) == (route == "burnside")
+    hint_free = build_group(gens, degree=e.degree)
+    assert orbit_profile(hint_free) == prof and prof.total == e.expected_s
+    # only the support group builds a chain; the padded group never does
+    assert len(chain_builds) == 1 + (route == "burnside")
+    assert hint_free.known_order is None
 
 
 # ---------------------------------------------------------------------------

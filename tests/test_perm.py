@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,59 @@ def test_element_cap_enforced():
         next(elements(G))
     with pytest.raises(GroupTooLargeError):
         G.iter_element_tuples()
+
+
+def test_given_order_needs_no_chain(chain_builds):
+    gens = [parse_permutation("(1,2)", 4), parse_permutation("(1,2,3,4)", 4)]
+    G = build_group(gens, order=24)
+    assert G.order == G.known_order == 24 and not chain_builds
+    assert G.contains_alternating() and not chain_builds
+    assert len(list(elements(G))) == 24 and len(chain_builds) == 1
+    assert parse_permutation("(1,3)", 4) in G and len(chain_builds) == 1
+
+
+def test_order_without_hint_builds_one_chain(chain_builds):
+    G = build_group([parse_permutation("(1,2,3,4)", 4)])
+    assert G.known_order is None and not chain_builds
+    assert G.order == G.known_order == 4 and len(chain_builds) == 1
+    assert len(list(elements(G))) == 4 and len(chain_builds) == 1
+
+
+def test_wrong_order_hint_is_cross_checked():
+    gens = [parse_permutation("(1,2)", 4), parse_permutation("(1,2,3,4)", 4)]
+    G = build_group(gens, order=12)
+    assert G.order == 12  # trusted until a chain is built
+    with pytest.raises(PermError, match="order 24"):
+        list(elements(G))
+    with pytest.raises(PermError):
+        parse_permutation("(1,2)", 4) in build_group(gens, order=48)
+    with pytest.raises(PermError):
+        build_group(gens, order=0)
+
+
+def test_threads_racing_on_first_build_agree():
+    m11 = [parse_permutation("(1,2,3,4,5,6,7,8,9,10,11)", 11),
+           parse_permutation("(3,7,11,8)(4,10,5,6)", 11)]
+    want = sorted(build_group(m11).iter_element_tuples())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for hint in (None, 7920):
+            G = build_group(m11, order=hint)
+            seen = []
+
+            def work():
+                seen.append((G.order, sorted(G.iter_element_tuples())))
+
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert seen == [(7920, want)] * len(threads)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @given(st.lists(st.permutations(range(6)).map(Permutation), min_size=1,
