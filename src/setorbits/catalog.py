@@ -5,14 +5,16 @@ for the primitive groups of every degree up to 12 (and the trivial group of
 degree 1), the transitive groups of degrees 4, 6 and 8, the groups of
 degrees 4 to 7 with two orbits, no fixed point and s <= n + 11, and the
 auxiliary groups needed to reproduce the reference classification tables.
-No generator set is trusted: ``verify_entry`` rebuilds every group and
-checks its order, its transitivity/primitivity/two-orbit tags and (when
-recorded) its set-orbit count, and the test suite runs this over the whole
-file.  ``by_id("<id>+1")`` is the entry ``<id>`` padded by one fixed point.
+Each word is parsed once, on load, into the entry's ``generators``; the
+entry is the unit the classification works with.  No generator set is
+trusted: ``verify_entry`` rebuilds every group and checks its order, its
+transitivity/primitivity/two-orbit tags and its set-orbit count, and the
+test suite runs this over the whole file.  ``by_id("<id>+1")`` is the entry
+``<id>`` padded by one fixed point.
 
 Record format, one per line, ``#`` starts a comment:
 
-    id|degree|name|expected_order|tag,tag,...|gen;gen;...[|expected_s]
+    id|degree|name|expected_order|tag,tag,...|gen;gen;...|expected_s
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .orbitcount import count_set_orbits
-from .perm import PermGroup, Permutation, build_group, is_primitive, is_transitive, parse_permutation
+from .perm import (PermError, PermGroup, Permutation, build_group, is_primitive,
+                   is_transitive, parse_permutation)
 
 _KNOWN_TAG_PREFIXES = ("paper:",)
 _KNOWN_TAGS = ("transitive", "primitive", "two-orbit")
@@ -59,30 +62,27 @@ class CatalogError(ValueError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One database record: the generators, parsed on load, and the order,
+    tags and set-orbit count the record states (``verify_entry`` checks
+    them).  Entries compare and hash by value, so an entry keys the
+    pipeline's s-memo."""
     id: str
     degree: int
     name: str
     expected_order: int
     tags: frozenset[str]
-    generator_texts: tuple[str, ...]
-    expected_s: Optional[int] = None
+    generators: tuple[Permutation, ...]
+    expected_s: int
+
+    @property
+    def generator_texts(self) -> tuple[str, ...]:
+        """The generator words, in cycle notation."""
+        return tuple(str(g) for g in self.generators)
 
     def group(self) -> PermGroup:
-        return _build_entry_group(self)
-
-
-@lru_cache(maxsize=None)
-def _build_entry_group_cached(degree: int, gen_texts: tuple[str, ...],
-                              order: int | None = None) -> PermGroup:
-    gens = [parse_permutation(t, degree) for t in gen_texts]
-    return build_group(gens, degree=degree, order=order)
-
-
-def _build_entry_group(e: CatalogEntry) -> PermGroup:
-    """The entry's group, trusting its recorded order: ``verify_entry``
-    certifies that order, and a chain built later cross-checks it."""
-    return _build_entry_group_cached(e.degree, e.generator_texts,
-                                     e.expected_order)
+        """The entry's group, trusting its recorded order: ``verify_entry``
+        certifies that order, and a chain built later cross-checks it."""
+        return build_group(self.generators, self.degree, self.expected_order)
 
 
 # ---------------------------------------------------------------------------
@@ -96,37 +96,31 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
         if not line or line.startswith("#"):
             continue
         parts = line.split("|")
-        if len(parts) not in (6, 7):
-            raise CatalogError(f"line {lineno}: expected 6 or 7 fields, "
+        if len(parts) != 7:
+            raise CatalogError(f"line {lineno}: expected 7 fields, "
                                f"got {len(parts)}")
-        ident, deg_s, name, order_s, tags_s, gens_s = parts[:6]
+        ident, deg_s, name, order_s, tags_s, gens_s, s_text = parts
         if ident in seen_ids:
             raise CatalogError(f"line {lineno}: duplicate id {ident!r} "
                                f"(first seen on line {seen_ids[ident]})")
         seen_ids[ident] = lineno
         try:
-            degree = int(deg_s)
-            expected_order = int(order_s)
+            degree, expected_order, expected_s = (
+                int(deg_s), int(order_s), int(s_text))
         except ValueError:
             raise CatalogError(f"line {lineno}: bad integer field") from None
         tags = frozenset(t for t in tags_s.split(",") if t)
         for t in tags:
             if t not in _KNOWN_TAGS and not t.startswith(_KNOWN_TAG_PREFIXES):
                 raise CatalogError(f"line {lineno}: unknown tag {t!r}")
-        gen_texts = tuple(g for g in gens_s.split(";") if g)
-        for g in gen_texts:
+        generators = []
+        for g in filter(None, gens_s.split(";")):
             try:
-                parse_permutation(g, degree)
-            except Exception as exc:
+                generators.append(parse_permutation(g, degree))
+            except PermError as exc:
                 raise CatalogError(f"line {lineno}: bad generator {g!r}: {exc}")
-        expected_s = None
-        if len(parts) == 7 and parts[6]:
-            try:
-                expected_s = int(parts[6])
-            except ValueError:
-                raise CatalogError(f"line {lineno}: bad expected_s") from None
         entries.append(CatalogEntry(ident, degree, name, expected_order, tags,
-                                    gen_texts, expected_s))
+                                    tuple(generators), expected_s))
     return entries
 
 
@@ -153,12 +147,15 @@ def by_id(ident: str) -> CatalogEntry:
 
 
 def padded(e: CatalogEntry) -> CatalogEntry:
-    """``e`` acting on one more point, which every element fixes: the same
-    generator words and order, no transitivity tag, and twice the set-orbit
-    count (each set-orbit of ``e``, with and without the new point)."""
+    """``e`` acting on one more point, which every element fixes: each
+    generator extended by that point, the same order, no transitivity tag,
+    and twice the set-orbit count (each set-orbit of ``e``, with and
+    without the new point)."""
     return CatalogEntry(e.id + PAD_SUFFIX, e.degree + 1, e.name + PAD_SUFFIX,
-                        e.expected_order, frozenset(), e.generator_texts,
-                        None if e.expected_s is None else 2 * e.expected_s)
+                        e.expected_order, frozenset(),
+                        tuple(Permutation(g.images + (e.degree,))
+                              for g in e.generators),
+                        2 * e.expected_s)
 
 
 # ---------------------------------------------------------------------------
@@ -183,11 +180,8 @@ def verify_entry(e: CatalogEntry) -> EntryReport:
 
     The order comes from a chain built from the generators alone, never from
     the recorded order that ``CatalogEntry.group`` trusts."""
+    G = build_group(e.generators, e.degree)
     checks: list[tuple[str, bool, str]] = []
-    try:
-        G = _build_entry_group_cached(e.degree, e.generator_texts)
-    except Exception as exc:
-        return EntryReport(e.id, (("build", False, str(exc)),))
     checks.append(("order", G.order == e.expected_order,
                    f"built {G.order}, expected {e.expected_order}"))
     trans = is_transitive(G)
@@ -203,10 +197,9 @@ def verify_entry(e: CatalogEntry) -> EntryReport:
                    f"group {'has' if two else 'lacks'} two orbits and no "
                    f"fixed point, tag "
                    f"{'present' if 'two-orbit' in e.tags else 'absent'}"))
-    if e.expected_s is not None:
-        s = count_set_orbits(G)
-        checks.append(("set-orbits", s == e.expected_s,
-                       f"computed {s}, expected {e.expected_s}"))
+    s = count_set_orbits(G)
+    checks.append(("set-orbits", s == e.expected_s,
+                   f"computed {s}, expected {e.expected_s}"))
     return EntryReport(e.id, tuple(checks))
 
 

@@ -419,33 +419,43 @@ class PermGroup:
 
     def orbit_of(self, point0: int) -> frozenset[int]:
         """Orbit of a 0-based point under the group."""
-        gens = self.generator_tuples()
-        orb = {point0}
-        queue = [point0]
-        while queue:
-            p = queue.pop()
-            for g in gens:
-                q = g[p]
-                if q not in orb:
-                    orb.add(q)
-                    queue.append(q)
-        return frozenset(orb)
+        return _orbit(self.generator_tuples(), point0)
 
     def orbits(self) -> list[frozenset[int]]:
         """All point orbits (0-based), ordered by smallest member."""
-        left = set(range(self.degree))
-        out = []
-        while left:
-            orb = self.orbit_of(min(left))
-            out.append(orb)
-            left -= orb
-        return out
+        return point_orbits(self.generators, self.degree)
 
     def fixed_points(self) -> tuple[int, ...]:
         """0-based points fixed by every generator."""
         gens = self.generator_tuples()
         return tuple(i for i in range(self.degree)
                      if all(g[i] == i for g in gens))
+
+
+def _orbit(gens: Sequence[tuple[int, ...]], point0: int) -> frozenset[int]:
+    orb = {point0}
+    queue = [point0]
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = g[p]
+            if q not in orb:
+                orb.add(q)
+                queue.append(q)
+    return frozenset(orb)
+
+
+def point_orbits(gens: Sequence[Permutation], degree: int) -> list[frozenset[int]]:
+    """All point orbits (0-based) of the group ``gens`` generate, ordered by
+    smallest member; read off the generators, with no group built."""
+    images = [g.images for g in gens]
+    left = set(range(degree))
+    out = []
+    while left:
+        orb = _orbit(images, min(left))
+        out.append(orb)
+        left -= orb
+    return out
 
 
 def build_group(gens: Sequence[Permutation], degree: int | None = None,

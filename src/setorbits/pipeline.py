@@ -43,7 +43,7 @@ from typing import Iterable, Optional
 
 from . import catalog as cat
 from .orbitcount import count_set_orbits, counting_route
-from .perm import PermGroup
+from .perm import point_orbits
 from .prune import PruneVerdict, binomial_divides, degree_range, prune_degree
 
 MIN_R, MAX_R = 2, 11
@@ -132,13 +132,6 @@ def pads_fit(n: int, s: int) -> bool:
     return n >= 2 and s % 2 == 0 and s >= 2 * n
 
 
-@dataclass(frozen=True)
-class Candidate:
-    group: PermGroup
-    label: str
-    name: str
-
-
 def _divides_filter(n: int, r: int, order: int) -> bool:
     t = forced_transitive_size(n, r)
     return t is None or binomial_divides(n, t, order)
@@ -213,18 +206,20 @@ def _pool(n: int, s: int, index: _Index) -> list[cat.CatalogEntry]:
            if _divides_filter(n, r, e.expected_order)]
     if two_orbit_shape_fits(n, s):
         out += [e for e in _catalog_pool(n, "two-orbit", index)
-                if math.prod(len(O) + 1 for O in e.group().orbits()) <= s]
+                if math.prod(len(O) + 1
+                             for O in point_orbits(e.generators, n)) <= s]
     if pads_fit(n, s):
         out += [cat.padded(e) for e in _pool(n - 1, s // 2, index)
-                if e.expected_s in (None, s // 2)]
+                if e.expected_s == s // 2]
     return out
 
 
 def candidate_groups(n: int, r: int,
-                     entries: Iterable[cat.CatalogEntry] | None = None) -> list[Candidate]:
-    """Candidates for s(G) = n + r at a surviving degree n: the pool of
-    (n, n + r), less the groups containing A_n.  Labels are catalog IDs,
-    with a ``+1`` per padded fixed point.
+                     entries: Iterable[cat.CatalogEntry] | None = None,
+                     ) -> list[cat.CatalogEntry]:
+    """Candidates for s(G) = n + r at a surviving degree n: the entries of
+    the pool of (n, n + r), less the groups containing A_n.  Their IDs are
+    catalog IDs, with a ``+1`` per padded fixed point.
 
     Raises DataGapError when a catalog pool the recursion needs is missing
     or incomplete.
@@ -233,28 +228,29 @@ def candidate_groups(n: int, r: int,
         # the two-orbit catalog holds the groups with s <= n + MAX_R only
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
     index = _default_index() if entries is None else _index(entries)
-    out = [Candidate(e.group(), e.id, e.name) for e in _pool(n, n + r, index)]
+    out = _pool(n, n + r, index)
     if n <= 2:
         # A_1 and A_2 are trivial; the s = n + 1 exclusion only applies from
         # degree 3 on (the trivial group on 2 points has s = 4)
         return out
-    return [c for c in out if not c.group.contains_alternating()]
+    # A_n <= G exactly when |G| >= n!/2 (PermGroup.contains_alternating)
+    return [e for e in out if 2 * e.expected_order < math.factorial(n)]
 
 
-_profile_cache: dict[tuple, tuple[int, str]] = {}
+_profile_cache: dict[cat.CatalogEntry, tuple[int, str]] = {}
 
 
-def _s_and_route(G: PermGroup) -> tuple[int, str]:
-    """s(G) and the counting route that computed it, cached per group."""
-    key = (G.degree, G.order, G.generator_tuples())
-    hit = _profile_cache.get(key)
+def _s_and_route(e: cat.CatalogEntry) -> tuple[int, str]:
+    """s of the entry's group and the counting route that computed it,
+    cached per entry; the group is built only on a miss."""
+    hit = _profile_cache.get(e)
     if hit is None:
-        hit = _profile_cache[key] = (count_set_orbits(G), counting_route(G))
+        G = e.group()
+        hit = _profile_cache[e] = (count_set_orbits(G), counting_route(G))
     return hit
 
 
-def classify(r: int, strict: bool = True,
-             entries: Iterable[cat.CatalogEntry] | None = None) -> RunReport:
+def classify(r: int, strict: bool = True) -> RunReport:
     """Classify all permutation groups with s(G) = n + r.
 
     ``strict`` raises DataGapError when any surviving degree lacks candidate
@@ -276,18 +272,18 @@ def classify(r: int, strict: bool = True,
         n = v.n
         sources[n] = candidate_source(n, r)
         try:
-            cands = candidate_groups(n, r, entries=entries)
+            cands = candidate_groups(n, r)
         except DataGapError as exc:
             gaps.extend(exc.gaps)
             continue
         counts[n] = len(cands)
         taken = routes[n] = {}
-        for c in cands:
-            s, route = _s_and_route(c.group)
+        for e in cands:
+            s, route = _s_and_route(e)
             taken[route] = taken.get(route, 0) + 1
             if s == n + r:
-                rows.append(ClassificationRow(r, n, c.label, c.name,
-                                              c.group.order, s))
+                rows.append(ClassificationRow(r, n, e.id, e.name,
+                                              e.expected_order, s))
     if gaps and strict:
         raise DataGapError(gaps)
     rows.sort(key=lambda row: (row.degree, row.order, row.group_label))
@@ -299,24 +295,15 @@ def classify(r: int, strict: bool = True,
 # ---------------------------------------------------------------------------
 # golden tables
 
-@dataclass(frozen=True)
-class GoldenRow:
-    r: int
-    degree: int
-    label: str
-    name: str
-    order: int
-    s_value: int
-
-
-def load_golden(r: int) -> list[GoldenRow]:
+def load_golden(r: int) -> list[ClassificationRow]:
     """The shipped reference table for one r."""
     text = resources.files("setorbits").joinpath(
         f"data/tables/r{r}.tsv").read_text(encoding="utf-8")
     return parse_golden(text)
 
 
-def parse_golden(text: str) -> list[GoldenRow]:
+def parse_golden(text: str) -> list[ClassificationRow]:
+    """The rows of a table in ``RunReport.to_tsv`` format."""
     rows = []
     for i, line in enumerate(text.strip().splitlines()):
         if i == 0 and line.startswith("r\t"):
@@ -324,14 +311,14 @@ def parse_golden(text: str) -> list[GoldenRow]:
         parts = line.rstrip("\n").split("\t")
         if len(parts) != 6:
             raise ValueError(f"golden line {i + 1}: expected 6 columns")
-        rows.append(GoldenRow(int(parts[0]), int(parts[1]), parts[2],
-                              parts[3], int(parts[4]), int(parts[5])))
+        rows.append(ClassificationRow(int(parts[0]), int(parts[1]), parts[2],
+                                      parts[3], int(parts[4]), int(parts[5])))
     return rows
 
 
 @dataclass
 class GoldenDiff:
-    missing: list[GoldenRow]          # golden rows with no computed match
+    missing: list[ClassificationRow]  # golden rows with no computed match
     extra: list[ClassificationRow]    # computed rows with no golden match
     ambiguous: list[tuple[int, int, int, int]]  # (degree, order, s, multiplicity)
 
@@ -352,7 +339,8 @@ class GoldenDiff:
         return ", ".join(bits) or "empty diff"
 
 
-def compare_to_golden(report: RunReport, golden: list[GoldenRow]) -> GoldenDiff:
+def compare_to_golden(report: RunReport,
+                      golden: list[ClassificationRow]) -> GoldenDiff:
     """Match rows by the (degree, order, s) multiset.
 
     Signatures shared by several rows are matched as multisets and flagged

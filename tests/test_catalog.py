@@ -38,8 +38,8 @@ def test_parse_empty_stream():
 
 
 def test_duplicate_id_rejected():
-    text = ("a|2|X|2|transitive|(1,2)\n"
-            "a|2|Y|2|transitive|(1,2)\n")
+    text = ("a|2|X|2|transitive|(1,2)|3\n"
+            "a|2|Y|2|transitive|(1,2)|3\n")
     with pytest.raises(CatalogError, match="duplicate id"):
         parse_catalog(text)
 
@@ -49,14 +49,34 @@ def test_malformed_record_reports_line():
         parse_catalog("# header\nbad|record\n")
 
 
+def test_recorded_s_is_required():
+    with pytest.raises(CatalogError, match="expected 7 fields, got 6"):
+        parse_catalog("a|2|X|2|transitive|(1,2)\n")
+    with pytest.raises(CatalogError, match="bad integer field"):
+        parse_catalog("a|2|X|2|transitive|(1,2)|\n")
+
+
+def test_generator_texts_are_the_shipped_words():
+    """Each word is parsed once, on load; printing the parsed generators
+    gives back the words of the entry's line."""
+    text = resources.files("setorbits").joinpath("data/groups.cat").read_text(
+        encoding="utf-8")
+    lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    entries = load_default()
+    assert len(lines) == len(entries)
+    for line, e in zip(lines, entries):
+        assert e.generator_texts == tuple(
+            w for w in line.split("|")[5].split(";") if w), e.id
+
+
 def test_generator_out_of_range_rejected():
     with pytest.raises(CatalogError, match="bad generator"):
-        parse_catalog("a|3|X|3|transitive|(1,4)\n")
+        parse_catalog("a|3|X|3|transitive|(1,4)|4\n")
 
 
 def test_unknown_tag_rejected():
     with pytest.raises(CatalogError, match="unknown tag"):
-        parse_catalog("a|2|X|2|shiny|(1,2)\n")
+        parse_catalog("a|2|X|2|shiny|(1,2)|3\n")
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +102,7 @@ def test_corrupted_generator_fails_order_check():
 
 
 def test_wrong_tag_fails():
-    (e,) = parse_catalog("bad|4|C4|4|transitive,primitive|(1,2,3,4)\n")
+    (e,) = parse_catalog("bad|4|C4|4|transitive,primitive|(1,2,3,4)|6\n")
     rep = verify_entry(e)
     assert any(name == "primitive-tag" and not passed
                for name, passed, _ in rep.checks)
@@ -139,7 +159,7 @@ def test_degree8_primitive_with_divisor():
     # s = 8 + 2 forces t* = 3: primitive entries with C(8, 3) = 56 | order,
     # less A_8 and S_8 (8X1, 8X2)
     assert forced_transitive_size(8, 2) == 3
-    got = {c.label for c in candidate_groups(8, 2)}
+    got = {c.id for c in candidate_groups(8, 2)}
     assert got == {"8P1", "8P2", "8P3", "8P4", "8P5"}
 
 
@@ -148,7 +168,7 @@ def test_degree9_primitive_with_divisor_36():
     assert forced_transitive_size(9, 5) == 2
     got = {c.name for c in candidate_groups(9, 5)}
     assert {"ASL(2,3)", "AGL(2,3)"} <= got
-    assert all(c.group.order % 36 == 0 for c in candidate_groups(9, 5))
+    assert all(c.group().order % 36 == 0 for c in candidate_groups(9, 5))
 
 
 def test_transitive_filter_semantics():
@@ -188,7 +208,6 @@ def test_padded_by_id():
     assert G.degree == 6 and G.order == 60 and count_set_orbits(G) == 12
     assert G.fixed_points() == (5,)
     assert verify_entry(e).ok
-    assert by_id("5P4+1").group() is G  # the cached builder, no second chain
 
 
 def test_padded_by_id_unknown_base():

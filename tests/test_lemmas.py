@@ -1,7 +1,6 @@
 """The candidate lemmas of ``pipeline.candidate_source``, each checked
 against the S_n subgroup walk they replace."""
 
-import dataclasses
 import math
 import sys
 
@@ -134,9 +133,9 @@ def test_two_orbit_catalog_needed_only_at_degrees_4_to_7():
 
 
 def test_block_shape_closes_degree9_and_10_gaps():
-    assert [c.label for c in candidate_groups(9, 7)] == [
+    assert [c.id for c in candidate_groups(9, 7)] == [
         "9X1", "9X2", "9T15", "9S370", "9T19", "9P6", "9P7", "9X3", "9X4"]
-    assert {c.label for c in candidate_groups(10, 8)} == {
+    assert {c.id for c in candidate_groups(10, 8)} == {
         "10X1", "10X2", "10S1396", "10P4", "10T32", "10P6", "10P7"}
 
 
@@ -180,21 +179,9 @@ def test_intransitive_classes_at_2n_are_paddings(n, count):
             if count_set_orbits(e.group()) == n]
     assert len(walked) == len(pads) == count
     assert _one_to_one(pads, walked)
-    from_pipeline = [c.group for c in candidate_groups(n, n)
-                     if c.label.endswith("+1")]
+    from_pipeline = [c.group() for c in candidate_groups(n, n)
+                     if c.id.endswith("+1")]
     assert _one_to_one(from_pipeline, walked)
-
-
-def test_padding_without_recorded_s_is_kept():
-    """The padded pool of degree 5 at s = 6 is primitive with C(5, 2) = 10
-    dividing the order, so C5 (5P1) is never in it; D10 (5P2) is, and is
-    dropped by its recorded s = 8 unless it records none."""
-    entries = [dataclasses.replace(e, expected_s=None) if e.id == "5P2" else e
-               for e in load_default()]
-    labels = {c.label for c in candidate_groups(6, 6, entries=entries)}
-    assert {"5P2+1", "5P3+1", "5P4+1", "5P5+1"} <= labels
-    assert "5P1+1" not in labels
-    assert "5P2+1" not in {c.label for c in candidate_groups(6, 6)}
 
 
 def test_set_transitive_groups_are_primitive():
@@ -227,8 +214,8 @@ def test_candidates_match_sn_walk(n):
                if n < 3 or not c.representative.contains_alternating()]
     for r in range(2, MAX_R + 1):
         walked = [G for G, s in classes if s == n + r]
-        cands = [c.group for c in candidate_groups(n, r)
-                 if count_set_orbits(c.group) == n + r]
+        cands = [G for G in (c.group() for c in candidate_groups(n, r))
+                 if count_set_orbits(G) == n + r]
         assert _one_to_one(cands, walked), r
 
 
@@ -252,10 +239,38 @@ def test_classify_builds_chains_only_for_burnside(chain_builds):
     """Only the Burnside route iterates elements; every other route, the
     A_n exclusion and the row orders read the catalog's certified order."""
     for r in range(2, MAX_R + 1):
-        catalog._build_entry_group_cached.cache_clear()
         pipeline._profile_cache.clear()
         chain_builds.clear()
         report = classify(r, strict=False)
         burnside = sum(routes.get("burnside", 0)
                        for routes in report.route_counts.values())
         assert len(chain_builds) <= burnside, r
+
+
+def test_warm_classify_counts_nothing_and_builds_nothing(monkeypatch, chain_builds):
+    """Once classify(r) has run, the s-memo holds every candidate: a second
+    run gives the same rows without counting, building a group or a chain."""
+    cold = {r: classify(r, strict=False).rows for r in range(2, MAX_R + 1)}
+
+    def forbidden(*args):
+        raise AssertionError("warm classify built or counted")
+
+    monkeypatch.setattr(pipeline, "count_set_orbits", forbidden)
+    monkeypatch.setattr(catalog.CatalogEntry, "group", forbidden)
+    chain_builds.clear()
+    for r in range(2, MAX_R + 1):
+        assert classify(r, strict=False).rows == cold[r], r
+    assert chain_builds == []
+
+
+def test_classify_parses_no_word_after_load(monkeypatch):
+    """Every generator word is parsed once, when the catalog loads."""
+    load_default()
+
+    def forbidden(*args):
+        raise AssertionError("generator word parsed again")
+
+    monkeypatch.setattr(catalog, "parse_permutation", forbidden)
+    for r in range(2, MAX_R + 1):
+        pipeline._profile_cache.clear()
+        assert classify(r, strict=False).rows, r

@@ -61,26 +61,26 @@ def test_primitive_regime_degree8():
 
 def test_transitive_regime_degree4():
     cands = candidate_groups(4, 2)
-    assert sorted(c.group.order for c in cands) == [4, 4, 8]  # A4/S4 excluded
+    assert sorted(c.group().order for c in cands) == [4, 4, 8]  # A4/S4 excluded
 
 
 def test_orbit_shape_regime_degree4():
     # r > n: the transitive catalog less A_4 and S_4, and the two-orbit
     # groups, whose orbits (2, 2) give s >= 9; s = 9 is odd, so no padding
     cands = candidate_groups(4, 5)
-    assert [c.label for c in cands] == ["4T2", "4T1", "4T3", "4S2", "4S6"]
-    assert sorted(c.group.order for c in cands) == [2, 4, 4, 4, 8]
+    assert [c.id for c in cands] == ["4T2", "4T1", "4T3", "4S2", "4S6"]
+    assert sorted(c.group().order for c in cands) == [2, 4, 4, 4, 8]
 
 
 def test_degree2_keeps_trivial_group():
     cands = candidate_groups(2, 2)
-    assert [(c.label, c.group.order) for c in cands] == [("2P1", 2), ("1P1+1", 1)]
+    assert [(c.id, c.group().order) for c in cands] == [("2P1", 2), ("1P1+1", 1)]
 
 
 def test_transitive_regime_degree8_uses_catalog():
     cands = candidate_groups(8, 7)  # r <= 6 is primitive by block shape
     assert len(cands) == 48  # 50 transitive classes minus A_8 and S_8
-    assert all(c.group.degree == 8 for c in cands)
+    assert all(c.group().degree == 8 for c in cands)
 
 
 def _without_one_imprimitive_degree8():
@@ -98,13 +98,13 @@ def test_missing_transitive_degree8_entry_is_a_gap(r):
 
 def test_transitive_degree8_gap_spares_primitive_regime():
     cands = candidate_groups(8, 5, entries=_without_one_imprimitive_degree8())
-    assert [c.label for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
+    assert [c.id for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
 
 
 def test_transitive_degree8_gap_spares_block_shape_regime():
     # at r = 6, 2 blocks of 4 or 4 blocks of 2 would need s >= 15 > 14
     cands = candidate_groups(8, 6, entries=_without_one_imprimitive_degree8())
-    assert [c.label for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
+    assert [c.id for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
 
 
 def test_missing_primitive_entry_is_a_gap():
@@ -130,13 +130,13 @@ def test_prime_degree_candidates_match_transitive_classes(n, r):
                    for c in transitive_classes(n)
                    if not c.representative.contains_alternating()
                    and (t is None or c.order % math.comb(n, t) == 0))
-    got = Counter((c.group.order, count_set_orbits(c.group))
+    got = Counter((c.group().order, count_set_orbits(c.group()))
                   for c in candidate_groups(n, r))
     assert got == want
 
 
 def test_prime_degree7_candidates():
-    assert [c.label for c in candidate_groups(7, 5)] == [
+    assert [c.id for c in candidate_groups(7, 5)] == [
         "7P1", "7P2", "7P3", "7P4", "7P5"]
 
 
@@ -147,7 +147,7 @@ def test_prime_degree7_missing_primitive_entry_is_a_gap():
 
 
 def test_prime_degree11_gap_closed():
-    assert [c.label for c in candidate_groups(11, 9)] == [
+    assert [c.id for c in candidate_groups(11, 9)] == [
         "11X1", "11X2", "11X3", "11X4", "11X5", "11P6"]
     report = classify(9, strict=False)
     assert report.candidate_sources[11] == "primitive catalog (prime degree)"
@@ -185,9 +185,9 @@ def test_emitted_rows_recomputed_by_enumeration():
         report = classify(r)
         for row in report.rows:
             matches = [c for c in candidate_groups(row.degree, r)
-                       if c.label == row.group_label]
+                       if c.id == row.group_label]
             assert len(matches) == 1
-            G = matches[0].group
+            G = matches[0].group()
             prof = profile_from_enumeration(G)
             assert prof.total == row.s_value
             p = prof.by_size
@@ -273,6 +273,14 @@ def test_golden_self_comparison_empty():
     assert compare_to_golden(report, load_golden(2)).empty
 
 
+@pytest.mark.parametrize("r", range(2, 8))
+def test_golden_rows_round_trip(r):
+    """Reference tables and run reports share one row type: a report's TSV
+    parses back to its own rows."""
+    report = classify(r)
+    assert parse_golden(report.to_tsv()) == report.rows
+
+
 def test_golden_negative_control():
     report = classify(2)
     golden = load_golden(2)[:-1]  # drop one row
@@ -348,7 +356,7 @@ def test_nonstrict_gap_degrees(r, gaps):
 def test_golden_check_negative_control():
     # degree 9 is a gap at r = 11, and one catalog entry has 9S497's signature
     golden = load_golden(11)
-    (row,) = [g for g in golden if g.label == "9S497"]
+    (row,) = [g for g in golden if g.group_label == "9S497"]
     assert golden_check_failures(nonstrict(11), golden) == []
     assert golden_check_failures(nonstrict(11), golden + [row]) == [
         "2 missing rows (9, 324, 20), 1 catalog entries"]
@@ -358,7 +366,7 @@ def test_golden_check_negative_control():
     (7, ("5S10", "5S11")), (9, ("6S40", "6S41")), (10, ("6S35", "6S37")),
     (11, ("7S87", "7S88"))], ids=["7", "9", "10", "11"])
 def test_shared_signatures_matched_by_distinct_rows(r, labels):
-    gold = [g for g in load_golden(r) if g.label in labels]
+    gold = [g for g in load_golden(r) if g.group_label in labels]
     assert len(gold) == 2
     assert len({(g.degree, g.order, g.s_value) for g in gold}) == 1
     key = (gold[0].degree, gold[0].order, gold[0].s_value)
