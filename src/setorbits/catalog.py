@@ -9,8 +9,13 @@ Each word is parsed once, on load, into the entry's ``generators``; the
 entry is the unit the classification works with.  No generator set is
 trusted: ``verify_entry`` rebuilds every group and checks its order, its
 transitivity/primitivity/two-orbit tags and its set-orbit count, and the
-test suite runs this over the whole file.  ``by_id("<id>+1")`` is the entry
-``<id>`` padded by one fixed point.
+test suite runs this over the whole file.
+
+Each group is shipped once: no entry of degree >= 2 has a fixed point, and
+``by_id("<id>+1")`` is the entry ``<id>`` padded by one.  This module alone
+knows the manifest, the classical count of each tag per degree:
+``tag_index`` groups the entries by (degree, tag) and ``manifest_gap`` says
+whether one such pool is complete.
 
 Record format, one per line, ``#`` starts a comment:
 
@@ -209,23 +214,55 @@ def has_two_orbits(G: PermGroup) -> bool:
     return len(orbits) == 2 and min(map(len, orbits)) > 1
 
 
+# ---------------------------------------------------------------------------
+# completeness
+
+TagIndex = dict[tuple[int, str], list[CatalogEntry]]
+
+
+def tag_index(entries: Iterable[CatalogEntry] | None = None) -> TagIndex:
+    """The entries (by default the shipped ones, indexed once) by (degree,
+    manifest tag), from one scan."""
+    if entries is None:
+        return _default_tag_index()
+    index: TagIndex = {}
+    for e in entries:
+        for tag in e.tags & MANIFEST.keys():
+            index.setdefault((e.degree, tag), []).append(e)
+    return index
+
+
+@lru_cache(maxsize=1)
+def _default_tag_index() -> TagIndex:
+    return tag_index(load_default())
+
+
+def _count_problem(index: TagIndex, degree: int, tag: str) -> str | None:
+    got, want = len(index.get((degree, tag), ())), MANIFEST[tag][degree]
+    if got != want:
+        return f"degree {degree}: {got} {tag} entries, expected {want}"
+    return None
+
+
+def manifest_gap(index: TagIndex, degree: int, tag: str) -> str | None:
+    """Why ``index`` may not hold every ``tag`` entry of ``degree``: the
+    manifest does not count that degree, or the index holds another number
+    of them.  None when the pool is complete."""
+    if degree not in MANIFEST[tag]:
+        return f"degree {degree}: {tag} catalog does not cover degree {degree}"
+    problem = _count_problem(index, degree, tag)
+    return None if problem is None else f"{tag} catalog incomplete: {problem}"
+
+
 def check_manifest(entries: Iterable[CatalogEntry] | None = None) -> list[str]:
     """Completeness assertions: for every tag in MANIFEST, the entries of
     every degree its counts list.
 
     Returns a list of problems (empty = complete).
     """
-    if entries is None:
-        entries = load_default()
-    entries = list(entries)
-    problems = []
-    for tag, counts in MANIFEST.items():
-        for degree, want in counts.items():
-            got = sum(1 for e in entries if e.degree == degree and tag in e.tags)
-            if got != want:
-                problems.append(f"degree {degree}: {got} {tag} entries, "
-                                f"expected {want}")
-    return problems
+    index = tag_index(entries)
+    return [problem for tag, counts in MANIFEST.items() for degree in counts
+            if (problem := _count_problem(index, degree, tag))]
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Optional
 
@@ -137,35 +136,14 @@ def _divides_filter(n: int, r: int, order: int) -> bool:
     return t is None or binomial_divides(n, t, order)
 
 
-_Index = dict[tuple[int, str], list[cat.CatalogEntry]]
-
-
-def _index(entries: Iterable[cat.CatalogEntry]) -> _Index:
-    """The entries by (degree, manifest tag), from one scan."""
-    index: _Index = {}
-    for e in entries:
-        for tag in e.tags & cat.MANIFEST.keys():
-            index.setdefault((e.degree, tag), []).append(e)
-    return index
-
-
-@lru_cache(maxsize=1)
-def _default_index() -> _Index:
-    return _index(cat.load_default())
-
-
-def _catalog_pool(n: int, kind: str, index: _Index) -> list[cat.CatalogEntry]:
+def _catalog_pool(n: int, kind: str,
+                  index: cat.TagIndex) -> list[cat.CatalogEntry]:
     """All ``kind`` entries of degree n (a manifest tag), or a data gap when
     the catalog does not hold all of them."""
-    counts = cat.MANIFEST[kind]
-    if n not in counts:
-        raise DataGapError([f"degree {n}: {kind} catalog does not cover "
-                            f"degree {n}"])
-    pool = index.get((n, kind), [])
-    if len(pool) != counts[n]:
-        raise DataGapError([f"{kind} catalog incomplete: degree {n}: "
-                            f"{len(pool)} {kind} entries, expected {counts[n]}"])
-    return pool
+    gap = cat.manifest_gap(index, n, kind)
+    if gap is not None:
+        raise DataGapError([gap])
+    return index[n, kind]
 
 
 PRIMITIVE = "primitive catalog"
@@ -195,7 +173,7 @@ def candidate_source(n: int, r: int) -> str:
     return source
 
 
-def _pool(n: int, s: int, index: _Index) -> list[cat.CatalogEntry]:
+def _pool(n: int, s: int, index: cat.TagIndex) -> list[cat.CatalogEntry]:
     """Catalog entries, padded by fixed points as needed, among which every
     group of degree n with s(G) = s has an S_n-conjugate (the recursion in
     the module docstring); some have another s."""
@@ -227,8 +205,7 @@ def candidate_groups(n: int, r: int,
     if not MIN_R <= r <= MAX_R:
         # the two-orbit catalog holds the groups with s <= n + MAX_R only
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
-    index = _default_index() if entries is None else _index(entries)
-    out = _pool(n, n + r, index)
+    out = _pool(n, n + r, cat.tag_index(entries))
     if n <= 2:
         # A_1 and A_2 are trivial; the s = n + 1 exclusion only applies from
         # degree 3 on (the trivial group on 2 points has s = 4)
@@ -346,22 +323,26 @@ def compare_to_golden(report: RunReport,
     Signatures shared by several rows are matched as multisets and flagged
     as ambiguous rather than paired individually.
     """
-    gold = Counter((g.degree, g.order, g.s_value) for g in golden)
-    got = Counter((row.degree, row.order, row.s_value) for row in report.rows)
-    missing = []
-    for g in golden:
-        key = (g.degree, g.order, g.s_value)
-        if got[key] > 0:
-            got[key] -= 1
-        else:
-            missing.append(g)
-    extra = []
-    unmatched = gold.copy()
-    for row in report.rows:
-        key = (row.degree, row.order, row.s_value)
-        if unmatched[key] > 0:
-            unmatched[key] -= 1
-        else:
-            extra.append(row)
+    gold = Counter(map(_signature, golden))
     ambiguous = [(d, o, s, m) for (d, o, s), m in gold.items() if m > 1]
-    return GoldenDiff(missing, extra, sorted(ambiguous))
+    return GoldenDiff(_unmatched(golden, report.rows),
+                      _unmatched(report.rows, golden), sorted(ambiguous))
+
+
+def _signature(row: ClassificationRow) -> tuple[int, int, int]:
+    return row.degree, row.order, row.s_value
+
+
+def _unmatched(rows: list[ClassificationRow],
+               others: list[ClassificationRow]) -> list[ClassificationRow]:
+    """The rows with no match in ``others``: each row of ``others`` matches
+    the first unmatched row of its (degree, order, s) signature."""
+    left = Counter(map(_signature, others))
+    out = []
+    for row in rows:
+        key = _signature(row)
+        if left[key] > 0:
+            left[key] -= 1
+        else:
+            out.append(row)
+    return out

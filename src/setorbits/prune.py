@@ -29,12 +29,11 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def primes_in(lo: int, hi: int, include_hi: bool = False) -> list[int]:
-    """Sorted primes p with lo < p < hi (or lo < p <= hi when include_hi)."""
+def primes_in(lo: int, hi: int) -> list[int]:
+    """Sorted primes p with lo < p <= hi."""
     if lo > hi:
         raise ValueError(f"inverted bounds ({lo}, {hi})")
-    stop = hi + 1 if include_hi else hi
-    return [p for p in range(lo + 1, stop) if is_prime(p)]
+    return [p for p in range(lo + 1, hi + 1) if is_prime(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +108,7 @@ def required_k0(n_parity: Literal["even", "odd"], r: int) -> int:
     if n_parity == "odd":
         return (r + 1) // 2
     if n_parity == "even":
-        return r // 2 if r % 2 == 0 else (r - 1) // 2
+        return r // 2
     raise ValueError(f"bad parity {n_parity!r}")
 
 
@@ -117,19 +116,17 @@ def step1_eliminates(n: int, r: int) -> Optional[int]:
     """Smallest prime p with floor(n/2) + k0 < p < 2n/3, if any.
 
     Such a prime eliminates degree n: every group of degree n not containing
-    A_n then has s(G) > n + r.  The 2n/3 comparison is exact (3p < 2n).
+    A_n then has s(G) > n + r.  The 2n/3 comparison is exact: 3p < 2n holds
+    exactly when p <= (2n - 1) // 3.
     """
     if n < 3:
         return None
     k0 = required_k0("odd" if n % 2 else "even", r)
-    lo = n // 2 + k0
-    hi = (2 * n) // 3 + 1
+    lo, hi = n // 2 + k0, (2 * n - 1) // 3
     if lo >= hi:
         return None
-    for p in primes_in(lo, hi, include_hi=True):
-        if 3 * p < 2 * n:
-            return p
-    return None
+    window = primes_in(lo, hi)
+    return window[0] if window else None
 
 
 def miller_bound(n: int) -> Optional[tuple[int, MillerDecomposition]]:
@@ -145,7 +142,7 @@ def miller_bound(n: int) -> Optional[tuple[int, MillerDecomposition]]:
         hi = (n - m - 1) // m  # largest p0 with rem = n - m*p0 > m
         if hi <= m:
             continue
-        for p0 in primes_in(m, hi, include_hi=True):
+        for p0 in primes_in(m, hi):
             rem = n - m * p0
             if best is None or rem < best[0]:
                 best = (rem, MillerDecomposition(n, m, p0, rem))
@@ -199,7 +196,7 @@ def step2_eliminates(n: int, r: int) -> Optional[tuple[int, MillerDecomposition]
     lo = n // 2 + k1
     if lo >= n:
         return None
-    window = primes_in(lo, n, include_hi=True)
+    window = primes_in(lo, n)
     if window and n - window[0] + 1 > decomp.bound:
         return window[0], decomp
     return None

@@ -13,12 +13,12 @@ from setorbits.catalog import (
     by_id,
     load_default,
     padded,
+    tag_index,
 )
 from setorbits.orbitcount import count_set_orbits
 from setorbits.perm import _minimal_block_size, is_primitive
 from setorbits.pipeline import (
     MAX_R,
-    _index,
     block_shape_floor,
     candidate_groups,
     candidate_source,
@@ -142,7 +142,7 @@ def test_block_shape_closes_degree9_and_10_gaps():
 def test_block_shape_loses_no_degree8_group():
     """At r <= 6 the degree-8 pool is primitive only; no imprimitive
     transitive group of degree 8 has s <= 8 + 6."""
-    for e in _index(load_default())[(8, "transitive")]:
+    for e in tag_index()[8, "transitive"]:
         if count_set_orbits(e.group()) <= 14:
             assert "primitive" in e.tags, e.id
 
@@ -152,7 +152,7 @@ def test_block_shape_loses_no_degree8_group():
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_transitive_catalog_matches_walk(n):
-    entries = [e.group() for e in _index(load_default())[(n, "transitive")]]
+    entries = [e.group() for e in tag_index()[n, "transitive"]]
     walked = [c.representative for c in transitive_classes(n)]
     assert len(entries) == len(walked) == TRANSITIVE_COUNTS[n]
     assert _one_to_one(entries, walked)
@@ -175,7 +175,7 @@ def test_orbit_shape_bound(n):
 def test_intransitive_classes_at_2n_are_paddings(n, count):
     walked = [c.representative for c in all_subgroups(n)
               if not c.transitive and count_set_orbits(c.representative) == 2 * n]
-    pads = [padded(e).group() for e in _index(load_default())[(n - 1, "primitive")]
+    pads = [padded(e).group() for e in tag_index()[n - 1, "primitive"]
             if count_set_orbits(e.group()) == n]
     assert len(walked) == len(pads) == count
     assert _one_to_one(pads, walked)

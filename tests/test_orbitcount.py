@@ -187,8 +187,20 @@ def test_support_restriction_keeps_order(chain_builds, ident, route):
 # taking seconds, and are left to the other two routes
 BURNSIDE_CHECK_MAX_ORDER = 10**5
 
+#: the groups with a fixed point that the reference tables cite, by their
+#: table label: each is the padding of a shipped entry
+TABLE_PADDINGS = {
+    "8S293": "7X1+1", "8S294": "7X2+1", "9S355": "8P1+1", "9S462": "8P2+1",
+    "9S499": "8P5+1", "9S535": "8P3+1", "9S551": "8X1+1", "9S552": "8X2+1",
+    "10S1448": "9X3+1", "10S1539": "9X4+1", "10S1590": "9X5+1",
+    "10S1591": "9X6+1", "11S3091": "10X3+1", "11S3092": "10X4+1"}
+
+#: (test id, entry): every shipped entry, and the table paddings
+ENTRIES = ([(e.id, e) for e in load_default()]
+           + [(label, by_id(ident)) for label, ident in TABLE_PADDINGS.items()])
+
 ROUTE_GROUPS = (
-    [pytest.param(e.group(), id=e.id) for e in load_default()
+    [pytest.param(e.group(), id=label) for label, e in ENTRIES
      if e.degree <= 16 and e.expected_order <= 10**7]
     + [pytest.param(c.representative, id=f"S{n}-cls{c.index}")
        for n in range(1, 7) for c in all_subgroups(n)])
@@ -301,7 +313,7 @@ def test_partition_matches_oracle(n):
 
 
 @pytest.mark.parametrize(
-    "e", [pytest.param(e, id=e.id) for e in load_default() if e.degree <= 12])
+    "e", [pytest.param(e, id=label) for label, e in ENTRIES if e.degree <= 12])
 def test_image_tables_match_per_bit_images(e):
     # the walk's two lookups give, for every mask, the image point by point
     n = e.degree

@@ -26,7 +26,8 @@ from setorbits.prune import (
 # prime windows
 
 def test_primes_in_windows():
-    assert primes_in(13, 24, include_hi=True) == [17, 19, 23]
+    assert primes_in(13, 24) == [17, 19, 23]
+    assert primes_in(13, 23) == [17, 19, 23]  # hi itself is in the window
     assert primes_in(13, 16) == []
     assert primes_in(40, 54) == [41, 43, 47, 53]
 
@@ -46,7 +47,7 @@ def test_primes_in_rejects_inverted_bounds():
 def test_primes_in_contents(a, b):
     lo, hi = min(a, b), max(a, b)
     ps = primes_in(lo, hi)
-    assert all(lo < p < hi and is_prime(p) for p in ps)
+    assert all(lo < p <= hi and is_prime(p) for p in ps)
     assert ps == sorted(set(ps))
 
 
