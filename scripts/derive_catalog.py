@@ -21,11 +21,15 @@ Every generator set is produced from a first-principles construction:
 No group with a fixed point is written out: ``catalog.by_id("<id>+1")``
 builds entry ``<id>`` padded by one, so each group is shipped once.
 
-Everything is verified on the spot (order, transitivity, primitivity, the
-two-orbit shape and, against an independent subset-orbit enumeration, the
-set-orbit count) and the text is checked with ``catalog.check_manifest``
-before it is written out.  The run takes about 15 s on one core of a 2-core
-Xeon; rerunning it reproduces the shipped file byte for byte.
+Each group becomes a ``catalog.CatalogEntry`` with the tags
+``catalog.structure_tags`` gives it, and is verified on the spot by
+``catalog.verify_entry`` (order, tags, set-orbit count) and, up to degree
+12, against the independent subset-orbit enumeration
+``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
+before the file is written, ``parse_catalog`` must read the text back as
+the same entries and ``check_manifest`` must find it complete.  The run
+takes about 15 s on one core of a 2-core Xeon; rerunning it reproduces the
+shipped file byte for byte.
 """
 
 from __future__ import annotations
@@ -41,21 +45,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from setorbits.catalog import (
     TRANSITIVE_COUNTS,
+    CatalogEntry,
     builtin,
     check_manifest,
-    has_two_orbits,
+    format_entry,
     parse_catalog,
+    structure_tags,
+    verify_entry,
 )
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.pipeline import MAX_R
-from setorbits.perm import (
-    PermGroup,
-    Permutation,
-    _Chain,
-    build_group,
-    is_primitive,
-    is_transitive,
-)
+from setorbits.perm import PermGroup, Permutation, _Chain, build_group
 from setorbits.subgroups import canonical_key, conjugate_in_sn, subgroup_classes
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "setorbits" / "data" / "groups.cat"
@@ -338,7 +338,8 @@ def wreath(k: int, m: int) -> list[Permutation]:
 
 #: the classes ``closure_entries`` derives, by kind, degree and (order,
 #: set-orbit count), in the order it sorts them; an ID that is not an X-ID is
-#: the label a reference table cites.  The transitive kind ships every class
+#: the group's row label in the reference tables (data/tables/r*.tsv), which
+#: the record itself does not repeat.  The transitive kind ships every class
 #: of degrees 4, 6 and 8, an unnamed one as "T(n) order ... s=..." under the
 #: next free X-ID, and of degree 9 only the classes named here.  Where two
 #: classes share a signature, a name with a third field goes to the class
@@ -413,7 +414,8 @@ def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
             for a in range(2, n // 2 + 1) if (a + 1) * (n - a + 1) <= n + MAX_R]
 
 
-def closure_entries(n: int, kind: str, entries: list["Entry"]) -> list["Entry"]:
+def closure_entries(n: int, kind: str,
+                    entries: list[CatalogEntry]) -> list[CatalogEntry]:
     """The groups of degree n of one kind, one per S_n-class: "transitive"
     gives the imprimitive transitive groups, "two-orbit" the groups with two
     orbits, no fixed point and s <= n + MAX_R.
@@ -439,7 +441,7 @@ def closure_entries(n: int, kind: str, entries: list["Entry"]) -> list["Entry"]:
               f"({time.time() - t0:.1f}s)", flush=True)
         for c in classes:
             G = c.representative
-            if not (c.transitive if kind == "transitive" else has_two_orbits(G)):
+            if kind not in structure_tags(G):
                 continue
             sig = (c.order, count_set_orbits(G))
             if kind == "transitive" and n not in TRANSITIVE_COUNTS and sig not in names:
@@ -462,7 +464,7 @@ def closure_entries(n: int, kind: str, entries: list["Entry"]) -> list["Entry"]:
             assert len(by_centre) == len(at) == len(cited), sig
             at = [by_centre[central] for _, _, central in cited]
         named.update((i, c[:2]) for i, c in zip(at, cited))
-    free_x = count(1 + sum(e.ident.startswith(f"{n}X") for e in entries))
+    free_x = count(1 + sum(e.id.startswith(f"{n}X") for e in entries))
     seen: Counter = Counter()
     out = []
     for i, (order, _, s, G) in enumerate(ordered):
@@ -474,9 +476,8 @@ def closure_entries(n: int, kind: str, entries: list["Entry"]) -> list["Entry"]:
             assert kind == "transitive", (order, s)
             ident = f"{n}X{next(free_x)}"
             name = f"T({n}) order {order} s={s}" + (f" #{j}" if j > 1 else "")
-        cite = () if ident.startswith(f"{n}X") else (ident,)
-        out.append(Entry(ident, name, list(G.generators), order, s=s, cite=cite))
-        assert not out[-1].primitive
+        out.append(entry(ident, name, G.generators, order, s=s))
+        assert "primitive" not in out[-1].tags
     return out
 
 
@@ -500,111 +501,83 @@ def cyc(text: str, n: int) -> Permutation:
 # ---------------------------------------------------------------------------
 # entry assembly
 
-class Entry:
-    def __init__(self, ident, name, gens, order, s=None, cite=()):
-        self.ident = ident
-        self.name = name
-        self.gens = gens
-        G = build_group(gens)
-        self.degree = G.degree
-        self.group = G
-        assert G.order == order, f"{ident}: order {G.order}, expected {order}"
-        self.order = order
-        self.transitive = is_transitive(G)
-        self.primitive = is_primitive(G)
-        self.two_orbit = has_two_orbits(G)
-        self.s = count_set_orbits(G)
-        if s is not None:
-            assert self.s == s, f"{ident}: s = {self.s}, expected {s}"
-        if self.degree <= 12:
-            check = profile_from_enumeration(G).total
-            assert check == self.s, f"{ident}: enumeration gives {check}"
-        self.cite = cite
-
-    def line(self) -> str:
-        tags = []
-        if self.transitive:
-            tags.append("transitive")
-        if self.primitive:
-            tags.append("primitive")
-        if self.two_orbit:
-            tags.append("two-orbit")
-        tags += [f"paper:{c}" for c in self.cite]
-        gens = ";".join(str(g) for g in self.gens)
-        return (f"{self.ident}|{self.degree}|{self.name}|{self.order}|"
-                f"{','.join(tags)}|{gens}|{self.s}")
+def entry(ident, name, gens, order, s=None) -> CatalogEntry:
+    """The entry of the group ``gens`` generate, with the tags it earns; its
+    set-orbit count, when not given, is counted.  ``verify_entry`` checks the
+    order and s, and up to degree 12 the bit-by-bit enumeration checks s."""
+    G = build_group(gens)
+    if s is None:
+        s = count_set_orbits(G)
+    e = CatalogEntry(ident, G.degree, name, order, structure_tags(G),
+                     tuple(gens), s)
+    report = verify_entry(e)
+    assert report.ok, (ident, report.failures())
+    if e.degree <= 12:
+        check = profile_from_enumeration(G).total
+        assert check == s, f"{ident}: enumeration gives {check}"
+    return e
 
 
 def main():
     t_start = time.time()
-    entries: list[Entry] = []
+    entries: list[CatalogEntry] = []
     add = entries.append
 
     def sym(n):
-        if n == 1:
-            return [perm_of([0], 1)]
-        gens = [cyc("(1,2)", n)]
-        if n >= 3:
-            gens.append(perm_of(list(range(1, n)) + [0], n))
-        return gens
+        return builtin("symmetric", n).generators
 
     def alt(n):
-        three = cyc("(1,2,3)", n)
-        if n == 3:
-            return [three]
-        if n % 2:
-            return [three, perm_of(list(range(1, n)) + [0], n)]
-        return [three, perm_of([0] + list(range(2, n)) + [1], n)]
+        return builtin("alternating", n).generators
 
     # ---- degrees 1..5: all primitive groups, the transitive degree 4 and
     # the two-orbit degrees 4 and 5 -----------------------------------------
-    add(Entry("1P1", "e", sym(1), 1, s=2))
-    add(Entry("2P1", "S2", [cyc("(1,2)", 2)], 2, s=3))
-    add(Entry("3P1", "C3", [cyc("(1,2,3)", 3)], 3, s=4))
-    add(Entry("3P2", "S3", sym(3), 6, s=4))
-    add(Entry("4P1", "A4", alt(4), 12, s=5))
-    add(Entry("4P2", "S4", sym(4), 24, s=5))
+    add(entry("1P1", "e", [cyc("()", 1)], 1, s=2))
+    add(entry("2P1", "S2", [cyc("(1,2)", 2)], 2, s=3))
+    add(entry("3P1", "C3", [cyc("(1,2,3)", 3)], 3, s=4))
+    add(entry("3P2", "S3", sym(3), 6, s=4))
+    add(entry("4P1", "A4", alt(4), 12, s=5))
+    add(entry("4P2", "S4", sym(4), 24, s=5))
     entries += closure_entries(4, "transitive", entries)
     entries += closure_entries(4, "two-orbit", entries)
-    add(Entry("5P1", "C5", [cyc("(1,2,3,4,5)", 5)], 5, s=8))
-    add(Entry("5P2", "D10", [cyc("(1,2,3,4,5)", 5), cyc("(2,5)(3,4)", 5)], 10, s=8))
-    add(Entry("5P3", "AGL(1,5)", [cyc("(1,2,3,4,5)", 5), cyc("(2,3,5,4)", 5)], 20, s=6))
-    add(Entry("5P4", "A5", alt(5), 60, s=6))
-    add(Entry("5P5", "S5", sym(5), 120, s=6))
+    add(entry("5P1", "C5", [cyc("(1,2,3,4,5)", 5)], 5, s=8))
+    add(entry("5P2", "D10", [cyc("(1,2,3,4,5)", 5), cyc("(2,5)(3,4)", 5)], 10, s=8))
+    add(entry("5P3", "AGL(1,5)", [cyc("(1,2,3,4,5)", 5), cyc("(2,3,5,4)", 5)], 20, s=6))
+    add(entry("5P4", "A5", alt(5), 60, s=6))
+    add(entry("5P5", "S5", sym(5), 120, s=6))
     entries += closure_entries(5, "two-orbit", entries)
 
     # ---- degree 6 --------------------------------------------------------
-    add(Entry("6P1", "PSL(2,5)", psl2(F5), 60, s=8, cite=("6P1",)))
-    add(Entry("6X1", "PGL(2,5)", pgl2(F5), 120, s=7))
-    add(Entry("6X2", "A6", alt(6), 360, s=7))
-    add(Entry("6X3", "S6", sym(6), 720, s=7))
+    add(entry("6P1", "PSL(2,5)", psl2(F5), 60, s=8))
+    add(entry("6X1", "PGL(2,5)", pgl2(F5), 120, s=7))
+    add(entry("6X2", "A6", alt(6), 360, s=7))
+    add(entry("6X3", "S6", sym(6), 720, s=7))
     entries += closure_entries(6, "transitive", entries)
     entries += closure_entries(6, "two-orbit", entries)
 
     # ---- degree 7 --------------------------------------------------------
-    add(Entry("7P1", "C7", [cyc("(1,2,3,4,5,6,7)", 7)], 7, s=20))
-    add(Entry("7P2", "D14", [cyc("(1,2,3,4,5,6,7)", 7), cyc("(2,7)(3,6)(4,5)", 7)],
+    add(entry("7P1", "C7", [cyc("(1,2,3,4,5,6,7)", 7)], 7, s=20))
+    add(entry("7P2", "D14", [cyc("(1,2,3,4,5,6,7)", 7), cyc("(2,7)(3,6)(4,5)", 7)],
               14, s=18))
-    add(Entry("7P3", "C7:C3", affine_line(F7, [2]), 21, s=12, cite=("7P3",)))
-    add(Entry("7P4", "AGL(1,7)", affine_line(F7, [3]), 42, s=10, cite=("7P4",)))
-    add(Entry("7P5", "PSL(3,2)", linear_group(2, 3, GL32_MATS, nonzero=True),
-              168, s=10, cite=("7P5",)))
-    add(Entry("7X1", "A7", alt(7), 2520, s=8))
-    add(Entry("7X2", "S7", sym(7), 5040, s=8))
+    add(entry("7P3", "C7:C3", affine_line(F7, [2]), 21, s=12))
+    add(entry("7P4", "AGL(1,7)", affine_line(F7, [3]), 42, s=10))
+    add(entry("7P5", "PSL(3,2)", linear_group(2, 3, GL32_MATS, nonzero=True),
+              168, s=10))
+    add(entry("7X1", "A7", alt(7), 2520, s=8))
+    add(entry("7X2", "S7", sym(7), 5040, s=8))
     entries += closure_entries(7, "two-orbit", entries)
 
     # ---- degree 8: primitive ---------------------------------------------
     g8 = F8.generator()
-    add(Entry("8P1", "AGL(1,8)", affine_line(F8, [g8]), 56, s=10, cite=("8P1",)))
-    add(Entry("8P2", "AGammaL(1,8)", affine_line(F8, [g8], frobenius=True),
-              168, s=10, cite=("8P2",)))
-    add(Entry("8P3", "ASL(3,2)", linear_group(2, 3, GL32_MATS, nonzero=False,
+    add(entry("8P1", "AGL(1,8)", affine_line(F8, [g8]), 56, s=10))
+    add(entry("8P2", "AGammaL(1,8)", affine_line(F8, [g8], frobenius=True),
+              168, s=10))
+    add(entry("8P3", "ASL(3,2)", linear_group(2, 3, GL32_MATS, nonzero=False,
                                               translations=True),
-              1344, s=10, cite=("8P3",)))
-    add(Entry("8P4", "PSL(2,7)", psl2(F7), 168, s=11, cite=("8P4",)))
-    add(Entry("8P5", "PGL(2,7)", pgl2(F7), 336, s=10, cite=("8P5",)))
-    add(Entry("8X1", "A8", alt(8), 20160, s=9))
-    add(Entry("8X2", "S8", sym(8), 40320, s=9))
+              1344, s=10))
+    add(entry("8P4", "PSL(2,7)", psl2(F7), 168, s=11))
+    add(entry("8P5", "PGL(2,7)", pgl2(F7), 336, s=10))
+    add(entry("8X1", "A8", alt(8), 20160, s=9))
+    add(entry("8X2", "S8", sym(8), 40320, s=9))
 
     # ---- degree 8: imprimitive transitive ---------------------------------
     entries += closure_entries(8, "transitive", entries)
@@ -612,64 +585,58 @@ def main():
     # ---- degree 9: primitive ----------------------------------------------
     g9 = F9.generator()
     sq9 = F9.mul(g9, g9)
-    add(Entry("9X1", "3^2:4", affine_line(F9, [sq9]), 36))
-    add(Entry("9X2", "3^2:D8", affine_line(F9, [sq9], frobenius=True), 72))
-    add(Entry("9T15", "AGL(1,9)", affine_line(F9, [g9]), 72, s=16,
-              cite=("9T15",)))
-    add(Entry("9S370", "3^2:Q8", affine_line(F9, [sq9], frobenius_twist=[g9]),
-              72, s=18, cite=("9S370",)))
-    add(Entry("9T19", "AGammaL(1,9)", affine_line(F9, [g9], frobenius=True),
-              144, s=16, cite=("9T19",)))
-    add(Entry("9P6", "ASL(2,3)", linear_group(3, 2, SL23_MATS, nonzero=False,
+    add(entry("9X1", "3^2:4", affine_line(F9, [sq9]), 36))
+    add(entry("9X2", "3^2:D8", affine_line(F9, [sq9], frobenius=True), 72))
+    add(entry("9T15", "AGL(1,9)", affine_line(F9, [g9]), 72, s=16))
+    add(entry("9S370", "3^2:Q8", affine_line(F9, [sq9], frobenius_twist=[g9]),
+              72, s=18))
+    add(entry("9T19", "AGammaL(1,9)", affine_line(F9, [g9], frobenius=True),
+              144, s=16))
+    add(entry("9P6", "ASL(2,3)", linear_group(3, 2, SL23_MATS, nonzero=False,
                                               translations=True),
-              216, s=14, cite=("9P6",)))
-    add(Entry("9P7", "AGL(2,3)", linear_group(3, 2, GL23_MATS, nonzero=False,
+              216, s=14))
+    add(entry("9P7", "AGL(2,3)", linear_group(3, 2, GL23_MATS, nonzero=False,
                                               translations=True),
-              432, s=14, cite=("9P7",)))
-    add(Entry("9X3", "PSL(2,8)", psl2(F8), 504, s=10))
-    add(Entry("9X4", "PGammaL(2,8)", pgammal2(F8), 1512, s=10))
-    add(Entry("9X5", "A9", alt(9), 181440, s=10))
-    add(Entry("9X6", "S9", sym(9), 362880, s=10))
+              432, s=14))
+    add(entry("9X3", "PSL(2,8)", psl2(F8), 504, s=10))
+    add(entry("9X4", "PGammaL(2,8)", pgammal2(F8), 1512, s=10))
+    add(entry("9X5", "A9", alt(9), 181440, s=10))
+    add(entry("9X6", "S9", sym(9), 362880, s=10))
 
     # ---- degree 9: S3 wr S3 and its cited subgroups -----------------------
-    add(Entry("9S534", "S3wrS3", wreath(3, 3), 1296, s=20, cite=("9S534",)))
+    add(entry("9S534", "S3wrS3", wreath(3, 3), 1296, s=20))
     entries += closure_entries(9, "transitive", entries)
 
     # ---- degree 10: primitive ---------------------------------------------
-    add(Entry("10X1", "A5 (pairs)", pair_action(alt(5)), 60))
-    add(Entry("10X2", "S5 (pairs)", pair_action(sym(5)), 120))
-    add(Entry("10S1396", "A6=PSL(2,9)", psl2(F9), 360, s=20, cite=("10S1396",)))
-    add(Entry("10P4", "PGL(2,9)", pgl2(F9), 720, s=14, cite=("10P4",)))
-    add(Entry("10T32", "PSigmaL(2,9)=S6", psigmal2(F9), 720, s=19,
-              cite=("10T32",)))
-    add(Entry("10P6", "M10", m10_maps(F9), 720, s=15, cite=("10P6",)))
-    add(Entry("10P7", "PGammaL(2,9)", pgammal2(F9), 1440, s=14, cite=("10P7",)))
-    add(Entry("10X3", "A10", alt(10), 1814400, s=11))
-    add(Entry("10X4", "S10", sym(10), 3628800, s=11))
+    add(entry("10X1", "A5 (pairs)", pair_action(alt(5)), 60))
+    add(entry("10X2", "S5 (pairs)", pair_action(sym(5)), 120))
+    add(entry("10S1396", "A6=PSL(2,9)", psl2(F9), 360, s=20))
+    add(entry("10P4", "PGL(2,9)", pgl2(F9), 720, s=14))
+    add(entry("10T32", "PSigmaL(2,9)=S6", psigmal2(F9), 720, s=19))
+    add(entry("10P6", "M10", m10_maps(F9), 720, s=15))
+    add(entry("10P7", "PGammaL(2,9)", pgammal2(F9), 1440, s=14))
+    add(entry("10X3", "A10", alt(10), 1814400, s=11))
+    add(entry("10X4", "S10", sym(10), 3628800, s=11))
 
     # ---- degree 10: wreath-type groups ------------------------------------
     u = cyc("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
     f20a = [cyc("(1,2,3,4,5)", 10), cyc("(2,3,5,4)", 10)]
     f20b = [cyc("(6,7,8,9,10)", 10), cyc("(7,8,10,9)", 10)]
-    add(Entry("10S1496", "AGL(1,5)wrC2", f20a + f20b + [u], 800, s=21,
-              cite=("10S1496",)))
+    add(entry("10S1496", "AGL(1,5)wrC2", f20a + f20b + [u], 800, s=21))
     a5a = [cyc("(1,2,3)", 10), cyc("(1,2,3,4,5)", 10)]
     a5b = [cyc("(6,7,8)", 10), cyc("(6,7,8,9,10)", 10)]
-    add(Entry("10S1569", "(A5xA5):C2", a5a + a5b + [u], 7200, s=21,
-              cite=("10S1569",)))
+    add(entry("10S1569", "(A5xA5):C2", a5a + a5b + [u], 7200, s=21))
     # the Klein extension adjoins the block swap u and an (odd, odd) pair
     # separately; the cyclic one adjoins w with w^2 = (1,2)(6,7), an (odd,
     # odd) element, so its quotient over A5 x A5 is C4
     tpair = cyc("(1,2)(6,7)", 10)
     w4 = cyc("(1,6,2,7)(3,8)(4,9)(5,10)", 10)
-    add(Entry("10S1576", "(A5xA5):(C2xC2)", a5a + a5b + [u, tpair], 14400,
-              s=21, cite=("10S1576",)))
-    add(Entry("10S1577", "(A5xA5):C4", a5a + a5b + [w4], 14400, s=21,
-              cite=("10S1577",)))
-    add(Entry("10S1584", "S5wrC2",
+    add(entry("10S1576", "(A5xA5):(C2xC2)", a5a + a5b + [u, tpair], 14400,
+              s=21))
+    add(entry("10S1577", "(A5xA5):C4", a5a + a5b + [w4], 14400, s=21))
+    add(entry("10S1584", "S5wrC2",
               [cyc("(1,2)", 10), cyc("(1,2,3,4,5)", 10),
-               cyc("(6,7)", 10), cyc("(6,7,8,9,10)", 10), u], 28800, s=21,
-              cite=("10S1584",)))
+               cyc("(6,7)", 10), cyc("(6,7,8,9,10)", 10), u], 28800, s=21))
     # blocks of size 2: base flips b_i = (2i-1, 2i), top S5 on the blocks.
     # Of the three index-2 subgroups of S2 wr S5 the tables cite the twisted
     # one (base flip parity = block permutation parity) and 2^5:A5; the
@@ -679,50 +646,50 @@ def main():
     top_t = cyc("(1,3)(2,4)", 10)
     top_c = cyc("(1,3,5,7,9)(2,4,6,8,10)", 10)
     top_3 = cyc("(1,3,5)(2,4,6)", 10)
-    add(Entry("10S1542", "2^4:S5 (twisted)", [b12, top_c, b1 * top_t], 1920,
-              s=21, cite=("10S1542",)))
-    add(Entry("10S1543", "C2x(2^4:A5)", [b1, top_3, top_c], 1920, s=21,
-              cite=("10S1543",)))
-    add(Entry("10S1561", "C2x(2^4:S5)", [b1, top_t, top_c], 3840, s=21,
-              cite=("10S1561",)))
+    add(entry("10S1542", "2^4:S5 (twisted)", [b12, top_c, b1 * top_t], 1920,
+              s=21))
+    add(entry("10S1543", "C2x(2^4:A5)", [b1, top_3, top_c], 1920, s=21))
+    add(entry("10S1561", "C2x(2^4:S5)", [b1, top_t, top_c], 3840, s=21))
 
     # ---- degree 11 ---------------------------------------------------------
-    add(Entry("11X1", "C11", [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11)], 11))
-    add(Entry("11X2", "D22", [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11),
+    add(entry("11X1", "C11", [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11)], 11))
+    add(entry("11X2", "D22", [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11),
                               cyc("(2,11)(3,10)(4,9)(5,8)(6,7)", 11)], 22))
-    add(Entry("11X3", "11:5", affine_line(F11, [3]), 55))
-    add(Entry("11X4", "AGL(1,11)", affine_line(F11, [2]), 110))
+    add(entry("11X3", "11:5", affine_line(F11, [3]), 55))
+    add(entry("11X4", "AGL(1,11)", affine_line(F11, [2]), 110))
     psl211_12 = psl2(F11)
     G12 = build_group(psl211_12)
     assert G12.order == 660
     a5_in = find_subgroup_of_order(G12, 60, seed=11)
     psl211_11 = coset_action(psl211_12, a5_in, 12)
-    add(Entry("11X5", "PSL(2,11) deg 11", psl211_11, 660))
+    add(entry("11X5", "PSL(2,11) deg 11", psl211_11, 660))
     m11 = [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11), cyc("(3,7,11,8)(4,10,5,6)", 11)]
-    add(Entry("11P6", "M11", m11, 7920, s=14, cite=("11P6",)))
-    add(Entry("11X6", "A11", alt(11), 19958400, s=12))
-    add(Entry("11X7", "S11", sym(11), 39916800, s=12))
+    add(entry("11P6", "M11", m11, 7920, s=14))
+    add(entry("11X6", "A11", alt(11), 19958400, s=12))
+    add(entry("11X7", "S11", sym(11), 39916800, s=12))
 
     # ---- degree 12 ---------------------------------------------------------
     M11g = build_group(m11)
     psl_in_m11 = find_subgroup_of_order(M11g, 660, seed=12)
     m11_12 = coset_action(m11, psl_in_m11, 11)
-    add(Entry("12P1", "M11 deg 12", m11_12, 7920, s=19, cite=("12P1",)))
+    add(entry("12P1", "M11 deg 12", m11_12, 7920, s=19))
     m12 = [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12), cyc("(3,7,11,8)(4,10,5,6)", 12),
            cyc("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 12)]
-    add(Entry("12P2", "M12", m12, 95040, s=14, cite=("12P2",)))
-    add(Entry("12T179", "PSL(2,11)", psl2(F11), 660, s=22, cite=("12T179",)))
-    add(Entry("12T218", "PGL(2,11)", pgl2(F11), 1320, s=20, cite=("12T218",)))
-    add(Entry("12X1", "A12", alt(12), 239500800, s=13))
-    add(Entry("12X2", "S12", sym(12), 479001600, s=13))
+    add(entry("12P2", "M12", m12, 95040, s=14))
+    add(entry("12T179", "PSL(2,11)", psl2(F11), 660, s=22))
+    add(entry("12T218", "PGL(2,11)", pgl2(F11), 1320, s=20))
+    add(entry("12X1", "A12", alt(12), 239500800, s=13))
+    add(entry("12X2", "S12", sym(12), 479001600, s=13))
 
     # ---- structural cross-checks ------------------------------------------
     for e in entries:
-        flags = ("P" if e.primitive else "") + ("T" if e.transitive else "")
-        print(f"  {e.ident:10s} deg={e.degree:2d} order={e.order:<9d} "
-              f"s={e.s:<3d} {flags:2s} {e.name}")
-    text = "\n".join([HEADER] + [e.line() for e in entries]) + "\n"
-    problems = check_manifest(parse_catalog(text))
+        flags = ("P" if "primitive" in e.tags else "") + (
+            "T" if "transitive" in e.tags else "")
+        print(f"  {e.id:10s} deg={e.degree:2d} order={e.expected_order:<9d} "
+              f"s={e.expected_s:<3d} {flags:2s} {e.name}")
+    text = "\n".join([HEADER] + [format_entry(e) for e in entries]) + "\n"
+    assert parse_catalog(text) == entries
+    problems = check_manifest(entries)
     assert not problems, problems
     OUT.write_text(text, encoding="utf-8")
     print(f"manifest OK; wrote {OUT} with {len(entries)} entries "

@@ -6,18 +6,22 @@ degree 1), the transitive groups of degrees 4, 6 and 8, the groups of
 degrees 4 to 7 with two orbits, no fixed point and s <= n + 11, and the
 auxiliary groups needed to reproduce the reference classification tables.
 Each word is parsed once, on load, into the entry's ``generators``; the
-entry is the unit the classification works with.  No generator set is
-trusted: ``verify_entry`` rebuilds every group and checks its order, its
-transitivity/primitivity/two-orbit tags and its set-orbit count, and the
-test suite runs this over the whole file.
+entry is the unit the classification works with.  This module alone reads
+and writes the record format: ``parse_catalog`` reads it and
+``format_entry`` writes one record back.  No generator set is trusted:
+``verify_entry`` rebuilds every group and checks its order, the tags
+``structure_tags`` says it earns and its set-orbit count, and the test
+suite runs this over the whole file.
 
 Each group is shipped once: no entry of degree >= 2 has a fixed point, and
 ``by_id("<id>+1")`` is the entry ``<id>`` padded by one.  This module alone
-knows the manifest, the classical count of each tag per degree:
-``tag_index`` groups the entries by (degree, tag) and ``manifest_gap`` says
-whether one such pool is complete.
+knows the manifest, the classical count of each tag per degree, and a
+record carries no tag the manifest does not count: ``tag_index`` groups the
+entries by (degree, tag) and ``manifest_gap`` says whether one such pool is
+complete.
 
-Record format, one per line, ``#`` starts a comment:
+Record format, one per line, ``#`` starts a comment, tags in manifest
+order:
 
     id|degree|name|expected_order|tag,tag,...|gen;gen;...|expected_s
 """
@@ -32,9 +36,6 @@ from typing import Iterable
 from .orbitcount import count_set_orbits
 from .perm import (PermError, PermGroup, Permutation, build_group, is_primitive,
                    is_transitive, parse_permutation)
-
-_KNOWN_TAG_PREFIXES = ("paper:",)
-_KNOWN_TAGS = ("transitive", "primitive", "two-orbit")
 
 #: number of primitive groups of each degree; the shipped file must carry
 #: exactly this many primitive-tagged entries per degree (classical counts,
@@ -56,8 +57,9 @@ TRANSITIVE_COUNTS = {4: 5, 6: 16, 8: 50}
 #: reference-table row.  The entries carry the tag "two-orbit".
 TWO_ORBIT_COUNTS = {4: 2, 5: 3, 6: 7, 7: 4}
 
-#: the completeness counts per tag
-MANIFEST = {"primitive": PRIMITIVE_COUNTS, "transitive": TRANSITIVE_COUNTS,
+#: the completeness counts per tag, in the order a record lists its tags;
+#: these are the only tags a record may carry
+MANIFEST = {"transitive": TRANSITIVE_COUNTS, "primitive": PRIMITIVE_COUNTS,
             "two-orbit": TWO_ORBIT_COUNTS}
 
 
@@ -114,9 +116,12 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
                 int(deg_s), int(order_s), int(s_text))
         except ValueError:
             raise CatalogError(f"line {lineno}: bad integer field") from None
+        for field, value in (("degree", degree), ("order", expected_order)):
+            if value < 1:
+                raise CatalogError(f"line {lineno}: {field} {value} is below 1")
         tags = frozenset(t for t in tags_s.split(",") if t)
         for t in tags:
-            if t not in _KNOWN_TAGS and not t.startswith(_KNOWN_TAG_PREFIXES):
+            if t not in MANIFEST:
                 raise CatalogError(f"line {lineno}: unknown tag {t!r}")
         generators = []
         for g in filter(None, gens_s.split(";")):
@@ -127,6 +132,14 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
         entries.append(CatalogEntry(ident, degree, name, expected_order, tags,
                                     tuple(generators), expected_s))
     return entries
+
+
+def format_entry(e: CatalogEntry) -> str:
+    """The record line of ``e``, which ``parse_catalog`` reads back as
+    ``e``."""
+    return "|".join((e.id, str(e.degree), e.name, str(e.expected_order),
+                     ",".join(t for t in MANIFEST if t in e.tags),
+                     ";".join(e.generator_texts), str(e.expected_s)))
 
 
 @lru_cache(maxsize=1)
@@ -189,29 +202,24 @@ def verify_entry(e: CatalogEntry) -> EntryReport:
     checks: list[tuple[str, bool, str]] = []
     checks.append(("order", G.order == e.expected_order,
                    f"built {G.order}, expected {e.expected_order}"))
-    trans = is_transitive(G)
-    checks.append(("transitive-tag", trans == ("transitive" in e.tags),
-                   f"group {'is' if trans else 'is not'} transitive, tag "
-                   f"{'present' if 'transitive' in e.tags else 'absent'}"))
-    prim = is_primitive(G)
-    checks.append(("primitive-tag", prim == ("primitive" in e.tags),
-                   f"group {'is' if prim else 'is not'} primitive, tag "
-                   f"{'present' if 'primitive' in e.tags else 'absent'}"))
-    two = has_two_orbits(G)
-    checks.append(("two-orbit-tag", two == ("two-orbit" in e.tags),
-                   f"group {'has' if two else 'lacks'} two orbits and no "
-                   f"fixed point, tag "
-                   f"{'present' if 'two-orbit' in e.tags else 'absent'}"))
+    earned = structure_tags(G)
+    for tag in MANIFEST:
+        checks.append((f"{tag}-tag", (tag in earned) == (tag in e.tags),
+                       f"group {'earns' if tag in earned else 'does not earn'} "
+                       f"{tag}, tag {'present' if tag in e.tags else 'absent'}"))
     s = count_set_orbits(G)
     checks.append(("set-orbits", s == e.expected_s,
                    f"computed {s}, expected {e.expected_s}"))
     return EntryReport(e.id, tuple(checks))
 
 
-def has_two_orbits(G: PermGroup) -> bool:
-    """Exactly two orbits, and no fixed point."""
+def structure_tags(G: PermGroup) -> frozenset[str]:
+    """The manifest tags ``G`` earns: transitive, primitive, and two-orbit
+    (exactly two orbits, and no fixed point)."""
     orbits = G.orbits()
-    return len(orbits) == 2 and min(map(len, orbits)) > 1
+    earned = {"transitive": is_transitive(G), "primitive": is_primitive(G),
+              "two-orbit": len(orbits) == 2 and min(map(len, orbits)) > 1}
+    return frozenset(tag for tag, holds in earned.items() if holds)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +235,7 @@ def tag_index(entries: Iterable[CatalogEntry] | None = None) -> TagIndex:
         return _default_tag_index()
     index: TagIndex = {}
     for e in entries:
-        for tag in e.tags & MANIFEST.keys():
+        for tag in e.tags:
             index.setdefault((e.degree, tag), []).append(e)
     return index
 

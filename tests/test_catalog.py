@@ -13,6 +13,7 @@ from setorbits.catalog import (
     builtin,
     by_id,
     check_manifest,
+    format_entry,
     load_default,
     parse_catalog,
     verify_entry,
@@ -58,7 +59,8 @@ def test_recorded_s_is_required():
 
 def test_generator_texts_are_the_shipped_words():
     """Each word is parsed once, on load; printing the parsed generators
-    gives back the words of the entry's line."""
+    gives back the words of the entry's line, and ``format_entry`` gives
+    back the whole line."""
     text = resources.files("setorbits").joinpath("data/groups.cat").read_text(
         encoding="utf-8")
     lines = [l for l in text.splitlines() if l.strip() and not l.startswith("#")]
@@ -67,6 +69,7 @@ def test_generator_texts_are_the_shipped_words():
     for line, e in zip(lines, entries):
         assert e.generator_texts == tuple(
             w for w in line.split("|")[5].split(";") if w), e.id
+        assert format_entry(e) == line
 
 
 def test_generator_out_of_range_rejected():
@@ -74,9 +77,19 @@ def test_generator_out_of_range_rejected():
         parse_catalog("a|3|X|3|transitive|(1,4)|4\n")
 
 
-def test_unknown_tag_rejected():
+@pytest.mark.parametrize("tag", ["shiny", "paper:8P1"])
+def test_unknown_tag_rejected(tag):
+    # a record carries only the tags the manifest counts
     with pytest.raises(CatalogError, match="unknown tag"):
-        parse_catalog("a|2|X|2|shiny|(1,2)|3\n")
+        parse_catalog(f"a|2|X|2|{tag}|(1,2)|3\n")
+
+
+@pytest.mark.parametrize("text,field", [
+    ("a|0|X|1|||2\n", "degree"),
+    ("a|2|X|0|transitive|(1,2)|3\n", "order")])
+def test_degree_or_order_below_one_rejected(text, field):
+    with pytest.raises(CatalogError, match=f"line 1: {field} 0 is below 1"):
+        parse_catalog(text)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +262,12 @@ def test_derived_imprimitive_entries_are_the_shipped_lines(n):
     shipped = [line for line, e in zip(
         (l for l in text.splitlines() if l.strip() and not l.startswith("#")),
         parse_catalog(text))
-        if e.degree == n and e.tags & {"transitive", "primitive", "two-orbit"} in kinds]
+        if e.degree == n and e.tags in kinds]
     script = _derive_catalog_script()
     derived = script.closure_entries(n, "two-orbit", [])
     if n in TRANSITIVE_COUNTS:
         derived = script.closure_entries(n, "transitive", []) + derived
-    assert [e.line() for e in derived] == shipped
+    assert [format_entry(e) for e in derived] == shipped
     assert len(shipped) == (TRANSITIVE_COUNTS.get(n, PRIMITIVE_COUNTS[n])
                             - PRIMITIVE_COUNTS[n] + TWO_ORBIT_COUNTS[n])
 
