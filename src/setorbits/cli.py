@@ -7,7 +7,8 @@ Subcommands:
   catalog-verify  rebuild and check every shipped catalog entry
   classify        full classification run for one r, with optional golden diff
 
-Exit codes: 0 success, 1 verification or diff failure, 2 usage error.
+Exit codes: 0 success, 1 verification or diff failure or data gap, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -113,12 +114,7 @@ def cmd_catalog_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        report = pipeline.classify(args.r, strict=not args.allow_gaps)
-    except pipeline.DataGapError as exc:
-        for gap in exc.gaps:
-            print(f"error: data gap: {gap}", file=sys.stderr)
-        return 1
+    report = pipeline.classify(args.r)
     if args.format == "tsv":
         sys.stdout.write(report.to_tsv())
     else:
@@ -128,17 +124,17 @@ def cmd_classify(args) -> int:
                   f"s={row.s_value}  [{row.group_label}]")
         print("candidates per surviving degree (source: count, routes):")
         for n, source in report.candidate_sources.items():
-            if n not in report.candidate_counts:
+            if n in report.gaps:
                 print(f"  n={n:2d}  {source}: data gap")
                 continue
+            taken = report.route_counts[n]
             routes = ", ".join(f"{route} {k}" for route, k in
-                               sorted(report.route_counts[n].items()))
-            print(f"  n={n:2d}  {source}: {report.candidate_counts[n]}"
+                               sorted(taken.items()))
+            print(f"  n={n:2d}  {source}: {sum(taken.values())}"
                   f"{' (' + routes + ')' if routes else ''}")
-        if report.gaps:
-            print("gaps:")
-            for g in report.gaps:
-                print(f"  {g}")
+    for gap in report.gaps.values():
+        print(f"error: data gap: {gap}", file=sys.stderr)
+    failed = bool(report.gaps)
     if args.golden:
         with open(args.golden, encoding="utf-8") as fh:
             golden = pipeline.parse_golden(fh.read())
@@ -148,9 +144,8 @@ def cmd_classify(args) -> int:
             print(f"missing: {g}", file=sys.stderr)
         for row in diff.extra:
             print(f"extra: {row}", file=sys.stderr)
-        if not diff.empty:
-            return 1
-    return 0 if not report.gaps else 1
+        failed = failed or not diff.empty
+    return 1 if failed else 0
 
 
 def build_parser() -> _Parser:
@@ -187,8 +182,6 @@ def build_parser() -> _Parser:
     pc.add_argument("--golden", default=None,
                     help="reference table to diff against")
     pc.add_argument("--format", choices=("tsv", "pretty"), default="pretty")
-    pc.add_argument("--allow-gaps", action="store_true",
-                    help="report data gaps instead of failing")
     pc.set_defaults(func=cmd_classify)
     return p
 
@@ -201,8 +194,8 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (GroupTooLargeError, SubgroupCapError, pipeline.DataGapError,
-            cat.CatalogError, ValueError, OSError) as exc:
+    except (GroupTooLargeError, SubgroupCapError, cat.CatalogError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,9 +27,10 @@ by one recursion on (n, s), from the shipped catalog only:
 
 Each catalog pool is checked against its classical count, so a missing
 entry is a data gap.  Groups containing A_n always have s = n + 1 and are
-excluded throughout.  The run report records, per degree, where the
-candidates came from and how many of them each counting route
-(``orbitcount.counting_route``) took.
+excluded throughout.  The run report records, per surviving degree, where
+the candidates came from and how many of them each counting route
+(``orbitcount.counting_route``) took, or why the catalog cannot cover the
+degree (a data gap).
 """
 
 from __future__ import annotations
@@ -49,11 +50,7 @@ MIN_R, MAX_R = 2, 11
 
 
 class DataGapError(RuntimeError):
-    """Candidate data is missing for one or more surviving degrees."""
-
-    def __init__(self, gaps: list[str]):
-        self.gaps = gaps
-        super().__init__("; ".join(gaps))
+    """The catalog lacks a candidate pool that a surviving degree needs."""
 
 
 @dataclass(frozen=True)
@@ -70,12 +67,13 @@ class ClassificationRow:
 class RunReport:
     r: int
     degree_verdicts: list[PruneVerdict]
-    candidate_counts: dict[int, int]
     rows: list[ClassificationRow]
-    gaps: list[str] = field(default_factory=list)
+    #: per surviving degree with a data gap: why the catalog cannot cover it
+    gaps: dict[int, str] = field(default_factory=dict)
     #: per surviving degree: where its candidates come from
     candidate_sources: dict[int, str] = field(default_factory=dict)
-    #: per degree with candidates: counting route -> number of candidates
+    #: per surviving degree without a gap: counting route -> number of
+    #: candidates
     route_counts: dict[int, dict[str, int]] = field(default_factory=dict)
 
     def survivors(self) -> list[int]:
@@ -142,34 +140,31 @@ def _catalog_pool(n: int, kind: str,
     the catalog does not hold all of them."""
     gap = cat.manifest_gap(index, n, kind)
     if gap is not None:
-        raise DataGapError([gap])
+        raise DataGapError(gap)
     return index[n, kind]
 
 
-PRIMITIVE = "primitive catalog"
-PRIMITIVE_PRIME = "primitive catalog (prime degree)"
-PRIMITIVE_BLOCKS = "primitive catalog (block shape)"
-TRANSITIVE_CATALOG = "transitive catalog"
-TWO_ORBITS = " + two-orbit catalog"
-PADDINGS = " + one-point paddings"
-
-
-def _transitive_source(n: int, r: int) -> str:
+def _transitive_source(n: int, r: int) -> tuple[str, Optional[str]]:
+    """The manifest kind of the transitive candidates for s(G) = n + r at
+    degree n, and the lemma that makes them primitive when r >= n - 2."""
     if r < n - 2:
-        return PRIMITIVE
+        return "primitive", None
     floor = block_shape_floor(n)
     if floor is None:
-        return PRIMITIVE_PRIME
-    return PRIMITIVE_BLOCKS if n + r < floor else TRANSITIVE_CATALOG
+        return "primitive", "prime degree"
+    if n + r < floor:
+        return "primitive", "block shape"
+    return "transitive", None
 
 
 def candidate_source(n: int, r: int) -> str:
     """Where the candidates for s(G) = n + r at degree n come from."""
-    source = _transitive_source(n, r)
+    kind, lemma = _transitive_source(n, r)
+    source = f"{kind} catalog" + (f" ({lemma})" if lemma else "")
     if two_orbit_shape_fits(n, n + r):
-        source += TWO_ORBITS
+        source += " + two-orbit catalog"
     if pads_fit(n, n + r):
-        source += PADDINGS
+        source += " + one-point paddings"
     return source
 
 
@@ -178,8 +173,7 @@ def _pool(n: int, s: int, index: cat.TagIndex) -> list[cat.CatalogEntry]:
     group of degree n with s(G) = s has an S_n-conjugate (the recursion in
     the module docstring); some have another s."""
     r = s - n
-    kind = ("transitive" if _transitive_source(n, r) == TRANSITIVE_CATALOG
-            else "primitive")
+    kind, _ = _transitive_source(n, r)
     out = [e for e in _catalog_pool(n, kind, index)
            if _divides_filter(n, r, e.expected_order)]
     if two_orbit_shape_fits(n, s):
@@ -227,22 +221,21 @@ def _s_and_route(e: cat.CatalogEntry) -> tuple[int, str]:
     return hit
 
 
-def classify(r: int, strict: bool = True) -> RunReport:
+def classify(r: int) -> RunReport:
     """Classify all permutation groups with s(G) = n + r.
 
-    ``strict`` raises DataGapError when any surviving degree lacks candidate
-    data; otherwise the gaps are recorded in the report and those degrees
-    are skipped.  Rows are sorted by (degree, order, label) and every run
+    A surviving degree whose candidate pool the catalog lacks is a data gap:
+    the report records its reason under ``gaps`` and the run goes on to the
+    next degree.  Rows are sorted by (degree, order, label) and every run
     over the same inputs produces identical output.
     """
     if not MIN_R <= r <= MAX_R:
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
     verdicts = [prune_degree(n, r) for n in degree_range(r)]
     rows: list[ClassificationRow] = []
-    counts: dict[int, int] = {}
     sources: dict[int, str] = {}
     routes: dict[int, dict[str, int]] = {}
-    gaps: list[str] = []
+    gaps: dict[int, str] = {}
     for v in verdicts:
         if v.eliminated:
             continue
@@ -251,9 +244,8 @@ def classify(r: int, strict: bool = True) -> RunReport:
         try:
             cands = candidate_groups(n, r)
         except DataGapError as exc:
-            gaps.extend(exc.gaps)
+            gaps[n] = str(exc)
             continue
-        counts[n] = len(cands)
         taken = routes[n] = {}
         for e in cands:
             s, route = _s_and_route(e)
@@ -261,12 +253,9 @@ def classify(r: int, strict: bool = True) -> RunReport:
             if s == n + r:
                 rows.append(ClassificationRow(r, n, e.id, e.name,
                                               e.expected_order, s))
-    if gaps and strict:
-        raise DataGapError(gaps)
     rows.sort(key=lambda row: (row.degree, row.order, row.group_label))
-    return RunReport(r=r, degree_verdicts=verdicts, candidate_counts=counts,
-                     rows=rows, gaps=gaps, candidate_sources=sources,
-                     route_counts=routes)
+    return RunReport(r=r, degree_verdicts=verdicts, rows=rows, gaps=gaps,
+                     candidate_sources=sources, route_counts=routes)
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +269,23 @@ def load_golden(r: int) -> list[ClassificationRow]:
 
 
 def parse_golden(text: str) -> list[ClassificationRow]:
-    """The rows of a table in ``RunReport.to_tsv`` format."""
+    """The rows of a table in ``RunReport.to_tsv`` format.  Blank lines and
+    a header before the first row are skipped; errors name the line."""
     rows = []
-    for i, line in enumerate(text.strip().splitlines()):
-        if i == 0 and line.startswith("r\t"):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or (not rows and line.startswith("r\t")):
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.split("\t")
         if len(parts) != 6:
-            raise ValueError(f"golden line {i + 1}: expected 6 columns")
-        rows.append(ClassificationRow(int(parts[0]), int(parts[1]), parts[2],
-                                      parts[3], int(parts[4]), int(parts[5])))
+            raise ValueError(f"golden line {lineno}: expected 6 columns, "
+                             f"got {len(parts)}")
+        r, degree, label, name, order, s = parts
+        try:
+            rows.append(ClassificationRow(int(r), int(degree), label, name,
+                                          int(order), int(s)))
+        except ValueError:
+            raise ValueError(
+                f"golden line {lineno}: bad integer field") from None
     return rows
 
 

@@ -21,7 +21,6 @@ from setorbits.prune import (
 )
 from setorbits.pipeline import classify, compare_to_golden, load_golden
 from setorbits.subgroups import all_subgroups
-from test_pipeline import golden_check_failures, nonstrict
 
 
 def report(line):
@@ -137,18 +136,18 @@ def test_criterion_5_classification():
 # ---------------------------------------------------------------------------
 # 6. partial checks for r = 6..11
 
-def test_criterion_6_partial_large_r():
+def test_criterion_6_partial_large_r(golden_check_failures):
     found = in_gaps = 0
     for r in range(6, 12):
-        rep = nonstrict(r)
+        rep = classify(r)
         golden = load_golden(r)
         assert golden_check_failures(rep, golden) == [], r
         missing = len(compare_to_golden(rep, golden).missing)
         found += len(golden) - missing
         in_gaps += missing
     # named examples from the criterion
-    assert {row.group_label: row.s_value for row in nonstrict(7).rows}["12P1"] == 19
-    assert {row.group_label: row.s_value for row in nonstrict(10).rows}["12T179"] == 22
+    assert {row.group_label: row.s_value for row in classify(7).rows}["12P1"] == 19
+    assert {row.group_label: row.s_value for row in classify(10).rows}["12T179"] == 22
     report(f"criterion 6 PASS: r=6..11: {found} golden rows found by classify, "
            f"{in_gaps} at gap degrees matched by distinct catalog entries, "
            f"no extra row")

@@ -183,6 +183,27 @@ def test_classify_gap_failure_names_resource(capout):
     assert "primitive catalog does not cover degree 14" in cap.err
 
 
-def test_classify_allow_gaps(capout):
-    out = capout(["classify", "--r", "8", "--allow-gaps"], expect=1).out
-    assert "gaps:" in out
+R8_GAPS = ("degree 14: primitive catalog does not cover degree 14",
+           "degree 18: primitive catalog does not cover degree 18")
+
+
+def test_classify_gaps_print_report_and_diff(tmp_path, capout):
+    golden = resources.files("setorbits").joinpath("data/tables/r8.tsv")
+    path = tmp_path / "r8.tsv"
+    path.write_bytes(golden.read_bytes())
+    cap = capout(["classify", "--r", "8", "--golden", str(path)], expect=1)
+    assert "classification for r=8: 9 group(s)" in cap.out
+    assert "  n=14  primitive catalog: data gap" in cap.out.splitlines()
+    assert "gaps:" not in cap.out
+    # the diff lists nothing missing or extra (only shared signatures)
+    assert "golden diff: 2 signature(s) matched as a group\n" in cap.err
+    assert "missing" not in cap.err and "extra" not in cap.err
+    for reason in R8_GAPS:
+        assert cap.err.count(reason) == 1
+        assert f"error: data gap: {reason}\n" in cap.err
+
+
+def test_classify_tsv_reports_gaps_and_exits_1(capout):
+    cap = capout(["classify", "--r", "8", "--format", "tsv"], expect=1)
+    assert all(cap.err.count(reason) == 1 for reason in R8_GAPS)
+    assert len(cap.out.splitlines()) == 10  # header + 9 rows

@@ -195,7 +195,7 @@ def test_padded_rows_resolve_by_id():
     """Every row label, padded or not, is a catalog ID with a ``+1`` per
     fixed point, and resolves to the row's degree, order and s."""
     for r in range(2, MAX_R + 1):
-        for row in classify(r, strict=False).rows:
+        for row in classify(r).rows:
             e = by_id(row.group_label)
             assert (e.degree, e.expected_order, e.expected_s) == (
                 row.degree, row.order, row.s_value), (r, row)
@@ -232,7 +232,7 @@ def test_classify_walks_no_sn(monkeypatch):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, walk)
     for r in range(2, MAX_R + 1):
-        assert classify(r, strict=False).rows
+        assert classify(r).rows
 
 
 def test_classify_builds_chains_only_for_burnside(chain_builds):
@@ -241,7 +241,7 @@ def test_classify_builds_chains_only_for_burnside(chain_builds):
     for r in range(2, MAX_R + 1):
         pipeline._profile_cache.clear()
         chain_builds.clear()
-        report = classify(r, strict=False)
+        report = classify(r)
         burnside = sum(routes.get("burnside", 0)
                        for routes in report.route_counts.values())
         assert len(chain_builds) <= burnside, r
@@ -250,7 +250,7 @@ def test_classify_builds_chains_only_for_burnside(chain_builds):
 def test_warm_classify_counts_nothing_and_builds_nothing(monkeypatch, chain_builds):
     """Once classify(r) has run, the s-memo holds every candidate: a second
     run gives the same rows without counting, building a group or a chain."""
-    cold = {r: classify(r, strict=False).rows for r in range(2, MAX_R + 1)}
+    cold = {r: classify(r).rows for r in range(2, MAX_R + 1)}
 
     def forbidden(*args):
         raise AssertionError("warm classify built or counted")
@@ -259,7 +259,7 @@ def test_warm_classify_counts_nothing_and_builds_nothing(monkeypatch, chain_buil
     monkeypatch.setattr(catalog.CatalogEntry, "group", forbidden)
     chain_builds.clear()
     for r in range(2, MAX_R + 1):
-        assert classify(r, strict=False).rows == cold[r], r
+        assert classify(r).rows == cold[r], r
     assert chain_builds == []
 
 
@@ -273,4 +273,4 @@ def test_classify_parses_no_word_after_load(monkeypatch):
     monkeypatch.setattr(catalog, "parse_permutation", forbidden)
     for r in range(2, MAX_R + 1):
         pipeline._profile_cache.clear()
-        assert classify(r, strict=False).rows, r
+        assert classify(r).rows, r

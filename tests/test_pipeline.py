@@ -1,11 +1,10 @@
-import functools
 import math
 from collections import Counter
 
 import pytest
 
 from setorbits import prune
-from setorbits.catalog import load_default, padded
+from setorbits.catalog import load_default
 from setorbits.orbitcount import count_set_orbits
 from setorbits.perm import is_primitive
 from setorbits.pipeline import (
@@ -149,14 +148,14 @@ def test_prime_degree7_missing_primitive_entry_is_a_gap():
 def test_prime_degree11_gap_closed():
     assert [c.id for c in candidate_groups(11, 9)] == [
         "11X1", "11X2", "11X3", "11X4", "11X5", "11P6"]
-    report = classify(9, strict=False)
+    report = classify(9)
     assert report.candidate_sources[11] == "primitive catalog (prime degree)"
-    assert not any("degree 11" in g for g in report.gaps)
+    assert not any("degree 11" in g for g in report.gaps.values())
 
 
 def test_prime_degree13_gap_still_reported():
-    report = classify(11, strict=False)
-    assert "degree 13: primitive catalog does not cover degree 13" in report.gaps
+    assert classify(11).gaps[13] == (
+        "degree 13: primitive catalog does not cover degree 13")
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +207,10 @@ def test_report_records_sources_and_routes():
         5: "primitive catalog (prime degree)", 6: "primitive catalog",
         7: "primitive catalog", 8: "primitive catalog", 9: "primitive catalog",
         11: "primitive catalog", 12: "primitive catalog"}
-    assert set(report.route_counts) == set(report.candidate_counts)
+    assert not report.gaps
+    assert set(report.route_counts) == set(report.candidate_sources)
     for n, routes in report.route_counts.items():
-        assert sum(routes.values()) == report.candidate_counts[n]
+        assert sum(routes.values()) == len(candidate_groups(n, 3))
         assert set(routes) <= {"shortcut", "burnside", "enumeration"}
     assert report.route_counts[12] == {"enumeration": 2}  # M11 and M12
 
@@ -281,6 +281,28 @@ def test_golden_rows_round_trip(r):
     assert parse_golden(report.to_tsv()) == report.rows
 
 
+HEADER = "r\tdegree\tlabel\tname\torder\ts\n"
+ROW = "2\t4\t4S2\tV4\t4\t6\n"
+
+
+def test_parse_golden_names_file_line_of_bad_integer():
+    text = "\n\n" + HEADER + ROW + "2\t4\t4S2\tV4\tfour\t6\n"
+    with pytest.raises(ValueError, match=r"^golden line 5: bad integer"):
+        parse_golden(text)
+
+
+def test_parse_golden_counts_leading_blank_lines():
+    text = "\n\n" + HEADER + "2\t4\t4S2\n"
+    with pytest.raises(ValueError, match=r"^golden line 4: expected 6 columns"):
+        parse_golden(text)
+
+
+def test_parse_golden_skips_blank_lines_and_header():
+    row = parse_golden(ROW)[0]
+    assert parse_golden("\n" + HEADER + "\n" + ROW + "\n") == [row]
+    assert row == ClassificationRow(2, 4, "4S2", "V4", 4, 6)
+
+
 def test_golden_negative_control():
     report = classify(2)
     golden = load_golden(2)[:-1]  # drop one row
@@ -310,56 +332,26 @@ def test_golden_tables_have_expected_row_counts():
 
 
 # ---------------------------------------------------------------------------
-# golden tables for r = 6..11 through non-strict classify
-
-@functools.cache
-def nonstrict(r):
-    return classify(r, strict=False)
-
-
-def gap_degrees(report):
-    return set(report.candidate_sources) - set(report.candidate_counts)
-
-
-def golden_check_failures(report, golden):
-    """Why ``report`` does not account for ``golden``: an extra row, a
-    missing row outside the gap degrees, or missing gap-degree rows that
-    outnumber the catalog entries, or their one-point paddings, of their
-    degree, order and s."""
-    diff = compare_to_golden(report, golden)
-    gaps = gap_degrees(report)
-    failures = [f"extra: {row}" for row in diff.extra]
-    failures += [f"missing outside the gaps: {g}" for g in diff.missing
-                 if g.degree not in gaps]
-    want = Counter((g.degree, g.order, g.s_value) for g in diff.missing
-                   if g.degree in gaps)
-    shapes = {(d, o) for d, o, _ in want}
-    entries = load_default() + tuple(map(padded, load_default()))
-    have = Counter((e.degree, e.expected_order, count_set_orbits(e.group()))
-                   for e in entries if (e.degree, e.expected_order) in shapes)
-    failures += [f"{k} missing rows {key}, {have[key]} catalog entries"
-                 for key, k in want.items() if k > have[key]]
-    return failures
-
+# golden tables for r = 6..11, with their data gaps
 
 @pytest.mark.parametrize("r", [6, 7, 8, 9, 10, 11])
-def test_spot_checks_fully_reproduce(r):
-    assert golden_check_failures(nonstrict(r), load_golden(r)) == []
+def test_spot_checks_fully_reproduce(r, golden_check_failures):
+    assert golden_check_failures(classify(r), load_golden(r)) == []
 
 
 @pytest.mark.parametrize("r,gaps", [
     (8, {14, 18}), (9, {13, 14, 17, 18}), (10, {14, 16, 18}),
     (11, {9, 10, 13, 14, 15, 16, 17, 18})], ids=["8", "9", "10", "11"])
 def test_nonstrict_gap_degrees(r, gaps):
-    assert gap_degrees(nonstrict(r)) == gaps
+    assert set(classify(r).gaps) == gaps
 
 
-def test_golden_check_negative_control():
+def test_golden_check_negative_control(golden_check_failures):
     # degree 9 is a gap at r = 11, and one catalog entry has 9S497's signature
     golden = load_golden(11)
     (row,) = [g for g in golden if g.group_label == "9S497"]
-    assert golden_check_failures(nonstrict(11), golden) == []
-    assert golden_check_failures(nonstrict(11), golden + [row]) == [
+    assert golden_check_failures(classify(11), golden) == []
+    assert golden_check_failures(classify(11), golden + [row]) == [
         "2 missing rows (9, 324, 20), 1 catalog entries"]
 
 
@@ -371,13 +363,13 @@ def test_shared_signatures_matched_by_distinct_rows(r, labels):
     assert len(gold) == 2
     assert len({(g.degree, g.order, g.s_value) for g in gold}) == 1
     key = (gold[0].degree, gold[0].order, gold[0].s_value)
-    rows = [row for row in nonstrict(r).rows
+    rows = [row for row in classify(r).rows
             if (row.degree, row.order, row.s_value) == key]
     assert len(rows) == len({row.group_label for row in rows}) == 2
 
 
 def test_spot_check_named_rows():
-    rows7 = {row.group_label: row for row in nonstrict(7).rows}
+    rows7 = {row.group_label: row for row in classify(7).rows}
     assert rows7["12P1"].s_value == 19
-    rows10 = {row.group_label: row for row in nonstrict(10).rows}
+    rows10 = {row.group_label: row for row in classify(10).rows}
     assert rows10["12T179"].s_value == 22
