@@ -123,6 +123,7 @@ def test_criterion_5_classification():
     counts = {}
     for r, want in [(2, 9), (3, 8), (4, 10), (5, 10)]:
         rep = classify(r)
+        assert not rep.gaps, (r, rep.gaps)
         diff = compare_to_golden(rep, load_golden(r))
         assert diff.empty, (r, diff.missing, diff.extra)
         assert len(rep.rows) == want

@@ -164,6 +164,7 @@ def test_prime_degree13_gap_still_reported():
 @pytest.mark.parametrize("r,rows", [(2, 9), (3, 8), (4, 10), (5, 10)])
 def test_classification_matches_golden(r, rows):
     report = classify(r)
+    assert not report.gaps
     assert len(report.rows) == rows
     diff = compare_to_golden(report, load_golden(r))
     assert diff.empty, (diff.missing, diff.extra)
@@ -258,6 +259,7 @@ def test_classify_r7_strict():
     # degree 7 takes the one-point paddings (PGL(2,5)+1, A6+1, S6+1) and
     # degree 9 only primitive candidates (block shape)
     report = classify(7)
+    assert not report.gaps
     assert len(report.rows) == 19
     diff = compare_to_golden(report, load_golden(7))
     assert diff.empty, (diff.missing, diff.extra)
