@@ -28,7 +28,7 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete.  The run
-takes about 15 s on one core of a 2-core Xeon; rerunning it reproduces the
+takes about 24 s on one core of a 2-core host; rerunning it reproduces the
 shipped file byte for byte.
 """
 

@@ -214,103 +214,127 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 # stabilizer chain
 
 class _Chain:
-    """Deterministic base / strong generating set for a tuple-generated group.
+    """Deterministic base and strong generating set of a tuple-generated
+    group, built by incremental Schreier-Sims.
 
-    ``base[i]`` is the i-th base point, ``trans[i]`` maps each point of the
-    i-th basic orbit to a coset representative u with u[base[i]-orbit] ...
-    precisely u[base[i]] = point.  ``strong[i]`` generates the stabilizer of
-    base[:i].
+    ``base[i]`` is the i-th base point.  ``trans[i]`` maps each point p of
+    the i-th basic orbit to its coset representative u, with u[base[i]] = p,
+    and ``_inv[i]`` keeps u^-1 beside it, so sifting never inverts.  While
+    the chain is built, each level keeps its strong generators (those fixing
+    base[:i]) in a list; a new generator extends the orbits from their
+    existing points, and a point's representative, once set, is never
+    replaced.  Each Schreier pair (point, generator index) of a level is
+    sifted once: representatives and indices never change, so an old pair
+    gives the same element, and that element sifted to the identity or was
+    added as a strong generator, so it lies in the stabilizer, which only
+    grows.
     """
 
-    __slots__ = ("n", "base", "trans", "_strong_with_level", "order")
+    __slots__ = ("n", "base", "trans", "_inv", "order", "_gens", "_done")
 
     def __init__(self, gens: Iterable[tuple[int, ...]], n: int,
                  forced_base: Sequence[int] = ()):
         self.n = n
         self.base: list[int] = []
         self.trans: list[dict[int, tuple[int, ...]]] = []
-        self._strong_with_level: list[tuple[tuple[int, ...], int]] = []
-        ident = _identity_t(n)
+        self._inv: list[dict[int, tuple[int, ...]]] = []
+        # build state, per level: the strong generators with their inverses,
+        # and for each orbit point (in insertion order) how many of them have
+        # been sifted with it
+        self._gens: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
+        self._done: list[list[int]] = []
         for b in forced_base:
-            self.base.append(b)
-            self.trans.append({b: ident})
-
+            self._add_level(b)
+        ident = _identity_t(n)
         for g in gens:
             if g != ident:
-                self._insert(g)
-        self._complete()
+                self._add_generator(g)
+        i = len(self.base) - 1
+        while i >= 0:
+            i = self._sift_new_pairs(i)
+        del self._gens, self._done
         self.order = math.prod(len(t) for t in self.trans) if self.trans else 1
 
     # -- construction ---------------------------------------------------
 
-    def _level_of(self, g: tuple[int, ...]) -> int:
-        for i, b in enumerate(self.base):
-            if g[b] != b:
-                return i
-        # fixes the whole base: needs a fresh base point
-        b = min(p for p in range(self.n) if g[p] != p)
+    def _add_level(self, b: int):
+        ident = _identity_t(self.n)
         self.base.append(b)
-        self.trans.append({b: _identity_t(self.n)})
-        return len(self.base) - 1
+        self.trans.append({b: ident})
+        self._inv.append({b: ident})
+        self._gens.append([])
+        self._done.append([0])
 
-    def _insert(self, g: tuple[int, ...]):
-        self._strong_with_level.append((g, self._level_of(g)))
+    def _add_generator(self, g: tuple[int, ...]) -> int:
+        """Make ``g`` a strong generator of its level and of every level
+        below it, extend those levels' orbits, and return its level."""
+        for lvl, b in enumerate(self.base):
+            if g[b] != b:
+                break
+        else:
+            # fixes the whole base: needs a fresh base point
+            lvl = len(self.base)
+            self._add_level(min(p for p in range(self.n) if g[p] != p))
+        pair = (g, _inverse_t(g))
+        for k in range(lvl + 1):
+            self._gens[k].append(pair)
+            self._extend_orbit(k, pair)
+        return lvl
 
-    def _gens_at(self, i: int) -> list[tuple[int, ...]]:
-        return [g for g, lvl in self._strong_with_level if lvl >= i]
-
-    def _rebuild_orbit(self, i: int):
-        b = self.base[i]
-        gens = self._gens_at(i)
-        t = {b: _identity_t(self.n)}
-        queue = [b]
-        while queue:
-            p = queue.pop()
-            up = t[p]
-            for s in gens:
+    def _extend_orbit(self, k: int, pair: tuple[tuple[int, ...], tuple[int, ...]]):
+        """Close orbit ``k`` under its newest generator ``pair``: its old
+        points see only that generator, the points it reaches see them all."""
+        t, ti = self.trans[k], self._inv[k]
+        g, ginv = pair
+        new = []
+        for p in list(t):
+            q = g[p]
+            if q not in t:
+                t[q] = _compose_t(g, t[p])
+                ti[q] = _compose_t(ti[p], ginv)
+                new.append(q)
+        gens = self._gens[k]
+        while new:
+            p = new.pop()
+            up, vp = t[p], ti[p]
+            for s, sinv in gens:
                 q = s[p]
                 if q not in t:
-                    t[q] = _compose_t(s, up)  # maps b -> q
-                    queue.append(q)
-        self.trans[i] = t
+                    t[q] = _compose_t(s, up)
+                    ti[q] = _compose_t(vp, sinv)
+                    new.append(q)
+        done = self._done[k]
+        done.extend([0] * (len(t) - len(done)))
 
     def _strip(self, g: tuple[int, ...], start: int) -> tuple[tuple[int, ...], int]:
-        for j in range(start, len(self.base)):
-            p = g[self.base[j]]
-            u = self.trans[j].get(p)
-            if u is None:
+        base, inv = self.base, self._inv
+        for j in range(start, len(base)):
+            v = inv[j].get(g[base[j]])
+            if v is None:
                 return g, j
-            g = _compose_t(_inverse_t(u), g)
-        return g, len(self.base)
+            g = _compose_t(v, g)
+        return g, len(base)
 
-    def _complete(self):
-        """Schreier-Sims verification loop: sift all Schreier generators."""
+    def _sift_new_pairs(self, i: int) -> int:
+        """Sift the Schreier generators u_{s(p)}^-1 s u_p of level ``i`` whose
+        pair (p, s) was not sifted before.  The first nontrivial residue
+        becomes a strong generator and its level is returned, to be checked
+        next; with none, level i is complete and i - 1 is next."""
+        t, ti, gens, done = self.trans[i], self._inv[i], self._gens[i], self._done[i]
         ident = _identity_t(self.n)
-        i = len(self.base) - 1
-        while i >= 0:
-            self._rebuild_orbit(i)
-            restart = False
-            gens_i = self._gens_at(i)
-            for p in sorted(self.trans[i]):
-                up = self.trans[i][p]
-                for s in gens_i:
-                    uq = self.trans[i][s[p]]
-                    schreier = _compose_t(_inverse_t(uq), _compose_t(s, up))
-                    if schreier == ident:
-                        continue
-                    h, j = self._strip(schreier, i + 1)
-                    if h != ident:
-                        lvl = self._level_of(h)
-                        self._strong_with_level.append((h, lvl))
-                        for k in range(i + 1, min(lvl, len(self.base) - 1) + 1):
-                            self._rebuild_orbit(k)
-                        i = lvl
-                        restart = True
-                        break
-                if restart:
-                    break
-            if not restart:
-                i -= 1
+        ngens = len(gens)
+        for pos, (p, up) in enumerate(t.items()):
+            for k in range(done[pos], ngens):
+                done[pos] = k + 1
+                s = gens[k][0]
+                su = _compose_t(s, up)
+                q = s[p]
+                if su == t[q]:
+                    continue
+                h, _ = self._strip(_compose_t(ti[q], su), i + 1)
+                if h != ident:
+                    return self._add_generator(h)
+        return i - 1
 
     # -- queries ---------------------------------------------------------
 

@@ -1,6 +1,9 @@
+import importlib.util
+import itertools
 import math
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from setorbits.perm import (
     is_transitive,
     parse_permutation,
     transitivity_degree,
+    _Chain,
     _cycle_lengths,
     _inverse_t,
 )
@@ -241,6 +245,63 @@ def test_order_divides_factorial(gens):
     G = build_group(gens, degree=6)
     assert math.factorial(6) % G.order == 0
     assert len(list(elements(G))) == G.order
+
+
+def _oracle_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "subgroup_oracle.py"
+    spec = importlib.util.spec_from_file_location("subgroup_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: the group a generator list spans, by plain breadth-first closure
+closure = _oracle_script().bfs_closure
+
+
+def moving_some(n):
+    """Permutations of degree n that move all points or only a few, so that
+    lists of them generate small and intransitive groups too."""
+    def place(points, images):
+        out = list(range(n))
+        for p, q in zip(points, images):
+            out[p] = q
+        return tuple(out)
+
+    some = st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                    unique=True).flatmap(
+        lambda pts: st.permutations(pts).map(lambda img: place(pts, img)))
+    return st.one_of(st.permutations(range(n)).map(tuple), some)
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(moving_some(n), max_size=3), st.booleans())))
+@settings(max_examples=60, deadline=None)
+def test_chain_matches_closure(case):
+    n, gens, forced = case
+    chain = _Chain(gens, n, forced_base=range(n) if forced else ())
+    want = closure(gens, n)
+    assert chain.order == len(want)
+    elems = list(chain.iter_elements())
+    assert len(elems) == len(want) and set(elems) == want
+    for x in itertools.permutations(range(n)):
+        assert chain.contains(x) == (x in want)
+
+
+S8_WR_S2 = ["(1,2)", "(1,2,3,4,5,6,7,8)",
+            "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)"]
+
+
+@pytest.mark.parametrize("n, texts, order", [
+    (12, ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)",
+          "(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)"], 95040),
+    (12, ["(1,2)", "(1,2,3,4,5,6,7,8,9,10,11,12)"], math.factorial(12)),
+    (11, ["(1,2,3)", "(1,2,3,4,5,6,7,8,9,10,11)"], math.factorial(11) // 2),
+    (16, S8_WR_S2, 3251404800),
+], ids=["M12", "S12", "A11", "S8wrS2"])
+def test_chain_order_of_large_groups(n, texts, order):
+    gens = [parse_permutation(t, n).images for t in texts]
+    assert _Chain(gens, n).order == order
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,7 @@ def test_classify_r6_runs_clean():
     assert diff.empty
 
 
-def test_classify_r7_strict():
+def test_classify_r7():
     # degree 7 takes the one-point paddings (PGL(2,5)+1, A6+1, S6+1) and
     # degree 9 only primitive candidates (block shape)
     report = classify(7)
@@ -344,7 +344,7 @@ def test_spot_checks_fully_reproduce(r, golden_check_failures):
 @pytest.mark.parametrize("r,gaps", [
     (8, {14, 18}), (9, {13, 14, 17, 18}), (10, {14, 16, 18}),
     (11, {9, 10, 13, 14, 15, 16, 17, 18})], ids=["8", "9", "10", "11"])
-def test_nonstrict_gap_degrees(r, gaps):
+def test_gap_degrees(r, gaps):
     assert set(classify(r).gaps) == gaps
 
 
