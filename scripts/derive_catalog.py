@@ -4,9 +4,11 @@
 Every generator set is produced from a first-principles construction:
 
 * projective actions of PSL/PGL/PSigmaL/PGammaL(2, q) and M_10 on the
-  projective line over GF(q), with field arithmetic done here;
-* affine actions (translations plus a point stabilizer) over GF(q) and
-  over the vector spaces GF(2)^3, GF(3)^2;
+  projective line over GF(q), each generator one ``mobius`` map, with
+  field arithmetic done here;
+* affine actions (translations plus a point stabilizer) over GF(q), the
+  Moebius maps that fix infinity, and over the vector spaces GF(2)^3,
+  GF(3)^2;
 * linear actions of GL(3,2), SL(2,3), GL(2,3) on nonzero vectors;
 * coset actions for the exceptional 11- and 12-point representations of
   PSL(2,11) and M_11;
@@ -28,7 +30,7 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete.  The run
-takes about 24 s on one core of a 2-core host; rerunning it reproduces the
+takes about 17 s on one core of a 2-core host; rerunning it reproduces the
 shipped file byte for byte.
 """
 
@@ -38,6 +40,7 @@ import random
 import sys
 import time
 from collections import Counter
+from collections.abc import Sequence
 from itertools import combinations, count, product
 from pathlib import Path
 
@@ -146,101 +149,58 @@ F9 = GF(3, 2, (1, 0))      # x^2 = -1
 # ---------------------------------------------------------------------------
 # constructions
 
-def perm_of(images0, n) -> Permutation:
-    assert len(images0) == n
-    return Permutation(images0)
-
-
-def projective_maps(F: GF):
-    """Permutations of P^1(GF(q)) = [0..q-1, oo], as 0-based image lists.
-
-    Returns dict with translation x+1, scalar maps x -> c x, inversion
-    x -> -1/x, and Frobenius x -> x^p.
-    """
+def mobius(F: GF, a: int, b: int, c: int = 0, d: int = 1,
+           frobenius: bool = False) -> Permutation:
+    """x -> (a x^s + b) / (c x^s + d) on P^1(GF(q)) = [0..q-1, oo], where
+    x^s is x^p with ``frobenius`` and x otherwise; oo is point q."""
     q = F.q
-    INF = q
 
-    def ptmap(f):
-        return [f(x) for x in range(q)] + [f(INF)]
+    def image(x):
+        if x == q:
+            return q if c == 0 else F.mul(a, F.inv(c))
+        y = F.pow(x, F.p) if frobenius else x
+        den = F.add(F.mul(c, y), d)
+        return q if den == 0 else F.mul(F.add(F.mul(a, y), b), F.inv(den))
 
-    def translate(x):
-        return INF if x == INF else F.add(x, 1)
-
-    def scalar(c):
-        def s(x):
-            return INF if x == INF else F.mul(c, x)
-        return s
-
-    def inv_neg(x):
-        if x == INF:
-            return 0
-        if x == 0:
-            return INF
-        return F.neg(F.inv(x))
-
-    def frob(x):
-        return INF if x == INF else F.pow(x, F.p)
-
-    return {
-        "t": ptmap(translate),
-        "scalar": lambda c: ptmap(scalar(c)),
-        "i": ptmap(inv_neg),
-        "f": ptmap(frob),
-        "n": q + 1,
-    }
+    return Permutation([image(x) for x in range(q + 1)])
 
 
 def psl2(F: GF) -> list[Permutation]:
-    m = projective_maps(F)
+    """x + 1, x -> g^2 x and x -> -1/x, for g a generator of GF(q)^*."""
     g = F.generator()
-    sq = F.mul(g, g)
-    return [perm_of(m["t"], m["n"]), perm_of(m["scalar"](sq), m["n"]),
-            perm_of(m["i"], m["n"])]
+    return [mobius(F, 1, 1), mobius(F, F.mul(g, g), 0), mobius(F, 0, F.neg(1), 1, 0)]
 
 
 def pgl2(F: GF) -> list[Permutation]:
-    m = projective_maps(F)
-    return psl2(F) + [perm_of(m["scalar"](F.generator()), m["n"])]
+    return psl2(F) + [mobius(F, F.generator(), 0)]
 
 
 def psigmal2(F: GF) -> list[Permutation]:
-    m = projective_maps(F)
-    return psl2(F) + [perm_of(m["f"], m["n"])]
+    return psl2(F) + [mobius(F, 1, 0, frobenius=True)]
 
 
 def pgammal2(F: GF) -> list[Permutation]:
-    m = projective_maps(F)
-    return pgl2(F) + [perm_of(m["f"], m["n"])]
+    return pgl2(F) + [mobius(F, 1, 0, frobenius=True)]
 
 
 def m10_maps(F: GF) -> list[Permutation]:
     """PSL(2,9) extended by (scalar g) o Frobenius: the M_10 coset."""
-    m = projective_maps(F)
-    g = F.generator()
-    q = F.q
-    twisted = [F.mul(g, F.pow(x, F.p)) for x in range(q)] + [q]
-    return psl2(F) + [perm_of(twisted, m["n"])]
+    return psl2(F) + [mobius(F, F.generator(), 0, frobenius=True)]
 
 
-def affine_line(F: GF, scalars: list[int], frobenius_twist: list[int] | None = None,
-                frobenius: bool = False) -> list[Permutation]:
-    """Subgroup of AGammaL(1, q) on the q affine points.
+def affine_line(F: GF, scalars: Sequence[int],
+                frobenius_twists: Sequence[int] = ()) -> list[Permutation]:
+    """Subgroup of AGammaL(1, q) on the q affine points: the Moebius maps
+    with c = 0, which fix oo, with oo dropped.
 
-    Generated by the translations x+1, x+t (t a generating set of (F,+)),
-    the maps x -> c x for c in scalars, optionally x -> x^p and twisted
-    maps x -> c x^p for c in frobenius_twist.
+    Generated by the translation x+1, for k > 1 also x+p (p is the basis
+    element x of GF(p^k)), the maps x -> c x for c in scalars and x -> c x^p
+    for c in frobenius_twists.
     """
-    q = F.q
-    gens = [perm_of([F.add(x, 1) for x in range(q)], q)]
-    if F.k > 1:
-        gens.append(perm_of([F.add(x, F.p) for x in range(q)], q))  # + basis elt
-    for c in scalars:
-        gens.append(perm_of([F.mul(c, x) for x in range(q)], q))
-    if frobenius:
-        gens.append(perm_of([F.pow(x, F.p) for x in range(q)], q))
-    for c in frobenius_twist or []:
-        gens.append(perm_of([F.mul(c, F.pow(x, F.p)) for x in range(q)], q))
-    return gens
+    maps = [mobius(F, 1, 1)] + [mobius(F, 1, F.p)] * (F.k > 1)
+    maps += [mobius(F, c, 0) for c in scalars]
+    maps += [mobius(F, c, 0, frobenius=True) for c in frobenius_twists]
+    return [Permutation(m.images[:F.q]) for m in maps]
 
 
 def vector_points(p: int, dim: int, nonzero: bool) -> list[tuple[int, ...]]:
@@ -260,14 +220,14 @@ def linear_group(p: int, dim: int, mats: list[tuple[tuple[int, ...], ...]],
         for d in range(dim):
             e = tuple(1 if i == d else 0 for i in range(dim))
             img = [index[tuple((v[i] + e[i]) % p for i in range(dim))] for v in pts]
-            gens.append(perm_of(img, len(pts)))
+            gens.append(Permutation(img))
     for M in mats:
         img = []
         for v in pts:
             w = tuple(sum(M[i][j] * v[j] for j in range(dim)) % p
                       for i in range(dim))
             img.append(index[w])
-        gens.append(perm_of(img, len(pts)))
+        gens.append(Permutation(img))
     return gens
 
 
@@ -303,7 +263,7 @@ def coset_action(gens: list[Permutation], sub: frozenset, n: int) -> list[Permut
             x = tuple(map(g.__getitem__, reps[i]))
             coset = frozenset(tuple(map(x.__getitem__, h)) for h in sub)
             img.append(index[coset])
-        out.append(perm_of(img, m))
+        out.append(Permutation(img))
     return out
 
 
@@ -490,7 +450,7 @@ def pair_action(gens: list[Permutation]) -> list[Permutation]:
     for g in gens:
         img = [index[tuple(sorted((g.images[a], g.images[b])))]
                for a, b in pairs]
-        out.append(perm_of(img, len(pairs)))
+        out.append(Permutation(img))
     return out
 
 
@@ -569,7 +529,7 @@ def main():
     # ---- degree 8: primitive ---------------------------------------------
     g8 = F8.generator()
     add(entry("8P1", "AGL(1,8)", affine_line(F8, [g8]), 56, s=10))
-    add(entry("8P2", "AGammaL(1,8)", affine_line(F8, [g8], frobenius=True),
+    add(entry("8P2", "AGammaL(1,8)", affine_line(F8, [g8], [1]),
               168, s=10))
     add(entry("8P3", "ASL(3,2)", linear_group(2, 3, GL32_MATS, nonzero=False,
                                               translations=True),
@@ -586,11 +546,11 @@ def main():
     g9 = F9.generator()
     sq9 = F9.mul(g9, g9)
     add(entry("9X1", "3^2:4", affine_line(F9, [sq9]), 36))
-    add(entry("9X2", "3^2:D8", affine_line(F9, [sq9], frobenius=True), 72))
+    add(entry("9X2", "3^2:D8", affine_line(F9, [sq9], [1]), 72))
     add(entry("9T15", "AGL(1,9)", affine_line(F9, [g9]), 72, s=16))
-    add(entry("9S370", "3^2:Q8", affine_line(F9, [sq9], frobenius_twist=[g9]),
+    add(entry("9S370", "3^2:Q8", affine_line(F9, [sq9], [g9]),
               72, s=18))
-    add(entry("9T19", "AGammaL(1,9)", affine_line(F9, [g9], frobenius=True),
+    add(entry("9T19", "AGammaL(1,9)", affine_line(F9, [g9], [1]),
               144, s=16))
     add(entry("9P6", "ASL(2,3)", linear_group(3, 2, SL23_MATS, nonzero=False,
                                               translations=True),

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Naive subgroup census of S_n: the independent oracle behind the frozen
-class-count fixtures.
+"""Naive subgroup census of a permutation group given by its element list:
+the independent oracle behind the frozen class-count fixtures.
 
 Method, deliberately different from the production enumerator (no stabilizer
 chains, no prime-power element walk, no conjugate maps): list every cyclic
@@ -8,9 +8,10 @@ subgroup, then close the collection under pairwise join until nothing new
 appears.  Every subgroup is a join of cyclic subgroups, so the fixpoint is
 the complete subgroup lattice.  A join is computed by plain breadth-first
 closure of the two generator lists.  Conjugacy classes are then formed by
-explicit conjugation with every element of S_n.
+explicit conjugation with every element of the group.
 
-Usage: subgroup_oracle.py [max_n]     (default 5; n = 6 takes some minutes)
+Usage: subgroup_oracle.py [max_n]     (S_1..S_max_n; default 5; n = 6 takes
+some minutes)
 """
 
 from __future__ import annotations
@@ -41,10 +42,13 @@ def bfs_closure(gens: tuple, n: int) -> frozenset:
     return frozenset(out)
 
 
-def census(n: int) -> tuple[int, int]:
-    """(number of subgroups, number of conjugacy classes) of S_n."""
+def census(elements) -> tuple[int, int]:
+    """(number of subgroups, number of conjugacy classes) of the group whose
+    elements, as 0-based image tuples, are ``elements``; classes are taken
+    under conjugation by the group itself."""
+    everyone = list(elements)
+    n = len(everyone[0])
     ident = tuple(range(n))
-    everyone = [tuple(p) for p in permutations(range(n))]
     cyclics: dict[frozenset, tuple] = {}
     for g in everyone:
         if g == ident:
@@ -85,6 +89,6 @@ if __name__ == "__main__":
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     for n in range(1, max_n + 1):
         t0 = time.time()
-        total, classes = census(n)
+        total, classes = census(permutations(range(n)))
         print(f"S_{n}: {total} subgroups, {classes} conjugacy classes "
               f"({time.time() - t0:.1f}s)")

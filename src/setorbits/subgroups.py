@@ -6,11 +6,12 @@ elements g of prime-power order in the parent (every subgroup arises as
 <M, g> with M maximal and g of prime-power order outside M, so the walk is
 exhaustive), and the closures are deduplicated against an exact map from
 element sets to classes that covers every parent-conjugate of every
-discovered subgroup.
+discovered subgroup.  Once g is tried, the rest of its double cosets HgH
+and Hg^-1H are skipped: each of their elements gives the same <H, g>.
 
 The default case is the parent S_n: ``all_subgroups(n)`` caches it per
 degree for n <= SUBGROUP_MAX_DEGREE = 7 (S_7: 96 classes, 11300
-subgroups, about 8 s on one core of a 2-core host).  Nothing walks S_8, which takes minutes: the
+subgroups, about 7 s on one core of a 2-core host).  Nothing walks S_8, which takes minutes: the
 imprimitive transitive groups of degree 8 are walked inside S_2 wr S_4 and
 S_4 wr S_2 (scripts/derive_catalog.py) and put in S_8 order by
 ``canonical_key``.  Everything is deterministic: candidates are scanned in
@@ -58,10 +59,6 @@ class SubgroupClass:
     canonical_key: tuple
     transitive: bool
     index: int = field(compare=False, default=0)
-
-    @property
-    def degree(self) -> int:
-        return self.representative.degree
 
 
 def _prime_power_order(lengths: tuple[int, ...]) -> bool:
@@ -136,7 +133,6 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
         if rec.order == parent.order:
             continue
         E, gens = rec.elements, rec.gens
-        small = rec.order <= 48
         covered: set = set()
         for g in candidates:
             if g in E or g in covered:
@@ -152,24 +148,20 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
                 elems = frozenset(chain.iter_elements())
                 if elems not in set_to_class:
                     register(elems, new_gens)
-            # <H, g> is unchanged under g -> h g h', g -> g^-1
+            # <H, x> = <H, g> for every x in the double cosets HgH and
+            # Hg^-1H: the cosets Hg and Hg^-1 closed under right
+            # multiplication by H's generators
             ginv = _inverse_t(g)
-            if small:
-                for h in E:
-                    hg = _compose_t(h, g)
-                    hginv = _compose_t(h, ginv)
-                    for hp in E:
-                        covered.add(_compose_t(hg, hp))
-                        covered.add(_compose_t(hginv, hp))
-            else:
-                for h in E:
-                    hinv = _inverse_t(h)
-                    covered.add(_compose_t(h, g))
-                    covered.add(_compose_t(g, h))
-                    covered.add(_compose_t(h, _compose_t(g, hinv)))
-                    covered.add(_compose_t(h, ginv))
-                    covered.add(_compose_t(ginv, h))
-                    covered.add(_compose_t(h, _compose_t(ginv, hinv)))
+            cosets = {_compose_t(h, x) for h in E for x in (g, ginv)}
+            covered |= cosets
+            frontier = list(cosets)
+            while frontier:
+                x = frontier.pop()
+                for s in gens:
+                    y = _compose_t(x, s)
+                    if y not in covered:
+                        covered.add(y)
+                        frontier.append(y)
     return classes
 
 

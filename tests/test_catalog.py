@@ -272,6 +272,45 @@ def test_derived_imprimitive_entries_are_the_shipped_lines(n):
                             - PRIMITIVE_COUNTS[n] + TWO_ORBIT_COUNTS[n])
 
 
+#: the script's constructions over finite fields, with the arguments its
+#: ``main`` passes
+FIELD_CONSTRUCTIONS = {
+    "6P1": lambda s: s.psl2(s.F5),
+    "6X1": lambda s: s.pgl2(s.F5),
+    "7P3": lambda s: s.affine_line(s.F7, [2]),
+    "7P4": lambda s: s.affine_line(s.F7, [3]),
+    "8P1": lambda s: s.affine_line(s.F8, [s.F8.generator()]),
+    "8P2": lambda s: s.affine_line(s.F8, [s.F8.generator()], [1]),
+    "8P4": lambda s: s.psl2(s.F7),
+    "8P5": lambda s: s.pgl2(s.F7),
+    "9X1": lambda s: s.affine_line(s.F9, [s.F9.pow(s.F9.generator(), 2)]),
+    "9X2": lambda s: s.affine_line(s.F9, [s.F9.pow(s.F9.generator(), 2)], [1]),
+    "9T15": lambda s: s.affine_line(s.F9, [s.F9.generator()]),
+    "9S370": lambda s: s.affine_line(s.F9, [s.F9.pow(s.F9.generator(), 2)],
+                                     [s.F9.generator()]),
+    "9T19": lambda s: s.affine_line(s.F9, [s.F9.generator()], [1]),
+    "9X3": lambda s: s.psl2(s.F8),
+    "9X4": lambda s: s.pgammal2(s.F8),
+    "10S1396": lambda s: s.psl2(s.F9),
+    "10P4": lambda s: s.pgl2(s.F9),
+    "10T32": lambda s: s.psigmal2(s.F9),
+    "10P6": lambda s: s.m10_maps(s.F9),
+    "10P7": lambda s: s.pgammal2(s.F9),
+    "11X3": lambda s: s.affine_line(s.F11, [3]),
+    "11X4": lambda s: s.affine_line(s.F11, [2]),
+    "12T179": lambda s: s.psl2(s.F11),
+    "12T218": lambda s: s.pgl2(s.F11),
+}
+
+
+@pytest.mark.parametrize("ident", list(FIELD_CONSTRUCTIONS))
+def test_field_constructions_are_the_shipped_generators(ident):
+    """The projective and affine maps the script builds are the shipped
+    generators of the entry, in order."""
+    built = FIELD_CONSTRUCTIONS[ident](_derive_catalog_script())
+    assert tuple(built) == by_id(ident).generators
+
+
 @pytest.mark.parametrize("ident,central", [
     ("5S10", False), ("5S11", True), ("6S35", False), ("6S37", True),
     ("6S40", True), ("6S41", False), ("7S87", False), ("7S88", True),

@@ -14,11 +14,13 @@ from setorbits.subgroups import (
     subgroup_classes,
     transitive_classes,
 )
+from test_perm import _oracle_script
 
 # class and subgroup counts for S_5 / S_6 were computed once by the naive
-# join-closure oracle (scripts/subgroup_oracle.py) and frozen here
-FROZEN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 19, 6: 56}
-FROZEN_TOTAL_COUNTS = {1: 1, 2: 2, 3: 6, 4: 30, 5: 156, 6: 1455}
+# join-closure oracle (scripts/subgroup_oracle.py) and frozen here; S_7's are
+# OEIS A000638 and A005432
+FROZEN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 19, 6: 56, 7: 96}
+FROZEN_TOTAL_COUNTS = {1: 1, 2: 2, 3: 6, 4: 30, 5: 156, 6: 1455, 7: 11300}
 
 
 def brute_subgroup_classes_s3():
@@ -63,7 +65,7 @@ def test_s4_counts_against_pair_closure_oracle():
     assert len(all_subgroups(4)) == 11
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_frozen_class_and_total_counts(n):
     assert len(all_subgroups(n)) == FROZEN_CLASS_COUNTS[n]
     assert sum(c.class_size for c in all_subgroups(n)) == FROZEN_TOTAL_COUNTS[n]
@@ -200,6 +202,18 @@ def test_young_and_wreath_classes_fuse_into_sn(name):
         assert len(hits) == 1, (name, c.index, [d.index for d in hits])
         key = canonical_key(c.representative, builtin("symmetric", n))
         assert key == hits[0].canonical_key
+
+
+@pytest.mark.parametrize("name,subgroups,classes", [
+    ("S2wrS3", 98, 33), ("S3wrS2", 112, 26)])
+def test_wreath_classes_match_join_closure_oracle(name, subgroups, classes):
+    """The walk's classes and their sizes under the parent against the naive
+    census of scripts/subgroup_oracle.py, run on the parent's elements."""
+    n, gens, _ = YOUNG_AND_WREATH[name]
+    parent = build_group([parse_permutation(g, n) for g in gens])
+    got = subgroup_classes(parent)
+    census = _oracle_script().census(parent.iter_element_tuples())
+    assert census == (sum(c.class_size for c in got), len(got)) == (subgroups, classes)
 
 
 # ---------------------------------------------------------------------------
