@@ -34,8 +34,8 @@ from importlib import resources
 from typing import Iterable
 
 from .orbitcount import count_set_orbits
-from .perm import (PermError, PermGroup, Permutation, build_group, is_primitive,
-                   is_transitive, parse_permutation)
+from .perm import (PermError, PermGroup, Permutation, _Chain, build_group,
+                   is_primitive, is_transitive, parse_permutation)
 
 #: number of primitive groups of each degree; the shipped file must carry
 #: exactly this many primitive-tagged entries per degree (classical counts,
@@ -197,11 +197,15 @@ def verify_entry(e: CatalogEntry) -> EntryReport:
     """Rebuild the group and check order, tags and recorded s-value.
 
     The order comes from a chain built from the generators alone, never from
-    the recorded order that ``CatalogEntry.group`` trusts."""
+    the recorded order that ``CatalogEntry.group`` trusts.  The group's own
+    ``order``, which the generators answer where a rule applies, must equal
+    it: so every shipped S_n and A_n checks Jordan's order rule."""
     G = build_group(e.generators, e.degree)
+    built = _Chain(G.generator_tuples(), e.degree).order
     checks: list[tuple[str, bool, str]] = []
-    checks.append(("order", G.order == e.expected_order,
-                   f"built {G.order}, expected {e.expected_order}"))
+    checks.append(("order", built == G.order == e.expected_order,
+                   f"chain gives {built}, the group reports {G.order}, "
+                   f"expected {e.expected_order}"))
     earned = structure_tags(G)
     for tag in MANIFEST:
         checks.append((f"{tag}-tag", (tag in earned) == (tag in e.tags),

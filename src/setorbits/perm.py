@@ -8,11 +8,16 @@ Groups are backed by a deterministic stabilizer chain (Schreier-Sims, no
 randomization), which gives exact orders, membership tests and duplicate-free
 element iteration.  A ``PermGroup`` builds its chain on first need: the first
 membership test, element iteration or order query that the generators alone
-cannot answer.  A group given its ``order`` reports that order without a
-chain, trusting it, and checks it against the chain once one is built.  The
-generators and the order never change, so a group can be shared freely
-between threads: two threads that race on the first build produce equal
-chains, because the build is deterministic.
+cannot answer.  The generators answer the order of a trivial group (1), a
+cyclic one (the lcm of its generator's cycle lengths) and a primitive group
+with a transposition or a 3-cycle among its generators, which contains A_n
+by Jordan's theorem (n!, or n!/2 when every generator is even); so no chain
+is built to learn that a natural S_11 or S_12 has order n!.  A group given
+its ``order`` reports that order without a chain, trusting it, and checks
+it against the chain once one is built.  The generators and the order
+never change, so a group can be shared freely between threads: two threads
+that race on the first build produce equal chains, because the build is
+deterministic.
 """
 
 from __future__ import annotations
@@ -365,10 +370,11 @@ class PermGroup:
 
     ``order``, when given, is trusted: ``order`` reports it, and the route
     choices made from it need no chain.  Once a chain is built (for a
-    membership test, element iteration, or the order of a group given none),
-    its order is checked against the given one and a mismatch raises
-    PermError.  The chain is deterministic, so iteration order and reported
-    orders are reproducible, and a race on the first build is harmless.
+    membership test, element iteration, or an order neither given nor read
+    off the generators), its order is checked against the known one and a
+    mismatch raises PermError.  The chain is deterministic, so iteration
+    order and reported orders are reproducible, and a race on the first
+    build is harmless.
     """
 
     __slots__ = ("degree", "generators", "_order", "_chain")
@@ -408,8 +414,15 @@ class PermGroup:
 
     @property
     def order(self) -> int:
+        """|G|: the given order, else the order the generators give with no
+        chain (``_order_from_generators``: trivial, cyclic, or primitive and
+        containing A_n by Jordan's theorem), else a chain's."""
         if self._order is None:
-            self._built_chain()
+            order = _order_from_generators(self)
+            if order is None:
+                self._built_chain()
+            else:
+                object.__setattr__(self, "_order", order)
         return self._order
 
     @property
@@ -547,6 +560,31 @@ def is_primitive(G: PermGroup) -> bool:
         if _minimal_block_size(gens, n, 0, beta) < n:
             return False
     return True
+
+
+def _order_from_generators(G: PermGroup) -> int | None:
+    """|G| read off the generators, with no chain, where a rule answers:
+
+    * no generator: G is trivial, of order 1;
+    * one generator g: G is cyclic, of order the lcm of g's cycle lengths;
+    * a generator that is a transposition or a 3-cycle, in a primitive G:
+      G contains A_n (Jordan; Wielandt, Thm 13.3), so |G| is n!, or n!/2
+      when every generator is even.
+
+    None when no rule answers.
+    """
+    gens = G.generator_tuples()
+    if len(gens) <= 1:
+        return math.lcm(*_cycle_lengths(gens[0])) if gens else 1
+    n = G.degree
+    if not any(sum(p != q for p, q in enumerate(g)) in (2, 3) for g in gens):
+        return None
+    if not is_primitive(G):
+        return None
+    # g is even exactly when n minus its number of cycles is even
+    if any((n - len(_cycle_lengths(g))) % 2 for g in gens):
+        return math.factorial(n)
+    return math.factorial(n) // 2
 
 
 def transitivity_degree(G: PermGroup) -> int:

@@ -10,9 +10,9 @@ from setorbits.catalog import builtin, by_id, load_default
 from setorbits.orbitcount import (
     OrbitProfile,
     _burnside_profile,
+    _direct_factors,
     _enumeration_profile,
     _image_table,
-    _restriction_to_support,
     count_set_orbits,
     counting_route,
     dump_orbits,
@@ -159,14 +159,17 @@ def test_fixed_point_reduction_matches_oracle():
     assert count_set_orbits(G) == 2 * count_set_orbits(builtin("alternating", 4))
 
 
-@pytest.mark.parametrize("ident, route", [("8P1+1", "enumeration"),
-                                          ("7P2+1", "burnside"),
-                                          ("6X2+1", "shortcut")])
-def test_support_restriction_keeps_order(chain_builds, ident, route):
+@pytest.mark.parametrize("ident, route, hint_free_chains", [
+    pytest.param("8P1+1", "enumeration", 1, id="8P1+1-enumeration"),
+    pytest.param("7P2+1", "burnside", 1, id="7P2+1-burnside"),
+    # A_6: primitive with a 3-cycle, so Jordan gives the order
+    pytest.param("6X2+1", "shortcut", 0, id="6X2+1-shortcut")])
+def test_support_restriction_keeps_order(chain_builds, ident, route,
+                                         hint_free_chains):
     e = by_id(ident)
     gens = [parse_permutation(t, e.degree) for t in e.generator_texts]
     hinted = build_group(gens, degree=e.degree, order=e.expected_order)
-    core, fixed = _restriction_to_support(hinted)
+    (core,), fixed = _direct_factors(hinted)
     assert fixed == 1 and core.known_order == hinted.order == e.expected_order
     assert counting_route(hinted) == route
 
@@ -174,9 +177,83 @@ def test_support_restriction_keeps_order(chain_builds, ident, route):
     assert len(chain_builds) == (route == "burnside")
     hint_free = build_group(gens, degree=e.degree)
     assert orbit_profile(hint_free) == prof and prof.total == e.expected_s
-    # only the support group builds a chain; the padded group never does
-    assert len(chain_builds) == 1 + (route == "burnside")
+    # only the support group may build a chain; the padded group never does
+    assert len(chain_builds) == hint_free_chains + (route == "burnside")
     assert hint_free.known_order is None
+
+
+def _factor_gens(n):
+    """1 or 2 generators of degree n, moving all points or only a few."""
+    def place(points, images):
+        out = list(range(n))
+        for p, q in zip(points, images):
+            out[p] = q
+        return out
+
+    some = st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                    unique=True).flatmap(
+        lambda pts: st.permutations(pts).map(lambda img: place(pts, img)))
+    return st.lists(st.one_of(st.permutations(range(n)), some),
+                    min_size=1, max_size=2)
+
+
+#: 2 or 3 factors of total degree <= 10, and a relabelling of their points
+direct_products = st.lists(st.integers(1, 5), min_size=2, max_size=3).filter(
+    lambda ds: sum(ds) <= 10).flatmap(lambda ds: st.tuples(
+        st.tuples(*map(_factor_gens, ds)), st.permutations(range(sum(ds)))))
+
+
+@given(direct_products)
+@settings(max_examples=40, deadline=None)
+def test_direct_product_profile_matches_oracles(case):
+    factor_gens, relabel = case
+    n = len(relabel)
+    gens, offset = [], 0
+    for fg in factor_gens:
+        k = len(fg[0])
+        for g in fg:
+            img = list(range(n))
+            for p in range(k):
+                img[relabel[offset + p]] = relabel[offset + g[p]]
+            gens.append(Permutation(img))
+        offset += k
+    G = build_group(gens, degree=n)
+    factors, fixed = _direct_factors(G)
+    assert fixed + sum(F.degree for F in factors) == n
+    assert math.prod(F.order for F in factors) == G.order
+    prof = orbit_profile(G)
+    assert prof == profile_from_enumeration(G) == _burnside_profile(G)
+
+
+@pytest.mark.parametrize("text, degree", [("(1,2)(3,4)", 4),
+                                          ("(1,2,3)(4,5,6)", 7),
+                                          ("(1,2)(3,4,5)", 6)])
+def test_diagonal_is_not_split(text, degree):
+    """A generator moving two orbits links them: a subdirect product is
+    one factor, and counted as one."""
+    G = gset(text, degree=degree)
+    (core,), fixed = _direct_factors(G)
+    moved = sum(map(len, Permutation.parse(text, degree).cycles()))
+    assert core.degree == degree - fixed == moved
+    assert counting_route(G) != "product"
+    assert orbit_profile(G) == profile_from_enumeration(G) == _burnside_profile(G)
+
+
+@pytest.mark.parametrize("ids, chains", [(("4P2", "3P1"), 0),
+                                         (("6X2", "5P2"), 1),
+                                         (("5P2", "5P2"), 2)])
+def test_product_builds_chains_only_for_unknown_orders(chain_builds, ids, chains):
+    """S4 and A6 (Jordan) and C3 (one generator) give their orders without
+    a chain; D10 needs one, and its enumeration route builds no other."""
+    a, b = map(by_id, ids)
+    n = a.degree + b.degree
+    gens = [Permutation(g.images + tuple(range(a.degree, n))) for g in a.generators]
+    gens += [Permutation(tuple(range(a.degree)) + tuple(a.degree + p for p in g.images))
+             for g in b.generators]
+    G = build_group(gens, degree=n, order=a.expected_order * b.expected_order)
+    assert counting_route(G) == "product" and not chain_builds
+    assert orbit_profile(G).total == a.expected_s * b.expected_s
+    assert len(chain_builds) == chains
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +294,7 @@ def test_counting_routes_agree(G):
 def test_route_choice():
     assert counting_route(M12) == "enumeration"
     assert C8XC8.order == 64
-    assert counting_route(C8XC8) == "burnside"
+    assert counting_route(C8XC8) == "product"
     assert counting_route(builtin("dihedral", 16)) == "burnside"
     assert counting_route(wreath_s2(8)) == "enumeration"
     # S_3 and A_4 on the support of a larger degree still take the shortcut

@@ -23,6 +23,7 @@ from setorbits.perm import (
     _Chain,
     _cycle_lengths,
     _inverse_t,
+    _order_from_generators,
 )
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
@@ -195,7 +196,9 @@ def test_given_order_needs_no_chain(chain_builds):
 
 
 def test_order_without_hint_builds_one_chain(chain_builds):
-    G = build_group([parse_permutation("(1,2,3,4)", 4)])
+    # two generators and no transposition or 3-cycle: no order rule answers
+    G = build_group([parse_permutation("(1,2)(3,4)", 4),
+                     parse_permutation("(1,3)(2,4)", 4)])
     assert G.known_order is None and not chain_builds
     assert G.order == G.known_order == 4 and len(chain_builds) == 1
     assert len(list(elements(G))) == 4 and len(chain_builds) == 1
@@ -302,6 +305,51 @@ S8_WR_S2 = ["(1,2)", "(1,2,3,4,5,6,7,8)",
 def test_chain_order_of_large_groups(n, texts, order):
     gens = [parse_permutation(t, n).images for t in texts]
     assert _Chain(gens, n).order == order
+
+
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(moving_some(n), max_size=2),
+    st.lists(st.integers(0, n - 1), min_size=2, max_size=3, unique=True))))
+@settings(max_examples=80, deadline=None)
+def test_order_rule_matches_chain(case):
+    """Where the generators give the order, it is the chain's.  A
+    transposition or 3-cycle on ``cycle`` leads the generators, so Jordan's
+    rule is tried often; squaring the others makes every generator even
+    when the cycle has length 3, for the n!/2 case."""
+    n, gens, cycle = case
+    c = list(range(n))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        c[a] = b
+    c = tuple(c)
+    squares = [tuple(g[q] for q in g) for g in gens]
+    for gs in ([], [c], [c] + gens, [c] + squares):
+        G = build_group([Permutation(g) for g in gs], degree=n)
+        rule = _order_from_generators(G)
+        if rule is not None:
+            assert rule == _Chain(G.generator_tuples(), n).order
+
+
+@pytest.mark.parametrize("n, texts, order", [
+    (12, ["(1,2)", "(1,2,3,4,5,6,7,8,9,10,11,12)"], math.factorial(12)),
+    (11, ["(1,2,3)", "(1,2,3,4,5,6,7,8,9,10,11)"], math.factorial(11) // 2),
+    (10, ["(1,2,3,4)(5,6,7,8,9,10)"], 12),
+    (4, [], 1),
+], ids=["S12", "A11", "C12", "trivial"])
+def test_order_rule_needs_no_chain(chain_builds, n, texts, order):
+    G = build_group([parse_permutation(t, n) for t in texts], degree=n)
+    assert G.order == G.known_order == order and not chain_builds
+
+
+@pytest.mark.parametrize("n, texts, order", [
+    # S2 wr S3: a transposition, but blocks {1,2}, {3,4}, {5,6}
+    (6, ["(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)"], 48),
+    # A_4 and two fixed points: a 3-cycle, but intransitive
+    (6, ["(1,2,3)", "(2,3,4)"], 12),
+], ids=["S2wrS3", "A4+2"])
+def test_order_rule_falls_through_to_chain(chain_builds, n, texts, order):
+    G = build_group([parse_permutation(t, n) for t in texts], degree=n)
+    assert _order_from_generators(G) is None
+    assert G.order == order and len(chain_builds) == 1
 
 
 # ---------------------------------------------------------------------------

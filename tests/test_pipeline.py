@@ -212,7 +212,7 @@ def test_report_records_sources_and_routes():
     assert set(report.route_counts) == set(report.candidate_sources)
     for n, routes in report.route_counts.items():
         assert sum(routes.values()) == len(candidate_groups(n, 3))
-        assert set(routes) <= {"shortcut", "burnside", "enumeration"}
+        assert set(routes) <= {"product", "shortcut", "burnside", "enumeration"}
     assert report.route_counts[12] == {"enumeration": 2}  # M11 and M12
 
 
