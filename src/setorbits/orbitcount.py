@@ -15,7 +15,7 @@ such products at 5-113 ms each) fell from 2.37 s to 0.49 s.
 
 Each factor is counted by one of two independent routes, kept deliberately
 separate: the Burnside average over a stabilizer chain (scales with |G|,
-runs for |G| <= 10^7) and a walk over all 2^n subset bitmasks (scales with
+runs for |G| <= 10^7) and a walk over the subset bitmasks (scales with
 2^n, runs for n <= 22).  ``counting_route`` names "product" for a group of
 two or more nontrivial factors; for a lone factor it picks the shortcut for
 natural symmetric and alternating actions or else the cheaper route that
@@ -23,9 +23,14 @@ fits, by the cost model |G|*n against ENUMERATION_COST_RATIO*2^n*|gens|.
 One table-driven walk over the masks, ``_orbits``, serves both the
 enumeration route of ``orbit_profile``, which only counts its orbits, and
 ``enumerate_set_orbits``, which keeps them as the explicit partition (for
-dumps).  ``profile_from_enumeration`` is the oracle: a separate walk that
-computes every image bit by bit and shares no table or code with
-``_orbits``.  Tests hold the routes and the oracle equal wherever they run.
+dumps).  Taking complements commutes with every permutation of the points,
+so it maps the orbits on t-subsets one to one onto the orbits on
+(n-t)-subsets and s_t = s_{n-t}: the walk visits only the masks of at most
+n // 2 points (2510 of M12's 4096), and both callers mirror the rest.
+``profile_from_enumeration`` is the oracle: a separate walk over all 2^n
+masks that computes every image bit by bit, shares no table or code with
+``_orbits`` and does not use the complement lemma.  Tests hold the routes
+and the oracle equal wherever they run.
 
 Subsets are encoded as bitmasks with point i on bit i-1, so orbit dumps are
 reproducible bit for bit.
@@ -42,16 +47,23 @@ from .perm import (
     ITERATION_MAX_ORDER,
     GroupTooLargeError,
     PermGroup,
-    Permutation,
     _cycle_lengths,
-    build_group,
+    _direct_factors,
 )
 
 ENUMERATION_MAX_DEGREE = 22
 #: Burnside costs about |G|*n element-points, the enumeration kernel about
 #: 2^n*|gens| mask images; one mask image takes about this many times as
-#: long as one element-point (measured: 240-280 ns against 600-680 ns)
+#: long as one element-point (measured: 240-280 ns against 600-680 ns).
+#: Measured when the kernel walked all 2^n masks; it now walks about half
+#: of them, and the ratio is kept so that no group changes route
 ENUMERATION_COST_RATIO = 0.4
+
+#: the translate tables of ``_orbits``: a popcount byte plus one, and for
+#: each h <= ENUMERATION_MAX_DEGREE // 2, 1 for a popcount above h, else 0
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+_ABOVE = [bytes(c > h for c in range(256))
+          for h in range(ENUMERATION_MAX_DEGREE // 2 + 1)]
 
 
 @dataclass(frozen=True)
@@ -67,59 +79,6 @@ class OrbitProfile:
             raise ValueError("profile must have degree + 1 entries")
         if self.total != sum(self.by_size):
             raise ValueError("total must equal the sum of the entries")
-
-
-def _direct_factors(G: PermGroup) -> tuple[list[PermGroup], int]:
-    """G as a direct product on disjoint supports: its restrictions to the
-    classes of moved points that a common generator links (union-find over
-    the generators' supports, in one pass), ordered by smallest point, and
-    its number of fixed points.
-
-    Every generator moves the points of one class only, so G is the direct
-    product of the restrictions; a generator moving two orbits (a diagonal)
-    links them, so a subdirect product is never split.  A lone factor is a
-    faithful restriction and carries G's known order, so no chain is built
-    for it.  G itself is its lone factor when it fixes no point, or every
-    point (the trivial group is counted as a whole).
-    """
-    n = G.degree
-    parent = list(range(n))
-
-    def root(p: int) -> int:
-        while parent[p] != p:
-            parent[p] = p = parent[parent[p]]
-        return p
-
-    gens = G.generator_tuples()
-    moved = [False] * n
-    firsts = []  # each generator's first moved point
-    for g in gens:
-        first = -1
-        for p in range(n):
-            if g[p] != p:
-                moved[p] = True
-                if first < 0:
-                    first, r = p, root(p)
-                else:
-                    parent[root(p)] = r
-        firsts.append(first)
-    classes: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-    for p in range(n):
-        if moved[p]:
-            classes.setdefault(root(p), ([], []))[0].append(p)
-    fixed = moved.count(False)
-    if not classes or len(classes) == 1 and not fixed:
-        return [G], 0
-    for g, first in zip(gens, firsts):
-        classes[root(first)][1].append(g)
-    order = G.known_order if len(classes) == 1 else None
-    factors = []
-    for points, own in classes.values():
-        index = {p: k for k, p in enumerate(points)}
-        factors.append(build_group(
-            [Permutation([index[g[p]] for p in points]) for g in own],
-            degree=len(points), order=order))
-    return factors, fixed
 
 
 def _profile_from_histogram(n: int, order: int, hist: Counter) -> tuple[int, ...]:
@@ -222,11 +181,13 @@ def _burnside_profile(G: PermGroup) -> OrbitProfile:
 
 
 def _image_table(g: tuple[int, ...], first: int, width: int) -> list[int]:
-    """t[b] = image under g of the subset whose bits are b << first."""
-    t = [0] * (1 << width)
-    for b in range(1, 1 << width):
-        low = b & -b
-        t[b] = t[b ^ low] | 1 << g[first + low.bit_length() - 1]
+    """t[b] = image under g of the subset whose bits are b << first, by
+    doubling: the entries with bit p set are those without it, or g's image
+    of that point."""
+    t = [0]
+    for p in range(first, first + width):
+        bit = 1 << g[p]
+        t += [x | bit for x in t]
     return t
 
 
@@ -238,18 +199,26 @@ def _require_enumerable(n: int) -> None:
 
 
 def _orbits(G: PermGroup) -> Iterator[list[int]]:
-    """Every orbit of G on the 2^n subset masks, each starting at its
-    smallest mask; the starts ascend.
+    """Every orbit of G on the subset masks of at most n // 2 points, each
+    starting at its smallest mask; the starts ascend.
 
-    Per generator, one table maps the low byte of a mask to its image and
-    one maps the remaining n - 8 <= 14 bits, so an image costs two lookups.
-    Visited masks are marked in a bytearray, and each orbit list is its own
-    work queue.  The caller checks the degree first.
+    Taking complements commutes with every permutation, so the orbits on
+    the larger subsets are the complements of these (s_t = s_{n-t}); the
+    callers mirror them.  The masks above n // 2 points are marked visited
+    before the walk, from a popcount array built by doubling with
+    ``bytes.translate``, so no Python loop runs per mask.  Per generator,
+    one table maps the low byte of a mask to its image and one maps the
+    remaining n - 8 <= 14 bits, so an image costs two lookups.  Each orbit
+    list is its own work queue.  The caller checks the degree first.
     """
     n = G.degree
     tables = [(_image_table(g, 0, min(n, 8)), _image_table(g, 8, max(n - 8, 0)))
               for g in G.generator_tuples()]
-    seen = bytearray(1 << n)
+    popcount = bytearray(1)
+    for _ in range(n):
+        popcount += popcount.translate(_PLUS_ONE)
+    seen = popcount.translate(_ABOVE[n // 2])
+    del popcount
     start = 0
     while start >= 0:
         seen[start] = 1
@@ -267,12 +236,15 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
 
 def _enumeration_profile(G: PermGroup) -> OrbitProfile:
     """The counting kernel: orbits per size by the table-driven walk, each
-    counted at its smallest mask; no orbit is kept."""
+    counted at its smallest mask, and s_t = s_{n-t} for t > n // 2; no orbit
+    is kept."""
     n = G.degree
     _require_enumerable(n)
     by_size = [0] * (n + 1)
     for orbit in _orbits(G):
         by_size[orbit[0].bit_count()] += 1
+    for t in range(n // 2 + 1, n + 1):
+        by_size[t] = by_size[n - t]
     return OrbitProfile(n, tuple(by_size), sum(by_size))
 
 
@@ -285,23 +257,27 @@ def enumerate_set_orbits(G: PermGroup) -> list[list[int]]:
     """Partition of all 2^n subsets into orbits, subsets as bitmasks.
 
     Orbits are sorted by (subset size, smallest member mask); within an
-    orbit, masks are ascending.  Requires degree <= 22.
+    orbit, masks are ascending.  The orbits of more than n / 2 points are
+    the complements of the walked ones.  Requires degree <= 22.
     """
-    _require_enumerable(G.degree)
+    n = G.degree
+    _require_enumerable(n)
+    full = (1 << n) - 1
     orbits = []
     for orbit in _orbits(G):
         orbit.sort()
         orbits.append(orbit)
-    # the walk yields the orbits by ascending smallest mask: a stable sort by
-    # size leaves them in (size, smallest mask) order
-    orbits.sort(key=lambda orbit: orbit[0].bit_count())
+        if 2 * orbit[0].bit_count() < n:
+            # the complements of an ascending orbit, taken from its end, ascend
+            orbits.append([full ^ m for m in reversed(orbit)])
+    orbits.sort(key=lambda orbit: (orbit[0].bit_count(), orbit[0]))
     return orbits
 
 
 def profile_from_enumeration(G: PermGroup) -> OrbitProfile:
     """Orbits per size by a walk over all 2^n masks that computes every
     image bit by bit: the oracle for the table-driven walk, sharing no table
-    or code with it."""
+    or code with it, and not mirroring any size by the complement lemma."""
     n = G.degree
     _require_enumerable(n)
     gens = G.generator_tuples()

@@ -12,7 +12,10 @@ cannot answer.  The generators answer the order of a trivial group (1), a
 cyclic one (the lcm of its generator's cycle lengths) and a primitive group
 with a transposition or a 3-cycle among its generators, which contains A_n
 by Jordan's theorem (n!, or n!/2 when every generator is even); so no chain
-is built to learn that a natural S_11 or S_12 has order n!.  A group given
+is built to learn that a natural S_11 or S_12 has order n!.  A group that
+splits into direct factors on disjoint supports (``_direct_factors``, kept
+on the group once found) has the product of its factors' orders, each read
+off the factor's generators or its own chain.  A group given
 its ``order`` reports that order without a chain, trusting it, and checks
 it against the chain once one is built.  The generators and the order
 never change, so a group can be shared freely between threads: two threads
@@ -377,7 +380,7 @@ class PermGroup:
     build is harmless.
     """
 
-    __slots__ = ("degree", "generators", "_order", "_chain")
+    __slots__ = ("degree", "generators", "_order", "_chain", "_factors")
 
     def __init__(self, generators: Sequence[Permutation], degree: int | None = None,
                  order: int | None = None):
@@ -397,6 +400,7 @@ class PermGroup:
             raise PermError(f"group order must be positive, got {order}")
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_chain", None)
+        object.__setattr__(self, "_factors", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PermGroup is immutable")
@@ -416,13 +420,17 @@ class PermGroup:
     def order(self) -> int:
         """|G|: the given order, else the order the generators give with no
         chain (``_order_from_generators``: trivial, cyclic, or primitive and
-        containing A_n by Jordan's theorem), else a chain's."""
+        containing A_n by Jordan's theorem), else, when G splits
+        (``_direct_factors``), the product of its factors' orders, else a
+        chain's."""
         if self._order is None:
             order = _order_from_generators(self)
             if order is None:
-                self._built_chain()
-            else:
-                object.__setattr__(self, "_order", order)
+                factors, _ = _direct_factors(self)
+                if factors[0] is self:
+                    return self._built_chain().order
+                order = math.prod(F.order for F in factors)
+            object.__setattr__(self, "_order", order)
         return self._order
 
     @property
@@ -493,6 +501,71 @@ def point_orbits(gens: Sequence[Permutation], degree: int) -> list[frozenset[int
         out.append(orb)
         left -= orb
     return out
+
+
+def _direct_factors(G: PermGroup) -> tuple[tuple[PermGroup, ...], int]:
+    """G as a direct product on disjoint supports: its restrictions to the
+    classes of moved points that a common generator links (union-find over
+    the generators' supports, in one pass), ordered by smallest point, and
+    its number of fixed points.
+
+    Every generator moves the points of one class only, so G is the direct
+    product of the restrictions; a generator moving two orbits (a diagonal)
+    links them, so a subdirect product is never split.  A lone factor is a
+    faithful restriction and carries G's known order, so no chain is built
+    for it.  G itself is its lone factor when it fixes no point, or every
+    point (the trivial group is counted as a whole).  The split is kept on
+    G, so every caller shares the same factor groups, with their chains
+    and orders.
+    """
+    split = G._factors
+    if split is None:
+        split = _split(G)
+        object.__setattr__(G, "_factors", split)
+    # G is not kept in its own slot, which would make it a reference cycle
+    return split or ((G,), 0)
+
+
+def _split(G: PermGroup) -> tuple[tuple[PermGroup, ...], int] | tuple[()]:
+    """The split of ``_direct_factors``, or () when G is its lone factor."""
+    n = G.degree
+    parent = list(range(n))
+
+    def root(p: int) -> int:
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    gens = G.generator_tuples()
+    moved = [False] * n
+    firsts = []  # each generator's first moved point
+    for g in gens:
+        first = -1
+        for p in range(n):
+            if g[p] != p:
+                moved[p] = True
+                if first < 0:
+                    first, r = p, root(p)
+                else:
+                    parent[root(p)] = r
+        firsts.append(first)
+    classes: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
+    for p in range(n):
+        if moved[p]:
+            classes.setdefault(root(p), ([], []))[0].append(p)
+    fixed = moved.count(False)
+    if not classes or len(classes) == 1 and not fixed:
+        return ()
+    for g, first in zip(gens, firsts):
+        classes[root(first)][1].append(g)
+    order = G.known_order if len(classes) == 1 else None
+    factors = []
+    for points, own in classes.values():
+        index = {p: k for k, p in enumerate(points)}
+        factors.append(PermGroup(
+            [Permutation([index[g[p]] for p in points]) for g in own],
+            degree=len(points), order=order))
+    return tuple(factors), fixed
 
 
 def build_group(gens: Sequence[Permutation], degree: int | None = None,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -254,6 +255,14 @@ def test_product_builds_chains_only_for_unknown_orders(chain_builds, ids, chains
     assert counting_route(G) == "product" and not chain_builds
     assert orbit_profile(G).total == a.expected_s * b.expected_s
     assert len(chain_builds) == chains
+    # without the order: the factors give it, and are split off once, so
+    # the profile, the order, the count and the route share their chains
+    hint_free = build_group(gens, degree=n)
+    assert orbit_profile(hint_free).total == a.expected_s * b.expected_s
+    assert hint_free.order == G.order
+    assert count_set_orbits(hint_free) == a.expected_s * b.expected_s
+    assert counting_route(hint_free) == "product"
+    assert len(chain_builds) == 2 * chains
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +324,15 @@ def test_orbit_profile_follows_route(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(orbitcount, "_burnside_profile", fail)
         assert orbit_profile(M12).total == 14
+
+
+@pytest.mark.parametrize(
+    "e", [pytest.param(e, id=label) for label, e in ENTRIES if e.degree <= 12])
+def test_half_walk_profile_matches_full_walk(e):
+    # the kernel walks the masks of at most n // 2 points and mirrors the
+    # rest; the oracle walks all 2^n
+    G = e.group()
+    assert _enumeration_profile(G) == profile_from_enumeration(G)
 
 
 def test_enumeration_kernel_degree_cap():
@@ -387,6 +405,64 @@ def test_partition_matches_oracle(n):
     for c in all_subgroups(n):
         assert enumerate_set_orbits(c.representative) == brute_orbits(
             c.representative), c.index
+
+
+def _block_gens(n):
+    """1 to 3 permutations of degree n that each preserve one random
+    partition of the points into blocks of at most 4, so that they
+    generate a group of order at most 24^2: small enough for
+    ``brute_orbits``."""
+    def blocks(order):
+        return [order[i:i + 4] for i in range(0, n, 4)]
+
+    def gen(parts, images):
+        out = list(range(n))
+        for part, img in zip(parts, images):
+            for p, q in zip(part, img):
+                out[p] = q
+        return Permutation(out)
+
+    def gens(parts):
+        one = st.tuples(*(st.permutations(part) for part in parts)).map(
+            lambda images: gen(parts, images))
+        return st.lists(one, min_size=1, max_size=3)
+
+    return st.permutations(range(n)).map(blocks).flatmap(gens)
+
+
+#: degree 7-9 groups: one random permutation (cyclic, often transitive), or
+#: generators that preserve a partition into blocks of at most 4 points
+small_groups_7_9 = st.integers(7, 9).flatmap(lambda n: st.one_of(
+    st.permutations(range(n)).map(lambda g: [Permutation(g)]),
+    _block_gens(n)).map(lambda gens: build_group(gens, degree=n)))
+
+
+@given(small_groups_7_9)
+@settings(max_examples=30, deadline=None)
+def test_partition_by_complements_matches_oracle(G):
+    n, full = G.degree, (1 << G.degree) - 1
+    orbits = enumerate_set_orbits(G)
+    assert orbits == brute_orbits(G)
+    by_set = {frozenset(orbit): bin(orbit[0]).count("1") for orbit in orbits}
+    for orbit, size in by_set.items():
+        if 2 * size > n:
+            assert frozenset(full ^ m for m in orbit) in by_set
+
+
+#: sha1 of "\n".join(dump_orbits(G)), recorded when the walk still covered
+#: all 2^n masks: one odd and one even degree
+DUMP_SHA1 = {
+    "D13": (builtin("dihedral", 13),
+            "8088508c89d41d227b114a682584bcc3762ad702"),
+    "C8XC8": (C8XC8, "708ff288f57d55a2a0c8bf9c71e8e13538268e47"),
+}
+
+
+@pytest.mark.parametrize("name", DUMP_SHA1)
+def test_dump_digest_is_frozen(name):
+    G, want = DUMP_SHA1[name]
+    text = "\n".join(dump_orbits(G)).encode()
+    assert hashlib.sha1(text).hexdigest() == want
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from setorbits.perm import (
     transitivity_degree,
     _Chain,
     _cycle_lengths,
+    _direct_factors,
     _inverse_t,
     _order_from_generators,
 )
@@ -334,22 +335,45 @@ def test_order_rule_matches_chain(case):
     (11, ["(1,2,3)", "(1,2,3,4,5,6,7,8,9,10,11)"], math.factorial(11) // 2),
     (10, ["(1,2,3,4)(5,6,7,8,9,10)"], 12),
     (4, [], 1),
-], ids=["S12", "A11", "C12", "trivial"])
+    # A_4 and two fixed points: intransitive, so no rule answers G itself,
+    # but it splits, and Jordan gives the order of its factor A_4
+    (6, ["(1,2,3)", "(2,3,4)"], 12),
+    # S_3 x C_4: the factors' orders multiply
+    (7, ["(1,2)", "(1,2,3)", "(4,5,6,7)"], 24),
+], ids=["S12", "A11", "C12", "trivial", "A4+2", "S3xC4"])
 def test_order_rule_needs_no_chain(chain_builds, n, texts, order):
     G = build_group([parse_permutation(t, n) for t in texts], degree=n)
     assert G.order == G.known_order == order and not chain_builds
 
 
-@pytest.mark.parametrize("n, texts, order", [
+@pytest.mark.parametrize("n, texts, order, chain_degree", [
     # S2 wr S3: a transposition, but blocks {1,2}, {3,4}, {5,6}
-    (6, ["(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)"], 48),
-    # A_4 and two fixed points: a 3-cycle, but intransitive
-    (6, ["(1,2,3)", "(2,3,4)"], 12),
-], ids=["S2wrS3", "A4+2"])
-def test_order_rule_falls_through_to_chain(chain_builds, n, texts, order):
+    (6, ["(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)"], 48, 6),
+    # the Klein four-group and two fixed points: no rule answers its
+    # factor either, whose chain is on its 4 points, not on all 6
+    (6, ["(1,2)(3,4)", "(1,3)(2,4)"], 4, 4),
+], ids=["S2wrS3", "V4+2"])
+def test_order_rule_falls_through_to_chain(chain_builds, n, texts, order,
+                                           chain_degree):
     G = build_group([parse_permutation(t, n) for t in texts], degree=n)
     assert _order_from_generators(G) is None
     assert G.order == order and len(chain_builds) == 1
+    (F,), _ = _direct_factors(G)
+    assert F.degree == chain_degree and F.known_order == order
+    assert F._built_chain().n == chain_degree and len(chain_builds) == 1
+
+
+def test_split_is_kept_on_the_group(chain_builds):
+    """The factors are found once per group: every later split returns the
+    same factor groups, with the chains and orders already built."""
+    G = build_group([parse_permutation(t, 7) for t in
+                     ("(1,2)(3,4)", "(1,3)(2,4)", "(5,6,7)")], degree=7)
+    factors, fixed = _direct_factors(G)
+    assert fixed == 0 and [F.degree for F in factors] == [4, 3]
+    assert G.order == 12 and len(chain_builds) == 1
+    again, _ = _direct_factors(G)
+    assert all(a is b for a, b in zip(again, factors))
+    assert G.order == math.prod(F.order for F in again) and len(chain_builds) == 1
 
 
 # ---------------------------------------------------------------------------
