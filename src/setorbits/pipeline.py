@@ -6,10 +6,10 @@ candidate groups per surviving degree, computes s(G) exactly for each and
 keeps the hits.  The candidates for s(G) = s at degree n form a pool built
 by one recursion on (n, s), from the shipped catalog only:
 
-* the transitive groups.  With s = n + r, r < n - 2 makes them primitive
-  (one split subset size of 2 would already overshoot), and C(n, t*) must
-  divide the order, where t* is the largest size whose orbit count is
-  forced to 1.  A transitive G with m blocks of size k has
+* the transitive groups.  C(n, t*) must divide the order, where
+  t* = (n - r + 1) // 2 is the largest size whose orbit count is forced
+  to 1 (``prune.forced_transitive_size``).  r < n - 2 is t* >= 2: s_2 = 1,
+  so the group is primitive.  A transitive G with m blocks of size k has
   s(G) >= C(m + k, k) (block shape), so when every factorisation
   n = m * k gives more than s, and in particular at a prime degree, they
   are primitive too and come from the primitive catalog; otherwise from
@@ -44,7 +44,8 @@ from typing import Iterable, Optional
 from . import catalog as cat
 from .orbitcount import count_set_orbits, counting_route
 from .perm import point_orbits
-from .prune import PruneVerdict, binomial_divides, degree_range, prune_degree
+from .prune import (PruneVerdict, binomial_divides, degree_range,
+                    forced_transitive_size, prune_degree)
 
 MIN_R, MAX_R = 2, 11
 
@@ -85,21 +86,6 @@ class RunReport:
             lines.append(f"{row.r}\t{row.degree}\t{row.group_label}\t"
                          f"{row.name}\t{row.order}\t{row.s_value}")
         return "\n".join(lines) + "\n"
-
-
-def forced_transitive_size(n: int, r: int) -> Optional[int]:
-    """Largest t <= n/2 with s_t(G) = 1 forced by s(G) = n + r, or None.
-
-    A split at size t propagates to every size in [t, n-t], costing
-    n - 2t + 1 extra orbits against a budget of r - 1.
-    """
-    if r < 1:
-        raise ValueError("defined for r >= 1")
-    if n % 2 == 0:
-        t = n // 2 - 1 - (r - 2) // 2
-    else:
-        t = (n - 1) // 2 - (r - 1) // 2
-    return t if t >= 1 else None
 
 
 def block_shape_floor(n: int) -> Optional[int]:

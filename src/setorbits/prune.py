@@ -1,16 +1,19 @@
 """Number-theoretic degree elimination for the s(G) = n + r classification.
 
-A group with s(G) = n + r has at most r - 1 subset sizes t with more than
-one t-orbit.  Prime windows around n/2 force many middle sizes to split for
-any group not containing A_n, which rules degrees out wholesale:
+A group with s(G) = n + r has one orbit per subset size plus a budget of
+r - 1 more, so at most r - 1 sizes t have more than one t-orbit.  Orbit
+counts do not fall towards the middle size, so one split at t <= n/2 splits
+all n - 2t + 1 sizes in [t, n - t]; every size up to
+t* = (n - r + 1) // 2 is forced to one orbit (``forced_transitive_size``).
+Both elimination steps use the one prime p, the least prime above
+(n + r) // 2 = n - t*:
 
-* step 1: a prime p with floor(n/2) + k0 < p < 2n/3 kills sizes
-  floor(n/2) + k for all k <= k0 (2*k0 sizes for odd n, 2*k0 + 1 for even
-  n, counting mirror sizes once).
-* step 2: a transitivity bound from decompositions n = m*p0 + rem (p0 prime,
-  p0 > m, rem > m: no such group is more than rem-transitive, save the
-  3-transitive families of ``known_transitivity_floor``) contradicts the
-  (n - p + 1)-transitivity forced by a prime floor(n/2) + k1 < p <= n.
+* step 1: when p < 2n/3, every size in (n - p, p) splits for a group not
+  containing A_n.  These are 2p - n - 1 >= r sizes, more than the budget.
+* step 2: when p <= n, the budget forces (n - p + 1)-transitivity, which
+  contradicts a transitivity bound from decompositions n = m*p0 + rem
+  (p0 prime, p0 > m, rem > m: no such group is more than rem-transitive,
+  save the 3-transitive families of ``known_transitivity_floor``).
 
 All boundary comparisons are exact integer arithmetic; nothing goes through
 floats.
@@ -97,55 +100,52 @@ def parity_admissible(n: int, r: int) -> bool:
     return not (r % 2 == 0 and n % 2 == 1)
 
 
-def required_k0(n_parity: Literal["even", "odd"], r: int) -> int:
-    """Smallest window offset that forces more than r - 1 split sizes.
+def forced_transitive_size(n: int, r: int) -> Optional[int]:
+    """Largest t <= n/2 with s_t(G) = 1 forced by s(G) = n + r, or None.
 
-    Odd degree: 2*k0 > r - 1, so k0 = ceil(r/2).  Even degree: 2*k0 + 1 >
-    r - 1, so k0 = ceil((r-1)/2).
+    A split at size t <= n/2 splits all n - 2t + 1 sizes in [t, n - t], so
+    t is forced when n - 2t + 1 > r - 1, the budget of extra orbits.  The
+    largest such t is (n - r + 1) // 2, and n - t* = (n + r) // 2 for all n.
     """
-    if r < 2:
-        raise ValueError("defined for r >= 2 only")
-    if n_parity == "odd":
-        return (r + 1) // 2
-    if n_parity == "even":
-        return r // 2
-    raise ValueError(f"bad parity {n_parity!r}")
+    if r < 1:
+        raise ValueError("defined for r >= 1")
+    t = (n - r + 1) // 2
+    return t if t >= 1 else None
+
+
+def _split_prime(n: int, r: int) -> int:
+    """The least prime p > (n + r) // 2, the prime of steps 1 and 2.
+
+    Taken from the raw bound rather than from ``forced_transitive_size``,
+    so that r >= n still gives p > n, which eliminates nothing.
+    """
+    p = (n + r) // 2 + 1
+    while not is_prime(p):
+        p += 1
+    return p
 
 
 def step1_eliminates(n: int, r: int) -> Optional[int]:
-    """Smallest prime p with floor(n/2) + k0 < p < 2n/3, if any.
+    """The split prime p, when 3p < 2n.
 
     Such a prime eliminates degree n: every group of degree n not containing
-    A_n then has s(G) > n + r.  The 2n/3 comparison is exact: 3p < 2n holds
-    exactly when p <= (2n - 1) // 3.
+    A_n then has s(G) > n + r.
     """
-    if n < 3:
-        return None
-    k0 = required_k0("odd" if n % 2 else "even", r)
-    lo, hi = n // 2 + k0, (2 * n - 1) // 3
-    if lo >= hi:
-        return None
-    window = primes_in(lo, hi)
-    return window[0] if window else None
+    p = _split_prime(n, r)
+    return p if 3 * p < 2 * n else None
 
 
-def miller_bound(n: int) -> Optional[tuple[int, MillerDecomposition]]:
-    """Minimal rem over all decompositions n = m*p0 + rem, with its witness.
+def miller_bound(n: int) -> Optional[MillerDecomposition]:
+    """The decomposition n = m*p0 + rem with the least rem.
 
     A group of degree n not containing A_n is at most rem-transitive.  Returns
     None when no decomposition satisfies the hypothesis.
     """
-    if n < 3:
-        return None
-    best: Optional[tuple[int, MillerDecomposition]] = None
+    best: Optional[MillerDecomposition] = None
     for m in range(1, math.isqrt(n)):  # p0, rem >= m + 1 force (m+1)^2 <= n
-        hi = (n - m - 1) // m  # largest p0 with rem = n - m*p0 > m
-        if hi <= m:
-            continue
-        for p0 in primes_in(m, hi):
-            rem = n - m * p0
-            if best is None or rem < best[0]:
-                best = (rem, MillerDecomposition(n, m, p0, rem))
+        for p0 in primes_in(m, (n - m - 1) // m):  # rem = n - m*p0 > m
+            if best is None or n - m * p0 < best.rem:
+                best = MillerDecomposition(n, m, p0, n - m * p0)
     return best
 
 
@@ -182,23 +182,16 @@ def known_transitivity_floor(n: int) -> int:
 def step2_eliminates(n: int, r: int) -> Optional[tuple[int, MillerDecomposition]]:
     """Witness (p, decomposition) eliminating degree n via the Miller bound.
 
-    Uses the smallest prime p with floor(n/2) + k1 < p <= n; the degree is
-    eliminated when n - p + 1 exceeds the decomposition's ``bound``, since
-    a group with few set-orbits would have to be (n - p + 1)-transitive.
+    Uses the split prime p; the degree is eliminated when p <= n and
+    n - p + 1 exceeds the decomposition's ``bound``, since a group with few
+    set-orbits would have to be (n - p + 1)-transitive.
     """
-    if n < 3:
+    p = _split_prime(n, r)
+    if p > n:
         return None
-    mb = miller_bound(n)
-    if mb is None:
-        return None
-    decomp = mb[1]
-    k1 = required_k0("odd" if n % 2 else "even", r)
-    lo = n // 2 + k1
-    if lo >= n:
-        return None
-    window = primes_in(lo, n)
-    if window and n - window[0] + 1 > decomp.bound:
-        return window[0], decomp
+    decomp = miller_bound(n)
+    if decomp is not None and n - p + 1 > decomp.bound:
+        return p, decomp
     return None
 
 
@@ -265,11 +258,8 @@ def degree_range(r: int) -> range:
 
 
 def survivors_after_step1(r: int) -> list[int]:
-    out = []
-    for n in degree_range(r):
-        if parity_admissible(n, r) and step1_eliminates(n, r) is None:
-            out.append(n)
-    return out
+    return [n for n in degree_range(r)
+            if prune_degree(n, r).stage not in ("parity", "step1")]
 
 
 def survivors(r: int) -> list[int]:

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
+import re
 import shlex
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from setorbits import catalog
 from setorbits.cli import build_parser, run
 
 
@@ -69,8 +73,9 @@ def test_orbits_beyond_both_routes_fails(capout):
     assert "no exact route" in cap.err
 
 
-def test_readme_command_lines_parse():
-    """Every ``setorbits ...`` line of README's Command line block parses."""
+def test_readme_command_lines_parse(capout):
+    """Every ``setorbits ...`` line of README's Command line block parses,
+    and each ``orbits`` line whose comment states ``s=N`` prints it."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
         encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```")[1]
@@ -78,8 +83,15 @@ def test_readme_command_lines_parse():
              if line.startswith("setorbits ")]
     assert len(lines) >= 7
     parser = build_parser()
+    checked = 0
     for line in lines:
-        parser.parse_args(shlex.split(line, comments=True)[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        parser.parse_args(argv)
+        stated = re.search(r"#.*\b(s=\d+)", line)
+        if argv[0] == "orbits" and stated:
+            assert stated.group(1) in capout(argv).out, line
+            checked += 1
+    assert checked == 3
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +104,31 @@ def test_prune_output_format(capout):
     assert lines["18"] == "step1\tp=11"
     assert lines["12"] == "survived\t-"
     assert lines["7"] == "parity\t-"
+
+
+#: sha256 of the ``setorbits prune --r R`` output, R = 2..15
+PRUNE_TABLE_SHA256 = {
+    2: "70bb1e2e2f8d37be5f66f826d760820a95890d7e4912a5db3c47f36e88229781",
+    3: "8a8b190ad05ad425febe6e0cfd66630c6056de4fdb757a4b9f74da1f10c146b2",
+    4: "ff0df566fdc374b3117f2a1fe0b267ca01ac2a7028d92d3ba4171611c6f66692",
+    5: "8502221be9c79ac56bf35444351763fed2e550c5a18903f50a5461b4a9233f93",
+    6: "425fa7719a2f94a5b4c7e5fc11b997b7a177dccb1a911b0fba1354923349a4b0",
+    7: "a24520169e82ea6dc94765f3a143552f3be35a75a627f160332a520bae4ab84b",
+    8: "102c7d17061d3e877494159363b74d24031495eed9f07e8f5b9cbd316003a2c5",
+    9: "00328d4f44657b91f302102389e921dc5b3a69191e894f29194ca34c219f2d88",
+    10: "1bdbf3867d51763c06d7e85f653416c9e7ba5d3d85ecc6d6b1e5413f7a954a24",
+    11: "6bf60155ee9bfc9e369c83826547e6f8ea5225949bfda31452dd168aeb6e3b92",
+    12: "20fe37b31b193bd6e1b841e0d961ce79ada67af03e9c15e33f6677065a883b67",
+    13: "b967ee5d34957a011ed066fa25fef6b5996a6095844fd20614df7531edb652fe",
+    14: "959ec65bbff7396a9c5fa8077f09f2ee1f806b875b92c2fbb99c567f4e08e02a",
+    15: "0c0823a3ed9d057b0495920ad3b94a4433b65bd5297a5b3c062e9a64982a39d5",
+}
+
+
+@pytest.mark.parametrize("r", sorted(PRUNE_TABLE_SHA256))
+def test_prune_table_is_frozen(r, capout):
+    out = capout(["prune", "--r", str(r)]).out
+    assert hashlib.sha256(out.encode()).hexdigest() == PRUNE_TABLE_SHA256[r]
 
 
 def test_prune_full_range_has_81_degrees(capout):
@@ -138,6 +175,21 @@ def test_subgroups_cap_error(capout):
 def test_catalog_verify_passes(capout):
     out = capout(["catalog-verify"]).out
     assert "manifest ok" in out
+
+
+def test_catalog_verify_reports_failures(monkeypatch, capout):
+    entries = [e for e in catalog.load_default() if e.id != "8P4"]
+    i = next(i for i, e in enumerate(entries) if e.id == "5P2")
+    s = entries[i].expected_s
+    entries[i] = dataclasses.replace(entries[i], expected_s=s + 1)
+    monkeypatch.setattr(catalog, "load_default", lambda: tuple(entries))
+    lines = capout(["catalog-verify"], expect=1).out.splitlines()
+    want = catalog.MANIFEST["primitive"][8]
+    assert f"FAIL 5P2: set-orbits: computed {s}, expected {s + 1}" in lines
+    assert (f"FAIL manifest: degree 8: {want - 1} primitive entries, "
+            f"expected {want}") in lines
+    assert lines[-1] == (f"{len(entries) - 1}/{len(entries)} entries "
+                         "verified, manifest INCOMPLETE")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from setorbits.catalog import builtin, by_id, load_default
 from setorbits.orbitcount import (
     OrbitProfile,
     _burnside_profile,
+    _profile_from_histogram,
     _direct_factors,
     _enumeration_profile,
     _image_table,
@@ -547,6 +549,13 @@ def test_transitivity_bridge(G):
     prof = orbit_profile(G)
     for u in range(min(k, G.degree) + 1):
         assert prof.by_size[u] == 1
+
+
+def test_inexact_burnside_numerator_raises():
+    # one element with two fixed points, divided by an order of 2: the
+    # size-0 numerator is 1
+    with pytest.raises(ArithmeticError, match="not divisible by 2"):
+        _profile_from_histogram(2, 2, Counter({(1, 1): 1}))
 
 
 def test_profile_validation():

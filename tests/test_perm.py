@@ -164,6 +164,12 @@ def test_membership_and_element_iteration():
     assert parse_permutation("(1,2)", 4) not in C4
 
 
+def test_membership_of_another_degree_is_false():
+    C4 = build_group([parse_permutation("(1,2,3,4)", 4)])
+    assert Permutation.identity(5) not in C4
+    assert parse_permutation("(1,2,3,4)", 5) not in C4
+
+
 def test_element_iteration_counts_s4():
     G = build_group([parse_permutation("(1,2)", 4),
                      parse_permutation("(1,2,3,4)", 4)])

@@ -7,13 +7,13 @@ from setorbits.prune import (
     MillerDecomposition,
     binomial_divides,
     degree_bound,
+    forced_transitive_size,
     is_prime,
     known_transitivity_floor,
     miller_bound,
     parity_admissible,
     primes_in,
     prune_degree,
-    required_k0,
     step1_eliminates,
     step2_eliminates,
     survivors,
@@ -52,7 +52,7 @@ def test_primes_in_contents(a, b):
 
 
 # ---------------------------------------------------------------------------
-# parity and window offsets
+# parity and the split budget
 
 def test_parity_rules():
     assert parity_admissible(7, 2) is False
@@ -65,25 +65,28 @@ def test_parity_is_exactly_the_even_odd_rule(n, r):
     assert parity_admissible(n, r) == (not (r % 2 == 0 and n % 2 == 1))
 
 
-def test_required_k0_values():
-    assert required_k0("even", 2) == 1
-    assert required_k0("odd", 3) == 2
-    assert required_k0("even", 3) == 1
-    assert required_k0("odd", 5) == 3
-    assert required_k0("even", 5) == 2
+@given(st.integers(2, 3000), st.integers(2, 40))
+def test_window_offset_is_the_split_budget(n, r):
+    """The paper's window offset k0, the least k0 whose middle sizes
+    (2*k0 at odd n, 2*k0 + 1 at even n) exceed r - 1, puts the prime bound
+    at (n + r) // 2 = n - t*."""
+    k0 = (r + 1) // 2 if n % 2 else r // 2
+    middle = 2 * k0 + (n % 2 == 0)
+    assert middle > r - 1 >= middle - 2
+    assert n // 2 + k0 == (n + r) // 2 == n - (n - r + 1) // 2
 
 
-def test_required_k0_needs_r_at_least_2():
+def test_forced_transitive_size_is_the_largest_forced_size():
+    for n in range(1, 80):
+        for r in range(1, 30):
+            forced = [t for t in range(1, n // 2 + 1)
+                      if n - 2 * t + 1 > r - 1]
+            assert forced_transitive_size(n, r) == max(forced, default=None)
+
+
+def test_forced_transitive_size_needs_r_at_least_1():
     with pytest.raises(ValueError):
-        required_k0("even", 1)
-
-
-@given(st.integers(2, 20))
-def test_required_k0_inequalities(r):
-    k_odd = required_k0("odd", r)
-    assert 2 * k_odd > r - 1 and 2 * (k_odd - 1) <= r - 1
-    k_even = required_k0("even", r)
-    assert 2 * k_even + 1 > r - 1 and (k_even == 0 or 2 * (k_even - 1) + 1 <= r - 1)
+        forced_transitive_size(8, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +109,7 @@ def test_step1_witness_for_degree_20():
 def test_step1_witness_satisfies_window(n, r):
     p = step1_eliminates(n, r)
     if p is not None:
-        k0 = required_k0("odd" if n % 2 else "even", r)
-        assert n // 2 + k0 < p
+        assert (n + r) // 2 < p
         assert 3 * p < 2 * n
 
 
@@ -115,16 +117,16 @@ def test_step1_witness_satisfies_window(n, r):
 # Miller decompositions and step 2
 
 def test_miller_bound_examples():
-    rem, d = miller_bound(24)
-    assert rem == 5 and (d.m, d.p0, d.rem) == (1, 19, 5)
+    d = miller_bound(24)
+    assert (d.m, d.p0, d.rem) == (1, 19, 5)
     assert str(d) == "1x19+5"
-    assert miller_bound(12)[0] == 5 and str(miller_bound(12)[1]) == "1x7+5"
-    assert miller_bound(43)[0] == 2 and str(miller_bound(43)[1]) == "1x41+2"
+    assert miller_bound(12).rem == 5 and str(miller_bound(12)) == "1x7+5"
+    assert miller_bound(43).rem == 2 and str(miller_bound(43)) == "1x41+2"
 
 
 def test_miller_no_decomposition_is_none():
-    assert miller_bound(3) is None
-    assert miller_bound(4)[0] == 2  # 4 = 1*2 + 2
+    assert [miller_bound(n) for n in range(4)] == [None] * 4
+    assert miller_bound(4).rem == 2  # 4 = 1*2 + 2
 
 
 def test_miller_decomposition_validation():
@@ -141,7 +143,7 @@ def test_miller_minimality_exhaustive():
         got = miller_bound(n)
         brute = min((n - m * p0 for m in range(1, n) for p0 in range(m + 1, n)
                      if is_prime(p0) and n - m * p0 > m), default=None)
-        assert (got[0] if got else None) == brute
+        assert (got.rem if got else None) == brute
 
 
 def test_step2_witness_for_24():
@@ -192,8 +194,8 @@ def test_degree33_bound_covers_pgl2_32():
     assert G.order == 32 * (32**2 - 1)
     assert transitivity_degree(G) == 3
     # the Miller remainder alone (33 = 1*31 + 2) would claim 2-transitive
-    rem, decomp = miller_bound(33)
-    assert rem == 2 and decomp.bound >= 3
+    decomp = miller_bound(33)
+    assert decomp.rem == 2 and decomp.bound >= 3
     v = prune_degree(33, 5)
     assert v.stage == "step2" and v.miller.bound >= 3
     assert v.witness_text() == "miller=1x31+2,floor=3,p=23"
@@ -219,7 +221,7 @@ def test_bound_holds_for_every_built_group():
         mb = miller_bound(G.degree)
         if mb is None or G.contains_alternating():
             continue
-        assert transitivity_degree(G) <= mb[1].bound, label
+        assert transitivity_degree(G) <= mb.bound, label
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,13 @@ def test_non_conjugate_same_order():
     assert conjugate_in_sn(A, B) is None
 
 
+def test_different_orbit_shapes_are_not_conjugate():
+    A = build_group([parse_permutation("(1,2)", 4)])
+    B = build_group([parse_permutation("(1,2)(3,4)", 4)])
+    assert A.order == B.order == 2
+    assert conjugate_in_sn(A, B) is None
+
+
 def test_self_conjugacy_identity_acceptable():
     A = build_group([parse_permutation("(1,2,3)", 5)])
     g = conjugate_in_sn(A, A)
