@@ -470,8 +470,8 @@ def entry(ident, name, gens, order, s=None) -> CatalogEntry:
         s = count_set_orbits(G)
     e = CatalogEntry(ident, G.degree, name, order, structure_tags(G),
                      tuple(gens), s)
-    report = verify_entry(e)
-    assert report.ok, (ident, report.failures())
+    failures = verify_entry(e)
+    assert not failures, (ident, failures)
     if e.degree <= 12:
         check = profile_from_enumeration(G).total
         assert check == s, f"{ident}: enumeration gives {check}"

@@ -179,42 +179,32 @@ def padded(e: CatalogEntry) -> CatalogEntry:
 # ---------------------------------------------------------------------------
 # verification
 
-@dataclass(frozen=True)
-class EntryReport:
-    entry_id: str
-    checks: tuple[tuple[str, bool, str], ...]  # (check name, passed, detail)
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
-
-    def failures(self) -> list[str]:
-        return [f"{name}: {detail}" for name, passed, detail in self.checks
-                if not passed]
-
-
-def verify_entry(e: CatalogEntry) -> EntryReport:
+def verify_entry(e: CatalogEntry) -> list[str]:
     """Rebuild the group and check order, tags and recorded s-value.
 
-    The order comes from a chain built from the generators alone, never from
-    the recorded order that ``CatalogEntry.group`` trusts.  The group's own
-    ``order``, which the generators answer where a rule applies, must equal
-    it: so every shipped S_n and A_n checks Jordan's order rule."""
+    Returns the failed checks as ``"<check>: <detail>"`` lines, none when
+    the entry verifies.  The order comes from a chain built from the
+    generators alone, never from the recorded order that
+    ``CatalogEntry.group`` trusts.  The group's own ``order``, which the
+    generators answer where a rule applies, must equal it: so every shipped
+    S_n and A_n checks Jordan's order rule."""
     G = build_group(e.generators, e.degree)
     built = _Chain(G.generator_tuples(), e.degree).order
-    checks: list[tuple[str, bool, str]] = []
-    checks.append(("order", built == G.order == e.expected_order,
-                   f"chain gives {built}, the group reports {G.order}, "
-                   f"expected {e.expected_order}"))
+    failures = []
+    if not built == G.order == e.expected_order:
+        failures.append(f"order: chain gives {built}, the group reports "
+                        f"{G.order}, expected {e.expected_order}")
     earned = structure_tags(G)
     for tag in MANIFEST:
-        checks.append((f"{tag}-tag", (tag in earned) == (tag in e.tags),
-                       f"group {'earns' if tag in earned else 'does not earn'} "
-                       f"{tag}, tag {'present' if tag in e.tags else 'absent'}"))
+        if tag in earned and tag not in e.tags:
+            failures.append(f"{tag}-tag: group earns {tag}, tag absent")
+        elif tag in e.tags and tag not in earned:
+            failures.append(f"{tag}-tag: group does not earn {tag}, "
+                            f"tag present")
     s = count_set_orbits(G)
-    checks.append(("set-orbits", s == e.expected_s,
-                   f"computed {s}, expected {e.expected_s}"))
-    return EntryReport(e.id, tuple(checks))
+    if s != e.expected_s:
+        failures.append(f"set-orbits: computed {s}, expected {e.expected_s}")
+    return failures
 
 
 def structure_tags(G: PermGroup) -> frozenset[str]:

@@ -97,17 +97,16 @@ def cmd_subgroups(args) -> int:
 
 def cmd_catalog_verify(args) -> int:
     entries = cat.load_default()
-    reports = [cat.verify_entry(e) for e in entries]
     bad = 0
-    for rep in reports:
-        if not rep.ok:
-            bad += 1
-            for f in rep.failures():
-                print(f"FAIL {rep.entry_id}: {f}")
+    for e in entries:
+        failures = cat.verify_entry(e)
+        bad += bool(failures)
+        for f in failures:
+            print(f"FAIL {e.id}: {f}")
     problems = cat.check_manifest(entries)
     for p in problems:
         print(f"FAIL manifest: {p}")
-    total = len(reports)
+    total = len(entries)
     print(f"{total - bad}/{total} entries verified, "
           f"manifest {'ok' if not problems else 'INCOMPLETE'}")
     return 0 if not bad and not problems else 1

@@ -49,6 +49,7 @@ from .perm import (
     PermGroup,
     _cycle_lengths,
     _direct_factors,
+    contains_alternating,
 )
 
 ENUMERATION_MAX_DEGREE = 22
@@ -125,8 +126,8 @@ def _route(F: PermGroup) -> str:
     """The route of ``counting_route`` for a group F that does not split."""
     m = F.degree
     order = F.order
-    # F is S_m or, by index 2, A_m (A_2 is trivial: no shortcut)
-    if order == math.factorial(m) or (m >= 3 and 2 * order == math.factorial(m)):
+    # F is S_m, or A_m from degree 3 on (A_2 is trivial: no shortcut)
+    if order == math.factorial(m) or contains_alternating(m, order):
         return "shortcut"
     burnside = order <= ITERATION_MAX_ORDER
     enumeration = m <= ENUMERATION_MAX_DEGREE

@@ -458,10 +458,6 @@ class PermGroup:
                 f" (limit {ITERATION_MAX_ORDER})")
         return self._built_chain().iter_elements()
 
-    def contains_alternating(self) -> bool:
-        """True iff A_degree <= G (i.e. G is A_n or S_n in natural action)."""
-        return 2 * self.order >= math.factorial(self.degree)
-
     def orbit_of(self, point0: int) -> frozenset[int]:
         """Orbit of a 0-based point under the group."""
         return _orbit(self.generator_tuples(), point0)
@@ -469,12 +465,6 @@ class PermGroup:
     def orbits(self) -> list[frozenset[int]]:
         """All point orbits (0-based), ordered by smallest member."""
         return point_orbits(self.generators, self.degree)
-
-    def fixed_points(self) -> tuple[int, ...]:
-        """0-based points fixed by every generator."""
-        gens = self.generator_tuples()
-        return tuple(i for i in range(self.degree)
-                     if all(g[i] == i for g in gens))
 
 
 def _orbit(gens: Sequence[tuple[int, ...]], point0: int) -> frozenset[int]:
@@ -586,6 +576,17 @@ def elements(G: PermGroup) -> Iterator[Permutation]:
 
 # ---------------------------------------------------------------------------
 # structural predicates
+
+def contains_alternating(degree: int, order: int) -> bool:
+    """Whether a group of this order on ``degree`` points contains A_degree.
+
+    A subgroup of S_n of index at most 2 is S_n or A_n, the one subgroup of
+    index 2, so A_n <= G exactly when 2 * |G| >= n!.  False below degree 3,
+    where A_n is trivial and every group contains it: the rule that a group
+    containing A_n has s(G) = n + 1 starts at degree 3.
+    """
+    return degree >= 3 and 2 * order >= math.factorial(degree)
+
 
 def is_transitive(G: PermGroup) -> bool:
     """True iff the orbit of point 1 is all of {1..n}."""

@@ -43,7 +43,7 @@ from typing import Iterable, Optional
 
 from . import catalog as cat
 from .orbitcount import count_set_orbits, counting_route
-from .perm import point_orbits
+from .perm import contains_alternating, point_orbits
 from .prune import (PruneVerdict, binomial_divides, degree_range,
                     forced_transitive_size, prune_degree)
 
@@ -185,13 +185,8 @@ def candidate_groups(n: int, r: int,
     if not MIN_R <= r <= MAX_R:
         # the two-orbit catalog holds the groups with s <= n + MAX_R only
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
-    out = _pool(n, n + r, cat.tag_index(entries))
-    if n <= 2:
-        # A_1 and A_2 are trivial; the s = n + 1 exclusion only applies from
-        # degree 3 on (the trivial group on 2 points has s = 4)
-        return out
-    # A_n <= G exactly when |G| >= n!/2 (PermGroup.contains_alternating)
-    return [e for e in out if 2 * e.expected_order < math.factorial(n)]
+    return [e for e in _pool(n, n + r, cat.tag_index(entries))
+            if not contains_alternating(n, e.expected_order)]
 
 
 _profile_cache: dict[cat.CatalogEntry, tuple[int, str]] = {}

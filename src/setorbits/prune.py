@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import count
 from typing import Literal, Optional
 
 
@@ -215,12 +216,16 @@ def thm37_max_k0(n: int) -> Optional[int]:
 #: the r for which the elimination stages and the degree bound are defined
 R_RANGE = range(2, 16)
 
+#: the least degree at which the window of ``thm37_max_k0`` is nonempty
+_THM37_DEGREE = next(n for n in count(2) if thm37_max_k0(n) is not None)
+
 
 def degree_bound(r: int) -> int:
-    """Universal degree cap for the search: n <= 81 whenever r < 16."""
+    """Universal degree cap for the search, the same for every r < 16: the
+    least degree at which the window of Theorem 3.7 is nonempty (81)."""
     if r not in R_RANGE:
         raise ValueError(f"method cap exceeded: no degree bound for r = {r}")
-    return 81
+    return _THM37_DEGREE
 
 
 def binomial_divides(n: int, t: int, order: int) -> bool:
@@ -255,12 +260,3 @@ def degree_range(r: int) -> range:
     for r = 2 and set aside for every larger r.
     """
     return range(2 if r == 2 else 3, degree_bound(r) + 1)
-
-
-def survivors_after_step1(r: int) -> list[int]:
-    return [n for n in degree_range(r)
-            if prune_degree(n, r).stage not in ("parity", "step1")]
-
-
-def survivors(r: int) -> list[int]:
-    return [n for n in degree_range(r) if not prune_degree(n, r).eliminated]

@@ -208,11 +208,6 @@ def all_subgroups(n: int) -> tuple[SubgroupClass, ...]:
     return _all_subgroups_cached(n)
 
 
-def transitive_classes(n: int) -> tuple[SubgroupClass, ...]:
-    """Conjugacy classes with a transitive representative, same ordering."""
-    return tuple(c for c in all_subgroups(n) if c.transitive)
-
-
 # ---------------------------------------------------------------------------
 # conjugacy search
 

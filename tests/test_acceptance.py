@@ -13,10 +13,10 @@ from setorbits.orbitcount import (
 from setorbits.perm import Permutation, build_group, transitivity_degree
 from setorbits.prune import (
     degree_bound,
+    degree_range,
     miller_bound,
+    prune_degree,
     step2_eliminates,
-    survivors,
-    survivors_after_step1,
     thm37_max_k0,
 )
 from setorbits.pipeline import classify, compare_to_golden, load_golden
@@ -93,9 +93,10 @@ def test_criterion_2_spot_values():
 # 3. pruning reproduction
 
 def test_criterion_3_pruning():
-    assert survivors_after_step1(2) == [2, 4, 6, 8, 10, 12, 14, 16, 24]
-    assert survivors(2) == [2, 4, 6, 8, 12]
-    assert survivors(3) == [3, 4, 5, 6, 7, 8, 9, 11, 12]
+    assert [n for n in degree_range(2) if prune_degree(n, 2).stage
+            not in ("parity", "step1")] == [2, 4, 6, 8, 10, 12, 14, 16, 24]
+    assert classify(2).survivors() == [2, 4, 6, 8, 12]
+    assert classify(3).survivors() == [3, 4, 5, 6, 7, 8, 9, 11, 12]
     d = miller_bound(24)
     assert (d.m, d.p0, d.rem) == (1, 19, 5)
     p, dd = step2_eliminates(24, 2)
@@ -203,8 +204,7 @@ def test_criterion_8_subgroup_counts():
 # catalog gate (supports criteria 2 and 6; every shipped entry must verify)
 
 def test_catalog_fully_verified():
-    bad = [r.entry_id for e in load_default()
-           if not (r := verify_entry(e)).ok]
+    bad = [e.id for e in load_default() if verify_entry(e)]
     assert not bad, bad
     report(f"catalog gate PASS: all {len(load_default())} entries rebuilt "
            f"and verified")

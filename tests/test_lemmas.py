@@ -10,13 +10,14 @@ from setorbits import catalog, pipeline
 from setorbits.catalog import (
     TRANSITIVE_COUNTS,
     TWO_ORBIT_COUNTS,
+    builtin,
     by_id,
     load_default,
     padded,
     tag_index,
 )
 from setorbits.orbitcount import count_set_orbits
-from setorbits.perm import _minimal_block_size, is_primitive
+from setorbits.perm import _minimal_block_size, contains_alternating, is_primitive
 from setorbits.pipeline import (
     MAX_R,
     block_shape_floor,
@@ -25,7 +26,7 @@ from setorbits.pipeline import (
     classify,
     two_orbit_shape_fits,
 )
-from setorbits.subgroups import all_subgroups, conjugate_in_sn, transitive_classes
+from setorbits.subgroups import all_subgroups, conjugate_in_sn
 
 
 def _matches(groups, others):
@@ -52,8 +53,9 @@ def _block_sizes(G):
 
 def _transitive_groups():
     for n in range(4, 8):
-        for c in transitive_classes(n):
-            yield f"S{n}-cls{c.index}", c.representative
+        for c in all_subgroups(n):
+            if c.transitive:
+                yield f"S{n}-cls{c.index}", c.representative
     for e in load_default():
         if "transitive" in e.tags:
             yield e.id, e.group()
@@ -153,7 +155,7 @@ def test_block_shape_loses_no_degree8_group():
 @pytest.mark.parametrize("n", [4, 6])
 def test_transitive_catalog_matches_walk(n):
     entries = [e.group() for e in tag_index()[n, "transitive"]]
-    walked = [c.representative for c in transitive_classes(n)]
+    walked = [c.representative for c in all_subgroups(n) if c.transitive]
     assert len(entries) == len(walked) == TRANSITIVE_COUNTS[n]
     assert _one_to_one(entries, walked)
 
@@ -186,8 +188,8 @@ def test_intransitive_classes_at_2n_are_paddings(n, count):
 
 def test_set_transitive_groups_are_primitive():
     for n in range(3, 8):
-        for c in transitive_classes(n):
-            if count_set_orbits(c.representative) == n + 1:
+        for c in all_subgroups(n):
+            if c.transitive and count_set_orbits(c.representative) == n + 1:
                 assert is_primitive(c.representative), (n, c.index)
 
 
@@ -211,12 +213,34 @@ def test_candidates_match_sn_walk(n):
     one up to S_n-conjugacy."""
     classes = [(c.representative, count_set_orbits(c.representative))
                for c in all_subgroups(n)
-               if n < 3 or not c.representative.contains_alternating()]
+               if not contains_alternating(n, c.order)]
     for r in range(2, MAX_R + 1):
         walked = [G for G, s in classes if s == n + r]
         cands = [G for G in (c.group() for c in candidate_groups(n, r))
                  if count_set_orbits(G) == n + r]
         assert _one_to_one(cands, walked), r
+
+
+# ---------------------------------------------------------------------------
+# the A_n exclusion: A_n <= G exactly when 2|G| >= n!, from degree 3 on
+
+def test_contains_alternating_matches_membership():
+    """On every catalog entry and every subgroup class of S_1..S_7, the
+    order rule agrees with chain membership of A_n's generators, and is
+    false at degrees 1 and 2, where A_n is trivial."""
+    groups = [(e.id, e.group()) for e in load_default()]
+    groups += [(f"S{n}-cls{c.index}", c.representative)
+               for n in range(1, 8) for c in all_subgroups(n)]
+    hits = []
+    for label, G in groups:
+        n = G.degree
+        alt = builtin("alternating", n).generators
+        assert contains_alternating(n, G.order) == (
+            n >= 3 and all(g in G for g in alt)), label
+        if contains_alternating(n, G.order):
+            hits.append(label)
+    # A_n and S_n of each degree 3..12 in the catalog, 3..7 in the walk
+    assert len(hits) == 2 * 10 + 2 * 5, hits
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from setorbits import prune
 from setorbits.catalog import load_default
 from setorbits.orbitcount import count_set_orbits
-from setorbits.perm import is_primitive
+from setorbits.perm import contains_alternating, is_primitive
 from setorbits.pipeline import (
     ClassificationRow,
     DataGapError,
@@ -18,7 +18,7 @@ from setorbits.pipeline import (
     load_golden,
     parse_golden,
 )
-from setorbits.subgroups import transitive_classes
+from setorbits.subgroups import all_subgroups
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,8 @@ def test_missing_primitive_entry_is_a_gap():
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_transitive_classes_of_prime_degree_are_primitive(n):
-    assert all(is_primitive(c.representative) for c in transitive_classes(n))
+    assert all(is_primitive(c.representative)
+               for c in all_subgroups(n) if c.transitive)
 
 
 @pytest.mark.parametrize("n,r", [(5, 3), (7, 5), (7, 6)])
@@ -126,8 +127,8 @@ def test_prime_degree_candidates_match_transitive_classes(n, r):
     classes that pass the divisibility filter and do not contain A_n."""
     t = forced_transitive_size(n, r)
     want = Counter((c.order, count_set_orbits(c.representative))
-                   for c in transitive_classes(n)
-                   if not c.representative.contains_alternating()
+                   for c in all_subgroups(n)
+                   if c.transitive and not contains_alternating(n, c.order)
                    and (t is None or c.order % math.comb(n, t) == 0))
     got = Counter((c.group().order, count_set_orbits(c.group()))
                   for c in candidate_groups(n, r))

@@ -2,11 +2,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setorbits.perm import Permutation, build_group, transitivity_degree
+from setorbits.perm import (
+    Permutation,
+    build_group,
+    contains_alternating,
+    transitivity_degree,
+)
 from setorbits.prune import (
     MillerDecomposition,
     binomial_divides,
     degree_bound,
+    degree_range,
     forced_transitive_size,
     is_prime,
     known_transitivity_floor,
@@ -16,8 +22,6 @@ from setorbits.prune import (
     prune_degree,
     step1_eliminates,
     step2_eliminates,
-    survivors,
-    survivors_after_step1,
     thm37_max_k0,
 )
 
@@ -92,12 +96,17 @@ def test_forced_transitive_size_needs_r_at_least_1():
 # ---------------------------------------------------------------------------
 # step 1
 
+def _step1_survivors(r):
+    return [n for n in degree_range(r)
+            if prune_degree(n, r).stage not in ("parity", "step1")]
+
+
 def test_step1_survivors_r2():
-    assert survivors_after_step1(2) == [2, 4, 6, 8, 10, 12, 14, 16, 24]
+    assert _step1_survivors(2) == [2, 4, 6, 8, 10, 12, 14, 16, 24]
 
 
 def test_step1_survivors_r3():
-    assert survivors_after_step1(3) == list(range(3, 17)) + [19, 23, 24, 25, 43]
+    assert _step1_survivors(3) == list(range(3, 17)) + [19, 23, 24, 25, 43]
 
 
 def test_step1_witness_for_degree_20():
@@ -152,10 +161,13 @@ def test_step2_witness_for_24():
 
 
 def test_step2_survivors():
-    assert survivors(2) == [2, 4, 6, 8, 12]
-    assert survivors(3) == [3, 4, 5, 6, 7, 8, 9, 11, 12]
-    assert survivors(4) == [4, 6, 8, 10, 12]
-    assert survivors(5) == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
+    def step2_survivors(r):
+        return [n for n in degree_range(r) if not prune_degree(n, r).eliminated]
+
+    assert step2_survivors(2) == [2, 4, 6, 8, 12]
+    assert step2_survivors(3) == [3, 4, 5, 6, 7, 8, 9, 11, 12]
+    assert step2_survivors(4) == [4, 6, 8, 10, 12]
+    assert step2_survivors(5) == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
 def test_degree9_survives_r3():
@@ -219,7 +231,7 @@ def test_bound_holds_for_every_built_group():
                for n in range(3, 8) for c in all_subgroups(n)]
     for label, G in groups:
         mb = miller_bound(G.degree)
-        if mb is None or G.contains_alternating():
+        if mb is None or contains_alternating(G.degree, G.order):
             continue
         assert transitivity_degree(G) <= mb.bound, label
 

