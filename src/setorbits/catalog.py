@@ -276,8 +276,6 @@ def builtin(family: str, n: int) -> PermGroup:
     if n < 1:
         raise ValueError("degree must be at least 1")
     if family == "cyclic":
-        if n == 1:
-            return build_group([], degree=1)
         return build_group([_cycle(n)])
     if family == "dihedral":
         if n < 3:

@@ -31,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"error: {message}\n")
 
 
-def _resolve_group(spec: str) -> tuple[PermGroup, str]:
+def _resolve_group(spec: str) -> PermGroup:
     """A group from a catalog id or inline ``gens:"(...);(...)"`` syntax."""
     if spec.startswith("gens:"):
         text = spec[len("gens:"):].strip()
@@ -43,17 +43,17 @@ def _resolve_group(spec: str) -> tuple[PermGroup, str]:
             degree = max(degree, int(tok))
         degree = max(degree, 1)
         gens = [parse_permutation(g, degree) for g in text.split(";") if g]
-        return build_group(gens, degree=degree), "inline"
+        return build_group(gens, degree=degree)
     try:
         entry = cat.by_id(spec)
     except KeyError:
         raise ValueError(f"unknown catalog id {spec!r}") from None
-    return entry.group(), entry.id
+    return entry.group()
 
 
 def cmd_orbits(args) -> int:
     try:
-        G, _ = _resolve_group(args.group)
+        G = _resolve_group(args.group)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -74,18 +74,12 @@ def cmd_prune(args) -> int:
         degrees = range(degrees.start, min(degrees.stop, args.max_degree + 1))
     for n in degrees:
         v = prune_degree(n, args.r)
-        verdict = v.stage if v.eliminated else "survived"
-        print(f"{n}\t{verdict}\t{v.witness_text()}")
+        print(f"{n}\t{v.stage}\t{v.witness_text()}")
     return 0
 
 
 def cmd_subgroups(args) -> int:
-    try:
-        classes = all_subgroups(args.degree)
-    except SubgroupCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for c in classes:
+    for c in all_subgroups(args.degree):
         if args.transitive and not c.transitive:
             continue
         s = count_set_orbits(c.representative)

@@ -458,10 +458,6 @@ class PermGroup:
                 f" (limit {ITERATION_MAX_ORDER})")
         return self._built_chain().iter_elements()
 
-    def orbit_of(self, point0: int) -> frozenset[int]:
-        """Orbit of a 0-based point under the group."""
-        return _orbit(self.generator_tuples(), point0)
-
     def orbits(self) -> list[frozenset[int]]:
         """All point orbits (0-based), ordered by smallest member."""
         return point_orbits(self.generators, self.degree)
@@ -590,7 +586,7 @@ def contains_alternating(degree: int, order: int) -> bool:
 
 def is_transitive(G: PermGroup) -> bool:
     """True iff the orbit of point 1 is all of {1..n}."""
-    return len(G.orbit_of(0)) == G.degree
+    return len(_orbit(G.generator_tuples(), 0)) == G.degree
 
 
 def _minimal_block_size(gens: Sequence[tuple[int, ...]], n: int,

@@ -38,6 +38,7 @@ from .perm import (
     _cycle_lengths,
     _identity_t,
     _inverse_t,
+    is_transitive,
 )
 
 #: largest n for which ``all_subgroups(n)`` walks and caches S_n
@@ -113,7 +114,7 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
     by_order: dict[int, list[_ClassRec]] = {}
     set_to_class: dict[frozenset, int] = {}
 
-    def register(elements: frozenset, gens: tuple) -> int:
+    def register(elements: frozenset, gens: tuple) -> None:
         rec = _ClassRec(gens, elements, len(elements))
         idx = len(classes)
         classes.append(rec)
@@ -121,7 +122,6 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
         orbit, rec.canonical_key = _conjugacy_orbit(elements, conj_gens)
         rec.class_size = len(orbit)
         set_to_class.update(dict.fromkeys(orbit, idx))
-        return idx
 
     register(frozenset([_identity_t(n)]), ())
     candidates = sorted(t for t in parent.iter_element_tuples()
@@ -181,23 +181,20 @@ def subgroup_classes(parent: PermGroup) -> tuple[SubgroupClass, ...]:
         gens = [Permutation(t) for t in rec.gens]
         G = PermGroup(gens, degree=n)
         assert G.order == rec.order
-        transitive = len(G.orbit_of(0)) == n if n else True
         out.append(SubgroupClass(
             representative=G, order=rec.order, class_size=rec.class_size,
-            canonical_key=rec.canonical_key, transitive=transitive, index=i))
+            canonical_key=rec.canonical_key, transitive=is_transitive(G),
+            index=i))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _all_subgroups_cached(n: int) -> tuple[SubgroupClass, ...]:
-    return subgroup_classes(builtin("symmetric", n))
-
-
 def all_subgroups(n: int) -> tuple[SubgroupClass, ...]:
     """All conjugacy classes of subgroups of S_n, sorted by (order, key).
 
-    Includes the trivial group and S_n itself.  Raises SubgroupCapError for
-    n > SUBGROUP_MAX_DEGREE.
+    Includes the trivial group and S_n itself.  Cached per degree; an
+    exception is not cached, so SubgroupCapError for n > SUBGROUP_MAX_DEGREE
+    is raised on every call.
     """
     if n < 1:
         raise ValueError("degree must be at least 1")
@@ -205,7 +202,7 @@ def all_subgroups(n: int) -> tuple[SubgroupClass, ...]:
         raise SubgroupCapError(
             f"subgroup enumeration of S_{n} is beyond the cap of the cached "
             f"S_n walk (n <= {SUBGROUP_MAX_DEGREE})")
-    return _all_subgroups_cached(n)
+    return subgroup_classes(builtin("symmetric", n))
 
 
 # ---------------------------------------------------------------------------

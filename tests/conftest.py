@@ -11,15 +11,16 @@ from setorbits.pipeline import compare_to_golden
 @pytest.fixture
 def chain_builds(monkeypatch):
     """A list that grows by one entry per stabilizer chain built while the
-    test runs."""
+    test runs.  The constructor itself is patched, so chains built through
+    any module's binding of ``_Chain`` are counted."""
     built = []
+    init = perm._Chain.__init__
 
-    class Counted(perm._Chain):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(perm, "_Chain", Counted)
+    monkeypatch.setattr(perm._Chain, "__init__", counted)
     return built
 
 

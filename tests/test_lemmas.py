@@ -8,6 +8,7 @@ import pytest
 
 from setorbits import catalog, pipeline
 from setorbits.catalog import (
+    MANIFEST,
     TRANSITIVE_COUNTS,
     TWO_ORBIT_COUNTS,
     builtin,
@@ -16,7 +17,7 @@ from setorbits.catalog import (
     padded,
     tag_index,
 )
-from setorbits.orbitcount import count_set_orbits
+from setorbits.orbitcount import count_set_orbits, orbit_profile
 from setorbits.perm import _minimal_block_size, contains_alternating, is_primitive
 from setorbits.pipeline import (
     MAX_R,
@@ -24,8 +25,10 @@ from setorbits.pipeline import (
     candidate_groups,
     candidate_source,
     classify,
+    pads_fit,
     two_orbit_shape_fits,
 )
+from setorbits.prune import binomial_divides, forced_transitive_size, parity_admissible
 from setorbits.subgroups import all_subgroups, conjugate_in_sn
 
 
@@ -150,13 +153,17 @@ def test_block_shape_loses_no_degree8_group():
 
 
 # ---------------------------------------------------------------------------
-# the transitive catalogs of degrees 4 and 6 against the S_n walk
+# the transitive catalogs of degrees 4 and 6, and the primitive ones of
+# degrees 1..7, against the S_n walk
 
-@pytest.mark.parametrize("n", [4, 6])
-def test_transitive_catalog_matches_walk(n):
-    entries = [e.group() for e in tag_index()[n, "transitive"]]
-    walked = [c.representative for c in all_subgroups(n) if c.transitive]
-    assert len(entries) == len(walked) == TRANSITIVE_COUNTS[n]
+@pytest.mark.parametrize("kind,n", [("transitive", 4), ("transitive", 6)]
+                         + [("primitive", n) for n in range(1, 8)])
+def test_transitive_catalog_matches_walk(kind, n):
+    entries = [e.group() for e in tag_index()[n, kind]]
+    walked = [c.representative for c in all_subgroups(n)
+              if (c.transitive if kind == "transitive"
+                  else is_primitive(c.representative))]
+    assert len(entries) == len(walked) == MANIFEST[kind][n]
     assert _one_to_one(entries, walked)
 
 
@@ -241,6 +248,33 @@ def test_contains_alternating_matches_membership():
             hits.append(label)
     # A_n and S_n of each degree 3..12 in the catalog, 3..7 in the walk
     assert len(hits) == 2 * 10 + 2 * 5, hits
+
+
+# ---------------------------------------------------------------------------
+# the parity, padding and forced-size rules on every group the repo builds
+
+def test_candidate_rules_hold_for_every_built_group():
+    """On every subgroup class of S_1..S_7, every catalog entry and its
+    one-point padding, with s(G) = n + r: r is odd at odd n (the parity
+    rule), a group with a fixed point fits ``pads_fit``, and every
+    t <= t* = forced_transitive_size(n, r) has s_t(G) = 1, with C(n, t*)
+    dividing |G|."""
+    groups = [(f"S{n}-cls{c.index}", c.representative)
+              for n in range(1, 8) for c in all_subgroups(n)]
+    groups += [(e.id, e.group())
+               for e in load_default() + tuple(map(padded, load_default()))]
+    assert len(groups) == 491
+    for label, G in groups:
+        n = G.degree
+        prof = orbit_profile(G).by_size
+        r = sum(prof) - n
+        assert n < 2 or parity_admissible(n, r), label
+        if n >= 2 and any(len(O) == 1 for O in G.orbits()):
+            assert pads_fit(n, n + r), label
+        t = forced_transitive_size(n, r)
+        if t is not None:
+            assert all(prof[u] == 1 for u in range(t + 1)), label
+            assert binomial_divides(n, t, G.order), label
 
 
 # ---------------------------------------------------------------------------

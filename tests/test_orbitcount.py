@@ -558,8 +558,7 @@ def test_inexact_burnside_numerator_raises():
         _profile_from_histogram(2, 2, Counter({(1, 1): 1}))
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        OrbitProfile(2, (1, 1), 2)
-    with pytest.raises(ValueError):
-        OrbitProfile(2, (1, 1, 1), 4)
+def test_profile_degree_and_total_read_off_by_size():
+    prof = OrbitProfile((1, 1, 2, 1, 1))
+    assert (prof.degree, prof.total) == (4, 6)
+    assert prof == orbit_profile(C4)

@@ -203,6 +203,15 @@ def test_given_order_needs_no_chain(chain_builds):
     assert parse_permutation("(1,3)", 4) in G and len(chain_builds) == 1
 
 
+def test_chain_builds_counts_chains_of_every_binding(chain_builds):
+    """The fixture counts chains built through the names other modules
+    imported, as the catalog check and the subgroup walk build them."""
+    from setorbits import catalog, subgroups
+
+    gens = [(1, 2, 0)]
+    assert catalog._Chain(gens, 3).order == subgroups._Chain(gens, 3).order == 3
+    assert len(chain_builds) == 2
+
 def test_order_without_hint_builds_one_chain(chain_builds):
     # two generators and no transposition or 3-cycle: no order rule answers
     G = build_group([parse_permutation("(1,2)(3,4)", 4),
