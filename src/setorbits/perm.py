@@ -236,6 +236,17 @@ class _Chain:
     gives the same element, and that element sifted to the identity or was
     added as a strong generator, so it lies in the stabilizer, which only
     grows.
+
+    A residue found while sifting level i becomes a strong generator of
+    levels i+1 up to its own level only, as in SCHREIERSIMS (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, 2005, section 4.4;
+    Seress, Permutation Group Algorithms, 2003, section 4.2).  Lemma: let
+    S_k be the strong generators of level k and H_k = <S_k>.  Sifting level
+    i builds the residue h from S_i and from the transversals of levels
+    >= i, so h fixes base[0..i] and lies in H_i.  By induction H_i <= H_k
+    for every k <= i, so adding h to a level k <= i changes neither H_k nor
+    orbit k, and by Schreier's lemma the pairs level k has already sifted
+    still generate (H_k)_{b_k}.
     """
 
     __slots__ = ("n", "base", "trans", "_inv", "order", "_gens", "_done")
@@ -273,9 +284,9 @@ class _Chain:
         self._gens.append([])
         self._done.append([0])
 
-    def _add_generator(self, g: tuple[int, ...]) -> int:
-        """Make ``g`` a strong generator of its level and of every level
-        below it, extend those levels' orbits, and return its level."""
+    def _add_generator(self, g: tuple[int, ...], first: int = 0) -> int:
+        """Make ``g`` a strong generator of its level and of the levels
+        ``first`` to it, extend those levels' orbits, and return its level."""
         for lvl, b in enumerate(self.base):
             if g[b] != b:
                 break
@@ -284,7 +295,7 @@ class _Chain:
             lvl = len(self.base)
             self._add_level(min(p for p in range(self.n) if g[p] != p))
         pair = (g, _inverse_t(g))
-        for k in range(lvl + 1):
+        for k in range(first, lvl + 1):
             self._gens[k].append(pair)
             self._extend_orbit(k, pair)
         return lvl
@@ -326,8 +337,9 @@ class _Chain:
     def _sift_new_pairs(self, i: int) -> int:
         """Sift the Schreier generators u_{s(p)}^-1 s u_p of level ``i`` whose
         pair (p, s) was not sifted before.  The first nontrivial residue
-        becomes a strong generator and its level is returned, to be checked
-        next; with none, level i is complete and i - 1 is next."""
+        becomes a strong generator of levels i+1 up to its own level, which
+        is returned, to be checked next; with none, level i is complete and
+        i - 1 is next."""
         t, ti, gens, done = self.trans[i], self._inv[i], self._gens[i], self._done[i]
         ident = _identity_t(self.n)
         ngens = len(gens)
@@ -341,7 +353,7 @@ class _Chain:
                     continue
                 h, _ = self._strip(_compose_t(ti[q], su), i + 1)
                 if h != ident:
-                    return self._add_generator(h)
+                    return self._add_generator(h, i + 1)
         return i - 1
 
     # -- queries ---------------------------------------------------------

@@ -4,20 +4,20 @@
 trivial group, every known class representative H is extended by single
 elements g of prime-power order in the parent (every subgroup arises as
 <M, g> with M maximal and g of prime-power order outside M, so the walk is
-exhaustive), and the closures are deduplicated against an exact map from
-element sets to classes that covers every parent-conjugate of every
-discovered subgroup.  Once g is tried, the rest of its double cosets HgH
-and Hg^-1H are skipped: each of their elements gives the same <H, g>.
+exhaustive), and the closures are deduplicated against the exact set of
+the element sets of every parent-conjugate of every discovered subgroup.
+Once g is tried, the rest of its double cosets HgH and Hg^-1H are skipped:
+each of their elements gives the same <H, g>.
 
 The default case is the parent S_n: ``all_subgroups(n)`` caches it per
 degree for n <= SUBGROUP_MAX_DEGREE = 7 (S_7: 96 classes, 11300
-subgroups, about 7 s on one core of a 2-core host).  Nothing walks S_8, which takes minutes: the
-imprimitive transitive groups of degree 8 are walked inside S_2 wr S_4 and
-S_4 wr S_2 (scripts/derive_catalog.py) and put in S_8 order by
-``canonical_key``.  Everything is deterministic: candidates are scanned in
-sorted order and the result is sorted by (order, canonical key), where the
-canonical key of a class is the lexicographically minimal sorted element
-list over all its conjugates.
+subgroups, about 4 s on one core of a 2-core host).  Nothing walks S_8,
+which takes minutes: the imprimitive transitive groups of degree 8 are
+walked inside S_2 wr S_4 and S_4 wr S_2 (scripts/derive_catalog.py) and put
+in S_8 order by ``canonical_key``.  Everything is deterministic: candidates
+are scanned in sorted order and the result is sorted by (order, canonical
+key), where the canonical key of a class is the lexicographically minimal
+sorted element list over all its conjugates.
 """
 
 from __future__ import annotations
@@ -112,16 +112,16 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
     conj_gens = parent.generator_tuples()
     classes: list[_ClassRec] = []
     by_order: dict[int, list[_ClassRec]] = {}
-    set_to_class: dict[frozenset, int] = {}
+    # the element set of every parent-conjugate of every class found
+    seen: set[frozenset] = set()
 
     def register(elements: frozenset, gens: tuple) -> None:
         rec = _ClassRec(gens, elements, len(elements))
-        idx = len(classes)
         classes.append(rec)
         by_order.setdefault(rec.order, []).append(rec)
         orbit, rec.canonical_key = _conjugacy_orbit(elements, conj_gens)
         rec.class_size = len(orbit)
-        set_to_class.update(dict.fromkeys(orbit, idx))
+        seen.update(orbit)
 
     register(frozenset([_identity_t(n)]), ())
     candidates = sorted(t for t in parent.iter_element_tuples()
@@ -146,7 +146,7 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
                     break  # closure is exactly that known representative
             else:
                 elems = frozenset(chain.iter_elements())
-                if elems not in set_to_class:
+                if elems not in seen:
                     register(elems, new_gens)
             # <H, x> = <H, g> for every x in the double cosets HgH and
             # Hg^-1H: the cosets Hg and Hg^-1 closed under right

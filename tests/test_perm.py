@@ -6,7 +6,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setorbits.perm import (
@@ -294,8 +294,13 @@ def moving_some(n):
     return st.one_of(st.permutations(range(n)).map(tuple), some)
 
 
-@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
-    st.just(n), st.lists(moving_some(n), max_size=3), st.booleans())))
+#: up to five generators of degree at most 7, with and without a forced
+#: base: enough generators that residues turn up several levels down
+chain_cases = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(moving_some(n), max_size=5), st.booleans()))
+
+
+@given(chain_cases)
 @settings(max_examples=60, deadline=None)
 def test_chain_matches_closure(case):
     n, gens, forced = case
@@ -306,6 +311,29 @@ def test_chain_matches_closure(case):
     assert len(elems) == len(want) and set(elems) == want
     for x in itertools.permutations(range(n)):
         assert chain.contains(x) == (x in want)
+
+
+@given(chain_cases)
+@settings(max_examples=60, deadline=None)
+@example((6, [(1, 0, 2, 3, 4, 5), (1, 2, 3, 4, 5, 0)], True))
+def test_residue_of_level_i_adds_nothing_to_levels_0_to_i(case):
+    """A residue found while sifting level i fixes base[0..i], lies in the
+    group of level i's strong generators, and maps every orbit of levels
+    0..i into itself: the lemma that lets ``_Chain`` add it to levels from
+    i+1 on only."""
+    n, gens, forced = case
+
+    class Recording(_Chain):
+        def _add_generator(self, g, first=0):
+            if first:
+                i = first - 1
+                assert all(g[b] == b for b in self.base[:first])
+                assert g in closure(tuple(s for s, _ in self._gens[i]), n)
+                assert all(g[p] in self.trans[k]
+                           for k in range(first) for p in self.trans[k])
+            return super()._add_generator(g, first)
+
+    Recording(gens, n, forced_base=range(n) if forced else ())
 
 
 S8_WR_S2 = ["(1,2)", "(1,2,3,4,5,6,7,8)",
