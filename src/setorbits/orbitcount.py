@@ -54,12 +54,17 @@ ENUMERATION_MAX_DEGREE = 22
 #: Burnside costs about |G|*n element-points, the enumeration kernel about
 #: 2^n*|gens| mask images; one mask image takes about this many times as
 #: long as one element-point (measured: 240-280 ns against 600-680 ns).
-#: On the half-cube walk, 29 single-factor catalog groups take Burnside;
-#: timed as whole count-profiles operations (build, profile, order, count;
-#: three labellings each, 2-core host, Python 3.11), enumeration would be
-#: faster on 11 to 17 of them, by at most 0.5 ms each and 1 to 3 ms in all
-#: per round of about 0.45 s, the set changing from run to run.  That is
-#: within the noise, so the ratio stays and no route count moves.
+#: On the half-cube walk, 27 single-factor catalog groups take Burnside.
+#: Of the 29 that took it while the catalog shipped every generator its
+#: constructions list, timed as whole count-profiles operations (build,
+#: profile, order, count; three labellings each, 2-core host, Python
+#: 3.11), enumeration would be faster on 11 to 17, by at most 0.5 ms each
+#: and 1 to 3 ms in all per round of about 0.45 s, the set changing from
+#: run to run.  That is within the noise, so the ratio stays.  Two of them
+#: moved to enumeration when the catalog shipped them on a generating pair
+#: instead of four maps, which halves their enumeration estimate: 9X2
+#: (3^2:D8) and 9S370 (3^2:Q8).  Timed the same way on the pair,
+#: enumeration takes 0.55 to 0.65 of Burnside's time on both.
 ENUMERATION_COST_RATIO = 0.4
 
 #: the translate tables of ``_orbits``: a popcount byte plus one, and for

@@ -1,6 +1,9 @@
 import importlib.util
 import math
+from collections import Counter
+from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -15,11 +18,13 @@ from setorbits.catalog import (
     check_manifest,
     format_entry,
     load_default,
+    padded,
     parse_catalog,
     verify_entry,
 )
-from setorbits.orbitcount import count_set_orbits
-from setorbits.perm import Permutation, build_group, is_primitive, is_transitive
+from setorbits.orbitcount import count_set_orbits, counting_route
+from setorbits.perm import (Permutation, _Chain, _order_from_generators,
+                            build_group, is_primitive, is_transitive)
 from setorbits.pipeline import candidate_groups, forced_transitive_size
 
 
@@ -241,6 +246,7 @@ def test_manifest_reports_missing_transitive_entry():
 # ---------------------------------------------------------------------------
 # the derivation script
 
+@lru_cache(maxsize=1)
 def _derive_catalog_script():
     path = Path(__file__).resolve().parent.parent / "scripts" / "derive_catalog.py"
     spec = importlib.util.spec_from_file_location("derive_catalog", path)
@@ -303,10 +309,94 @@ FIELD_CONSTRUCTIONS = {
 
 @pytest.mark.parametrize("ident", list(FIELD_CONSTRUCTIONS))
 def test_field_constructions_are_the_shipped_generators(ident):
-    """The projective and affine maps the script builds are the shipped
-    generators of the entry, in order."""
-    built = FIELD_CONSTRUCTIONS[ident](_derive_catalog_script())
-    assert tuple(built) == by_id(ident).generators
+    """The shipped generators of the entry are the pair, or the list, that
+    ``reduced`` makes of the projective and affine maps the script builds."""
+    script = _derive_catalog_script()
+    built = FIELD_CONSTRUCTIONS[ident](script)
+    assert tuple(script.reduced(built)) == by_id(ident).generators
+
+
+#: the entries shipped on three or more generators: the degree-8 2-groups
+#: 8X*, (C3xC3):C2 and 9X8
+LONG_LISTS = ("6S35", "8X3", "8X8", "8X10", "8X16", "8X18", "8X22", "8X25",
+              "8X27", "8X29", "8X32", "8X33", "9X8")
+
+
+def test_long_lists_are_the_pinned_entries():
+    assert tuple(e.id for e in load_default()
+                 if len(e.generators) > 2) == LONG_LISTS
+
+
+@pytest.mark.parametrize("ident", LONG_LISTS)
+def test_no_pair_of_words_generates_a_long_list_entry(ident):
+    """``reduced`` keeps a list only when no pair of its ``words`` generates
+    the group: so a construction whose list a pair could replace fails
+    here, and every other entry ships on at most two generators."""
+    e = by_id(ident)
+    words = [g.images for g in _derive_catalog_script().words(e.generators)]
+    for pair in combinations(words, 2):
+        assert _Chain(pair, e.degree).order < e.expected_order, pair
+
+
+def test_words_are_the_generators_then_their_consecutive_runs():
+    a, b, c = (Permutation.parse(t, 4) for t in ("(1,2)", "(2,3)", "(3,4)"))
+    # b * a applies a first
+    assert _derive_catalog_script().words([a, b, c]) == [
+        a, b, c, b * a, c * b * a, c * b]
+
+
+# ---------------------------------------------------------------------------
+# presentations: what the shipped generators decide beyond the group
+
+def _entries_and_paddings():
+    return [g for e in load_default() for g in (e, padded(e))]
+
+
+#: the entries whose order the generators answer with no chain (trivial,
+#: cyclic, or S_n and A_n by Jordan's theorem)
+ORDER_FROM_GENERATORS = (
+    "1P1", "2P1", "3P1", "3P2", "4P1", "4P2", "4T1", "4S2", "5P1", "5P4",
+    "5P5", "6X2", "6X3", "7P1", "7X1", "7X2", "8X1", "8X2", "8X6", "9X5",
+    "9X6", "10X3", "10X4", "11X1", "11X6", "11X7", "12X1", "12X2")
+
+
+def test_order_read_off_the_generators_of_the_same_entries():
+    """The shipped generators keep every order rule: the 28 entries above,
+    and the paddings of those with at most one generator (a padding is not
+    primitive, so only the trivial and cyclic rules reach it)."""
+    answered = {}
+    for e in _entries_and_paddings():
+        order = _order_from_generators(build_group(e.generators, e.degree))
+        if order is not None:
+            answered[e.id] = order
+    padded_ids = {e.id + "+1" for e in load_default() if len(e.generators) <= 1}
+    assert set(answered) == set(ORDER_FROM_GENERATORS) | padded_ids
+    assert len(padded_ids) == 9
+    assert all(answered[i] == by_id(i).expected_order for i in answered)
+
+
+#: the entries counted as a product of direct factors, and by the natural
+#: S_n / A_n shortcut
+PRODUCT_ENTRIES = ("4S6", "5S11", "6S28")
+SHORTCUT_ENTRIES = (
+    "1P1", "2P1", "3P1", "3P2", "4P1", "4P2", "5P4", "5P5", "6X2", "6X3",
+    "7X1", "7X2", "8X1", "8X2", "9X5", "9X6", "10X3", "10X4", "11X6", "11X7",
+    "12X1", "12X2")
+
+
+def test_counting_routes_of_the_shipped_presentations():
+    """A route depends on the presentation: a diagonal generator keeps a
+    direct product from splitting, and the number of generators weighs
+    enumeration against Burnside.  The route histogram is pinned, and no
+    entry or padding leaves `product` or `shortcut`.  The trivial 1P1+1 on
+    two points is no S_2, so it takes no shortcut."""
+    routes = {e.id: counting_route(e.group()) for e in _entries_and_paddings()}
+    assert Counter(routes[e.id] for e in load_default()) == {
+        "enumeration": 99, "burnside": 27, "shortcut": 22, "product": 3}
+    for route, ids in (("product", PRODUCT_ENTRIES),
+                       ("shortcut", SHORTCUT_ENTRIES)):
+        want = {i + pad for i in ids for pad in ("", "+1")} - {"1P1+1"}
+        assert {i for i, r in routes.items() if r == route} == want, route
 
 
 @pytest.mark.parametrize("ident,central", [
