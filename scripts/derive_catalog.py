@@ -10,8 +10,9 @@ Every generator set is produced from a first-principles construction:
   Moebius maps that fix infinity, and over the vector spaces GF(2)^3,
   GF(3)^2;
 * linear actions of GL(3,2), SL(2,3), GL(2,3) on nonzero vectors;
-* coset actions for the exceptional 11- and 12-point representations of
-  PSL(2,11) and M_11;
+* stated generators for M_11, M_12 and the exceptional 11- and 12-point
+  actions of PSL(2,11) and M_11 (each is the one primitive group of its
+  order and degree, so ``verify_entry`` certifies it);
 * wreath-type embeddings for the imprimitive groups the reference tables
   need;
 * the subgroup-closure walk ``setorbits.subgroups.subgroup_classes``, run
@@ -31,7 +32,7 @@ first; pairs are tried in ``itertools.combinations`` order.  Both words of
 a pair lie in G = <gens>, so they generate a subgroup of G, and one of
 order |G| is G: no group changes.  Every count of the group then walks
 each mask, and every chain build sifts each orbit point, with two
-generators instead of three to eight.  38 of the 51 longer lists reduce;
+generators instead of three to eight.  37 of the 50 longer lists reduce;
 the 13 kept (the degree-8 2-groups 8X*, 6S35 and 9X8) have no generating
 pair among their words.
 
@@ -42,13 +43,12 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete.  The run
-takes about 17 s on one core of a 2-core host, of which the pair search
+takes about 13 s on one core of a 2-core host, of which the pair search
 takes about 0.2 s; rerunning it reproduces the shipped file byte for byte.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 import time
 from collections import Counter
@@ -70,7 +70,7 @@ from setorbits.catalog import (
 )
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.pipeline import MAX_R
-from setorbits.perm import PermGroup, Permutation, _Chain, build_group
+from setorbits.perm import PermGroup, Permutation, build_group
 from setorbits.subgroups import canonical_key, conjugate_in_sn, subgroup_classes
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "setorbits" / "data" / "groups.cat"
@@ -247,49 +247,6 @@ GL32_MATS = [((1, 1, 0), (0, 1, 0), (0, 0, 1)),
              ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
 SL23_MATS = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
 GL23_MATS = SL23_MATS + [((2, 0), (0, 1))]
-
-
-def coset_action(gens: list[Permutation], sub: frozenset, n: int) -> list[Permutation]:
-    """Action of <gens> on the left cosets of the subgroup with element set
-    ``sub``; cosets are numbered by breadth-first discovery from ``sub``."""
-    gts = [g.images for g in gens]
-    cosets = [sub]
-    index = {sub: 0}
-    reps = [tuple(range(n))]
-    pos = 0
-    while pos < len(cosets):
-        rep = reps[pos]
-        pos += 1
-        for g in gts:
-            x = tuple(map(g.__getitem__, rep))  # g o rep
-            coset = frozenset(tuple(map(x.__getitem__, h)) for h in sub)
-            if coset not in index:
-                index[coset] = len(cosets)
-                cosets.append(coset)
-                reps.append(x)
-    m = len(cosets)
-    out = []
-    for g in gts:
-        img = []
-        for i in range(m):
-            x = tuple(map(g.__getitem__, reps[i]))
-            coset = frozenset(tuple(map(x.__getitem__, h)) for h in sub)
-            img.append(index[coset])
-        out.append(Permutation(img))
-    return out
-
-
-def find_subgroup_of_order(G: PermGroup, order: int, seed: int) -> frozenset:
-    """Deterministic random search for a subgroup of the given order,
-    generated by two elements."""
-    rng = random.Random(seed)
-    elems = sorted(G.iter_element_tuples())
-    for _ in range(100000):
-        a, b = rng.choice(elems), rng.choice(elems)
-        ch = _Chain([a, b], G.degree)
-        if ch.order == order:
-            return frozenset(ch.iter_elements())
-    raise RuntimeError(f"no subgroup of order {order} found")
 
 
 def wreath(k: int, m: int) -> list[Permutation]:
@@ -495,10 +452,9 @@ def reduced(gens: Sequence[Permutation]) -> list[Permutation]:
     gens = list(gens)
     if len(gens) < 3:
         return gens
-    n = gens[0].degree
-    order = _Chain((g.images for g in gens), n).order
+    order = build_group(gens).order
     for pair in combinations(words(gens), 2):
-        if _Chain((g.images for g in pair), n).order == order:
+        if build_group(pair).order == order:
             return list(pair)
     return gens
 
@@ -661,11 +617,10 @@ def main():
                               cyc("(2,11)(3,10)(4,9)(5,8)(6,7)", 11)], 22))
     add(entry("11X3", "11:5", affine_line(F11, [3]), 55))
     add(entry("11X4", "AGL(1,11)", affine_line(F11, [2]), 110))
-    psl211_12 = psl2(F11)
-    G12 = build_group(psl211_12)
-    assert G12.order == 660
-    a5_in = find_subgroup_of_order(G12, 60, seed=11)
-    psl211_11 = coset_action(psl211_12, a5_in, 12)
+    # PSL(2,11) on the 11 cosets of an A5: the one primitive group of order
+    # 660 and degree 11
+    psl211_11 = [cyc("(1,2,4,5,9,8,6,7,10,11,3)", 11),
+                 cyc("(1,2)(3,6)(4,8)(10,11)", 11)]
     add(entry("11X5", "PSL(2,11) deg 11", psl211_11, 660))
     m11 = [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11), cyc("(3,7,11,8)(4,10,5,6)", 11)]
     add(entry("11P6", "M11", m11, 7920, s=14))
@@ -673,9 +628,10 @@ def main():
     add(entry("11X7", "S11", sym(11), 39916800, s=12))
 
     # ---- degree 12 ---------------------------------------------------------
-    M11g = build_group(m11)
-    psl_in_m11 = find_subgroup_of_order(M11g, 660, seed=12)
-    m11_12 = coset_action(m11, psl_in_m11, 11)
+    # M11 on the 12 cosets of a PSL(2,11): the one primitive group of order
+    # 7920 and degree 12
+    m11_12 = [cyc("(2,3,4,6,9,12,5,7,11,8,10)", 12),
+              cyc("(1,2)(3,5,8,4)(6,10)(7,9,11,12)", 12)]
     add(entry("12P1", "M11 deg 12", m11_12, 7920, s=19))
     m12 = [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12), cyc("(3,7,11,8)(4,10,5,6)", 12),
            cyc("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 12)]
@@ -704,8 +660,9 @@ HEADER = """\
 # Permutation group database: generators in cycle notation over {1..degree}.
 # id|degree|name|order|tags|generators|set-orbit count
 #
-# Sources: projective/affine/linear actions over small finite fields, coset
-# actions, wreath embeddings, the transitive subgroup classes of the wreath
+# Sources: projective/affine/linear actions over small finite fields, stated
+# generators for M11, M12 and the 11- and 12-point actions of PSL(2,11) and
+# M11, wreath embeddings, the transitive subgroup classes of the wreath
 # products S_k wr S_m (k*m = 4, 6, 8, 9) and the two-orbit subgroup classes
 # of the Young subgroups S_a x S_b (a + b = 4..7), fused under S_n.  No
 # entry of degree >= 2 has a fixed point: "<id>+1" is entry <id> padded by

@@ -16,9 +16,9 @@ suite runs this over the whole file.
 Each group is shipped once: no entry of degree >= 2 has a fixed point, and
 ``by_id("<id>+1")`` is the entry ``<id>`` padded by one.  This module alone
 knows the manifest, the classical count of each tag per degree, and a
-record carries no tag the manifest does not count: ``tag_index`` groups the
-entries by (degree, tag) and ``manifest_gap`` says whether one such pool is
-complete.
+record carries no tag the manifest does not count: ``pool`` gives every
+entry of one (degree, tag), or raises ``DataGapError`` when the manifest
+does not vouch for that pool.
 
 Record format, one per line, ``#`` starts a comment, tags in manifest
 order:
@@ -34,7 +34,7 @@ from importlib import resources
 from typing import Iterable
 
 from .orbitcount import count_set_orbits
-from .perm import (PermError, PermGroup, Permutation, _Chain, build_group,
+from .perm import (PermError, PermGroup, Permutation, build_group,
                    is_primitive, is_transitive, parse_permutation)
 
 #: number of primitive groups of each degree; the shipped file must carry
@@ -65,6 +65,10 @@ MANIFEST = {"transitive": TRANSITIVE_COUNTS, "primitive": PRIMITIVE_COUNTS,
 
 class CatalogError(ValueError):
     """Malformed catalog data."""
+
+
+class DataGapError(RuntimeError):
+    """The catalog lacks a candidate pool that a surviving degree needs."""
 
 
 @dataclass(frozen=True)
@@ -183,17 +187,21 @@ def verify_entry(e: CatalogEntry) -> list[str]:
     """Rebuild the group and check order, tags and recorded s-value.
 
     Returns the failed checks as ``"<check>: <detail>"`` lines, none when
-    the entry verifies.  The order comes from a chain built from the
-    generators alone, never from the recorded order that
-    ``CatalogEntry.group`` trusts.  The group's own ``order``, which the
-    generators answer where a rule applies, must equal it: so every shipped
-    S_n and A_n checks Jordan's order rule."""
+    the entry verifies.  The order is the group's own (an order rule, its
+    direct factors or its chain), never the recorded one that
+    ``CatalogEntry.group`` trusts.  The group's chain then checks it, so
+    every shipped S_n and A_n checks Jordan's order rule; where the two
+    disagree, that is the one failure line, as no count can trust G."""
     G = build_group(e.generators, e.degree)
-    built = _Chain(G.generator_tuples(), e.degree).order
+    reported = G.order
+    try:
+        built = G._built_chain().order
+    except PermError as exc:
+        return [f"order: {exc}, expected {e.expected_order}"]
     failures = []
-    if not built == G.order == e.expected_order:
+    if built != e.expected_order:
         failures.append(f"order: chain gives {built}, the group reports "
-                        f"{G.order}, expected {e.expected_order}")
+                        f"{reported}, expected {e.expected_order}")
     earned = structure_tags(G)
     for tag in MANIFEST:
         if tag in earned and tag not in e.tags:
@@ -222,7 +230,7 @@ def structure_tags(G: PermGroup) -> frozenset[str]:
 TagIndex = dict[tuple[int, str], list[CatalogEntry]]
 
 
-def tag_index(entries: Iterable[CatalogEntry] | None = None) -> TagIndex:
+def _tag_index(entries: Iterable[CatalogEntry] | None) -> TagIndex:
     """The entries (by default the shipped ones, indexed once) by (degree,
     manifest tag), from one scan."""
     if entries is None:
@@ -236,7 +244,7 @@ def tag_index(entries: Iterable[CatalogEntry] | None = None) -> TagIndex:
 
 @lru_cache(maxsize=1)
 def _default_tag_index() -> TagIndex:
-    return tag_index(load_default())
+    return _tag_index(load_default())
 
 
 def _count_problem(index: TagIndex, degree: int, tag: str) -> str | None:
@@ -246,14 +254,19 @@ def _count_problem(index: TagIndex, degree: int, tag: str) -> str | None:
     return None
 
 
-def manifest_gap(index: TagIndex, degree: int, tag: str) -> str | None:
-    """Why ``index`` may not hold every ``tag`` entry of ``degree``: the
-    manifest does not count that degree, or the index holds another number
-    of them.  None when the pool is complete."""
+def pool(degree: int, tag: str,
+         entries: Iterable[CatalogEntry] | None = None) -> list[CatalogEntry]:
+    """Every ``tag`` entry of ``degree`` among ``entries`` (by default the
+    shipped ones).  Raises DataGapError when the manifest does not count
+    that degree, or when the entries hold another number of them."""
     if degree not in MANIFEST[tag]:
-        return f"degree {degree}: {tag} catalog does not cover degree {degree}"
+        raise DataGapError(f"degree {degree}: {tag} catalog does not cover "
+                           f"degree {degree}")
+    index = _tag_index(entries)
     problem = _count_problem(index, degree, tag)
-    return None if problem is None else f"{tag} catalog incomplete: {problem}"
+    if problem is not None:
+        raise DataGapError(f"{tag} catalog incomplete: {problem}")
+    return index[degree, tag]
 
 
 def check_manifest(entries: Iterable[CatalogEntry] | None = None) -> list[str]:
@@ -262,7 +275,7 @@ def check_manifest(entries: Iterable[CatalogEntry] | None = None) -> list[str]:
 
     Returns a list of problems (empty = complete).
     """
-    index = tag_index(entries)
+    index = _tag_index(entries)
     return [problem for tag, counts in MANIFEST.items() for degree in counts
             if (problem := _count_problem(index, degree, tag))]
 

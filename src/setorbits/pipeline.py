@@ -38,20 +38,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from . import catalog as cat
+from .catalog import DataGapError
 from .orbitcount import count_set_orbits, counting_route
 from .perm import contains_alternating, point_orbits
 from .prune import (PruneVerdict, binomial_divides, degree_range,
                     forced_transitive_size, prune_degree)
 
 MIN_R, MAX_R = 2, 11
-
-
-class DataGapError(RuntimeError):
-    """The catalog lacks a candidate pool that a surviving degree needs."""
 
 
 @dataclass(frozen=True)
@@ -115,21 +113,6 @@ def pads_fit(n: int, s: int) -> bool:
     return n >= 2 and s % 2 == 0 and s >= 2 * n
 
 
-def _divides_filter(n: int, r: int, order: int) -> bool:
-    t = forced_transitive_size(n, r)
-    return t is None or binomial_divides(n, t, order)
-
-
-def _catalog_pool(n: int, kind: str,
-                  index: cat.TagIndex) -> list[cat.CatalogEntry]:
-    """All ``kind`` entries of degree n (a manifest tag), or a data gap when
-    the catalog does not hold all of them."""
-    gap = cat.manifest_gap(index, n, kind)
-    if gap is not None:
-        raise DataGapError(gap)
-    return index[n, kind]
-
-
 def _transitive_source(n: int, r: int) -> tuple[str, Optional[str]]:
     """The manifest kind of the transitive candidates for s(G) = n + r at
     degree n, and the lemma that makes them primitive when r >= n - 2."""
@@ -154,26 +137,28 @@ def candidate_source(n: int, r: int) -> str:
     return source
 
 
-def _pool(n: int, s: int, index: cat.TagIndex) -> list[cat.CatalogEntry]:
+def _pool(n: int, s: int, entries: Sequence[cat.CatalogEntry] | None,
+          ) -> list[cat.CatalogEntry]:
     """Catalog entries, padded by fixed points as needed, among which every
     group of degree n with s(G) = s has an S_n-conjugate (the recursion in
     the module docstring); some have another s."""
     r = s - n
     kind, _ = _transitive_source(n, r)
-    out = [e for e in _catalog_pool(n, kind, index)
-           if _divides_filter(n, r, e.expected_order)]
+    t = forced_transitive_size(n, r)
+    out = [e for e in cat.pool(n, kind, entries)
+           if t is None or binomial_divides(n, t, e.expected_order)]
     if two_orbit_shape_fits(n, s):
-        out += [e for e in _catalog_pool(n, "two-orbit", index)
+        out += [e for e in cat.pool(n, "two-orbit", entries)
                 if math.prod(len(O) + 1
                              for O in point_orbits(e.generators, n)) <= s]
     if pads_fit(n, s):
-        out += [cat.padded(e) for e in _pool(n - 1, s // 2, index)
+        out += [cat.padded(e) for e in _pool(n - 1, s // 2, entries)
                 if e.expected_s == s // 2]
     return out
 
 
 def candidate_groups(n: int, r: int,
-                     entries: Iterable[cat.CatalogEntry] | None = None,
+                     entries: Sequence[cat.CatalogEntry] | None = None,
                      ) -> list[cat.CatalogEntry]:
     """Candidates for s(G) = n + r at a surviving degree n: the entries of
     the pool of (n, n + r), less the groups containing A_n.  Their IDs are
@@ -185,21 +170,16 @@ def candidate_groups(n: int, r: int,
     if not MIN_R <= r <= MAX_R:
         # the two-orbit catalog holds the groups with s <= n + MAX_R only
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
-    return [e for e in _pool(n, n + r, cat.tag_index(entries))
+    return [e for e in _pool(n, n + r, entries)
             if not contains_alternating(n, e.expected_order)]
 
 
-_profile_cache: dict[cat.CatalogEntry, tuple[int, str]] = {}
-
-
+@cache
 def _s_and_route(e: cat.CatalogEntry) -> tuple[int, str]:
     """s of the entry's group and the counting route that computed it,
     cached per entry; the group is built only on a miss."""
-    hit = _profile_cache.get(e)
-    if hit is None:
-        G = e.group()
-        hit = _profile_cache[e] = (count_set_orbits(G), counting_route(G))
-    return hit
+    G = e.group()
+    return count_set_orbits(G), counting_route(G)
 
 
 def classify(r: int) -> RunReport:

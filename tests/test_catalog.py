@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from setorbits import perm, pipeline
 from setorbits.catalog import (
     PRIMITIVE_COUNTS,
     CatalogError,
+    DataGapError,
     TRANSITIVE_COUNTS,
     TWO_ORBIT_COUNTS,
     builtin,
@@ -20,6 +22,7 @@ from setorbits.catalog import (
     load_default,
     padded,
     parse_catalog,
+    pool,
     verify_entry,
 )
 from setorbits.orbitcount import count_set_orbits, counting_route
@@ -106,8 +109,51 @@ def test_all_shipped_entries_verify():
     assert not bad, bad
 
 
+def test_verifying_every_entry_builds_one_chain_each(chain_builds):
+    """The order check reads the group's own chain, which the count then
+    reuses: no second chain from the same generators."""
+    assert all(verify_entry(e) == [] for e in load_default())
+    assert len(chain_builds) == len(load_default()) == 151
+
+
+def test_order_rule_disagreeing_with_the_chain_is_an_order_failure(
+        monkeypatch):
+    # no subgroup of S_n has order n! + 1
+    monkeypatch.setattr(perm, "_order_from_generators",
+                        lambda G: math.factorial(G.degree) + 1)
+    for e in load_default():
+        (failure,) = verify_entry(e)
+        assert failure.startswith("order: "), (e.id, failure)
+
+
 def test_manifest_complete():
     assert check_manifest() == []
+
+
+def test_pool_is_every_entry_of_a_degree_and_tag():
+    assert [e.id for e in pool(5, "primitive")] == [
+        "5P1", "5P2", "5P3", "5P4", "5P5"]
+    assert [e.id for e in pool(4, "two-orbit")] == ["4S2", "4S6"]
+    assert pipeline.DataGapError is DataGapError
+
+
+def test_pool_of_an_uncounted_degree_is_a_gap():
+    with pytest.raises(DataGapError) as exc:
+        pool(13, "primitive")
+    assert str(exc.value) == (
+        "degree 13: primitive catalog does not cover degree 13")
+
+
+def test_pool_with_another_count_is_a_gap():
+    entries = [e for e in load_default() if e.id != "8P4"]
+    with pytest.raises(DataGapError) as exc:
+        pool(8, "primitive", entries)
+    assert str(exc.value) == ("primitive catalog incomplete: degree 8: "
+                              "6 primitive entries, expected 7")
+    with pytest.raises(DataGapError) as exc:
+        pool(4, "two-orbit", list(load_default()) + [by_id("4S2")])
+    assert str(exc.value) == ("two-orbit catalog incomplete: degree 4: "
+                              "3 two-orbit entries, expected 2")
 
 
 def test_corrupted_generator_fails_order_check():

@@ -15,7 +15,7 @@ from setorbits.catalog import (
     by_id,
     load_default,
     padded,
-    tag_index,
+    pool,
 )
 from setorbits.orbitcount import count_set_orbits, orbit_profile
 from setorbits.perm import _minimal_block_size, contains_alternating, is_primitive
@@ -147,7 +147,7 @@ def test_block_shape_closes_degree9_and_10_gaps():
 def test_block_shape_loses_no_degree8_group():
     """At r <= 6 the degree-8 pool is primitive only; no imprimitive
     transitive group of degree 8 has s <= 8 + 6."""
-    for e in tag_index()[8, "transitive"]:
+    for e in pool(8, "transitive"):
         if count_set_orbits(e.group()) <= 14:
             assert "primitive" in e.tags, e.id
 
@@ -159,7 +159,7 @@ def test_block_shape_loses_no_degree8_group():
 @pytest.mark.parametrize("kind,n", [("transitive", 4), ("transitive", 6)]
                          + [("primitive", n) for n in range(1, 8)])
 def test_transitive_catalog_matches_walk(kind, n):
-    entries = [e.group() for e in tag_index()[n, kind]]
+    entries = [e.group() for e in pool(n, kind)]
     walked = [c.representative for c in all_subgroups(n)
               if (c.transitive if kind == "transitive"
                   else is_primitive(c.representative))]
@@ -184,7 +184,7 @@ def test_orbit_shape_bound(n):
 def test_intransitive_classes_at_2n_are_paddings(n, count):
     walked = [c.representative for c in all_subgroups(n)
               if not c.transitive and count_set_orbits(c.representative) == 2 * n]
-    pads = [padded(e).group() for e in tag_index()[n - 1, "primitive"]
+    pads = [padded(e).group() for e in pool(n - 1, "primitive")
             if count_set_orbits(e.group()) == n]
     assert len(walked) == len(pads) == count
     assert _one_to_one(pads, walked)
@@ -297,7 +297,7 @@ def test_classify_builds_chains_only_for_burnside(chain_builds):
     """Only the Burnside route iterates elements; every other route, the
     A_n exclusion and the row orders read the catalog's certified order."""
     for r in range(2, MAX_R + 1):
-        pipeline._profile_cache.clear()
+        pipeline._s_and_route.cache_clear()
         chain_builds.clear()
         report = classify(r)
         burnside = sum(routes.get("burnside", 0)
@@ -330,5 +330,5 @@ def test_classify_parses_no_word_after_load(monkeypatch):
 
     monkeypatch.setattr(catalog, "parse_permutation", forbidden)
     for r in range(2, MAX_R + 1):
-        pipeline._profile_cache.clear()
+        pipeline._s_and_route.cache_clear()
         assert classify(r).rows, r

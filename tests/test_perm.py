@@ -204,12 +204,12 @@ def test_given_order_needs_no_chain(chain_builds):
 
 
 def test_chain_builds_counts_chains_of_every_binding(chain_builds):
-    """The fixture counts chains built through the names other modules
-    imported, as the catalog check and the subgroup walk build them."""
-    from setorbits import catalog, subgroups
+    """The fixture counts chains built through ``perm``'s own name and the
+    one the subgroup walk imported."""
+    from setorbits import perm, subgroups
 
     gens = [(1, 2, 0)]
-    assert catalog._Chain(gens, 3).order == subgroups._Chain(gens, 3).order == 3
+    assert perm._Chain(gens, 3).order == subgroups._Chain(gens, 3).order == 3
     assert len(chain_builds) == 2
 
 def test_order_without_hint_builds_one_chain(chain_builds):

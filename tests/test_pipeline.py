@@ -343,10 +343,27 @@ def test_spot_checks_fully_reproduce(r, golden_check_failures):
 
 
 @pytest.mark.parametrize("r,gaps", [
-    (8, {14, 18}), (9, {13, 14, 17, 18}), (10, {14, 16, 18}),
-    (11, {9, 10, 13, 14, 15, 16, 17, 18})], ids=["8", "9", "10", "11"])
+    (8, {14: "degree 14: primitive catalog does not cover degree 14",
+         18: "degree 18: primitive catalog does not cover degree 18"}),
+    (9, {13: "degree 13: primitive catalog does not cover degree 13",
+         14: "degree 14: primitive catalog does not cover degree 14",
+         17: "degree 17: primitive catalog does not cover degree 17",
+         18: "degree 18: primitive catalog does not cover degree 18"}),
+    (10, {14: "degree 14: primitive catalog does not cover degree 14",
+          16: "degree 16: primitive catalog does not cover degree 16",
+          18: "degree 18: primitive catalog does not cover degree 18"}),
+    (11, {9: "degree 9: transitive catalog does not cover degree 9",
+          10: "degree 10: transitive catalog does not cover degree 10",
+          13: "degree 13: primitive catalog does not cover degree 13",
+          14: "degree 14: primitive catalog does not cover degree 14",
+          15: "degree 15: primitive catalog does not cover degree 15",
+          16: "degree 16: primitive catalog does not cover degree 16",
+          17: "degree 17: primitive catalog does not cover degree 17",
+          18: "degree 18: primitive catalog does not cover degree 18"})],
+    ids=["8", "9", "10", "11"])
 def test_gap_degrees(r, gaps):
-    assert set(classify(r).gaps) == gaps
+    """Every gap degree of r = 8..11, with its reason byte for byte."""
+    assert classify(r).gaps == gaps
 
 
 def test_golden_check_negative_control(golden_check_failures):

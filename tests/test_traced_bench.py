@@ -20,5 +20,9 @@ def test_traced_classify_runs():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert len(out["rows"]) == 9
-    assert out["counts"]["pipeline.candidates"] > 0
-    assert out["counts"]["prune.calls"] > 0
+    counts = out["counts"]
+    assert counts["prune.calls"] > 0
+    # the s-memo calls pipeline's own count_set_orbits binding, which the
+    # tracer wraps, once per miss
+    calls = counts.get("pipeline.count_calls", 0)
+    assert 0 < calls <= counts["pipeline.candidates"]
