@@ -24,7 +24,13 @@ enumeration route of ``orbit_profile``, which only counts its orbits, and
 dumps).  Taking complements commutes with every permutation of the points,
 so it maps the orbits on t-subsets one to one onto the orbits on
 (n-t)-subsets and s_t = s_{n-t}: the walk visits only the masks of at most
-n // 2 points (2510 of M12's 4096), and both callers mirror the rest.
+n // 2 points (2510 of M12's 4096), and both callers mirror the rest.  With
+one or two generators no mask loops over them: the orbits of a group on one
+generator are its cycles, followed back to their start with no visited
+test, and a pair has both image lookups written out; only other generator
+counts loop over the tables.  ``enumerate_set_orbits`` files each orbit under its size; the
+walk finds the orbits of each size up to n // 2 by ascending smallest mask,
+so only the mirrored sizes are sorted.
 ``profile_from_enumeration`` is the oracle: a separate walk over all 2^n
 masks that computes every image bit by bit, shares no table or code with
 ``_orbits`` and does not use the complement lemma.  Tests hold the routes
@@ -53,7 +59,13 @@ from .perm import (
 ENUMERATION_MAX_DEGREE = 22
 #: Burnside costs about |G|*n element-points, the enumeration kernel about
 #: 2^n*|gens| mask images; one mask image takes about this many times as
-#: long as one element-point (measured: 240-280 ns against 600-680 ns).
+#: long as one element-point.  On the walks chosen by generator count,
+#: over the 38 single-factor pair-generated catalog groups of degree 9-12
+#: (2-core host, Python 3.11, best of 7 per group, medians of three runs):
+#: 74-77 ns per image of the model's 2^n*2 (119-126 ns per image of the
+#: masks actually walked) against 289-304 ns per element-point, a per-unit
+#: ratio near 0.25.  The ratio stays at 0.4 because the route choice is
+#: judged on whole count operations, as below.
 #: On the half-cube walk, 27 single-factor catalog groups take Burnside.
 #: Of the 29 that took it while the catalog shipped every generator its
 #: constructions list, timed as whole count-profiles operations (build,
@@ -217,8 +229,16 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
     before the walk, from a popcount array built by doubling with
     ``bytes.translate``, so no Python loop runs per mask.  Per generator,
     one table maps the low byte of a mask to its image and one maps the
-    remaining n - 8 <= 14 bits, so an image costs two lookups.  Each orbit
-    list is its own work queue.  The caller checks the degree first.
+    remaining n - 8 <= 14 bits, so an image costs two lookups.
+
+    The walk is chosen by the number of generators, so that with one or
+    two no mask loops over them:
+    - one generator: the orbit of a start is its cycle, followed until it
+      returns to the start, with no visited test per image;
+    - two: both lookups written out;
+    - none, or three or more: a loop over the tables per mask.
+    In the last two, each orbit list is its own work queue.  The caller
+    checks the degree first.
     """
     n = G.degree
     tables = [(_image_table(g, 0, min(n, 8)), _image_table(g, 8, max(n - 8, 0)))
@@ -229,18 +249,49 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
     seen = popcount.translate(_ABOVE[n // 2])
     del popcount
     start = 0
-    while start >= 0:
-        seen[start] = 1
-        orbit = [start]
-        for m in orbit:
-            low, high = m & 255, m >> 8
-            for t_low, t_high in tables:
-                img = t_low[low] | t_high[high]
+    if len(tables) == 1:
+        ((a, b),) = tables
+        while start >= 0:
+            orbit = [start]
+            push = orbit.append
+            img = a[start & 255] | b[start >> 8]
+            while img != start:
+                seen[img] = 1
+                push(img)
+                img = a[img & 255] | b[img >> 8]
+            yield orbit
+            start = seen.find(0, start + 1)
+    elif len(tables) == 2:
+        (a, b), (c, d) = tables
+        while start >= 0:
+            seen[start] = 1
+            orbit = [start]
+            push = orbit.append
+            for m in orbit:
+                low, high = m & 255, m >> 8
+                img = a[low] | b[high]
                 if not seen[img]:
                     seen[img] = 1
-                    orbit.append(img)
-        yield orbit
-        start = seen.find(0, start + 1)
+                    push(img)
+                img = c[low] | d[high]
+                if not seen[img]:
+                    seen[img] = 1
+                    push(img)
+            yield orbit
+            start = seen.find(0, start + 1)
+    else:
+        while start >= 0:
+            seen[start] = 1
+            orbit = [start]
+            for m in orbit:
+                low, high = m & 255, m >> 8
+                for t_low, t_high in tables:
+                    img = t_low[low] | t_high[high]
+                    if not seen[img]:
+                        seen[img] = 1
+                        orbit.append(img)
+            yield orbit
+            start = seen.find(0, start + 1)
 
 
 def _enumeration_profile(G: PermGroup) -> OrbitProfile:
@@ -266,21 +317,25 @@ def enumerate_set_orbits(G: PermGroup) -> list[list[int]]:
     """Partition of all 2^n subsets into orbits, subsets as bitmasks.
 
     Orbits are sorted by (subset size, smallest member mask); within an
-    orbit, masks are ascending.  The orbits of more than n / 2 points are
-    the complements of the walked ones.  Requires degree <= 22.
+    orbit, masks are ascending.  Each orbit is filed under its size: the
+    walk finds the orbits of at most n / 2 points by ascending smallest
+    mask, so only the buckets of more than n / 2 points, the complements
+    of the walked ones, are sorted.  Requires degree <= 22.
     """
     n = G.degree
     _require_enumerable(n)
     full = (1 << n) - 1
-    orbits = []
+    by_size = [[] for _ in range(n + 1)]
     for orbit in _orbits(G):
         orbit.sort()
-        orbits.append(orbit)
-        if 2 * orbit[0].bit_count() < n:
-            # the complements of an ascending orbit, taken from its end, ascend
-            orbits.append([full ^ m for m in reversed(orbit)])
-    orbits.sort(key=lambda orbit: (orbit[0].bit_count(), orbit[0]))
-    return orbits
+        by_size[orbit[0].bit_count()].append(orbit)
+    for t in range(n // 2 + 1, n + 1):
+        # the complements of an ascending orbit, taken from its end, ascend;
+        # the orbits' first masks differ, so a plain sort orders them by it
+        bucket = [[full ^ m for m in reversed(orbit)] for orbit in by_size[n - t]]
+        bucket.sort()
+        by_size[t] = bucket
+    return [orbit for bucket in by_size for orbit in bucket]
 
 
 def profile_from_enumeration(G: PermGroup) -> OrbitProfile:

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import math
+import signal
 from collections import Counter
 from itertools import combinations
 
@@ -451,12 +453,56 @@ def test_partition_by_complements_matches_oracle(G):
             assert frozenset(full ^ m for m in orbit) in by_set
 
 
-#: sha1 of "\n".join(dump_orbits(G)), recorded when the walk still covered
-#: all 2^n masks: one odd and one even degree
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body after ``seconds``: a walk that never
+    returns to its start fails the test instead of running on."""
+    def expire(signum, frame):
+        raise TimeoutError(f"walk still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+#: one group per walk of ``_orbits`` (no generator, one, two, three or
+#: more), each of degree above 8 so that the high-byte tables are used; the
+#: trivial group's partition is its 1024 masks as singletons, in
+#: (size, mask) order
+WALKS = {
+    "trivial": (build_group([], degree=10), 0),
+    "cycles-3-5-2": (gset("(1,2,3)(4,5,6,7,8)(9,10)", degree=11), 1),
+    "pair": (gset("(1,2,3,4,5,6,7,8,9,10)", "(1,10)(2,9)(3,8)(4,7)(5,6)",
+                  degree=10), 2),
+    "three": (gset("(1,2,3)(9,10)", "(4,5)(6,7)", "(1,9)(2,10)(3,8)",
+                   degree=10), 3),
+}
+
+
+@pytest.mark.parametrize("name", WALKS)
+def test_each_walk_matches_oracles(name):
+    G, gens = WALKS[name]
+    assert len(G.generators) == gens
+    with _deadline(5):
+        orbits = enumerate_set_orbits(G)
+        profile = _enumeration_profile(G)
+    assert orbits == brute_orbits(G)
+    assert profile == profile_from_enumeration(G)
+
+
+#: sha1 of "\n".join(dump_orbits(G)).  D13 and C8XC8 (two generators each,
+#: one odd and one even degree) were recorded when the walk still covered
+#: all 2^n masks, C13 (one generator) while every walk still looped over
+#: the generators per mask
 DUMP_SHA1 = {
     "D13": (builtin("dihedral", 13),
             "8088508c89d41d227b114a682584bcc3762ad702"),
     "C8XC8": (C8XC8, "708ff288f57d55a2a0c8bf9c71e8e13538268e47"),
+    "C13": (builtin("cyclic", 13), "2d734a3d276b30510b6a5c062007f846f10981a4"),
 }
 
 
