@@ -3,23 +3,25 @@
 
 Every generator set is produced from a first-principles construction:
 
-* projective actions of PSL/PGL/PSigmaL/PGammaL(2, q) and M_10 on the
-  projective line over GF(q), each generator one ``mobius`` map, with
-  field arithmetic done here;
-* affine actions (translations plus a point stabilizer) over GF(q), the
-  Moebius maps that fix infinity, and over the vector spaces GF(2)^3,
-  GF(3)^2;
-* linear actions of GL(3,2), SL(2,3), GL(2,3) on nonzero vectors;
-* stated generators for M_11, M_12 and the exceptional 11- and 12-point
-  actions of PSL(2,11) and M_11 (each is the one primitive group of its
-  order and degree, so ``verify_entry`` certifies it);
+* one construction of each maximal primitive group of degrees 5-11 that
+  ``catalog.PRIMITIVE_MAXIMA`` lists (``MAXIMA``): PGL/PGammaL(2, q) on
+  the projective line over GF(q), each generator one ``mobius`` map, with
+  field arithmetic done here; AGL(1, p) over a prime field, the Moebius
+  maps that fix infinity; the linear actions of GL(3,2) on the nonzero
+  vectors of GF(2)^3 and of AGL(3,2), AGL(2,3) on GF(2)^3, GF(3)^2; and
+  stated generators for M_11;
+* PSL/PGL(2, 11) on the projective line, and stated generators for M_12
+  and the 12-point action of M_11 (the one primitive group of its order
+  and degree, so ``verify_entry`` certifies it);
 * wreath-type embeddings for the imprimitive groups the reference tables
   need;
 * the subgroup-closure walk ``setorbits.subgroups.subgroup_classes``, run
-  by ``closure_entries`` over the wreath products S_k wr S_m with
-  k*m = 4, 6, 8, 9 for the imprimitive transitive groups, and over the
-  Young subgroups S_a x S_b with a + b = 4..7 for the groups with two
-  orbits and no fixed point; no S_n is walked.
+  by ``closure_entries`` over the maxima for the primitive groups of
+  degrees 5-11 other than A_n and S_n, over the wreath products
+  S_k wr S_m with k*m = 4, 6, 8, 9 for the imprimitive transitive groups,
+  and over the Young subgroups S_a x S_b with a + b = 4..7 for the groups
+  with two orbits and no fixed point; no S_n is walked.  Degree 12 stays
+  stated: the M_12 walk takes minutes and more than a gigabyte.
 
 No group with a fixed point is written out: ``catalog.by_id("<id>+1")``
 builds entry ``<id>`` padded by one, so each group is shipped once.
@@ -32,9 +34,8 @@ first; pairs are tried in ``itertools.combinations`` order.  Both words of
 a pair lie in G = <gens>, so they generate a subgroup of G, and one of
 order |G| is G: no group changes.  Every count of the group then walks
 each mask, and every chain build sifts each orbit point, with two
-generators instead of three to eight.  37 of the 50 longer lists reduce;
-the 13 kept (the degree-8 2-groups 8X*, 6S35 and 9X8) have no generating
-pair among their words.
+generators instead of three to eight.  The 13 lists kept (the degree-8
+2-groups 8X*, 6S35 and 9X8) have no generating pair among their words.
 
 Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``catalog.structure_tags`` gives it, and is verified on the spot by
@@ -43,8 +44,9 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete.  The run
-takes about 13 s on one core of a 2-core host, of which the pair search
-takes about 0.2 s; rerunning it reproduces the shipped file byte for byte.
+takes about 20 s on one core of a 2-core host, of which the walks of the
+maxima take about 8 s; rerunning it reproduces the shipped file byte for
+byte.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from setorbits.catalog import (
+    PRIMITIVE_MAXIMA,
     TRANSITIVE_COUNTS,
     CatalogEntry,
     builtin,
@@ -187,48 +190,26 @@ def pgl2(F: GF) -> list[Permutation]:
     return psl2(F) + [mobius(F, F.generator(), 0)]
 
 
-def psigmal2(F: GF) -> list[Permutation]:
-    return psl2(F) + [mobius(F, 1, 0, frobenius=True)]
-
-
 def pgammal2(F: GF) -> list[Permutation]:
     return pgl2(F) + [mobius(F, 1, 0, frobenius=True)]
 
 
-def m10_maps(F: GF) -> list[Permutation]:
-    """PSL(2,9) extended by (scalar g) o Frobenius: the M_10 coset."""
-    return psl2(F) + [mobius(F, F.generator(), 0, frobenius=True)]
-
-
-def affine_line(F: GF, scalars: Sequence[int],
-                frobenius_twists: Sequence[int] = ()) -> list[Permutation]:
-    """Subgroup of AGammaL(1, q) on the q affine points: the Moebius maps
-    with c = 0, which fix oo, with oo dropped.
-
-    Generated by the translation x+1, for k > 1 also x+p (p is the basis
-    element x of GF(p^k)), the maps x -> c x for c in scalars and x -> c x^p
-    for c in frobenius_twists.
-    """
-    maps = [mobius(F, 1, 1)] + [mobius(F, 1, F.p)] * (F.k > 1)
-    maps += [mobius(F, c, 0) for c in scalars]
-    maps += [mobius(F, c, 0, frobenius=True) for c in frobenius_twists]
+def affine_line(F: GF) -> list[Permutation]:
+    """AGL(1, p) on the p points of the prime field GF(p): the translation
+    x + 1 and x -> g x for g a generator of GF(p)^*, as the Moebius maps
+    that fix oo, with oo dropped."""
+    maps = [mobius(F, 1, 1), mobius(F, F.generator(), 0)]
     return [Permutation(m.images[:F.q]) for m in maps]
 
 
-def vector_points(p: int, dim: int, nonzero: bool) -> list[tuple[int, ...]]:
-    pts = list(product(range(p), repeat=dim))
-    if nonzero:
-        pts = [v for v in pts if any(v)]
-    return pts
-
-
 def linear_group(p: int, dim: int, mats: list[tuple[tuple[int, ...], ...]],
-                 nonzero: bool, translations: bool = False) -> list[Permutation]:
-    """Action of <mats> (plus optional translations) on GF(p)^dim."""
-    pts = vector_points(p, dim, nonzero)
+                 affine: bool = False) -> list[Permutation]:
+    """Action of <mats> on the nonzero vectors of GF(p)^dim, or, when
+    ``affine``, of <mats> and the translations on all of GF(p)^dim."""
+    pts = [v for v in product(range(p), repeat=dim) if affine or any(v)]
     index = {v: i for i, v in enumerate(pts)}
     gens = []
-    if translations:
+    if affine:
         for d in range(dim):
             e = tuple(1 if i == d else 0 for i in range(dim))
             img = [index[tuple((v[i] + e[i]) % p for i in range(dim))] for v in pts]
@@ -245,8 +226,30 @@ def linear_group(p: int, dim: int, mats: list[tuple[tuple[int, ...], ...]],
 
 GL32_MATS = [((1, 1, 0), (0, 1, 0), (0, 0, 1)),
              ((0, 0, 1), (1, 0, 0), (0, 1, 0))]
-SL23_MATS = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
-GL23_MATS = SL23_MATS + [((2, 0), (0, 1))]
+GL23_MATS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 1))]
+
+
+def cyc(text: str, n: int) -> Permutation:
+    return Permutation.parse(text, n)
+
+
+#: a construction of each group of ``catalog.PRIMITIVE_MAXIMA``, by its id;
+#: ``closure_entries`` walks them for the primitive groups of degrees 5-11
+MAXIMA = {
+    "5P3": affine_line(F5),
+    "6X1": pgl2(F5),
+    "7P4": affine_line(F7),
+    "7P5": linear_group(2, 3, GL32_MATS),
+    "8P3": linear_group(2, 3, GL32_MATS, affine=True),
+    "8P5": pgl2(F7),
+    "9P7": linear_group(3, 2, GL23_MATS, affine=True),
+    "9X4": pgammal2(F8),
+    "10P7": pgammal2(F9),
+    "11X4": affine_line(F11),
+    # M_11 on 11 points: the one primitive group of order 7920 and degree 11
+    "11P6": [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11),
+             cyc("(3,7,11,8)(4,10,5,6)", 11)],
+}
 
 
 def wreath(k: int, m: int) -> list[Permutation]:
@@ -266,15 +269,46 @@ def wreath(k: int, m: int) -> list[Permutation]:
 
 
 #: the classes ``closure_entries`` derives, by kind, degree and (order,
-#: set-orbit count), in the order it sorts them; an ID that is not an X-ID is
-#: the group's row label in the reference tables (data/tables/r*.tsv), which
-#: the record itself does not repeat.  The transitive kind ships every class
-#: of degrees 4, 6 and 8, an unnamed one as "T(n) order ... s=..." under the
-#: next free X-ID, and of degree 9 only the classes named here.  Where two
-#: classes share a signature, a name with a third field goes to the class
-#: whose centre is nontrivial (True) or trivial (False), and the others go
-#: by position.
+#: set-orbit count), in the order it sorts them, and for the primitive kind
+#: in the order it writes them; an ID that is not an X-ID is the group's row
+#: label in the reference tables (data/tables/r*.tsv), which the record
+#: itself does not repeat.  The primitive kind names every class, one per
+#: signature.  The transitive kind ships every class of degrees 4, 6 and 8,
+#: an unnamed one as "T(n) order ... s=..." under the next free X-ID, and of
+#: degree 9 only the classes named here.  Where two classes share a
+#: signature, a name with a third field goes to the class whose centre is
+#: nontrivial (True) or trivial (False), and the others go by position.
 CLOSURE_NAMES = {
+    "primitive": {
+        5: {(5, 8): [("5P1", "C5")], (10, 8): [("5P2", "D10")],
+            (20, 6): [("5P3", "AGL(1,5)")]},
+        6: {(60, 8): [("6P1", "PSL(2,5)")], (120, 7): [("6X1", "PGL(2,5)")]},
+        7: {(7, 20): [("7P1", "C7")], (14, 18): [("7P2", "D14")],
+            (21, 12): [("7P3", "C7:C3")], (42, 10): [("7P4", "AGL(1,7)")],
+            (168, 10): [("7P5", "PSL(3,2)")]},
+        8: {(56, 10): [("8P1", "AGL(1,8)")],
+            (168, 10): [("8P2", "AGammaL(1,8)")],
+            (1344, 10): [("8P3", "ASL(3,2)")],
+            (168, 11): [("8P4", "PSL(2,7)")],
+            (336, 10): [("8P5", "PGL(2,7)")]},
+        9: {(36, 28): [("9X1", "3^2:4")], (72, 26): [("9X2", "3^2:D8")],
+            (72, 16): [("9T15", "AGL(1,9)")], (72, 18): [("9S370", "3^2:Q8")],
+            (144, 16): [("9T19", "AGammaL(1,9)")],
+            (216, 14): [("9P6", "ASL(2,3)")], (432, 14): [("9P7", "AGL(2,3)")],
+            (504, 10): [("9X3", "PSL(2,8)")],
+            (1512, 10): [("9X4", "PGammaL(2,8)")]},
+        10: {(60, 40): [("10X1", "A5 (pairs)")],
+             (120, 34): [("10X2", "S5 (pairs)")],
+             (360, 20): [("10S1396", "A6=PSL(2,9)")],
+             (720, 14): [("10P4", "PGL(2,9)")],
+             (720, 19): [("10T32", "PSigmaL(2,9)=S6")],
+             (720, 15): [("10P6", "M10")],
+             (1440, 14): [("10P7", "PGammaL(2,9)")]},
+        11: {(11, 188): [("11X1", "C11")], (22, 126): [("11X2", "D22")],
+             (55, 44): [("11X3", "11:5")], (110, 30): [("11X4", "AGL(1,11)")],
+             (660, 24): [("11X5", "PSL(2,11) deg 11")],
+             (7920, 14): [("11P6", "M11")]},
+    },
     "transitive": {
         4: {(4, 6): [("4T1", "C4")], (4, 7): [("4T2", "C2xC2")],
             (8, 6): [("4T3", "D8")]},
@@ -333,9 +367,13 @@ def has_centre(G: PermGroup) -> bool:
 
 def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
     """The closures every group of the kind is S_n-conjugate into: for the
-    transitive kind, S_k wr S_m for each block shape n = m*k; for the
-    two-orbit kind, S_a x S_b for each pair of orbits with
-    (a + 1)(b + 1) <= n + MAX_R, the orbit-shape floor of s."""
+    primitive kind, the maxima PRIMITIVE_MAXIMA lists; for the transitive
+    kind, S_k wr S_m for each block shape n = m*k; for the two-orbit kind,
+    S_a x S_b for each pair of orbits with (a + 1)(b + 1) <= n + MAX_R, the
+    orbit-shape floor of s."""
+    if kind == "primitive":
+        return [(ident, build_group(MAXIMA[ident]))
+                for ident in PRIMITIVE_MAXIMA[n]]
     if kind == "transitive":
         return [(f"S{k} wr S{n // k}", build_group(wreath(k, n // k)))
                 for k in range(2, n) if n % k == 0]
@@ -345,21 +383,27 @@ def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
 
 def closure_entries(n: int, kind: str,
                     entries: list[CatalogEntry]) -> list[CatalogEntry]:
-    """The groups of degree n of one kind, one per S_n-class: "transitive"
-    gives the imprimitive transitive groups, "two-orbit" the groups with two
-    orbits, no fixed point and s <= n + MAX_R.
+    """The groups of degree n of one kind, one per S_n-class: "primitive"
+    gives the primitive groups other than A_n and S_n, "transitive" the
+    imprimitive transitive groups, "two-orbit" the groups with two orbits,
+    no fixed point and s <= n + MAX_R.
 
-    A block system of m blocks of size k puts a group inside a conjugate of
-    S_k wr S_m, and orbits of sizes a and b put it inside a conjugate of
-    S_a x S_b, so every such group is S_n-conjugate to a subgroup class of
-    one of ``_parents``: a transitive class of a wreath product, or a class
-    of a Young subgroup whose orbits are its two parts.  The classes are
-    fused under S_n by (order, s) and ``conjugate_in_sn``, keeping the first
-    one walked, and sorted by (order, canonical key under S_n), the order of
-    ``subgroup_classes(S_n)``.  A transitive group is not primitive, since
-    it keeps the blocks of its wreath.  Transitive degrees outside
-    TRANSITIVE_COUNTS keep only the signatures CLOSURE_NAMES lists.
-    ``entries`` (the ones built so far) fixes the next free X-ID.
+    A primitive group not containing A_n lies in a conjugate of one of the
+    maxima, a block system of m blocks of size k puts a group inside a
+    conjugate of S_k wr S_m, and orbits of sizes a and b put it inside a
+    conjugate of S_a x S_b, so every such group is S_n-conjugate to a
+    subgroup class of one of ``_parents``: a primitive class of a maximum, a
+    transitive class of a wreath product, or a class of a Young subgroup
+    whose orbits are its two parts.  The classes are fused under S_n by
+    (order, s) and ``conjugate_in_sn``, keeping the first one walked.  The
+    primitive classes, one per signature, are written in the order of
+    CLOSURE_NAMES: at degrees 10 and 11 the canonical key, which lists every
+    S_n-conjugate, is out of reach.  The other kinds are sorted by (order, canonical key
+    under S_n), the order of ``subgroup_classes(S_n)``.  A transitive group
+    is not primitive, since it keeps the blocks of its wreath.  Transitive
+    degrees outside TRANSITIVE_COUNTS keep only the signatures
+    CLOSURE_NAMES lists.  ``entries`` (the ones built so far) fixes the next
+    free X-ID.
     """
     names = CLOSURE_NAMES[kind][n]
     fused: dict[tuple[int, int], list[PermGroup]] = {}
@@ -380,10 +424,15 @@ def closure_entries(n: int, kind: str,
             reps = fused.setdefault(sig, [])
             if all(conjugate_in_sn(R, G) is None for R in reps):
                 reps.append(G)
-    sn = builtin("symmetric", n)
-    ordered = sorted(((G.order, canonical_key(G, sn), s, G)
-                      for (_, s), reps in fused.items() for G in reps),
-                     key=lambda t: t[:2])
+    if kind == "primitive":
+        counts = {sig: len(reps) for sig, reps in fused.items()}
+        assert counts == dict.fromkeys(names, 1), counts
+        ordered = [(order, None, s, fused[order, s][0]) for order, s in names]
+    else:
+        sn = builtin("symmetric", n)
+        ordered = sorted(((G.order, canonical_key(G, sn), s, G)
+                          for (_, s), reps in fused.items() for G in reps),
+                         key=lambda t: t[:2])
     named = {}
     for sig, cited in names.items():
         at = [i for i, (order, _, s, _) in enumerate(ordered) if (order, s) == sig]
@@ -406,25 +455,8 @@ def closure_entries(n: int, kind: str,
             ident = f"{n}X{next(free_x)}"
             name = f"T({n}) order {order} s={s}" + (f" #{j}" if j > 1 else "")
         out.append(entry(ident, name, G.generators, order, s=s))
-        assert "primitive" not in out[-1].tags
+        assert ("primitive" in out[-1].tags) == (kind == "primitive")
     return out
-
-
-def pair_action(gens: list[Permutation]) -> list[Permutation]:
-    """Induced action on unordered pairs of points."""
-    n = gens[0].degree
-    pairs = list(combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    out = []
-    for g in gens:
-        img = [index[tuple(sorted((g.images[a], g.images[b])))]
-               for a, b in pairs]
-        out.append(Permutation(img))
-    return out
-
-
-def cyc(text: str, n: int) -> Permutation:
-    return Permutation.parse(text, n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,43 +531,26 @@ def main():
     add(entry("4P2", "S4", sym(4), 24, s=5))
     entries += closure_entries(4, "transitive", entries)
     entries += closure_entries(4, "two-orbit", entries)
-    add(entry("5P1", "C5", [cyc("(1,2,3,4,5)", 5)], 5, s=8))
-    add(entry("5P2", "D10", [cyc("(1,2,3,4,5)", 5), cyc("(2,5)(3,4)", 5)], 10, s=8))
-    add(entry("5P3", "AGL(1,5)", [cyc("(1,2,3,4,5)", 5), cyc("(2,3,5,4)", 5)], 20, s=6))
+    entries += closure_entries(5, "primitive", entries)
     add(entry("5P4", "A5", alt(5), 60, s=6))
     add(entry("5P5", "S5", sym(5), 120, s=6))
     entries += closure_entries(5, "two-orbit", entries)
 
     # ---- degree 6 --------------------------------------------------------
-    add(entry("6P1", "PSL(2,5)", psl2(F5), 60, s=8))
-    add(entry("6X1", "PGL(2,5)", pgl2(F5), 120, s=7))
+    entries += closure_entries(6, "primitive", entries)
     add(entry("6X2", "A6", alt(6), 360, s=7))
     add(entry("6X3", "S6", sym(6), 720, s=7))
     entries += closure_entries(6, "transitive", entries)
     entries += closure_entries(6, "two-orbit", entries)
 
     # ---- degree 7 --------------------------------------------------------
-    add(entry("7P1", "C7", [cyc("(1,2,3,4,5,6,7)", 7)], 7, s=20))
-    add(entry("7P2", "D14", [cyc("(1,2,3,4,5,6,7)", 7), cyc("(2,7)(3,6)(4,5)", 7)],
-              14, s=18))
-    add(entry("7P3", "C7:C3", affine_line(F7, [2]), 21, s=12))
-    add(entry("7P4", "AGL(1,7)", affine_line(F7, [3]), 42, s=10))
-    add(entry("7P5", "PSL(3,2)", linear_group(2, 3, GL32_MATS, nonzero=True),
-              168, s=10))
+    entries += closure_entries(7, "primitive", entries)
     add(entry("7X1", "A7", alt(7), 2520, s=8))
     add(entry("7X2", "S7", sym(7), 5040, s=8))
     entries += closure_entries(7, "two-orbit", entries)
 
     # ---- degree 8: primitive ---------------------------------------------
-    g8 = F8.generator()
-    add(entry("8P1", "AGL(1,8)", affine_line(F8, [g8]), 56, s=10))
-    add(entry("8P2", "AGammaL(1,8)", affine_line(F8, [g8], [1]),
-              168, s=10))
-    add(entry("8P3", "ASL(3,2)", linear_group(2, 3, GL32_MATS, nonzero=False,
-                                              translations=True),
-              1344, s=10))
-    add(entry("8P4", "PSL(2,7)", psl2(F7), 168, s=11))
-    add(entry("8P5", "PGL(2,7)", pgl2(F7), 336, s=10))
+    entries += closure_entries(8, "primitive", entries)
     add(entry("8X1", "A8", alt(8), 20160, s=9))
     add(entry("8X2", "S8", sym(8), 40320, s=9))
 
@@ -543,23 +558,7 @@ def main():
     entries += closure_entries(8, "transitive", entries)
 
     # ---- degree 9: primitive ----------------------------------------------
-    g9 = F9.generator()
-    sq9 = F9.mul(g9, g9)
-    add(entry("9X1", "3^2:4", affine_line(F9, [sq9]), 36))
-    add(entry("9X2", "3^2:D8", affine_line(F9, [sq9], [1]), 72))
-    add(entry("9T15", "AGL(1,9)", affine_line(F9, [g9]), 72, s=16))
-    add(entry("9S370", "3^2:Q8", affine_line(F9, [sq9], [g9]),
-              72, s=18))
-    add(entry("9T19", "AGammaL(1,9)", affine_line(F9, [g9], [1]),
-              144, s=16))
-    add(entry("9P6", "ASL(2,3)", linear_group(3, 2, SL23_MATS, nonzero=False,
-                                              translations=True),
-              216, s=14))
-    add(entry("9P7", "AGL(2,3)", linear_group(3, 2, GL23_MATS, nonzero=False,
-                                              translations=True),
-              432, s=14))
-    add(entry("9X3", "PSL(2,8)", psl2(F8), 504, s=10))
-    add(entry("9X4", "PGammaL(2,8)", pgammal2(F8), 1512, s=10))
+    entries += closure_entries(9, "primitive", entries)
     add(entry("9X5", "A9", alt(9), 181440, s=10))
     add(entry("9X6", "S9", sym(9), 362880, s=10))
 
@@ -568,13 +567,7 @@ def main():
     entries += closure_entries(9, "transitive", entries)
 
     # ---- degree 10: primitive ---------------------------------------------
-    add(entry("10X1", "A5 (pairs)", pair_action(alt(5)), 60))
-    add(entry("10X2", "S5 (pairs)", pair_action(sym(5)), 120))
-    add(entry("10S1396", "A6=PSL(2,9)", psl2(F9), 360, s=20))
-    add(entry("10P4", "PGL(2,9)", pgl2(F9), 720, s=14))
-    add(entry("10T32", "PSigmaL(2,9)=S6", psigmal2(F9), 720, s=19))
-    add(entry("10P6", "M10", m10_maps(F9), 720, s=15))
-    add(entry("10P7", "PGammaL(2,9)", pgammal2(F9), 1440, s=14))
+    entries += closure_entries(10, "primitive", entries)
     add(entry("10X3", "A10", alt(10), 1814400, s=11))
     add(entry("10X4", "S10", sym(10), 3628800, s=11))
 
@@ -612,18 +605,7 @@ def main():
     add(entry("10S1561", "C2x(2^4:S5)", [b1, top_t, top_c], 3840, s=21))
 
     # ---- degree 11 ---------------------------------------------------------
-    add(entry("11X1", "C11", [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11)], 11))
-    add(entry("11X2", "D22", [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11),
-                              cyc("(2,11)(3,10)(4,9)(5,8)(6,7)", 11)], 22))
-    add(entry("11X3", "11:5", affine_line(F11, [3]), 55))
-    add(entry("11X4", "AGL(1,11)", affine_line(F11, [2]), 110))
-    # PSL(2,11) on the 11 cosets of an A5: the one primitive group of order
-    # 660 and degree 11
-    psl211_11 = [cyc("(1,2,4,5,9,8,6,7,10,11,3)", 11),
-                 cyc("(1,2)(3,6)(4,8)(10,11)", 11)]
-    add(entry("11X5", "PSL(2,11) deg 11", psl211_11, 660))
-    m11 = [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11), cyc("(3,7,11,8)(4,10,5,6)", 11)]
-    add(entry("11P6", "M11", m11, 7920, s=14))
+    entries += closure_entries(11, "primitive", entries)
     add(entry("11X6", "A11", alt(11), 19958400, s=12))
     add(entry("11X7", "S11", sym(11), 39916800, s=12))
 
@@ -660,15 +642,16 @@ HEADER = """\
 # Permutation group database: generators in cycle notation over {1..degree}.
 # id|degree|name|order|tags|generators|set-orbit count
 #
-# Sources: projective/affine/linear actions over small finite fields, stated
-# generators for M11, M12 and the 11- and 12-point actions of PSL(2,11) and
-# M11, wreath embeddings, the transitive subgroup classes of the wreath
-# products S_k wr S_m (k*m = 4, 6, 8, 9) and the two-orbit subgroup classes
-# of the Young subgroups S_a x S_b (a + b = 4..7), fused under S_n.  No
-# entry of degree >= 2 has a fixed point: "<id>+1" is entry <id> padded by
-# one.  A construction's list of three or more generators is replaced by
-# the first pair of products of its consecutive generators that generates
-# the same group, where one does.
+# Sources: the primitive subgroup classes of the maximal primitive groups
+# of degrees 5-11 (projective, affine and linear actions over small finite
+# fields, and M11), the transitive subgroup classes of the wreath products
+# S_k wr S_m (k*m = 4, 6, 8, 9) and the two-orbit subgroup classes of the
+# Young subgroups S_a x S_b (a + b = 4..7), each fused under S_n; projective
+# actions and stated generators for M11 and M12 at degree 12; wreath
+# embeddings.  No entry of degree >= 2 has a fixed point: "<id>+1" is entry
+# <id> padded by one.  A construction's list of three or more generators is
+# replaced by the first pair of products of its consecutive generators that
+# generates the same group, where one does.
 # Regenerate with scripts/derive_catalog.py; every entry is re-verified by
 # the test suite (order, transitivity, primitivity, two-orbit shape,
 # set-orbit count).\

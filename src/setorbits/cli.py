@@ -31,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"error: {message}\n")
 
 
+def positive_int(text: str) -> int:
+    """An integer argument of at least 1; anything else is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _resolve_group(spec: str) -> PermGroup:
     """A group from a catalog id or inline ``gens:"(...);(...)"`` syntax."""
     if spec.startswith("gens:"):
@@ -161,7 +169,7 @@ def build_parser() -> _Parser:
     pp.set_defaults(func=cmd_prune)
 
     ps = sub.add_parser("subgroups", help="subgroup classes of S_n")
-    ps.add_argument("--degree", type=int, required=True)
+    ps.add_argument("--degree", type=positive_int, required=True)
     ps.add_argument("--transitive", action="store_true")
     ps.set_defaults(func=cmd_subgroups)
 

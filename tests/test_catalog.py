@@ -10,7 +10,9 @@ import pytest
 
 from setorbits import perm, pipeline
 from setorbits.catalog import (
+    MANIFEST,
     PRIMITIVE_COUNTS,
+    PRIMITIVE_MAXIMA,
     CatalogError,
     DataGapError,
     TRANSITIVE_COUNTS,
@@ -27,8 +29,10 @@ from setorbits.catalog import (
 )
 from setorbits.orbitcount import count_set_orbits, counting_route
 from setorbits.perm import (Permutation, _Chain, _order_from_generators,
-                            build_group, is_primitive, is_transitive)
+                            build_group, contains_alternating, is_primitive,
+                            is_transitive)
 from setorbits.pipeline import candidate_groups, forced_transitive_size
+from setorbits.subgroups import conjugate_in_sn
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +139,18 @@ def test_pool_is_every_entry_of_a_degree_and_tag():
         "5P1", "5P2", "5P3", "5P4", "5P5"]
     assert [e.id for e in pool(4, "two-orbit")] == ["4S2", "4S6"]
     assert pipeline.DataGapError is DataGapError
+
+
+def test_pools_are_pairwise_non_conjugate():
+    """A pool matching its manifest count is complete only if no two of its
+    entries are S_n-conjugate; entries that differ in order or s are not."""
+    pairs = [(a, b) for tag, counts in MANIFEST.items() for n in counts
+             for a, b in combinations(pool(n, tag), 2)
+             if (a.expected_order, a.expected_s)
+             == (b.expected_order, b.expected_s)]
+    assert len(pairs) == 17
+    for a, b in pairs:
+        assert conjugate_in_sn(a.group(), b.group()) is None, (a.id, b.id)
 
 
 def test_pool_of_an_uncounted_degree_is_a_gap():
@@ -301,18 +317,22 @@ def _derive_catalog_script():
     return module
 
 
+def _shipped_lines(keep):
+    """The record lines of the shipped entries ``keep`` accepts, in order."""
+    text = resources.files("setorbits").joinpath("data/groups.cat").read_text(
+        encoding="utf-8")
+    return [line for line, e in zip(
+        (l for l in text.splitlines() if l.strip() and not l.startswith("#")),
+        parse_catalog(text)) if keep(e)]
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_derived_imprimitive_entries_are_the_shipped_lines(n):
     """The closure derivation prints exactly the shipped imprimitive
     transitive and two-orbit lines of degree n, in order (the transitive
     degree 8 is left to the script itself, about 16 s)."""
-    text = resources.files("setorbits").joinpath("data/groups.cat").read_text(
-        encoding="utf-8")
     kinds = ({"transitive"}, {"two-orbit"})
-    shipped = [line for line, e in zip(
-        (l for l in text.splitlines() if l.strip() and not l.startswith("#")),
-        parse_catalog(text))
-        if e.degree == n and e.tags in kinds]
+    shipped = _shipped_lines(lambda e: e.degree == n and e.tags in kinds)
     script = _derive_catalog_script()
     derived = script.closure_entries(n, "two-orbit", [])
     if n in TRANSITIVE_COUNTS:
@@ -322,32 +342,35 @@ def test_derived_imprimitive_entries_are_the_shipped_lines(n):
                             - PRIMITIVE_COUNTS[n] + TWO_ORBIT_COUNTS[n])
 
 
-#: the script's constructions over finite fields, with the arguments its
-#: ``main`` passes
+@pytest.mark.parametrize("n", [5, 6, 7, 9, 10])
+def test_derived_primitive_entries_are_the_shipped_lines(n):
+    """The walks of the maximal primitive groups print exactly the shipped
+    primitive lines of degree n other than A_n and S_n, in order (degrees 8
+    and 11, whose AGL(3,2) and M11 walks take 1.7 s and 3.7 s, are left to
+    the script itself)."""
+    shipped = _shipped_lines(
+        lambda e: e.degree == n and "primitive" in e.tags
+        and not contains_alternating(n, e.expected_order))
+    derived = _derive_catalog_script().closure_entries(n, "primitive", [])
+    assert [format_entry(e) for e in derived] == shipped
+    assert len(shipped) == PRIMITIVE_COUNTS[n] - 2
+
+
+def test_primitive_maxima_are_shipped_primitive_entries():
+    """Each maximum is a primitive entry of its degree below A_n, and the
+    script builds exactly the maxima the table lists."""
+    for n, maxima in PRIMITIVE_MAXIMA.items():
+        for ident in maxima:
+            e = by_id(ident)
+            assert e.degree == n and "primitive" in e.tags, ident
+            assert not contains_alternating(n, e.expected_order), ident
+    assert list(_derive_catalog_script().MAXIMA) == [
+        ident for maxima in PRIMITIVE_MAXIMA.values() for ident in maxima]
+
+
+#: the script's constructions over finite fields that the catalog ships as
+#: built, with the arguments its ``main`` passes
 FIELD_CONSTRUCTIONS = {
-    "6P1": lambda s: s.psl2(s.F5),
-    "6X1": lambda s: s.pgl2(s.F5),
-    "7P3": lambda s: s.affine_line(s.F7, [2]),
-    "7P4": lambda s: s.affine_line(s.F7, [3]),
-    "8P1": lambda s: s.affine_line(s.F8, [s.F8.generator()]),
-    "8P2": lambda s: s.affine_line(s.F8, [s.F8.generator()], [1]),
-    "8P4": lambda s: s.psl2(s.F7),
-    "8P5": lambda s: s.pgl2(s.F7),
-    "9X1": lambda s: s.affine_line(s.F9, [s.F9.pow(s.F9.generator(), 2)]),
-    "9X2": lambda s: s.affine_line(s.F9, [s.F9.pow(s.F9.generator(), 2)], [1]),
-    "9T15": lambda s: s.affine_line(s.F9, [s.F9.generator()]),
-    "9S370": lambda s: s.affine_line(s.F9, [s.F9.pow(s.F9.generator(), 2)],
-                                     [s.F9.generator()]),
-    "9T19": lambda s: s.affine_line(s.F9, [s.F9.generator()], [1]),
-    "9X3": lambda s: s.psl2(s.F8),
-    "9X4": lambda s: s.pgammal2(s.F8),
-    "10S1396": lambda s: s.psl2(s.F9),
-    "10P4": lambda s: s.pgl2(s.F9),
-    "10T32": lambda s: s.psigmal2(s.F9),
-    "10P6": lambda s: s.m10_maps(s.F9),
-    "10P7": lambda s: s.pgammal2(s.F9),
-    "11X3": lambda s: s.affine_line(s.F11, [3]),
-    "11X4": lambda s: s.affine_line(s.F11, [2]),
     "12T179": lambda s: s.psl2(s.F11),
     "12T218": lambda s: s.pgl2(s.F11),
 }

@@ -164,6 +164,12 @@ def test_subgroups_transitive_only(capout):
     assert len(out.strip().splitlines()) == 5
 
 
+@pytest.mark.parametrize("degree", ["0", "-3", "x"])
+def test_subgroups_bad_degree_is_usage_error(degree, capout):
+    cap = capout(["subgroups", "--degree", degree], expect=2)
+    assert "argument --degree" in cap.err and not cap.out
+
+
 def test_subgroups_cap_error(capout):
     cap = capout(["subgroups", "--degree", "9"], expect=1)
     assert "cap" in cap.err
