@@ -28,9 +28,12 @@ n // 2 points (2510 of M12's 4096), and both callers mirror the rest.  With
 one or two generators no mask loops over them: the orbits of a group on one
 generator are its cycles, followed back to their start with no visited
 test, and a pair has both image lookups written out; only other generator
-counts loop over the tables.  ``enumerate_set_orbits`` files each orbit under its size; the
-walk finds the orbits of each size up to n // 2 by ascending smallest mask,
-so only the mirrored sizes are sorted.
+counts loop over the tables.  Each image is two lookups, in tables for the
+low min(8, (n + 1) // 2) bits of a mask and for the rest, so a small degree
+builds small tables (8 + 8 entries per generator at n = 6).
+``enumerate_set_orbits`` files each orbit under its size; the walk finds
+the orbits of each size up to n // 2 by ascending smallest mask, so only
+the mirrored sizes are sorted.
 ``profile_from_enumeration`` is the oracle: a separate walk over all 2^n
 masks that computes every image bit by bit, shares no table or code with
 ``_orbits`` and does not use the complement lemma.  Tests hold the routes
@@ -61,11 +64,12 @@ ENUMERATION_MAX_DEGREE = 22
 #: 2^n*|gens| mask images; one mask image takes about this many times as
 #: long as one element-point.  On the walks chosen by generator count,
 #: over the 38 single-factor pair-generated catalog groups of degree 9-12
-#: (2-core host, Python 3.11, best of 7 per group, medians of three runs):
-#: 74-77 ns per image of the model's 2^n*2 (119-126 ns per image of the
-#: masks actually walked) against 289-304 ns per element-point, a per-unit
-#: ratio near 0.25.  The ratio stays at 0.4 because the route choice is
-#: judged on whole count operations, as below.
+#: (2-core host, Python 3.11, best of 7 per group, medians of three runs),
+#: with the image tables split at min(8, (n + 1) // 2) bits: 62-73 ns per
+#: image of the model's 2^n*2 (111-132 ns per image of the masks actually
+#: walked) against 290-326 ns per element-point, a per-unit ratio of
+#: 0.21-0.22.  The ratio stays at 0.4, so every route stays as it was,
+#: because the route choice is judged on whole count operations, as below.
 #: On the half-cube walk, 27 single-factor catalog groups take Burnside.
 #: Of the 29 that took it while the catalog shipped every generator its
 #: constructions list, timed as whole count-profiles operations (build,
@@ -228,8 +232,10 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
     callers mirror them.  The masks above n // 2 points are marked visited
     before the walk, from a popcount array built by doubling with
     ``bytes.translate``, so no Python loop runs per mask.  Per generator,
-    one table maps the low byte of a mask to its image and one maps the
-    remaining n - 8 <= 14 bits, so an image costs two lookups.
+    one table maps the low w = min(8, (n + 1) // 2) bits of a mask to their
+    image and one maps the remaining n - w <= 14 bits, so an image costs two
+    lookups and the tables have 2^w and 2^(n - w) entries: 16 + 16 at
+    n = 8, and the full 256 low entries from n = 15 on.
 
     The walk is chosen by the number of generators, so that with one or
     two no mask loops over them:
@@ -241,7 +247,9 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
     checks the degree first.
     """
     n = G.degree
-    tables = [(_image_table(g, 0, min(n, 8)), _image_table(g, 8, max(n - 8, 0)))
+    w = min(8, (n + 1) // 2)
+    low = (1 << w) - 1
+    tables = [(_image_table(g, 0, w), _image_table(g, w, n - w))
               for g in G.generator_tuples()]
     popcount = bytearray(1)
     for _ in range(n):
@@ -254,11 +262,11 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
         while start >= 0:
             orbit = [start]
             push = orbit.append
-            img = a[start & 255] | b[start >> 8]
+            img = a[start & low] | b[start >> w]
             while img != start:
                 seen[img] = 1
                 push(img)
-                img = a[img & 255] | b[img >> 8]
+                img = a[img & low] | b[img >> w]
             yield orbit
             start = seen.find(0, start + 1)
     elif len(tables) == 2:
@@ -268,12 +276,12 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
             orbit = [start]
             push = orbit.append
             for m in orbit:
-                low, high = m & 255, m >> 8
-                img = a[low] | b[high]
+                lo, hi = m & low, m >> w
+                img = a[lo] | b[hi]
                 if not seen[img]:
                     seen[img] = 1
                     push(img)
-                img = c[low] | d[high]
+                img = c[lo] | d[hi]
                 if not seen[img]:
                     seen[img] = 1
                     push(img)
@@ -284,9 +292,9 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
             seen[start] = 1
             orbit = [start]
             for m in orbit:
-                low, high = m & 255, m >> 8
+                lo, hi = m & low, m >> w
                 for t_low, t_high in tables:
-                    img = t_low[low] | t_high[high]
+                    img = t_low[lo] | t_high[hi]
                     if not seen[img]:
                         seen[img] = 1
                         orbit.append(img)

@@ -28,16 +28,11 @@ from itertools import count
 from typing import Literal, Optional
 
 
+@cache
 def is_prime(n: int) -> bool:
-    """Trial division."""
+    """Trial division; cached, since ``_split_prime`` and ``miller_bound``
+    test the same integers again for neighbouring degrees."""
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
-def primes_in(lo: int, hi: int) -> list[int]:
-    """Sorted primes p with lo < p <= hi."""
-    if lo > hi:
-        raise ValueError(f"inverted bounds ({lo}, {hi})")
-    return [p for p in range(lo + 1, hi + 1) if is_prime(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +132,28 @@ def step1_eliminates(n: int, r: int) -> Optional[int]:
 
 
 def miller_bound(n: int) -> Optional[MillerDecomposition]:
-    """The decomposition n = m*p0 + rem with the least rem.
+    """The decomposition n = m*p0 + rem with the least rem, and among those
+    the least m.
 
     A group of degree n not containing A_n is at most rem-transitive.  Returns
     None when no decomposition satisfies the hypothesis.
+
+    For a fixed m, rem = n - m*p0 falls as p0 grows, so the least rem for
+    that m comes from the largest prime p0 with m < p0 <= (n - m - 1) // m
+    (the bound that keeps rem > m): the scan for each m runs down from
+    (n - m - 1) // m and stops at the first prime.
     """
-    best: Optional[MillerDecomposition] = None
+    best = None  # (rem, m, p0)
     for m in range(1, math.isqrt(n)):  # p0, rem >= m + 1 force (m+1)^2 <= n
-        for p0 in primes_in(m, (n - m - 1) // m):  # rem = n - m*p0 > m
-            if best is None or n - m * p0 < best.rem:
-                best = MillerDecomposition(n, m, p0, n - m * p0)
-    return best
+        for p0 in range((n - m - 1) // m, m, -1):
+            if is_prime(p0):
+                if best is None or n - m * p0 < best[0]:
+                    best = (n - m * p0, m, p0)
+                break
+    if best is None:
+        return None
+    rem, m, p0 = best
+    return MillerDecomposition(n, m, p0, rem)
 
 
 # The 4- and 5-transitive Mathieu groups, and the 3-transitive M_22 and

@@ -45,13 +45,14 @@ def brute_orbits(G):
     ascending, the orbits by (subset size, smallest mask)."""
     n = G.degree
     elems = [p.images for p in elements(G)]
-    left = {frozenset(c) for k in range(n + 1)
-            for c in combinations(range(n), k)}
+    seen = set()
     orbits = []
-    while left:
-        seed = next(iter(left))
+    for seed in (frozenset(c) for k in range(n + 1)
+                 for c in combinations(range(n), k)):
+        if seed in seen:
+            continue
         orbit = {frozenset(g[x] for x in seed) for g in elems}
-        left -= orbit
+        seen |= orbit
         orbits.append(sorted(sum(1 << x for x in s) for s in orbit))
     return sorted(orbits, key=lambda orbit: (bin(orbit[0]).count("1"), orbit[0]))
 
@@ -469,10 +470,21 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, old)
 
 
+def _dihedral_gens(n):
+    """The rotation i -> i + 1, the reflection i -> n - 1 - i and the
+    inverse rotation on n >= 2 points: none is the identity, and the
+    rotations carry a point across every split of the masks."""
+    rot = Permutation([(i + 1) % n for i in range(n)])
+    flip = Permutation([n - 1 - i for i in range(n)])
+    return [rot, flip, Permutation([(i - 1) % n for i in range(n)])]
+
+
 #: one group per walk of ``_orbits`` (no generator, one, two, three or
-#: more), each of degree above 8 so that the high-byte tables are used; the
-#: trivial group's partition is its 1024 masks as singletons, in
-#: (size, mask) order
+#: more) at degrees 10-11; the trivial group's partition is its 1024 masks
+#: as singletons, in (size, mask) order.  Then every degree 1..14, so every
+#: split width of the image tables below 15 points, with the first 0 to 3
+#: of ``_dihedral_gens``; degree 1 has no permutation but the identity, so
+#: only the trivial group
 WALKS = {
     "trivial": (build_group([], degree=10), 0),
     "cycles-3-5-2": (gset("(1,2,3)(4,5,6,7,8)(9,10)", degree=11), 1),
@@ -481,6 +493,9 @@ WALKS = {
     "three": (gset("(1,2,3)(9,10)", "(4,5)(6,7)", "(1,9)(2,10)(3,8)",
                    degree=10), 3),
 }
+WALKS.update({
+    f"n{n}-gens{k}": (build_group(_dihedral_gens(n)[:k], degree=n), k)
+    for n in range(1, 15) for k in range(4 if n > 1 else 1)})
 
 
 @pytest.mark.parametrize("name", WALKS)
@@ -516,13 +531,15 @@ def test_dump_digest_is_frozen(name):
 @pytest.mark.parametrize(
     "e", [pytest.param(e, id=label) for label, e in ENTRIES if e.degree <= 12])
 def test_image_tables_match_per_bit_images(e):
-    # the walk's two lookups give, for every mask, the image point by point
+    # the walk's two lookups, split at its width w, give for every mask the
+    # image point by point
     n = e.degree
+    w = min(8, (n + 1) // 2)
     for g in e.group().generator_tuples():
-        low, high = _image_table(g, 0, min(n, 8)), _image_table(g, 8, max(n - 8, 0))
+        low, high = _image_table(g, 0, w), _image_table(g, w, n - w)
         for m in range(1 << n):
             want = sum(1 << g[i] for i in range(n) if m >> i & 1)
-            assert low[m & 255] | high[m >> 8] == want, (g, m)
+            assert low[m & (1 << w) - 1] | high[m >> w] == want, (g, m)
 
 
 # ---------------------------------------------------------------------------

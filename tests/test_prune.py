@@ -18,7 +18,6 @@ from setorbits.prune import (
     known_transitivity_floor,
     miller_bound,
     parity_admissible,
-    primes_in,
     prune_degree,
     step1_eliminates,
     step2_eliminates,
@@ -27,32 +26,12 @@ from setorbits.prune import (
 
 
 # ---------------------------------------------------------------------------
-# prime windows
-
-def test_primes_in_windows():
-    assert primes_in(13, 24) == [17, 19, 23]
-    assert primes_in(13, 23) == [17, 19, 23]  # hi itself is in the window
-    assert primes_in(13, 16) == []
-    assert primes_in(40, 54) == [41, 43, 47, 53]
-
+# primes
 
 def test_is_prime_below_100():
     want = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
             61, 67, 71, 73, 79, 83, 89, 97]
     assert [n for n in range(-3, 100) if is_prime(n)] == want
-
-
-def test_primes_in_rejects_inverted_bounds():
-    with pytest.raises(ValueError):
-        primes_in(10, 5)
-
-
-@given(st.integers(0, 500), st.integers(0, 500))
-def test_primes_in_contents(a, b):
-    lo, hi = min(a, b), max(a, b)
-    ps = primes_in(lo, hi)
-    assert all(lo < p <= hi and is_prime(p) for p in ps)
-    assert ps == sorted(set(ps))
 
 
 # ---------------------------------------------------------------------------
@@ -148,11 +127,16 @@ def test_miller_decomposition_validation():
 
 
 def test_miller_minimality_exhaustive():
-    for n in range(3, 101):
+    """The whole decomposition is the brute-force one under the documented
+    tie rule: least rem, then least m (rem and m fix p0).  No two m tie on
+    the least rem for n <= 400, so this pins every (m, p0, rem)."""
+    for n in range(3, 401):
         got = miller_bound(n)
-        brute = min((n - m * p0 for m in range(1, n) for p0 in range(m + 1, n)
+        # p0 >= m + 1 and rem >= m + 1 need m*(m + 1) + m + 1 <= n
+        brute = min(((n - m * p0, m, p0) for m in range(1, n)
+                     if m * (m + 2) < n for p0 in range(m + 1, n // m + 1)
                      if is_prime(p0) and n - m * p0 > m), default=None)
-        assert (got.rem if got else None) == brute
+        assert ((got.rem, got.m, got.p0) if got else None) == brute, n
 
 
 def test_step2_witness_for_24():
