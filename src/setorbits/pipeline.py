@@ -31,6 +31,12 @@ excluded throughout.  The run report records, per surviving degree, where
 the candidates came from and how many of them each counting route
 (``orbitcount.counting_route``) took, or why the catalog cannot cover the
 degree (a data gap).
+
+Each degree is pruned, selected and counted once per process and (n, r):
+``_degree_result`` memoises its ``DegreeResult``, and a warm
+``classify(r)`` only assembles a new report from those results.  The s of
+each catalog entry is memoised apart (``_s_and_route``), since one entry
+is a candidate at several (n, r).
 """
 
 from __future__ import annotations
@@ -177,9 +183,48 @@ def candidate_groups(n: int, r: int,
 @cache
 def _s_and_route(e: cat.CatalogEntry) -> tuple[int, str]:
     """s of the entry's group and the counting route that computed it,
-    cached per entry; the group is built only on a miss."""
+    cached per entry, since one entry is a candidate at several (n, r);
+    the group is built only on a miss."""
     G = e.group()
     return count_set_orbits(G), counting_route(G)
+
+
+@dataclass(frozen=True)
+class DegreeResult:
+    """What classify(r) finds at one degree: the prune verdict and, for a
+    survivor, its candidate source and either its data-gap reason or its
+    rows (sorted) and route counts (route, number of candidates)."""
+    verdict: PruneVerdict
+    source: Optional[str] = None
+    gap: Optional[str] = None
+    rows: tuple[ClassificationRow, ...] = ()
+    routes: tuple[tuple[str, int], ...] = ()
+
+
+@cache
+def _degree_result(n: int, r: int) -> DegreeResult:
+    """Prune degree n for r and, if it survives, select and count its
+    candidates; cached, since the result depends on (n, r) and the shipped
+    catalog only, and every classify(r) reads each degree of its window."""
+    v = prune_degree(n, r)
+    if v.eliminated:
+        return DegreeResult(v)
+    source = candidate_source(n, r)
+    try:
+        cands = candidate_groups(n, r)
+    except DataGapError as exc:
+        return DegreeResult(v, source, gap=str(exc))
+    routes: dict[str, int] = {}
+    rows = []
+    for e in cands:
+        s, route = _s_and_route(e)
+        routes[route] = routes.get(route, 0) + 1
+        if s == n + r:
+            rows.append(ClassificationRow(r, n, e.id, e.name,
+                                          e.expected_order, s))
+    rows.sort(key=lambda row: (row.order, row.group_label))
+    return DegreeResult(v, source, rows=tuple(rows),
+                        routes=tuple(routes.items()))
 
 
 def classify(r: int) -> RunReport:
@@ -188,35 +233,25 @@ def classify(r: int) -> RunReport:
     A surviving degree whose candidate pool the catalog lacks is a data gap:
     the report records its reason under ``gaps`` and the run goes on to the
     next degree.  Rows are sorted by (degree, order, label) and every run
-    over the same inputs produces identical output.
+    over the same inputs produces identical output.  Each degree is pruned,
+    selected and counted once per process (``_degree_result``); every call
+    returns a new report, so changing one changes no other.
     """
     if not MIN_R <= r <= MAX_R:
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
-    verdicts = [prune_degree(n, r) for n in degree_range(r)]
-    rows: list[ClassificationRow] = []
-    sources: dict[int, str] = {}
-    routes: dict[int, dict[str, int]] = {}
-    gaps: dict[int, str] = {}
-    for v in verdicts:
-        if v.eliminated:
+    report = RunReport(r=r, degree_verdicts=[], rows=[])
+    for n in degree_range(r):
+        d = _degree_result(n, r)
+        report.degree_verdicts.append(d.verdict)
+        if d.verdict.eliminated:
             continue
-        n = v.n
-        sources[n] = candidate_source(n, r)
-        try:
-            cands = candidate_groups(n, r)
-        except DataGapError as exc:
-            gaps[n] = str(exc)
-            continue
-        taken = routes[n] = {}
-        for e in cands:
-            s, route = _s_and_route(e)
-            taken[route] = taken.get(route, 0) + 1
-            if s == n + r:
-                rows.append(ClassificationRow(r, n, e.id, e.name,
-                                              e.expected_order, s))
-    rows.sort(key=lambda row: (row.degree, row.order, row.group_label))
-    return RunReport(r=r, degree_verdicts=verdicts, rows=rows, gaps=gaps,
-                     candidate_sources=sources, route_counts=routes)
+        report.candidate_sources[n] = d.source
+        if d.gap is not None:
+            report.gaps[n] = d.gap
+        else:
+            report.route_counts[n] = dict(d.routes)
+            report.rows += d.rows
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -244,10 +244,8 @@ def binomial_divides(n: int, t: int, order: int) -> bool:
 # ---------------------------------------------------------------------------
 # per-degree driver
 
-@cache
 def prune_degree(n: int, r: int) -> PruneVerdict:
-    """Run parity, step 1 and step 2 for one degree; cached, since every
-    classify(r) prunes the whole degree window (n <= 81) again."""
+    """Run parity, step 1 and step 2 for one degree."""
     if not parity_admissible(n, r):
         return PruneVerdict(n, "parity")
     p = step1_eliminates(n, r)

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from setorbits import perm
+from setorbits import perm, pipeline
 from setorbits.catalog import load_default, padded
 from setorbits.orbitcount import count_set_orbits
 from setorbits.pipeline import compare_to_golden
@@ -22,6 +22,18 @@ def chain_builds(monkeypatch):
 
     monkeypatch.setattr(perm._Chain, "__init__", counted)
     return built
+
+
+@pytest.fixture
+def clear_memos():
+    """A function that empties the pipeline's two memos, the per-degree
+    results and the per-entry s-values; it has run once when the test
+    starts, so the test's first classify(r) prunes, selects and counts."""
+    def clear():
+        pipeline._degree_result.cache_clear()
+        pipeline._s_and_route.cache_clear()
+    clear()
+    return clear
 
 
 @pytest.fixture

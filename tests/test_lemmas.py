@@ -1,12 +1,14 @@
 """The candidate lemmas of ``pipeline.candidate_source``, each checked
 against the S_n subgroup walk they replace."""
 
+import copy
+import dataclasses
 import math
 import sys
 
 import pytest
 
-from setorbits import catalog, pipeline
+from setorbits import catalog, pipeline, prune
 from setorbits.catalog import (
     MANIFEST,
     TRANSITIVE_COUNTS,
@@ -21,6 +23,7 @@ from setorbits.orbitcount import count_set_orbits, orbit_profile
 from setorbits.perm import _minimal_block_size, contains_alternating, is_primitive
 from setorbits.pipeline import (
     MAX_R,
+    RunReport,
     block_shape_floor,
     candidate_groups,
     candidate_source,
@@ -280,7 +283,7 @@ def test_candidate_rules_hold_for_every_built_group():
 # ---------------------------------------------------------------------------
 # guard: classify walks no S_n
 
-def test_classify_walks_no_sn(monkeypatch):
+def test_classify_walks_no_sn(monkeypatch, clear_memos):
     def walk(*args):
         raise AssertionError("subgroup walk")
 
@@ -293,11 +296,11 @@ def test_classify_walks_no_sn(monkeypatch):
         assert classify(r).rows
 
 
-def test_classify_builds_chains_only_for_burnside(chain_builds):
+def test_classify_builds_chains_only_for_burnside(chain_builds, clear_memos):
     """Only the Burnside route iterates elements; every other route, the
     A_n exclusion and the row orders read the catalog's certified order."""
     for r in range(2, MAX_R + 1):
-        pipeline._s_and_route.cache_clear()
+        clear_memos()
         chain_builds.clear()
         report = classify(r)
         burnside = sum(routes.get("burnside", 0)
@@ -305,23 +308,47 @@ def test_classify_builds_chains_only_for_burnside(chain_builds):
         assert len(chain_builds) <= burnside, r
 
 
-def test_warm_classify_counts_nothing_and_builds_nothing(monkeypatch, chain_builds):
-    """Once classify(r) has run, the s-memo holds every candidate: a second
-    run gives the same rows without counting, building a group or a chain."""
-    cold = {r: classify(r).rows for r in range(2, MAX_R + 1)}
+def test_warm_classify_counts_nothing_and_builds_nothing(
+        monkeypatch, chain_builds, clear_memos):
+    """Once classify(r) has run, a second run gives the same report without
+    pruning, selecting, padding, counting, or building a group or a chain:
+    it reads every degree from the per-degree memo."""
+    cold = {r: classify(r) for r in range(2, MAX_R + 1)}
 
-    def forbidden(*args):
-        raise AssertionError("warm classify built or counted")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("warm classify pruned, selected, built or counted")
 
     monkeypatch.setattr(pipeline, "count_set_orbits", forbidden)
+    monkeypatch.setattr(pipeline, "candidate_groups", forbidden)
     monkeypatch.setattr(catalog.CatalogEntry, "group", forbidden)
+    monkeypatch.setattr(catalog, "pool", forbidden)
+    monkeypatch.setattr(catalog, "padded", forbidden)
+    monkeypatch.setattr(prune, "step1_eliminates", forbidden)
+    monkeypatch.setattr(prune, "step2_eliminates", forbidden)
     chain_builds.clear()
     for r in range(2, MAX_R + 1):
-        assert classify(r).rows == cold[r], r
+        warm = classify(r)
+        for f in dataclasses.fields(RunReport):
+            assert getattr(warm, f.name) == getattr(cold[r], f.name), (r, f.name)
     assert chain_builds == []
 
 
-def test_classify_parses_no_word_after_load(monkeypatch):
+def test_classify_reports_share_no_container():
+    """Changing every list and dict of one report, inner route dicts
+    included, changes no later report."""
+    for r in range(2, MAX_R + 1):
+        first = classify(r)
+        kept = copy.deepcopy(first)
+        first.rows.clear()
+        first.degree_verdicts.pop()
+        first.gaps[0] = "changed"
+        first.candidate_sources[0] = "changed"
+        first.route_counts[0] = {}
+        next(iter(first.route_counts.values()))["changed"] = 1
+        assert classify(r) == kept, r
+
+
+def test_classify_parses_no_word_after_load(monkeypatch, clear_memos):
     """Every generator word is parsed once, when the catalog loads."""
     load_default()
 
@@ -330,5 +357,5 @@ def test_classify_parses_no_word_after_load(monkeypatch):
 
     monkeypatch.setattr(catalog, "parse_permutation", forbidden)
     for r in range(2, MAX_R + 1):
-        pipeline._s_and_route.cache_clear()
+        clear_memos()
         assert classify(r).rows, r
