@@ -136,7 +136,8 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
                 int(deg_s), int(order_s), int(s_text))
         except ValueError:
             raise CatalogError(f"line {lineno}: bad integer field") from None
-        for field, value in (("degree", degree), ("order", expected_order)):
+        for field, value in (("degree", degree), ("order", expected_order),
+                             ("set-orbit count", expected_s)):
             if value < 1:
                 raise CatalogError(f"line {lineno}: {field} {value} is below 1")
         tags = frozenset(t for t in tags_s.split(",") if t)

@@ -124,14 +124,15 @@ def cmd_classify(args) -> int:
             print(f"  n={row.degree:2d}  {row.name:28s} order {row.order:<8d} "
                   f"s={row.s_value}  [{row.group_label}]")
         print("candidates per surviving degree (source: count, routes):")
-        for n, source in report.candidate_sources.items():
-            if n in report.gaps:
-                print(f"  n={n:2d}  {source}: data gap")
+        for d in report.degrees:
+            if d.verdict.eliminated:
                 continue
-            taken = report.route_counts[n]
-            routes = ", ".join(f"{route} {k}" for route, k in
-                               sorted(taken.items()))
-            print(f"  n={n:2d}  {source}: {sum(taken.values())}"
+            head = f"  n={d.verdict.n:2d}  {d.source}"
+            if d.gap is not None:
+                print(f"{head}: data gap")
+                continue
+            routes = ", ".join(f"{route} {k}" for route, k in sorted(d.routes))
+            print(f"{head}: {sum(k for _, k in d.routes)}"
                   f"{' (' + routes + ')' if routes else ''}")
     for gap in report.gaps.values():
         print(f"error: data gap: {gap}", file=sys.stderr)
@@ -164,7 +165,7 @@ def build_parser() -> _Parser:
 
     pp = sub.add_parser("prune", help="degree elimination verdicts")
     pp.add_argument("--r", type=int, required=True, choices=R_RANGE,
-                    metavar="R", help="2..15")
+                    metavar="R", help=f"{R_RANGE.start}..{R_RANGE.stop - 1}")
     pp.add_argument("--max-degree", type=int, default=None)
     pp.set_defaults(func=cmd_prune)
 

@@ -61,26 +61,12 @@ from .perm import (
 
 ENUMERATION_MAX_DEGREE = 22
 #: Burnside costs about |G|*n element-points, the enumeration kernel about
-#: 2^n*|gens| mask images; one mask image takes about this many times as
-#: long as one element-point.  On the walks chosen by generator count,
-#: over the 38 single-factor pair-generated catalog groups of degree 9-12
-#: (2-core host, Python 3.11, best of 7 per group, medians of three runs),
-#: with the image tables split at min(8, (n + 1) // 2) bits: 62-73 ns per
-#: image of the model's 2^n*2 (111-132 ns per image of the masks actually
-#: walked) against 290-326 ns per element-point, a per-unit ratio of
-#: 0.21-0.22.  The ratio stays at 0.4, so every route stays as it was,
-#: because the route choice is judged on whole count operations, as below.
-#: On the half-cube walk, 27 single-factor catalog groups take Burnside.
-#: Of the 29 that took it while the catalog shipped every generator its
-#: constructions list, timed as whole count-profiles operations (build,
-#: profile, order, count; three labellings each, 2-core host, Python
-#: 3.11), enumeration would be faster on 11 to 17, by at most 0.5 ms each
-#: and 1 to 3 ms in all per round of about 0.45 s, the set changing from
-#: run to run.  That is within the noise, so the ratio stays.  Two of them
-#: moved to enumeration when the catalog shipped them on a generating pair
-#: instead of four maps, which halves their enumeration estimate: 9X2
-#: (3^2:D8) and 9S370 (3^2:Q8).  Timed the same way on the pair,
-#: enumeration takes 0.55 to 0.65 of Burnside's time on both.
+#: 2^n*|gens| mask images.  Timed per unit on the pair-generated catalog
+#: groups of degree 9-12, one mask image takes about 0.21-0.25 times as
+#: long as one element-point.  The ratio stays at 0.4 because a route is
+#: judged on whole count operations (build, profile, order, count): near
+#: the boundary the two routes differ there within the noise, and whether
+#: a lower ratio pays on them is still open.
 ENUMERATION_COST_RATIO = 0.4
 
 #: the translate tables of ``_orbits``: a popcount byte plus one, and for

@@ -27,23 +27,22 @@ by one recursion on (n, s), from the shipped catalog only:
 
 Each catalog pool is checked against its classical count, so a missing
 entry is a data gap.  Groups containing A_n always have s = n + 1 and are
-excluded throughout.  The run report records, per surviving degree, where
-the candidates came from and how many of them each counting route
-(``orbitcount.counting_route``) took, or why the catalog cannot cover the
-degree (a data gap).
+excluded throughout.
 
-Each degree is pruned, selected and counted once per process and (n, r):
-``_degree_result`` memoises its ``DegreeResult``, and a warm
-``classify(r)`` only assembles a new report from those results.  The s of
-each catalog entry is memoised apart (``_s_and_route``), since one entry
-is a candidate at several (n, r).
+The run report is the tuple of per-degree ``DegreeResult``s: the prune
+verdict and, per surviving degree, the candidates' source and either how
+many of them each counting route (``orbitcount.counting_route``) took or
+why the catalog cannot cover the degree (a data gap).  ``_degree_result``
+memoises each once per process and (n, r), so a warm ``classify(r)`` only
+gathers them; the s of each catalog entry is memoised apart
+(``_s_and_route``), since one entry is a candidate at several (n, r).
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from typing import Optional, Sequence
@@ -68,21 +67,37 @@ class ClassificationRow:
     s_value: int
 
 
-@dataclass
+@dataclass(frozen=True)
+class DegreeResult:
+    """What classify(r) finds at one degree: the prune verdict and, for a
+    survivor, its candidate source and either its data-gap reason or its
+    rows (sorted) and route counts (route, number of candidates)."""
+    verdict: PruneVerdict
+    source: Optional[str] = None
+    gap: Optional[str] = None
+    rows: tuple[ClassificationRow, ...] = ()
+    routes: tuple[tuple[str, int], ...] = ()
+
+
+@dataclass(frozen=True)
 class RunReport:
+    """One classify(r) run: the ``DegreeResult`` of each degree of
+    ``degree_range(r)``, in order."""
     r: int
-    degree_verdicts: list[PruneVerdict]
-    rows: list[ClassificationRow]
-    #: per surviving degree with a data gap: why the catalog cannot cover it
-    gaps: dict[int, str] = field(default_factory=dict)
-    #: per surviving degree: where its candidates come from
-    candidate_sources: dict[int, str] = field(default_factory=dict)
-    #: per surviving degree without a gap: counting route -> number of
-    #: candidates
-    route_counts: dict[int, dict[str, int]] = field(default_factory=dict)
+    degrees: tuple[DegreeResult, ...]
+
+    @property
+    def rows(self) -> list[ClassificationRow]:
+        return [row for d in self.degrees for row in d.rows]
+
+    @property
+    def gaps(self) -> dict[int, str]:
+        """Per surviving degree with a data gap: why the catalog cannot
+        cover it."""
+        return {d.verdict.n: d.gap for d in self.degrees if d.gap is not None}
 
     def survivors(self) -> list[int]:
-        return [v.n for v in self.degree_verdicts if not v.eliminated]
+        return [d.verdict.n for d in self.degrees if not d.verdict.eliminated]
 
     def to_tsv(self) -> str:
         lines = ["r\tdegree\tlabel\tname\torder\ts"]
@@ -189,18 +204,6 @@ def _s_and_route(e: cat.CatalogEntry) -> tuple[int, str]:
     return count_set_orbits(G), counting_route(G)
 
 
-@dataclass(frozen=True)
-class DegreeResult:
-    """What classify(r) finds at one degree: the prune verdict and, for a
-    survivor, its candidate source and either its data-gap reason or its
-    rows (sorted) and route counts (route, number of candidates)."""
-    verdict: PruneVerdict
-    source: Optional[str] = None
-    gap: Optional[str] = None
-    rows: tuple[ClassificationRow, ...] = ()
-    routes: tuple[tuple[str, int], ...] = ()
-
-
 @cache
 def _degree_result(n: int, r: int) -> DegreeResult:
     """Prune degree n for r and, if it survives, select and count its
@@ -231,27 +234,15 @@ def classify(r: int) -> RunReport:
     """Classify all permutation groups with s(G) = n + r.
 
     A surviving degree whose candidate pool the catalog lacks is a data gap:
-    the report records its reason under ``gaps`` and the run goes on to the
-    next degree.  Rows are sorted by (degree, order, label) and every run
-    over the same inputs produces identical output.  Each degree is pruned,
-    selected and counted once per process (``_degree_result``); every call
-    returns a new report, so changing one changes no other.
+    its ``DegreeResult`` records the reason and the run goes on to the next
+    degree.  Rows are sorted by (degree, order, label) and every run over
+    the same inputs produces identical output.  Each degree is pruned,
+    selected and counted once per process (``_degree_result``); the report
+    is frozen and holds those memoised results.
     """
     if not MIN_R <= r <= MAX_R:
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")
-    report = RunReport(r=r, degree_verdicts=[], rows=[])
-    for n in degree_range(r):
-        d = _degree_result(n, r)
-        report.degree_verdicts.append(d.verdict)
-        if d.verdict.eliminated:
-            continue
-        report.candidate_sources[n] = d.source
-        if d.gap is not None:
-            report.gaps[n] = d.gap
-        else:
-            report.route_counts[n] = dict(d.routes)
-            report.rows += d.rows
-    return report
+    return RunReport(r, tuple(_degree_result(n, r) for n in degree_range(r)))
 
 
 # ---------------------------------------------------------------------------

@@ -96,11 +96,14 @@ def test_unknown_tag_rejected(tag):
         parse_catalog(f"a|2|X|2|{tag}|(1,2)|3\n")
 
 
-@pytest.mark.parametrize("text,field", [
-    ("a|0|X|1|||2\n", "degree"),
-    ("a|2|X|0|transitive|(1,2)|3\n", "order")])
-def test_degree_or_order_below_one_rejected(text, field):
-    with pytest.raises(CatalogError, match=f"line 1: {field} 0 is below 1"):
+@pytest.mark.parametrize("text,field,value", [
+    ("a|0|X|1|||2\n", "degree", 0),
+    ("a|2|X|0|transitive|(1,2)|3\n", "order", 0),
+    ("a|2|X|2|transitive|(1,2)|0\n", "set-orbit count", 0),
+    ("a|2|X|2|transitive|(1,2)|-5\n", "set-orbit count", -5)])
+def test_degree_order_or_s_below_one_rejected(text, field, value):
+    with pytest.raises(CatalogError,
+                       match=f"line 1: {field} {value} is below 1"):
         parse_catalog(text)
 
 

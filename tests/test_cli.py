@@ -131,6 +131,85 @@ def test_prune_table_is_frozen(r, capout):
     assert hashlib.sha256(out.encode()).hexdigest() == PRUNE_TABLE_SHA256[r]
 
 
+#: exit code, and sha256 of stdout and of stderr, of
+#: ``setorbits classify --r R --format F --golden rR.tsv`` on the shipped
+#: golden table, R = 2..11
+CLASSIFY_SHA256 = {
+    (2, "tsv"): (0,
+        "55d4c666b50e1d07e6dac35aa110f2c0fd774556085460afcb315a782c235afd",
+        "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
+    (2, "pretty"): (0,
+        "147737a6a4d4a4aa0daf3785260e10b9976a7cc66b2fa7f7046598e9037541f7",
+        "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
+    (3, "tsv"): (0,
+        "bd0f396cd0f22d0046a413bf7235b4ef8446cf49190bd11204e961abd86c94ee",
+        "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
+    (3, "pretty"): (0,
+        "27c159ed8a85cced98045cc5a8c794b44b44aeb5807d2c69d1d1fc9d7b117ab8",
+        "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
+    (4, "tsv"): (0,
+        "4e3fce42d033bb98e7fe3f15650f2bf0752dee64a2f8486c9819b0724a774c62",
+        "f07eb8717aa7e3844599feb940099b026f6555d8d8b03a013846a2bb4302944f"),
+    (4, "pretty"): (0,
+        "0432e47add2c0318b40a49c0520c5e491769268d087ddfa91bf8a9dcf9c5b90e",
+        "f07eb8717aa7e3844599feb940099b026f6555d8d8b03a013846a2bb4302944f"),
+    (5, "tsv"): (0,
+        "7608065e9b3bd2f3936ddd367bc6f608c3a0c35c7646550d4c66f513cf4c3f28",
+        "f07eb8717aa7e3844599feb940099b026f6555d8d8b03a013846a2bb4302944f"),
+    (5, "pretty"): (0,
+        "4d12d54d695f36ad9dc208c534abaf4e75fcca565361186229ce47e103980029",
+        "f07eb8717aa7e3844599feb940099b026f6555d8d8b03a013846a2bb4302944f"),
+    (6, "tsv"): (0,
+        "4adc6ce7173f94a87d64099a82b917381288edb4a55add597b9c610fde28b699",
+        "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
+    (6, "pretty"): (0,
+        "b8adc4370dab787032f9efe7181bfc3deda764fdc64ac94e44400b85ea8ac3b9",
+        "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
+    (7, "tsv"): (0,
+        "7c0804432a70052dce77002790171a0b88533772341c9ac29b3148209f53ad4a",
+        "50e8975840dcff0473bcfbf91a4571c532d07e8889e4ae622b09211988989fdf"),
+    (7, "pretty"): (0,
+        "75609879f3231a20836f507c8df32ff1fb795ba1bc93ebc02a9764e9e57d7ee6",
+        "50e8975840dcff0473bcfbf91a4571c532d07e8889e4ae622b09211988989fdf"),
+    (8, "tsv"): (1,
+        "f6645210c96cdb797da3830176e5132dac6a2c8cbc68806312f69d3e90fe447d",
+        "3f14975c444eb0fc0d65ad32729a6cb221327b6c22ff707f96e282affba8ed4c"),
+    (8, "pretty"): (1,
+        "c6e27222e010aec40190c218fbd8a188fbbeab1d14a4bb684f25377e02bc7ef3",
+        "3f14975c444eb0fc0d65ad32729a6cb221327b6c22ff707f96e282affba8ed4c"),
+    (9, "tsv"): (1,
+        "4b9cc9cf4f800c7d7989c96efd129d79a7031a7d507dc6e6c4994c8b93b4fc56",
+        "37df88beb5a1f13d25bd1aae828aaeb0c657e95b6e8eb26d4977a14e53497ff2"),
+    (9, "pretty"): (1,
+        "49a17d8a2eb31d268a3a06dcfaf2d197fe8b573080c148a6d6858a73235a0f10",
+        "37df88beb5a1f13d25bd1aae828aaeb0c657e95b6e8eb26d4977a14e53497ff2"),
+    (10, "tsv"): (1,
+        "7b60d20d1f37709e3d2b495246193af29922e24866a9c16c6f54da659cc03306",
+        "86c870610c9a4b02da3f3dbba713ec3a8e3ccd8f95973c39aeb905343379c97d"),
+    (10, "pretty"): (1,
+        "5719e1b8f000aca85717de5005cd46e44a76bcb0cdef74eec094ee17f810cf23",
+        "86c870610c9a4b02da3f3dbba713ec3a8e3ccd8f95973c39aeb905343379c97d"),
+    (11, "tsv"): (1,
+        "f76f70b92069e7dfb3afc1b5a99525442a22da1404c4e9f6478083f77363493b",
+        "5f099ffe76575660a40c2556028d23d6fdbb2356842a19a8a4e3bd971125e8ad"),
+    (11, "pretty"): (1,
+        "fed75402de60ed651450bdd9b3394f9f401f6268fdf68baef82bb1f403378a99",
+        "5f099ffe76575660a40c2556028d23d6fdbb2356842a19a8a4e3bd971125e8ad"),
+}
+
+
+@pytest.mark.parametrize("r,fmt", sorted(CLASSIFY_SHA256))
+def test_classify_output_is_frozen(r, fmt, tmp_path, capout):
+    golden = resources.files("setorbits").joinpath(f"data/tables/r{r}.tsv")
+    path = tmp_path / f"r{r}.tsv"
+    path.write_bytes(golden.read_bytes())
+    code, out_sha, err_sha = CLASSIFY_SHA256[r, fmt]
+    cap = capout(["classify", "--r", str(r), "--format", fmt,
+                  "--golden", str(path)], expect=code)
+    assert hashlib.sha256(cap.out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(cap.err.encode()).hexdigest() == err_sha
+
+
 def test_prune_full_range_has_81_degrees(capout):
     out = capout(["prune", "--r", "2"]).out
     assert len(out.strip().splitlines()) == 80  # degrees 2..81

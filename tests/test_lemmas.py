@@ -303,8 +303,8 @@ def test_classify_builds_chains_only_for_burnside(chain_builds, clear_memos):
         clear_memos()
         chain_builds.clear()
         report = classify(r)
-        burnside = sum(routes.get("burnside", 0)
-                       for routes in report.route_counts.values())
+        burnside = sum(dict(d.routes).get("burnside", 0)
+                       for d in report.degrees)
         assert len(chain_builds) <= burnside, r
 
 
@@ -334,17 +334,20 @@ def test_warm_classify_counts_nothing_and_builds_nothing(
 
 
 def test_classify_reports_share_no_container():
-    """Changing every list and dict of one report, inner route dicts
-    included, changes no later report."""
+    """A report is frozen, and changing the rows list or the gaps dict one
+    report hands out changes no later report."""
     for r in range(2, MAX_R + 1):
         first = classify(r)
         kept = copy.deepcopy(first)
         first.rows.clear()
-        first.degree_verdicts.pop()
         first.gaps[0] = "changed"
-        first.candidate_sources[0] = "changed"
-        first.route_counts[0] = {}
-        next(iter(first.route_counts.values()))["changed"] = 1
+        for f in dataclasses.fields(RunReport):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(first, f.name, getattr(first, f.name))
+        for d in first.degrees:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                d.rows = ()
+        assert first == kept, r
         assert classify(r) == kept, r
 
 

@@ -150,7 +150,9 @@ def test_prime_degree11_gap_closed():
     assert [c.id for c in candidate_groups(11, 9)] == [
         "11X1", "11X2", "11X3", "11X4", "11X5", "11P6"]
     report = classify(9)
-    assert report.candidate_sources[11] == "primitive catalog (prime degree)"
+    [d11] = [d for d in report.degrees if d.verdict.n == 11]
+    assert d11.source == "primitive catalog (prime degree)"
+    assert d11.gap is None
     assert not any("degree 11" in g for g in report.gaps.values())
 
 
@@ -203,18 +205,26 @@ def test_emitted_rows_recomputed_by_enumeration():
 
 def test_report_records_sources_and_routes():
     report = classify(3)
-    assert report.candidate_sources == {
+    assert [d.verdict.n for d in report.degrees] == list(prune.degree_range(3))
+    survivors = {d.verdict.n: d for d in report.degrees
+                 if not d.verdict.eliminated}
+    assert {n: d.source for n, d in survivors.items()} == {
         3: "primitive catalog (prime degree) + one-point paddings",
         4: "transitive catalog",
         5: "primitive catalog (prime degree)", 6: "primitive catalog",
         7: "primitive catalog", 8: "primitive catalog", 9: "primitive catalog",
         11: "primitive catalog", 12: "primitive catalog"}
     assert not report.gaps
-    assert set(report.route_counts) == set(report.candidate_sources)
-    for n, routes in report.route_counts.items():
+    for d in report.degrees:
+        if d.verdict.eliminated:
+            assert (d.source, d.gap, d.rows, d.routes) == (None, None, (), ())
+    for n, d in survivors.items():
+        routes = dict(d.routes)
+        assert len(routes) == len(d.routes)
         assert sum(routes.values()) == len(candidate_groups(n, 3))
         assert set(routes) <= {"product", "shortcut", "burnside", "enumeration"}
-    assert report.route_counts[12] == {"enumeration": 2}  # M11 and M12
+        assert all(row.degree == n for row in d.rows)
+    assert survivors[12].routes == (("enumeration", 2),)  # M11 and M12
 
 
 def test_classification_deterministic():
