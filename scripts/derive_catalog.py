@@ -44,8 +44,8 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete.  The run
-takes about 20 s on one core of a 2-core host, of which the walks of the
-maxima take about 8 s; rerunning it reproduces the shipped file byte for
+takes 19-26 s on one core of a shared 2-core host, of which the walks of
+the maxima take 7-9 s; rerunning it reproduces the shipped file byte for
 byte.
 """
 
@@ -54,8 +54,9 @@ from __future__ import annotations
 import sys
 import time
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import combinations, count, product
+from math import factorial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -63,6 +64,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from setorbits.catalog import (
     PRIMITIVE_MAXIMA,
     TRANSITIVE_COUNTS,
+    TWO_ORBIT_MAX_EXCESS,
     CatalogEntry,
     builtin,
     check_manifest,
@@ -72,7 +74,6 @@ from setorbits.catalog import (
     verify_entry,
 )
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
-from setorbits.pipeline import MAX_R
 from setorbits.perm import PermGroup, Permutation, build_group
 from setorbits.subgroups import canonical_key, conjugate_in_sn, subgroup_classes
 
@@ -274,8 +275,8 @@ def wreath(k: int, m: int) -> list[Permutation]:
 #: label in the reference tables (data/tables/r*.tsv), which the record
 #: itself does not repeat.  The primitive kind names every class, one per
 #: signature.  The transitive kind ships every class of degrees 4, 6 and 8,
-#: an unnamed one as "T(n) order ... s=..." under the next free X-ID, and of
-#: degree 9 only the classes named here.  Where two classes share a
+#: an unnamed one as "T(n) order ... s=..." under the next of ``free_ids``,
+#: and of degree 9 only the classes named here.  Where two classes share a
 #: signature, a name with a third field goes to the class whose centre is
 #: nontrivial (True) or trivial (False), and the others go by position.
 CLOSURE_NAMES = {
@@ -345,6 +346,24 @@ CLOSURE_NAMES = {
 }
 
 
+#: the IDs of A_n and S_n at the degrees ``main`` derives in its loop
+ALT_SYM_IDS = {4: ("4P1", "4P2"), 5: ("5P4", "5P5"), 6: ("6X2", "6X3"),
+               7: ("7X1", "7X2"), 8: ("8X1", "8X2"), 9: ("9X5", "9X6"),
+               10: ("10X3", "10X4"), 11: ("11X6", "11X7")}
+
+#: every ID that CLOSURE_NAMES or ALT_SYM_IDS gives, in table order
+NAMED_IDS = tuple(
+    [c[0] for by_degree in CLOSURE_NAMES.values() for names in by_degree.values()
+     for cited in names.values() for c in cited]
+    + [ident for ids in ALT_SYM_IDS.values() for ident in ids])
+
+
+def free_ids(n: int) -> Iterator[str]:
+    """The X-IDs of degree n that NAMED_IDS does not hold, least first: the
+    IDs of the unnamed classes, whatever was built before."""
+    return (ident for k in count(1) if (ident := f"{n}X{k}") not in NAMED_IDS)
+
+
 def young(a: int, b: int) -> list[Permutation]:
     """S_a x S_b on the orbits {1..a} and {a+1..a+b}: a cycle and a
     transposition on each (a transposition is left out where it equals its
@@ -369,8 +388,8 @@ def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
     """The closures every group of the kind is S_n-conjugate into: for the
     primitive kind, the maxima PRIMITIVE_MAXIMA lists; for the transitive
     kind, S_k wr S_m for each block shape n = m*k; for the two-orbit kind,
-    S_a x S_b for each pair of orbits with (a + 1)(b + 1) <= n + MAX_R, the
-    orbit-shape floor of s."""
+    S_a x S_b for each pair of orbits with
+    (a + 1)(b + 1) <= n + TWO_ORBIT_MAX_EXCESS, the orbit-shape floor of s."""
     if kind == "primitive":
         return [(ident, build_group(MAXIMA[ident]))
                 for ident in PRIMITIVE_MAXIMA[n]]
@@ -378,15 +397,15 @@ def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
         return [(f"S{k} wr S{n // k}", build_group(wreath(k, n // k)))
                 for k in range(2, n) if n % k == 0]
     return [(f"S{a} x S{n - a}", build_group(young(a, n - a)))
-            for a in range(2, n // 2 + 1) if (a + 1) * (n - a + 1) <= n + MAX_R]
+            for a in range(2, n // 2 + 1)
+            if (a + 1) * (n - a + 1) <= n + TWO_ORBIT_MAX_EXCESS]
 
 
-def closure_entries(n: int, kind: str,
-                    entries: list[CatalogEntry]) -> list[CatalogEntry]:
+def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
     """The groups of degree n of one kind, one per S_n-class: "primitive"
     gives the primitive groups other than A_n and S_n, "transitive" the
     imprimitive transitive groups, "two-orbit" the groups with two orbits,
-    no fixed point and s <= n + MAX_R.
+    no fixed point and s <= n + TWO_ORBIT_MAX_EXCESS.
 
     A primitive group not containing A_n lies in a conjugate of one of the
     maxima, a block system of m blocks of size k puts a group inside a
@@ -402,8 +421,7 @@ def closure_entries(n: int, kind: str,
     under S_n), the order of ``subgroup_classes(S_n)``.  A transitive group
     is not primitive, since it keeps the blocks of its wreath.  Transitive
     degrees outside TRANSITIVE_COUNTS keep only the signatures
-    CLOSURE_NAMES lists.  ``entries`` (the ones built so far) fixes the next
-    free X-ID.
+    CLOSURE_NAMES lists; an unnamed class takes the next of ``free_ids(n)``.
     """
     names = CLOSURE_NAMES[kind][n]
     fused: dict[tuple[int, int], list[PermGroup]] = {}
@@ -419,7 +437,7 @@ def closure_entries(n: int, kind: str,
             sig = (c.order, count_set_orbits(G))
             if kind == "transitive" and n not in TRANSITIVE_COUNTS and sig not in names:
                 continue
-            if kind == "two-orbit" and sig[1] > n + MAX_R:
+            if kind == "two-orbit" and sig[1] > n + TWO_ORBIT_MAX_EXCESS:
                 continue
             reps = fused.setdefault(sig, [])
             if all(conjugate_in_sn(R, G) is None for R in reps):
@@ -442,7 +460,7 @@ def closure_entries(n: int, kind: str,
             assert len(by_centre) == len(at) == len(cited), sig
             at = [by_centre[central] for _, _, central in cited]
         named.update((i, c[:2]) for i, c in zip(at, cited))
-    free_x = count(1 + sum(e.id.startswith(f"{n}X") for e in entries))
+    free_x = free_ids(n)
     seen: Counter = Counter()
     out = []
     for i, (order, _, s, G) in enumerate(ordered):
@@ -452,7 +470,7 @@ def closure_entries(n: int, kind: str,
             ident, name = named[i]
         else:
             assert kind == "transitive", (order, s)
-            ident = f"{n}X{next(free_x)}"
+            ident = next(free_x)
             name = f"T({n}) order {order} s={s}" + (f" #{j}" if j > 1 else "")
         out.append(entry(ident, name, G.generators, order, s=s))
         assert ("primitive" in out[-1].tags) == (kind == "primitive")
@@ -491,15 +509,13 @@ def reduced(gens: Sequence[Permutation]) -> list[Permutation]:
     return gens
 
 
-def entry(ident, name, gens, order, s=None) -> CatalogEntry:
+def entry(ident, name, gens, order, s) -> CatalogEntry:
     """The entry of the group ``gens`` generate, shipped on the generators
-    ``reduced`` gives, with the tags it earns; its set-orbit count, when not
-    given, is counted.  ``verify_entry`` checks the order and s, and up to
-    degree 12 the bit-by-bit enumeration checks s."""
+    ``reduced`` gives, with the tags it earns.  ``verify_entry`` checks the
+    order and the set-orbit count s, and up to degree 12 the bit-by-bit
+    enumeration checks s."""
     gens = reduced(gens)
     G = build_group(gens)
-    if s is None:
-        s = count_set_orbits(G)
     e = CatalogEntry(ident, G.degree, name, order, structure_tags(G),
                      tuple(gens), s)
     failures = verify_entry(e)
@@ -510,86 +526,24 @@ def entry(ident, name, gens, order, s=None) -> CatalogEntry:
     return e
 
 
-def main():
-    t_start = time.time()
-    entries: list[CatalogEntry] = []
-    add = entries.append
-
-    def sym(n):
-        return builtin("symmetric", n).generators
-
-    def alt(n):
-        return builtin("alternating", n).generators
-
-    # ---- degrees 1..5: all primitive groups, the transitive degree 4 and
-    # the two-orbit degrees 4 and 5 -----------------------------------------
-    add(entry("1P1", "e", [cyc("()", 1)], 1, s=2))
-    add(entry("2P1", "S2", [cyc("(1,2)", 2)], 2, s=3))
-    add(entry("3P1", "C3", [cyc("(1,2,3)", 3)], 3, s=4))
-    add(entry("3P2", "S3", sym(3), 6, s=4))
-    add(entry("4P1", "A4", alt(4), 12, s=5))
-    add(entry("4P2", "S4", sym(4), 24, s=5))
-    entries += closure_entries(4, "transitive", entries)
-    entries += closure_entries(4, "two-orbit", entries)
-    entries += closure_entries(5, "primitive", entries)
-    add(entry("5P4", "A5", alt(5), 60, s=6))
-    add(entry("5P5", "S5", sym(5), 120, s=6))
-    entries += closure_entries(5, "two-orbit", entries)
-
-    # ---- degree 6 --------------------------------------------------------
-    entries += closure_entries(6, "primitive", entries)
-    add(entry("6X2", "A6", alt(6), 360, s=7))
-    add(entry("6X3", "S6", sym(6), 720, s=7))
-    entries += closure_entries(6, "transitive", entries)
-    entries += closure_entries(6, "two-orbit", entries)
-
-    # ---- degree 7 --------------------------------------------------------
-    entries += closure_entries(7, "primitive", entries)
-    add(entry("7X1", "A7", alt(7), 2520, s=8))
-    add(entry("7X2", "S7", sym(7), 5040, s=8))
-    entries += closure_entries(7, "two-orbit", entries)
-
-    # ---- degree 8: primitive ---------------------------------------------
-    entries += closure_entries(8, "primitive", entries)
-    add(entry("8X1", "A8", alt(8), 20160, s=9))
-    add(entry("8X2", "S8", sym(8), 40320, s=9))
-
-    # ---- degree 8: imprimitive transitive ---------------------------------
-    entries += closure_entries(8, "transitive", entries)
-
-    # ---- degree 9: primitive ----------------------------------------------
-    entries += closure_entries(9, "primitive", entries)
-    add(entry("9X5", "A9", alt(9), 181440, s=10))
-    add(entry("9X6", "S9", sym(9), 362880, s=10))
-
-    # ---- degree 9: S3 wr S3 and its cited subgroups -----------------------
-    add(entry("9S534", "S3wrS3", wreath(3, 3), 1296, s=20))
-    entries += closure_entries(9, "transitive", entries)
-
-    # ---- degree 10: primitive ---------------------------------------------
-    entries += closure_entries(10, "primitive", entries)
-    add(entry("10X3", "A10", alt(10), 1814400, s=11))
-    add(entry("10X4", "S10", sym(10), 3628800, s=11))
-
-    # ---- degree 10: wreath-type groups ------------------------------------
+def stated_entries(n: int) -> list[CatalogEntry]:
+    """The groups of degree n that no closure derives and that follow A_n
+    and S_n in the file: S3 wr S3 at degree 9, and at degree 10 the
+    wreath-type groups the reference tables cite."""
+    if n == 9:
+        return [entry("9S534", "S3wrS3", wreath(3, 3), 1296, s=20)]
+    if n != 10:
+        return []
     u = cyc("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
     f20a = [cyc("(1,2,3,4,5)", 10), cyc("(2,3,5,4)", 10)]
     f20b = [cyc("(6,7,8,9,10)", 10), cyc("(7,8,10,9)", 10)]
-    add(entry("10S1496", "AGL(1,5)wrC2", f20a + f20b + [u], 800, s=21))
     a5a = [cyc("(1,2,3)", 10), cyc("(1,2,3,4,5)", 10)]
     a5b = [cyc("(6,7,8)", 10), cyc("(6,7,8,9,10)", 10)]
-    add(entry("10S1569", "(A5xA5):C2", a5a + a5b + [u], 7200, s=21))
     # the Klein extension adjoins the block swap u and an (odd, odd) pair
     # separately; the cyclic one adjoins w with w^2 = (1,2)(6,7), an (odd,
     # odd) element, so its quotient over A5 x A5 is C4
     tpair = cyc("(1,2)(6,7)", 10)
     w4 = cyc("(1,6,2,7)(3,8)(4,9)(5,10)", 10)
-    add(entry("10S1576", "(A5xA5):(C2xC2)", a5a + a5b + [u, tpair], 14400,
-              s=21))
-    add(entry("10S1577", "(A5xA5):C4", a5a + a5b + [w4], 14400, s=21))
-    add(entry("10S1584", "S5wrC2",
-              [cyc("(1,2)", 10), cyc("(1,2,3,4,5)", 10),
-               cyc("(6,7)", 10), cyc("(6,7,8,9,10)", 10), u], 28800, s=21))
     # blocks of size 2: base flips b_i = (2i-1, 2i), top S5 on the blocks.
     # Of the three index-2 subgroups of S2 wr S5 the tables cite the twisted
     # one (base flip parity = block permutation parity) and 2^5:A5; the
@@ -599,29 +553,62 @@ def main():
     top_t = cyc("(1,3)(2,4)", 10)
     top_c = cyc("(1,3,5,7,9)(2,4,6,8,10)", 10)
     top_3 = cyc("(1,3,5)(2,4,6)", 10)
-    add(entry("10S1542", "2^4:S5 (twisted)", [b12, top_c, b1 * top_t], 1920,
-              s=21))
-    add(entry("10S1543", "C2x(2^4:A5)", [b1, top_3, top_c], 1920, s=21))
-    add(entry("10S1561", "C2x(2^4:S5)", [b1, top_t, top_c], 3840, s=21))
+    return [
+        entry("10S1496", "AGL(1,5)wrC2", f20a + f20b + [u], 800, s=21),
+        entry("10S1569", "(A5xA5):C2", a5a + a5b + [u], 7200, s=21),
+        entry("10S1576", "(A5xA5):(C2xC2)", a5a + a5b + [u, tpair], 14400,
+              s=21),
+        entry("10S1577", "(A5xA5):C4", a5a + a5b + [w4], 14400, s=21),
+        entry("10S1584", "S5wrC2",
+              [cyc("(1,2)", 10), cyc("(1,2,3,4,5)", 10),
+               cyc("(6,7)", 10), cyc("(6,7,8,9,10)", 10), u], 28800, s=21),
+        entry("10S1542", "2^4:S5 (twisted)", [b12, top_c, b1 * top_t], 1920,
+              s=21),
+        entry("10S1543", "C2x(2^4:A5)", [b1, top_3, top_c], 1920, s=21),
+        entry("10S1561", "C2x(2^4:S5)", [b1, top_t, top_c], 3840, s=21),
+    ]
 
-    # ---- degree 11 ---------------------------------------------------------
-    entries += closure_entries(11, "primitive", entries)
-    add(entry("11X6", "A11", alt(11), 19958400, s=12))
-    add(entry("11X7", "S11", sym(11), 39916800, s=12))
+
+def main():
+    t_start = time.time()
+
+    def sym(n):
+        return builtin("symmetric", n).generators
+
+    def alt(n):
+        return builtin("alternating", n).generators
+
+    # ---- degrees 1..3 ------------------------------------------------------
+    entries = [entry("1P1", "e", [cyc("()", 1)], 1, s=2),
+               entry("2P1", "S2", [cyc("(1,2)", 2)], 2, s=3),
+               entry("3P1", "C3", [cyc("(1,2,3)", 3)], 3, s=4),
+               entry("3P2", "S3", sym(3), 6, s=4)]
+
+    # ---- degrees 4..11: the primitive closure, A_n and S_n, the stated
+    # groups, then the transitive and two-orbit closures ---------------------
+    for n, (alt_id, sym_id) in ALT_SYM_IDS.items():
+        if n in PRIMITIVE_MAXIMA:
+            entries += closure_entries(n, "primitive")
+        entries += [entry(alt_id, f"A{n}", alt(n), factorial(n) // 2, s=n + 1),
+                    entry(sym_id, f"S{n}", sym(n), factorial(n), s=n + 1)]
+        entries += stated_entries(n)
+        for kind in ("transitive", "two-orbit"):
+            if n in CLOSURE_NAMES[kind]:
+                entries += closure_entries(n, kind)
 
     # ---- degree 12 ---------------------------------------------------------
     # M11 on the 12 cosets of a PSL(2,11): the one primitive group of order
     # 7920 and degree 12
     m11_12 = [cyc("(2,3,4,6,9,12,5,7,11,8,10)", 12),
               cyc("(1,2)(3,5,8,4)(6,10)(7,9,11,12)", 12)]
-    add(entry("12P1", "M11 deg 12", m11_12, 7920, s=19))
     m12 = [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12), cyc("(3,7,11,8)(4,10,5,6)", 12),
            cyc("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 12)]
-    add(entry("12P2", "M12", m12, 95040, s=14))
-    add(entry("12T179", "PSL(2,11)", psl2(F11), 660, s=22))
-    add(entry("12T218", "PGL(2,11)", pgl2(F11), 1320, s=20))
-    add(entry("12X1", "A12", alt(12), 239500800, s=13))
-    add(entry("12X2", "S12", sym(12), 479001600, s=13))
+    entries += [entry("12P1", "M11 deg 12", m11_12, 7920, s=19),
+                entry("12P2", "M12", m12, 95040, s=14),
+                entry("12T179", "PSL(2,11)", psl2(F11), 660, s=22),
+                entry("12T218", "PGL(2,11)", pgl2(F11), 1320, s=20),
+                entry("12X1", "A12", alt(12), 239500800, s=13),
+                entry("12X2", "S12", sym(12), 479001600, s=13)]
 
     # ---- structural cross-checks ------------------------------------------
     for e in entries:

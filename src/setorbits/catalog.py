@@ -65,12 +65,17 @@ PRIMITIVE_MAXIMA = {5: ("5P3",), 6: ("6X1",), 7: ("7P4", "7P5"),
 #: the wreath products S_k wr S_m with k*m = n, fused under S_n)
 TRANSITIVE_COUNTS = {4: 5, 6: 16, 8: 50}
 
+#: the two-orbit pools hold the groups with s <= n + TWO_ORBIT_MAX_EXCESS,
+#: so they serve every r up to this excess
+TWO_ORBIT_MAX_EXCESS = 11
+
 #: number of groups of degree n with no fixed point, exactly two orbits and
-#: s <= n + 11, up to S_n-conjugacy.  Their orbits are (2, 2) at degree 4,
-#: (2, 3) at 5, (2, 4) or (3, 3) at 6 and (2, 5) at 7, the only shapes with
-#: prod(|O_i| + 1) <= n + 11.  They are the subgroup classes of the Young
-#: subgroups S_a x S_b with these orbits, fused under S_n, and every one is a
-#: reference-table row.  The entries carry the tag "two-orbit".
+#: s <= n + TWO_ORBIT_MAX_EXCESS, up to S_n-conjugacy.  Their orbits are
+#: (2, 2) at degree 4, (2, 3) at 5, (2, 4) or (3, 3) at 6 and (2, 5) at 7,
+#: the only shapes with prod(|O_i| + 1) <= n + TWO_ORBIT_MAX_EXCESS.  They
+#: are the subgroup classes of the Young subgroups S_a x S_b with these
+#: orbits, fused under S_n, and every one is a reference-table row.  The
+#: entries carry the tag "two-orbit".
 TWO_ORBIT_COUNTS = {4: 2, 5: 3, 6: 7, 7: 4}
 
 #: the completeness counts per tag, in the order a record lists its tags;

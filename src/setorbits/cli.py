@@ -79,6 +79,11 @@ def cmd_orbits(args) -> int:
 def cmd_prune(args) -> int:
     degrees = degree_range(args.r)
     if args.max_degree is not None:
+        if args.max_degree < degrees.start:
+            print(f"error: argument --max-degree: must be at least "
+                  f"{degrees.start} for r = {args.r}, got {args.max_degree}",
+                  file=sys.stderr)
+            return USAGE_ERROR
         degrees = range(degrees.start, min(degrees.stop, args.max_degree + 1))
     for n in degrees:
         v = prune_degree(n, args.r)

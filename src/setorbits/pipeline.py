@@ -54,7 +54,8 @@ from .perm import contains_alternating, point_orbits
 from .prune import (PruneVerdict, binomial_divides, degree_range,
                     forced_transitive_size, prune_degree)
 
-MIN_R, MAX_R = 2, 11
+#: classify(r) needs the two-orbit pools up to s = n + r
+MIN_R, MAX_R = 2, cat.TWO_ORBIT_MAX_EXCESS
 
 
 @dataclass(frozen=True)

@@ -337,12 +337,25 @@ def test_derived_imprimitive_entries_are_the_shipped_lines(n):
     kinds = ({"transitive"}, {"two-orbit"})
     shipped = _shipped_lines(lambda e: e.degree == n and e.tags in kinds)
     script = _derive_catalog_script()
-    derived = script.closure_entries(n, "two-orbit", [])
+    derived = script.closure_entries(n, "two-orbit")
     if n in TRANSITIVE_COUNTS:
-        derived = script.closure_entries(n, "transitive", []) + derived
+        derived = script.closure_entries(n, "transitive") + derived
     assert [format_entry(e) for e in derived] == shipped
     assert len(shipped) == (TRANSITIVE_COUNTS.get(n, PRIMITIVE_COUNTS[n])
                             - PRIMITIVE_COUNTS[n] + TWO_ORBIT_COUNTS[n])
+
+
+def test_free_ids_skip_every_named_id():
+    """An unnamed class takes the least X-ID of its degree that no table of
+    the script names, whatever was built before it: 8X3 follows A8 and S8
+    (8X1, 8X2), and at degree 9 the cited 9X1-9X10 are all taken."""
+    script = _derive_catalog_script()
+    assert next(script.free_ids(8)) == "8X3"
+    assert next(script.free_ids(9)) == "9X11"
+    assert [i for i, k in Counter(script.NAMED_IDS).items() if k > 1] == []
+    cited = [c[0] for by_degree in script.CLOSURE_NAMES.values()
+             for names in by_degree.values() for c in sum(names.values(), [])]
+    assert len(script.NAMED_IDS) == len(cited) + 2 * len(script.ALT_SYM_IDS)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 9, 10])
@@ -354,7 +367,7 @@ def test_derived_primitive_entries_are_the_shipped_lines(n):
     shipped = _shipped_lines(
         lambda e: e.degree == n and "primitive" in e.tags
         and not contains_alternating(n, e.expected_order))
-    derived = _derive_catalog_script().closure_entries(n, "primitive", [])
+    derived = _derive_catalog_script().closure_entries(n, "primitive")
     assert [format_entry(e) for e in derived] == shipped
     assert len(shipped) == PRIMITIVE_COUNTS[n] - 2
 

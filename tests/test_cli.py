@@ -224,6 +224,12 @@ def test_r_out_of_range_is_usage_error(argv, capout):
     assert "invalid choice" in cap.err and not cap.out
 
 
+@pytest.mark.parametrize("r, max_degree", [("2", "-3"), ("3", "2")])
+def test_prune_max_degree_below_window_is_usage_error(r, max_degree, capout):
+    cap = capout(["prune", "--r", r, "--max-degree", max_degree], expect=2)
+    assert "argument --max-degree" in cap.err and not cap.out
+
+
 # ---------------------------------------------------------------------------
 # subgroups
 
