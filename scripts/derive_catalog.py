@@ -34,8 +34,9 @@ first; pairs are tried in ``itertools.combinations`` order.  Both words of
 a pair lie in G = <gens>, so they generate a subgroup of G, and one of
 order |G| is G: no group changes.  Every count of the group then walks
 each mask, and every chain build sifts each orbit point, with two
-generators instead of three to eight.  The 13 lists kept (the degree-8
-2-groups 8X*, 6S35 and 9X8) have no generating pair among their words.
+generators instead of three to eight.  The 15 lists kept (the degree-8
+2-groups 8X*, 6S35, and 9X14, 9X19 and 9X8) have no generating pair among
+their words.
 
 Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``catalog.structure_tags`` gives it, and is verified on the spot by
@@ -44,9 +45,10 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete.  The run
-takes 19-26 s on one core of a shared 2-core host, of which the walks of
-the maxima take 7-9 s; rerunning it reproduces the shipped file byte for
-byte.
+takes 24-28 s on one core of a shared 2-core host, of which the walks of
+the maxima take 7-9 s and the canonical-key sort of the 23 imprimitive
+classes of degree 9 most of the rest; rerunning it reproduces the shipped
+file byte for byte.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from setorbits.catalog import (
     PRIMITIVE_MAXIMA,
-    TRANSITIVE_COUNTS,
     TWO_ORBIT_MAX_EXCESS,
     CatalogEntry,
     builtin,
@@ -274,11 +275,11 @@ def wreath(k: int, m: int) -> list[Permutation]:
 #: in the order it writes them; an ID that is not an X-ID is the group's row
 #: label in the reference tables (data/tables/r*.tsv), which the record
 #: itself does not repeat.  The primitive kind names every class, one per
-#: signature.  The transitive kind ships every class of degrees 4, 6 and 8,
-#: an unnamed one as "T(n) order ... s=..." under the next of ``free_ids``,
-#: and of degree 9 only the classes named here.  Where two classes share a
-#: signature, a name with a third field goes to the class whose centre is
-#: nontrivial (True) or trivial (False), and the others go by position.
+#: signature.  The other kinds ship every class too; an unnamed one, of the
+#: transitive kind only, ships as "T(n) order ... s=..." under the next of
+#: ``free_ids``.  Where two classes share a signature, a name with a third
+#: field goes to the class whose centre is nontrivial (True) or trivial
+#: (False), and the others go by position.
 CLOSURE_NAMES = {
     "primitive": {
         5: {(5, 8): [("5P1", "C5")], (10, 8): [("5P2", "D10")],
@@ -329,7 +330,8 @@ CLOSURE_NAMES = {
                         ("9X8", "wreath block group order 162 #2")],
             (324, 20): [("9S497", "3^3:C3:(C2xC2)")],
             (648, 20): [("9X9", "wreath block group order 648 #1"),
-                        ("9X10", "wreath block group order 648 #2")]},
+                        ("9X10", "wreath block group order 648 #2")],
+            (1296, 20): [("9S534", "S3wrS3")]},
     },
     "two-orbit": {
         4: {(2, 10): [("4S2", "C2")], (4, 9): [("4S6", "C2xC2")]},
@@ -401,11 +403,11 @@ def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
             if (a + 1) * (n - a + 1) <= n + TWO_ORBIT_MAX_EXCESS]
 
 
-def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
-    """The groups of degree n of one kind, one per S_n-class: "primitive"
-    gives the primitive groups other than A_n and S_n, "transitive" the
-    imprimitive transitive groups, "two-orbit" the groups with two orbits,
-    no fixed point and s <= n + TWO_ORBIT_MAX_EXCESS.
+def fused_classes(n: int, kind: str) -> dict[tuple[int, int], list[PermGroup]]:
+    """The groups of degree n of one kind, one per S_n-class, by (order, s):
+    "primitive" gives the primitive groups other than A_n and S_n,
+    "transitive" the imprimitive transitive groups, "two-orbit" the groups
+    with two orbits, no fixed point and s <= n + TWO_ORBIT_MAX_EXCESS.
 
     A primitive group not containing A_n lies in a conjugate of one of the
     maxima, a block system of m blocks of size k puts a group inside a
@@ -413,17 +415,10 @@ def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
     conjugate of S_a x S_b, so every such group is S_n-conjugate to a
     subgroup class of one of ``_parents``: a primitive class of a maximum, a
     transitive class of a wreath product, or a class of a Young subgroup
-    whose orbits are its two parts.  The classes are fused under S_n by
-    (order, s) and ``conjugate_in_sn``, keeping the first one walked.  The
-    primitive classes, one per signature, are written in the order of
-    CLOSURE_NAMES: at degrees 10 and 11 the canonical key, which lists every
-    S_n-conjugate, is out of reach.  The other kinds are sorted by (order, canonical key
-    under S_n), the order of ``subgroup_classes(S_n)``.  A transitive group
-    is not primitive, since it keeps the blocks of its wreath.  Transitive
-    degrees outside TRANSITIVE_COUNTS keep only the signatures
-    CLOSURE_NAMES lists; an unnamed class takes the next of ``free_ids(n)``.
+    whose orbits are its two parts.  A transitive group is not primitive,
+    since it keeps the blocks of its wreath.  The classes are fused under
+    S_n by (order, s) and ``conjugate_in_sn``, keeping the first one walked.
     """
-    names = CLOSURE_NAMES[kind][n]
     fused: dict[tuple[int, int], list[PermGroup]] = {}
     for label, parent in _parents(n, kind):
         t0 = time.time()
@@ -435,13 +430,25 @@ def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
             if kind not in structure_tags(G):
                 continue
             sig = (c.order, count_set_orbits(G))
-            if kind == "transitive" and n not in TRANSITIVE_COUNTS and sig not in names:
-                continue
             if kind == "two-orbit" and sig[1] > n + TWO_ORBIT_MAX_EXCESS:
                 continue
             reps = fused.setdefault(sig, [])
             if all(conjugate_in_sn(R, G) is None for R in reps):
                 reps.append(G)
+    return fused
+
+
+def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
+    """One entry for each group ``fused_classes(n, kind)`` gives: every
+    class of every degree walked ships, with no rule per degree.  The
+    primitive classes, one per signature, are written in the order of
+    CLOSURE_NAMES: at degrees 10 and 11 the canonical key, which lists
+    every S_n-conjugate, is out of reach.  The other kinds are sorted by
+    (order, canonical key under S_n), the order of ``subgroup_classes(S_n)``.
+    An unnamed class takes the next of ``free_ids(n)``.
+    """
+    names = CLOSURE_NAMES[kind][n]
+    fused = fused_classes(n, kind)
     if kind == "primitive":
         counts = {sig: len(reps) for sig, reps in fused.items()}
         assert counts == dict.fromkeys(names, 1), counts
@@ -528,10 +535,8 @@ def entry(ident, name, gens, order, s) -> CatalogEntry:
 
 def stated_entries(n: int) -> list[CatalogEntry]:
     """The groups of degree n that no closure derives and that follow A_n
-    and S_n in the file: S3 wr S3 at degree 9, and at degree 10 the
-    wreath-type groups the reference tables cite."""
-    if n == 9:
-        return [entry("9S534", "S3wrS3", wreath(3, 3), 1296, s=20)]
+    and S_n in the file: at degree 10, the wreath-type groups the reference
+    tables cite; no other degree has any."""
     if n != 10:
         return []
     u = cyc("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)

@@ -2,7 +2,7 @@
 
 The database (``data/groups.cat``) holds generator words in cycle notation
 for the primitive groups of every degree up to 12 (and the trivial group of
-degree 1), the transitive groups of degrees 4, 6 and 8, the groups of
+degree 1), the transitive groups of degrees 4, 6, 8 and 9, the groups of
 degrees 4 to 7 with two orbits, no fixed point and s <= n + 11, and the
 auxiliary groups needed to reproduce the reference classification tables.
 ``scripts/derive_catalog.py`` derives the primitive groups of degrees 5 to
@@ -60,10 +60,12 @@ PRIMITIVE_MAXIMA = {5: ("5P3",), 6: ("6X1",), 7: ("7P4", "7P5"),
                     11: ("11X4", "11P6")}
 
 #: number of transitive groups of the degrees whose transitive groups the
-#: shipped file carries in full (primitive + imprimitive: 2 + 3, 4 + 12 and
-#: 7 + 43, the imprimitive ones taken from the transitive subgroup classes of
-#: the wreath products S_k wr S_m with k*m = n, fused under S_n)
-TRANSITIVE_COUNTS = {4: 5, 6: 16, 8: 50}
+#: shipped file carries in full (primitive + imprimitive: 2 + 3, 4 + 12,
+#: 7 + 43 and 11 + 23; Butler and McKay, The transitive groups of degree up
+#: to eleven, 1983), the imprimitive ones taken from the transitive
+#: subgroup classes of the wreath products S_k wr S_m with k*m = n, fused
+#: under S_n
+TRANSITIVE_COUNTS = {4: 5, 6: 16, 8: 50, 9: 34}
 
 #: the two-orbit pools hold the groups with s <= n + TWO_ORBIT_MAX_EXCESS,
 #: so they serve every r up to this excess
@@ -120,6 +122,11 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 # loading
 
+#: ``by_id("<id>" + PAD_SUFFIX)`` is entry ``<id>`` padded by one point, so
+#: no record's id may end in it
+PAD_SUFFIX = "+1"
+
+
 def parse_catalog(text: str) -> list[CatalogEntry]:
     entries: list[CatalogEntry] = []
     seen_ids: dict[str, int] = {}
@@ -132,6 +139,9 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
             raise CatalogError(f"line {lineno}: expected 7 fields, "
                                f"got {len(parts)}")
         ident, deg_s, name, order_s, tags_s, gens_s, s_text = parts
+        if ident.endswith(PAD_SUFFIX):
+            raise CatalogError(f"line {lineno}: id {ident!r} ends in "
+                               f"{PAD_SUFFIX!r}, which names a padding")
         if ident in seen_ids:
             raise CatalogError(f"line {lineno}: duplicate id {ident!r} "
                                f"(first seen on line {seen_ids[ident]})")
@@ -174,9 +184,6 @@ def load_default() -> tuple[CatalogEntry, ...]:
     text = resources.files("setorbits").joinpath("data/groups.cat").read_text(
         encoding="utf-8")
     return tuple(parse_catalog(text))
-
-
-PAD_SUFFIX = "+1"
 
 
 def by_id(ident: str) -> CatalogEntry:

@@ -13,7 +13,7 @@ by one recursion on (n, s), from the shipped catalog only:
   s(G) >= C(m + k, k) (block shape), so when every factorisation
   n = m * k gives more than s, and in particular at a prime degree, they
   are primitive too and come from the primitive catalog; otherwise from
-  the transitive catalog (degrees 4, 6 and 8), with the same C(n, t*)
+  the transitive catalog (degrees 4, 6, 8 and 9), with the same C(n, t*)
   filter;
 * the groups with orbits O_1..O_k, k >= 2, and no fixed point.  The tuple
   of restricted orbits of a subset is constant on its G-orbit and every

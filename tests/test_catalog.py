@@ -57,6 +57,14 @@ def test_duplicate_id_rejected():
         parse_catalog(text)
 
 
+def test_padding_suffix_id_rejected():
+    # by_id("a+1") pads entry "a", so it could never return a record "a+1"
+    text = ("a|2|X|2|transitive|(1,2)|3\n"
+            "a+1|3|Y|2||(1,2)|6\n")
+    with pytest.raises(CatalogError, match=r"line 2: id 'a\+1' ends in '\+1'"):
+        parse_catalog(text)
+
+
 def test_malformed_record_reports_line():
     with pytest.raises(CatalogError, match="line 2"):
         parse_catalog("# header\nbad|record\n")
@@ -120,7 +128,7 @@ def test_verifying_every_entry_builds_one_chain_each(chain_builds):
     """The order check reads the group's own chain, which the count then
     reuses: no second chain from the same generators."""
     assert all(verify_entry(e) == [] for e in load_default())
-    assert len(chain_builds) == len(load_default()) == 151
+    assert len(chain_builds) == len(load_default()) == 168
 
 
 def test_order_rule_disagreeing_with_the_chain_is_an_order_failure(
@@ -151,7 +159,7 @@ def test_pools_are_pairwise_non_conjugate():
              for a, b in combinations(pool(n, tag), 2)
              if (a.expected_order, a.expected_s)
              == (b.expected_order, b.expected_s)]
-    assert len(pairs) == 17
+    assert len(pairs) == 20
     for a, b in pairs:
         assert conjugate_in_sn(a.group(), b.group()) is None, (a.id, b.id)
 
@@ -345,6 +353,24 @@ def test_derived_imprimitive_entries_are_the_shipped_lines(n):
                             - PRIMITIVE_COUNTS[n] + TWO_ORBIT_COUNTS[n])
 
 
+def test_derived_degree9_transitive_pool_is_the_shipped_pool():
+    """The walk of S3 wr S3, fused under S_9, gives the shipped imprimitive
+    transitive groups of degree 9: as many classes per (order, s) as the
+    pool has entries, each entry S_9-conjugate to one class of its
+    signature.  The lines themselves are left to the script, as for degree
+    8: the canonical-key sort that orders them takes most of the 15-18 s of
+    ``closure_entries(9, "transitive")``, against about 4 s for this walk."""
+    fused = _derive_catalog_script().fused_classes(9, "transitive")
+    shipped = [e for e in pool(9, "transitive") if "primitive" not in e.tags]
+    assert len(shipped) == TRANSITIVE_COUNTS[9] - PRIMITIVE_COUNTS[9] == 23
+    assert Counter({sig: len(reps) for sig, reps in fused.items()}) == Counter(
+        (e.expected_order, e.expected_s) for e in shipped)
+    for e in shipped:
+        reps = fused[e.expected_order, e.expected_s]
+        assert sum(conjugate_in_sn(R, e.group()) is not None
+                   for R in reps) == 1, e.id
+
+
 def test_free_ids_skip_every_named_id():
     """An unnamed class takes the least X-ID of its degree that no table of
     the script names, whatever was built before it: 8X3 follows A8 and S8
@@ -402,9 +428,9 @@ def test_field_constructions_are_the_shipped_generators(ident):
 
 
 #: the entries shipped on three or more generators: the degree-8 2-groups
-#: 8X*, (C3xC3):C2 and 9X8
+#: 8X*, (C3xC3):C2, and 9X14, 9X19 and 9X8 of orders 18, 54 and 162
 LONG_LISTS = ("6S35", "8X3", "8X8", "8X10", "8X16", "8X18", "8X22", "8X25",
-              "8X27", "8X29", "8X32", "8X33", "9X8")
+              "8X27", "8X29", "8X32", "8X33", "9X14", "9X19", "9X8")
 
 
 def test_long_lists_are_the_pinned_entries():
@@ -442,11 +468,11 @@ def _entries_and_paddings():
 ORDER_FROM_GENERATORS = (
     "1P1", "2P1", "3P1", "3P2", "4P1", "4P2", "4T1", "4S2", "5P1", "5P4",
     "5P5", "6X2", "6X3", "7P1", "7X1", "7X2", "8X1", "8X2", "8X6", "9X5",
-    "9X6", "10X3", "10X4", "11X1", "11X6", "11X7", "12X1", "12X2")
+    "9X6", "9X12", "10X3", "10X4", "11X1", "11X6", "11X7", "12X1", "12X2")
 
 
 def test_order_read_off_the_generators_of_the_same_entries():
-    """The shipped generators keep every order rule: the 28 entries above,
+    """The shipped generators keep every order rule: the 29 entries above,
     and the paddings of those with at most one generator (a padding is not
     primitive, so only the trivial and cyclic rules reach it)."""
     answered = {}
@@ -456,7 +482,7 @@ def test_order_read_off_the_generators_of_the_same_entries():
             answered[e.id] = order
     padded_ids = {e.id + "+1" for e in load_default() if len(e.generators) <= 1}
     assert set(answered) == set(ORDER_FROM_GENERATORS) | padded_ids
-    assert len(padded_ids) == 9
+    assert len(padded_ids) == 10
     assert all(answered[i] == by_id(i).expected_order for i in answered)
 
 
@@ -477,7 +503,7 @@ def test_counting_routes_of_the_shipped_presentations():
     two points is no S_2, so it takes no shortcut."""
     routes = {e.id: counting_route(e.group()) for e in _entries_and_paddings()}
     assert Counter(routes[e.id] for e in load_default()) == {
-        "enumeration": 99, "burnside": 27, "shortcut": 22, "product": 3}
+        "enumeration": 107, "burnside": 36, "shortcut": 22, "product": 3}
     for route, ids in (("product", PRODUCT_ENTRIES),
                        ("shortcut", SHORTCUT_ENTRIES)):
         want = {i + pad for i in ids for pad in ("", "+1")} - {"1P1+1"}

@@ -190,11 +190,11 @@ CLASSIFY_SHA256 = {
         "5719e1b8f000aca85717de5005cd46e44a76bcb0cdef74eec094ee17f810cf23",
         "86c870610c9a4b02da3f3dbba713ec3a8e3ccd8f95973c39aeb905343379c97d"),
     (11, "tsv"): (1,
-        "f76f70b92069e7dfb3afc1b5a99525442a22da1404c4e9f6478083f77363493b",
-        "5f099ffe76575660a40c2556028d23d6fdbb2356842a19a8a4e3bd971125e8ad"),
+        "639d0a6b3d310e07e0dc77097defbba509656773807041d4b1660be386ec46aa",
+        "b7879039ef7e71fbbe8b269f7ad6e3b0b671cdfd31825597c5efdc276e0d1048"),
     (11, "pretty"): (1,
-        "fed75402de60ed651450bdd9b3394f9f401f6268fdf68baef82bb1f403378a99",
-        "5f099ffe76575660a40c2556028d23d6fdbb2356842a19a8a4e3bd971125e8ad"),
+        "28f6131ab273ffb1cce423bf22da32d518c6a34a878cc2a210a98a5c1f0124b7",
+        "b7879039ef7e71fbbe8b269f7ad6e3b0b671cdfd31825597c5efdc276e0d1048"),
 }
 
 

@@ -68,7 +68,7 @@ def _transitive_groups():
 
 
 def test_block_shape_bound_holds_for_every_block_system():
-    """119 block systems on 168 groups; the bound is met exactly by 37 of
+    """136 block systems on 185 groups; the bound is met exactly by 37 of
     them (4T1 and D8 with blocks of 2, 6T13 with blocks of 3, ...)."""
     groups = systems = tight = 0
     for label, G in _transitive_groups():
@@ -79,7 +79,7 @@ def test_block_shape_bound_holds_for_every_block_system():
             floor = math.comb(n // k + k, k)
             assert s >= floor >= block_shape_floor(n), (label, k, s)
             tight += s == floor
-    assert (groups, systems, tight) == (168, 119, 37)
+    assert (groups, systems, tight) == (185, 136, 37)
 
 
 @pytest.mark.parametrize("n,floor", [
@@ -266,7 +266,7 @@ def test_candidate_rules_hold_for_every_built_group():
               for n in range(1, 8) for c in all_subgroups(n)]
     groups += [(e.id, e.group())
                for e in load_default() + tuple(map(padded, load_default()))]
-    assert len(groups) == 491
+    assert len(groups) == 525
     for label, G in groups:
         n = G.degree
         prof = orbit_profile(G).by_size

@@ -362,8 +362,7 @@ def test_spot_checks_fully_reproduce(r, golden_check_failures):
     (10, {14: "degree 14: primitive catalog does not cover degree 14",
           16: "degree 16: primitive catalog does not cover degree 16",
           18: "degree 18: primitive catalog does not cover degree 18"}),
-    (11, {9: "degree 9: transitive catalog does not cover degree 9",
-          10: "degree 10: transitive catalog does not cover degree 10",
+    (11, {10: "degree 10: transitive catalog does not cover degree 10",
           13: "degree 13: primitive catalog does not cover degree 13",
           14: "degree 14: primitive catalog does not cover degree 14",
           15: "degree 15: primitive catalog does not cover degree 15",
@@ -377,12 +376,13 @@ def test_gap_degrees(r, gaps):
 
 
 def test_golden_check_negative_control(golden_check_failures):
-    # degree 9 is a gap at r = 11, and one catalog entry has 9S497's signature
+    # degree 10 is a gap at r = 11, and one catalog entry has 10S1569's
+    # signature
     golden = load_golden(11)
-    (row,) = [g for g in golden if g.group_label == "9S497"]
+    (row,) = [g for g in golden if g.group_label == "10S1569"]
     assert golden_check_failures(classify(11), golden) == []
     assert golden_check_failures(classify(11), golden + [row]) == [
-        "2 missing rows (9, 324, 20), 1 catalog entries"]
+        "2 missing rows (10, 7200, 21), 1 catalog entries"]
 
 
 @pytest.mark.parametrize("r,labels", [
