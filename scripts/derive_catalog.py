@@ -45,10 +45,9 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete.  The run
-takes 24-28 s on one core of a shared 2-core host, of which the walks of
-the maxima take 7-9 s and the canonical-key sort of the 23 imprimitive
-classes of degree 9 most of the rest; rerunning it reproduces the shipped
-file byte for byte.
+takes 14-15 s on one core of a shared 2-core host, of which the walks of
+the maxima take 6-7 s and those of S2 wr S4, S4 wr S2 and S3 wr S3 about
+6 s; rerunning it reproduces the shipped file byte for byte.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ from setorbits.catalog import (
 )
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.perm import PermGroup, Permutation, build_group
-from setorbits.subgroups import canonical_key, conjugate_in_sn, subgroup_classes
+from setorbits.subgroups import SubgroupClass, conjugate_in_sn, subgroup_classes
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "setorbits" / "data" / "groups.cat"
 
@@ -271,8 +270,8 @@ def wreath(k: int, m: int) -> list[Permutation]:
 
 
 #: the classes ``closure_entries`` derives, by kind, degree and (order,
-#: set-orbit count), in the order it sorts them, and for the primitive kind
-#: in the order it writes them; an ID that is not an X-ID is the group's row
+#: set-orbit count), by ascending order; it writes them in the order of its
+#: own sort, not of this table.  An ID that is not an X-ID is the group's row
 #: label in the reference tables (data/tables/r*.tsv), which the record
 #: itself does not repeat.  The primitive kind names every class, one per
 #: signature.  The other kinds ship every class too; an unnamed one, of the
@@ -290,9 +289,9 @@ CLOSURE_NAMES = {
             (168, 10): [("7P5", "PSL(3,2)")]},
         8: {(56, 10): [("8P1", "AGL(1,8)")],
             (168, 10): [("8P2", "AGammaL(1,8)")],
-            (1344, 10): [("8P3", "ASL(3,2)")],
             (168, 11): [("8P4", "PSL(2,7)")],
-            (336, 10): [("8P5", "PGL(2,7)")]},
+            (336, 10): [("8P5", "PGL(2,7)")],
+            (1344, 10): [("8P3", "ASL(3,2)")]},
         9: {(36, 28): [("9X1", "3^2:4")], (72, 26): [("9X2", "3^2:D8")],
             (72, 16): [("9T15", "AGL(1,9)")], (72, 18): [("9S370", "3^2:Q8")],
             (144, 16): [("9T19", "AGammaL(1,9)")],
@@ -302,8 +301,8 @@ CLOSURE_NAMES = {
         10: {(60, 40): [("10X1", "A5 (pairs)")],
              (120, 34): [("10X2", "S5 (pairs)")],
              (360, 20): [("10S1396", "A6=PSL(2,9)")],
-             (720, 14): [("10P4", "PGL(2,9)")],
              (720, 19): [("10T32", "PSigmaL(2,9)=S6")],
+             (720, 14): [("10P4", "PGL(2,9)")],
              (720, 15): [("10P6", "M10")],
              (1440, 14): [("10P7", "PGammaL(2,9)")]},
         11: {(11, 188): [("11X1", "C11")], (22, 126): [("11X2", "D22")],
@@ -403,11 +402,11 @@ def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
             if (a + 1) * (n - a + 1) <= n + TWO_ORBIT_MAX_EXCESS]
 
 
-def fused_classes(n: int, kind: str) -> dict[tuple[int, int], list[PermGroup]]:
-    """The groups of degree n of one kind, one per S_n-class, by (order, s):
-    "primitive" gives the primitive groups other than A_n and S_n,
-    "transitive" the imprimitive transitive groups, "two-orbit" the groups
-    with two orbits, no fixed point and s <= n + TWO_ORBIT_MAX_EXCESS.
+def fused_classes(n: int, kind: str) -> dict[tuple[int, int], list[SubgroupClass]]:
+    """The subgroup classes of degree n of one kind, one per S_n-class, by
+    (order, s): "primitive" gives the primitive groups other than A_n and
+    S_n, "transitive" the imprimitive transitive groups, "two-orbit" the
+    groups with two orbits, no fixed point and s <= n + TWO_ORBIT_MAX_EXCESS.
 
     A primitive group not containing A_n lies in a conjugate of one of the
     maxima, a block system of m blocks of size k puts a group inside a
@@ -417,9 +416,10 @@ def fused_classes(n: int, kind: str) -> dict[tuple[int, int], list[PermGroup]]:
     transitive class of a wreath product, or a class of a Young subgroup
     whose orbits are its two parts.  A transitive group is not primitive,
     since it keeps the blocks of its wreath.  The classes are fused under
-    S_n by (order, s) and ``conjugate_in_sn``, keeping the first one walked.
+    S_n by (order, s) and ``conjugate_in_sn``, keeping the first one walked
+    with the canonical key its own parent gave it.
     """
-    fused: dict[tuple[int, int], list[PermGroup]] = {}
+    fused: dict[tuple[int, int], list[SubgroupClass]] = {}
     for label, parent in _parents(n, kind):
         t0 = time.time()
         classes = subgroup_classes(parent)
@@ -432,32 +432,25 @@ def fused_classes(n: int, kind: str) -> dict[tuple[int, int], list[PermGroup]]:
             sig = (c.order, count_set_orbits(G))
             if kind == "two-orbit" and sig[1] > n + TWO_ORBIT_MAX_EXCESS:
                 continue
-            reps = fused.setdefault(sig, [])
-            if all(conjugate_in_sn(R, G) is None for R in reps):
-                reps.append(G)
+            kept = fused.setdefault(sig, [])
+            if all(conjugate_in_sn(k.representative, G) is None for k in kept):
+                kept.append(c)
     return fused
 
 
 def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
-    """One entry for each group ``fused_classes(n, kind)`` gives: every
-    class of every degree walked ships, with no rule per degree.  The
-    primitive classes, one per signature, are written in the order of
-    CLOSURE_NAMES: at degrees 10 and 11 the canonical key, which lists
-    every S_n-conjugate, is out of reach.  The other kinds are sorted by
-    (order, canonical key under S_n), the order of ``subgroup_classes(S_n)``.
-    An unnamed class takes the next of ``free_ids(n)``.
+    """One entry for each class ``fused_classes(n, kind)`` gives: every
+    class of every degree walked ships, with no rule per degree or kind.
+    The classes are sorted by (order, canonical key under the parent that
+    walked them).  Two fused classes never share a key, which is the element
+    list of one of their subgroups, so the order is total and rests on the
+    parents alone, not on their generators.  An unnamed class takes the next
+    of ``free_ids(n)``.
     """
     names = CLOSURE_NAMES[kind][n]
-    fused = fused_classes(n, kind)
-    if kind == "primitive":
-        counts = {sig: len(reps) for sig, reps in fused.items()}
-        assert counts == dict.fromkeys(names, 1), counts
-        ordered = [(order, None, s, fused[order, s][0]) for order, s in names]
-    else:
-        sn = builtin("symmetric", n)
-        ordered = sorted(((G.order, canonical_key(G, sn), s, G)
-                          for (_, s), reps in fused.items() for G in reps),
-                         key=lambda t: t[:2])
+    ordered = sorted(((c.order, c.canonical_key, s, c.representative)
+                      for (_, s), classes in fused_classes(n, kind).items()
+                      for c in classes), key=lambda t: t[:2])
     named = {}
     for sig, cited in names.items():
         at = [i for i, (order, _, s, _) in enumerate(ordered) if (order, s) == sig]

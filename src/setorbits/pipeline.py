@@ -258,7 +258,8 @@ def load_golden(r: int) -> list[ClassificationRow]:
 
 def parse_golden(text: str) -> list[ClassificationRow]:
     """The rows of a table in ``RunReport.to_tsv`` format.  Blank lines and
-    a header before the first row are skipped; errors name the line."""
+    a header before the first row are skipped; errors name the line.  A row
+    of table r has s = degree + r."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or (not rows and line.startswith("r\t")):
@@ -269,11 +270,15 @@ def parse_golden(text: str) -> list[ClassificationRow]:
                              f"got {len(parts)}")
         r, degree, label, name, order, s = parts
         try:
-            rows.append(ClassificationRow(int(r), int(degree), label, name,
-                                          int(order), int(s)))
+            row = ClassificationRow(int(r), int(degree), label, name,
+                                    int(order), int(s))
         except ValueError:
             raise ValueError(
                 f"golden line {lineno}: bad integer field") from None
+        if row.s_value != row.degree + row.r:
+            raise ValueError(f"golden line {lineno}: s = {row.s_value} is not "
+                             f"degree + r = {row.degree + row.r}")
+        rows.append(row)
     return rows
 
 
@@ -305,8 +310,13 @@ def compare_to_golden(report: RunReport,
     """Match rows by the (degree, order, s) multiset.
 
     Signatures shared by several rows are matched as multisets and flagged
-    as ambiguous rather than paired individually.
+    as ambiguous rather than paired individually.  A golden row of another
+    r raises ValueError: the table is not the report's.
     """
+    for g in golden:
+        if g.r != report.r:
+            raise ValueError(f"golden row {g.group_label} is for r = {g.r}, "
+                             f"not r = {report.r}: a table for another r")
     gold = Counter(map(_signature, golden))
     ambiguous = [(d, o, s, m) for (d, o, s), m in gold.items() if m > 1]
     return GoldenDiff(_unmatched(golden, report.rows),

@@ -13,11 +13,12 @@ The default case is the parent S_n: ``all_subgroups(n)`` caches it per
 degree for n <= SUBGROUP_MAX_DEGREE = 7 (S_7: 96 classes, 11300
 subgroups, about 4 s on one core of a 2-core host).  Nothing walks S_8,
 which takes minutes: the imprimitive transitive groups of degree 8 are
-walked inside S_2 wr S_4 and S_4 wr S_2 (scripts/derive_catalog.py) and put
-in S_8 order by ``canonical_key``.  Everything is deterministic: candidates
-are scanned in sorted order and the result is sorted by (order, canonical
-key), where the canonical key of a class is the lexicographically minimal
-sorted element list over all its conjugates.
+walked inside S_2 wr S_4 and S_4 wr S_2 (scripts/derive_catalog.py).
+Everything is deterministic: candidates are scanned in sorted order and the
+result is sorted by (order, canonical key), where the canonical key of a
+class is the lexicographically minimal sorted element list over all its
+conjugates under the parent.  So the classes, their representatives and
+their order depend on the parent group alone, not on its generators.
 """
 
 from __future__ import annotations
@@ -99,12 +100,6 @@ def _conjugacy_orbit(elements: frozenset, conj_gens) -> tuple[set, tuple]:
                 if key < canon:
                     canon = key
     return orbit, canon
-
-
-def canonical_key(G: PermGroup, parent: PermGroup) -> tuple:
-    """The key ``subgroup_classes(parent)`` sorts the class of G by."""
-    return _conjugacy_orbit(frozenset(G.iter_element_tuples()),
-                            parent.generator_tuples())[1]
 
 
 def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:

@@ -306,6 +306,16 @@ def test_classify_golden_mismatch_exit_code(tmp_path, capout):
     assert "missing" in cap.err
 
 
+def test_classify_golden_of_another_r_is_an_error(tmp_path, capout):
+    golden = resources.files("setorbits").joinpath("data/tables/r2.tsv")
+    path = tmp_path / "r2.tsv"
+    path.write_bytes(golden.read_bytes())
+    cap = capout(["classify", "--r", "3", "--golden", str(path)], expect=1)
+    assert cap.err.endswith("is for r = 2, not r = 3: a table for another r\n")
+    assert cap.err.startswith("error: golden row ")
+    assert "missing" not in cap.err and "extra" not in cap.err
+
+
 def test_classify_pretty(capout):
     out = capout(["classify", "--r", "3"]).out
     assert "M11" in out and "8 group(s)" in out

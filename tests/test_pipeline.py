@@ -97,13 +97,13 @@ def test_missing_transitive_degree8_entry_is_a_gap(r):
 
 def test_transitive_degree8_gap_spares_primitive_regime():
     cands = candidate_groups(8, 5, entries=_without_one_imprimitive_degree8())
-    assert [c.id for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
+    assert [c.id for c in cands] == ["8P1", "8P2", "8P4", "8P5", "8P3"]
 
 
 def test_transitive_degree8_gap_spares_block_shape_regime():
     # at r = 6, 2 blocks of 4 or 4 blocks of 2 would need s >= 15 > 14
     cands = candidate_groups(8, 6, entries=_without_one_imprimitive_degree8())
-    assert [c.id for c in cands] == ["8P1", "8P2", "8P3", "8P4", "8P5"]
+    assert [c.id for c in cands] == ["8P1", "8P2", "8P4", "8P5", "8P3"]
 
 
 def test_missing_primitive_entry_is_a_gap():
@@ -310,6 +310,13 @@ def test_parse_golden_counts_leading_blank_lines():
         parse_golden(text)
 
 
+def test_parse_golden_names_line_whose_s_is_not_degree_plus_r():
+    text = HEADER + ROW + "2\t4\t4S2\tV4\t4\t7\n"
+    with pytest.raises(ValueError,
+                       match=r"^golden line 3: s = 7 is not degree \+ r = 6$"):
+        parse_golden(text)
+
+
 def test_parse_golden_skips_blank_lines_and_header():
     row = parse_golden(ROW)[0]
     assert parse_golden("\n" + HEADER + "\n" + ROW + "\n") == [row]
@@ -326,7 +333,7 @@ def test_golden_negative_control():
 def test_golden_missing_detected():
     report = classify(2)
     golden = load_golden(2) + [parse_golden(
-        "9\t9\t9X99\tfake\t999\t11\n")[0]]
+        "2\t9\t9X99\tfake\t999\t11\n")[0]]
     diff = compare_to_golden(report, golden)
     assert len(diff.missing) == 1
 

@@ -9,7 +9,6 @@ from setorbits.perm import Permutation, build_group, parse_permutation
 from setorbits.subgroups import (
     SubgroupCapError,
     all_subgroups,
-    canonical_key,
     conjugate_in_sn,
     subgroup_classes,
 )
@@ -189,10 +188,19 @@ YOUNG_AND_WREATH = {
 }
 
 
+#: a second generating set of each parent of YOUNG_AND_WREATH: the
+#: constructions of scripts/derive_catalog.py (``wreath``, ``young``)
+OTHER_GENERATORS = {
+    "S2wrS2": ["(1,2)", "(3,4)", "(1,3)(2,4)"],
+    "S2xS3": ["(1,2)", "(3,4,5)", "(3,4)"],
+    "S2wrS3": ["(1,2)", "(3,4)", "(5,6)", "(1,3,5)(2,4,6)", "(1,3)(2,4)"],
+    "S3wrS2": ["(1,2,3)", "(1,2)", "(4,5,6)", "(4,5)", "(1,4)(2,5)(3,6)"],
+}
+
+
 @pytest.mark.parametrize("name", sorted(YOUNG_AND_WREATH))
 def test_young_and_wreath_classes_fuse_into_sn(name):
-    """Each class meets exactly one S_n-class, and ``canonical_key`` under
-    S_n gives that class's key, so S_n's order is known without its walk."""
+    """Each class meets exactly one S_n-class."""
     n, gens, order = YOUNG_AND_WREATH[name]
     parent = build_group([parse_permutation(g, n) for g in gens])
     assert parent.order == order
@@ -201,8 +209,21 @@ def test_young_and_wreath_classes_fuse_into_sn(name):
         hits = [d for d in sn if d.order == c.order and
                 conjugate_in_sn(c.representative, d.representative) is not None]
         assert len(hits) == 1, (name, c.index, [d.index for d in hits])
-        key = canonical_key(c.representative, builtin("symmetric", n))
-        assert key == hits[0].canonical_key
+
+
+@pytest.mark.parametrize("name", sorted(YOUNG_AND_WREATH))
+def test_class_order_rests_on_the_parent_not_its_generators(name):
+    """The same parent on a second generating set gives the same classes
+    field for field, so the script's sort by (order, canonical key) does not
+    depend on how a construction lists its generators."""
+    n, gens, _ = YOUNG_AND_WREATH[name]
+    parent = build_group([parse_permutation(g, n) for g in gens])
+    other = build_group([parse_permutation(g, n) for g in OTHER_GENERATORS[name]])
+    assert other.generator_tuples() != parent.generator_tuples()
+    assert other.order == parent.order
+    assert all(g in parent for g in other.generators)
+    assert list(map(_fields, subgroup_classes(other))) == list(
+        map(_fields, subgroup_classes(parent)))
 
 
 @pytest.mark.parametrize("name,subgroups,classes", [
