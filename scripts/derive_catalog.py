@@ -20,8 +20,12 @@ Every generator set is produced from a first-principles construction:
   degrees 5-11 other than A_n and S_n, over the wreath products
   S_k wr S_m with k*m = 4, 6, 8, 9 for the imprimitive transitive groups,
   and over the Young subgroups S_a x S_b with a + b = 4..7 for the groups
-  with two orbits and no fixed point; no S_n is walked.  Degree 12 stays
-  stated: the M_12 walk takes minutes and more than a gigabyte.
+  with two orbits and no fixed point; no S_n is walked.  The catalog's
+  tables decide the degrees walked: a primitive closure at each degree of
+  ``PRIMITIVE_MAXIMA``, a transitive or two-orbit closure at each degree
+  ``catalog.MANIFEST`` counts for that kind; ``CLOSURE_NAMES`` only names
+  the classes.  Degree 12 stays stated: the M_12 walk takes minutes and
+  more than a gigabyte.
 
 No group with a fixed point is written out: ``catalog.by_id("<id>+1")``
 builds entry ``<id>`` padded by one, so each group is shipped once.
@@ -63,6 +67,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from setorbits.catalog import (
+    MANIFEST,
     PRIMITIVE_MAXIMA,
     TWO_ORBIT_MAX_EXCESS,
     CatalogEntry,
@@ -269,16 +274,19 @@ def wreath(k: int, m: int) -> list[Permutation]:
     return gens + [word(columns), word(c[:2] for c in columns)][:1 if m == 2 else 2]
 
 
-#: the classes ``closure_entries`` derives, by kind, degree and (order,
-#: set-orbit count), by ascending order; it writes them in the order of its
-#: own sort, not of this table.  An ID that is not an X-ID is the group's row
-#: label in the reference tables (data/tables/r*.tsv), which the record
-#: itself does not repeat.  The primitive kind names every class, one per
-#: signature.  The other kinds ship every class too; an unnamed one, of the
-#: transitive kind only, ships as "T(n) order ... s=..." under the next of
-#: ``free_ids``.  Where two classes share a signature, a name with a third
-#: field goes to the class whose centre is nontrivial (True) or trivial
-#: (False), and the others go by position.
+#: the names of the classes ``closure_entries`` derives, by kind, degree and
+#: (order, set-orbit count), by ascending order; it writes them in the order
+#: of its own sort, not of this table.  The table only names classes: the
+#: degrees walked are those of ``catalog.PRIMITIVE_MAXIMA`` for the primitive
+#: kind and of ``catalog.MANIFEST`` for the others.  An ID that is not an
+#: X-ID is the group's row label in the reference tables
+#: (data/tables/r*.tsv), which the record itself does not repeat.  The
+#: primitive kind names every class, one per signature.  The other kinds ship
+#: every class too; an unnamed one, of the transitive kind only, ships as
+#: "T(n) order ... s=..." under the next of ``free_ids``.  Where two classes
+#: share a signature, a name with a third field goes to the class whose
+#: centre is nontrivial (True) or trivial (False), and the others go by
+#: position.
 CLOSURE_NAMES = {
     "primitive": {
         5: {(5, 8): [("5P1", "C5")], (10, 8): [("5P2", "D10")],
@@ -591,7 +599,7 @@ def main():
                     entry(sym_id, f"S{n}", sym(n), factorial(n), s=n + 1)]
         entries += stated_entries(n)
         for kind in ("transitive", "two-orbit"):
-            if n in CLOSURE_NAMES[kind]:
+            if n in MANIFEST[kind]:
                 entries += closure_entries(n, kind)
 
     # ---- degree 12 ---------------------------------------------------------

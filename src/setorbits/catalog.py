@@ -19,9 +19,11 @@ set-orbit count, and the test suite runs this over the whole file.
 Each group is shipped once: no entry of degree >= 2 has a fixed point, and
 ``by_id("<id>+1")`` is the entry ``<id>`` padded by one.  This module alone
 knows the manifest, the classical count of each tag per degree, and a
-record carries no tag the manifest does not count: ``pool`` gives every
-entry of one (degree, tag), or raises ``DataGapError`` when the manifest
-does not vouch for that pool.
+record carries no tag the manifest does not count.  ``MANIFEST`` is the one
+table of pools, with no index beside it: ``pool`` gives every entry of one
+(degree, tag) from one pass over the entries, or raises ``DataGapError``
+when the manifest does not vouch for that pool, and ``check_manifest``
+counts every pool in one pass.
 
 Record format, one per line, ``#`` starts a comment, tags in manifest
 order:
@@ -31,6 +33,7 @@ order:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -256,28 +259,8 @@ def structure_tags(G: PermGroup) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # completeness
 
-TagIndex = dict[tuple[int, str], list[CatalogEntry]]
-
-
-def _tag_index(entries: Iterable[CatalogEntry] | None) -> TagIndex:
-    """The entries (by default the shipped ones, indexed once) by (degree,
-    manifest tag), from one scan."""
-    if entries is None:
-        return _default_tag_index()
-    index: TagIndex = {}
-    for e in entries:
-        for tag in e.tags:
-            index.setdefault((e.degree, tag), []).append(e)
-    return index
-
-
-@lru_cache(maxsize=1)
-def _default_tag_index() -> TagIndex:
-    return _tag_index(load_default())
-
-
-def _count_problem(index: TagIndex, degree: int, tag: str) -> str | None:
-    got, want = len(index.get((degree, tag), ())), MANIFEST[tag][degree]
+def _count_problem(got: int, degree: int, tag: str) -> str | None:
+    want = MANIFEST[tag][degree]
     if got != want:
         return f"degree {degree}: {got} {tag} entries, expected {want}"
     return None
@@ -286,27 +269,32 @@ def _count_problem(index: TagIndex, degree: int, tag: str) -> str | None:
 def pool(degree: int, tag: str,
          entries: Iterable[CatalogEntry] | None = None) -> list[CatalogEntry]:
     """Every ``tag`` entry of ``degree`` among ``entries`` (by default the
-    shipped ones).  Raises DataGapError when the manifest does not count
-    that degree, or when the entries hold another number of them."""
+    shipped ones), from one pass over them.  Raises DataGapError when the
+    manifest does not count that degree, or when the entries hold another
+    number of them."""
     if degree not in MANIFEST[tag]:
         raise DataGapError(f"degree {degree}: {tag} catalog does not cover "
                            f"degree {degree}")
-    index = _tag_index(entries)
-    problem = _count_problem(index, degree, tag)
+    found = [e for e in (load_default() if entries is None else entries)
+             if e.degree == degree and tag in e.tags]
+    problem = _count_problem(len(found), degree, tag)
     if problem is not None:
         raise DataGapError(f"{tag} catalog incomplete: {problem}")
-    return index[degree, tag]
+    return found
 
 
 def check_manifest(entries: Iterable[CatalogEntry] | None = None) -> list[str]:
     """Completeness assertions: for every tag in MANIFEST, the entries of
-    every degree its counts list.
+    every degree its counts list, counted in one pass over ``entries`` (by
+    default the shipped ones).
 
     Returns a list of problems (empty = complete).
     """
-    index = _tag_index(entries)
+    got = Counter((e.degree, tag)
+                  for e in (load_default() if entries is None else entries)
+                  for tag in e.tags)
     return [problem for tag, counts in MANIFEST.items() for degree in counts
-            if (problem := _count_problem(index, degree, tag))]
+            if (problem := _count_problem(got[degree, tag], degree, tag))]
 
 
 # ---------------------------------------------------------------------------

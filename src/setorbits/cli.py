@@ -65,14 +65,15 @@ def cmd_orbits(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    # computed first, so a dump that fails prints nothing
+    dump = dump_orbits(G) if args.dump else []
     if args.per_size:
         prof = orbit_profile(G)
         print(" ".join(map(str, prof.by_size)) + f" | s={prof.total}")
     else:
         print(f"s={count_set_orbits(G)}")
-    if args.dump:
-        for line in dump_orbits(G):
-            print(line)
+    for line in dump:
+        print(line)
     return 0
 
 
@@ -120,6 +121,10 @@ def cmd_catalog_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    golden = None
+    if args.golden:  # read and checked before the run prints anything
+        with open(args.golden, encoding="utf-8") as fh:
+            golden = pipeline.parse_golden(fh.read(), args.r)
     report = pipeline.classify(args.r)
     if args.format == "tsv":
         sys.stdout.write(report.to_tsv())
@@ -142,9 +147,7 @@ def cmd_classify(args) -> int:
     for gap in report.gaps.values():
         print(f"error: data gap: {gap}", file=sys.stderr)
     failed = bool(report.gaps)
-    if args.golden:
-        with open(args.golden, encoding="utf-8") as fh:
-            golden = pipeline.parse_golden(fh.read())
+    if golden is not None:
         diff = pipeline.compare_to_golden(report, golden)
         print(f"golden diff: {diff.summary()}", file=sys.stderr)
         for g in diff.missing:

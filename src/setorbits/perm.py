@@ -401,6 +401,8 @@ class PermGroup:
             if not gens:
                 raise PermError("empty generator list needs an explicit degree")
             degree = gens[0].degree
+        elif degree < 1:
+            raise PermError("degree must be at least 1")
         for g in gens:
             if g.degree != degree:
                 raise PermError(

@@ -253,13 +253,14 @@ def load_golden(r: int) -> list[ClassificationRow]:
     """The shipped reference table for one r."""
     text = resources.files("setorbits").joinpath(
         f"data/tables/r{r}.tsv").read_text(encoding="utf-8")
-    return parse_golden(text)
+    return parse_golden(text, r)
 
 
-def parse_golden(text: str) -> list[ClassificationRow]:
-    """The rows of a table in ``RunReport.to_tsv`` format.  Blank lines and
-    a header before the first row are skipped; errors name the line.  A row
-    of table r has s = degree + r."""
+def parse_golden(text: str, r: int) -> list[ClassificationRow]:
+    """The rows of table r in ``RunReport.to_tsv`` format.  Blank lines and
+    a header before the first row are skipped; errors name the line.  Every
+    row has s = degree + r; a row of another r is an error, as the table is
+    not table r."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or (not rows and line.startswith("r\t")):
@@ -268,9 +269,9 @@ def parse_golden(text: str) -> list[ClassificationRow]:
         if len(parts) != 6:
             raise ValueError(f"golden line {lineno}: expected 6 columns, "
                              f"got {len(parts)}")
-        r, degree, label, name, order, s = parts
+        row_r, degree, label, name, order, s = parts
         try:
-            row = ClassificationRow(int(r), int(degree), label, name,
+            row = ClassificationRow(int(row_r), int(degree), label, name,
                                     int(order), int(s))
         except ValueError:
             raise ValueError(
@@ -278,6 +279,9 @@ def parse_golden(text: str) -> list[ClassificationRow]:
         if row.s_value != row.degree + row.r:
             raise ValueError(f"golden line {lineno}: s = {row.s_value} is not "
                              f"degree + r = {row.degree + row.r}")
+        if row.r != r:
+            raise ValueError(f"golden row {label} is for r = {row.r}, not "
+                             f"r = {r}: a table for another r")
         rows.append(row)
     return rows
 
@@ -310,13 +314,9 @@ def compare_to_golden(report: RunReport,
     """Match rows by the (degree, order, s) multiset.
 
     Signatures shared by several rows are matched as multisets and flagged
-    as ambiguous rather than paired individually.  A golden row of another
-    r raises ValueError: the table is not the report's.
+    as ambiguous rather than paired individually.  ``golden`` is table
+    ``report.r``, as ``parse_golden`` reads it.
     """
-    for g in golden:
-        if g.r != report.r:
-            raise ValueError(f"golden row {g.group_label} is for r = {g.r}, "
-                             f"not r = {report.r}: a table for another r")
     gold = Counter(map(_signature, golden))
     ambiguous = [(d, o, s, m) for (d, o, s), m in gold.items() if m > 1]
     return GoldenDiff(_unmatched(golden, report.rows),

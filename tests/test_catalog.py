@@ -152,6 +152,18 @@ def test_pool_is_every_entry_of_a_degree_and_tag():
     assert pipeline.DataGapError is DataGapError
 
 
+def test_pool_and_manifest_take_a_one_shot_iterator():
+    """Each reads its entries in one pass, so an iterator gives what the
+    list gives."""
+    entries = list(load_default())
+    for tag, counts in MANIFEST.items():
+        for n in counts:
+            assert pool(n, tag, iter(entries)) == pool(n, tag, entries)
+    del entries[-1]  # S12
+    assert check_manifest(iter(entries)) == check_manifest(entries) == [
+        "degree 12: 5 primitive entries, expected 6"]
+
+
 def test_pools_are_pairwise_non_conjugate():
     """A pool matching its manifest count is complete only if no two of its
     entries are S_n-conjugate; entries that differ in order or s are not."""
@@ -365,6 +377,18 @@ def test_free_ids_skip_every_named_id():
     cited = [c[0] for by_degree in script.CLOSURE_NAMES.values()
              for names in by_degree.values() for c in sum(names.values(), [])]
     assert len(script.NAMED_IDS) == len(cited) + 2 * len(script.ALT_SYM_IDS)
+
+
+def test_closure_names_cover_exactly_the_walked_degrees():
+    """The script walks the primitive closure at the degrees of
+    PRIMITIVE_MAXIMA and the others at the degrees MANIFEST counts; its
+    names table has exactly these degrees, so a count added without names
+    fails here, not partway through the script."""
+    names = _derive_catalog_script().CLOSURE_NAMES
+    assert names.keys() == {"primitive", "transitive", "two-orbit"}
+    assert names["primitive"].keys() == PRIMITIVE_MAXIMA.keys()
+    for kind in ("transitive", "two-orbit"):
+        assert names[kind].keys() == MANIFEST[kind].keys(), kind
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 9, 10])

@@ -41,6 +41,13 @@ def test_orbits_dump(capout):
     assert "{1,3} {2,4}" in lines
 
 
+def test_orbits_dump_beyond_enumeration_fails_before_output(capout):
+    cap = capout(["orbits", "--group", "gens:(1,23)", "--dump"], expect=1)
+    assert cap.out == ""
+    assert cap.err == ("error: degree 23 too large for subset enumeration "
+                       "(max 22)\n")
+
+
 def test_orbits_unknown_id_is_usage_error(capout):
     cap = capout(["orbits", "--group", "99ZZ"], expect=2)
     assert "unknown catalog id" in cap.err
@@ -307,13 +314,33 @@ def test_classify_golden_mismatch_exit_code(tmp_path, capout):
 
 
 def test_classify_golden_of_another_r_is_an_error(tmp_path, capout):
+    """The table is read and checked before the run prints anything."""
     golden = resources.files("setorbits").joinpath("data/tables/r2.tsv")
     path = tmp_path / "r2.tsv"
     path.write_bytes(golden.read_bytes())
-    cap = capout(["classify", "--r", "3", "--golden", str(path)], expect=1)
-    assert cap.err.endswith("is for r = 2, not r = 3: a table for another r\n")
-    assert cap.err.startswith("error: golden row ")
-    assert "missing" not in cap.err and "extra" not in cap.err
+    for fmt in ("pretty", "tsv"):
+        cap = capout(["classify", "--r", "3", "--format", fmt,
+                      "--golden", str(path)], expect=1)
+        assert cap.out == ""
+        assert cap.err.endswith(
+            "is for r = 2, not r = 3: a table for another r\n")
+        assert cap.err.startswith("error: golden row ")
+        assert "missing" not in cap.err and "extra" not in cap.err
+
+
+@pytest.mark.parametrize("text,error", [
+    (None, "error: [Errno 2] No such file or directory: "),
+    ("r\tdegree\n2\t4\n", "error: golden line 2: expected 6 columns, got 2\n"),
+], ids=["missing", "malformed"])
+def test_classify_unreadable_golden_fails_before_output(text, error, tmp_path,
+                                                        capout):
+    path = tmp_path / "r2.tsv"
+    if text is not None:
+        path.write_text(text)
+    cap = capout(["classify", "--r", "2", "--format", "tsv",
+                  "--golden", str(path)], expect=1)
+    assert cap.out == ""
+    assert cap.err.startswith(error)
 
 
 def test_classify_pretty(capout):

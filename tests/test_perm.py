@@ -137,6 +137,9 @@ def test_trivial_group_needs_degree():
     assert build_group([], degree=2).order == 1
     with pytest.raises(PermError):
         build_group([])
+    for degree in (0, -1):
+        with pytest.raises(PermError, match="^degree must be at least 1$"):
+            build_group([], degree=degree)
 
 
 def test_generator_degree_mismatch():

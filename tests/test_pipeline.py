@@ -291,7 +291,7 @@ def test_golden_rows_round_trip(r):
     """Reference tables and run reports share one row type: a report's TSV
     parses back to its own rows."""
     report = classify(r)
-    assert parse_golden(report.to_tsv()) == report.rows
+    assert parse_golden(report.to_tsv(), r) == report.rows
 
 
 HEADER = "r\tdegree\tlabel\tname\torder\ts\n"
@@ -301,25 +301,32 @@ ROW = "2\t4\t4S2\tV4\t4\t6\n"
 def test_parse_golden_names_file_line_of_bad_integer():
     text = "\n\n" + HEADER + ROW + "2\t4\t4S2\tV4\tfour\t6\n"
     with pytest.raises(ValueError, match=r"^golden line 5: bad integer"):
-        parse_golden(text)
+        parse_golden(text, 2)
 
 
 def test_parse_golden_counts_leading_blank_lines():
     text = "\n\n" + HEADER + "2\t4\t4S2\n"
     with pytest.raises(ValueError, match=r"^golden line 4: expected 6 columns"):
-        parse_golden(text)
+        parse_golden(text, 2)
 
 
 def test_parse_golden_names_line_whose_s_is_not_degree_plus_r():
     text = HEADER + ROW + "2\t4\t4S2\tV4\t4\t7\n"
     with pytest.raises(ValueError,
                        match=r"^golden line 3: s = 7 is not degree \+ r = 6$"):
-        parse_golden(text)
+        parse_golden(text, 2)
+
+
+def test_parse_golden_rejects_a_row_of_another_r():
+    text = HEADER + ROW + "3\t4\t4T1\tC4\t4\t7\n"
+    with pytest.raises(ValueError, match=r"^golden row 4T1 is for r = 3, not "
+                                         r"r = 2: a table for another r$"):
+        parse_golden(text, 2)
 
 
 def test_parse_golden_skips_blank_lines_and_header():
-    row = parse_golden(ROW)[0]
-    assert parse_golden("\n" + HEADER + "\n" + ROW + "\n") == [row]
+    row = parse_golden(ROW, 2)[0]
+    assert parse_golden("\n" + HEADER + "\n" + ROW + "\n", 2) == [row]
     assert row == ClassificationRow(2, 4, "4S2", "V4", 4, 6)
 
 
@@ -333,7 +340,7 @@ def test_golden_negative_control():
 def test_golden_missing_detected():
     report = classify(2)
     golden = load_golden(2) + [parse_golden(
-        "2\t9\t9X99\tfake\t999\t11\n")[0]]
+        "2\t9\t9X99\tfake\t999\t11\n", 2)[0]]
     diff = compare_to_golden(report, golden)
     assert len(diff.missing) == 1
 
