@@ -24,8 +24,9 @@ Every generator set is produced from a first-principles construction:
   tables decide the degrees walked: a primitive closure at each degree of
   ``PRIMITIVE_MAXIMA``, a transitive or two-orbit closure at each degree
   ``catalog.MANIFEST`` counts for that kind; ``CLOSURE_NAMES`` only names
-  the classes.  Degree 12 stays stated: the M_12 walk takes minutes and
-  more than a gigabyte.
+  the classes, each by its place among those of its (order, s) in
+  ``closure_entries``' sort.  Degree 12 stays stated: the M_12 walk takes
+  minutes and more than a gigabyte.
 
 No group with a fixed point is written out: ``catalog.by_id("<id>+1")``
 builds entry ``<id>`` padded by one, so each group is shipped once.
@@ -49,9 +50,10 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete.  The run
-takes 14-15 s on one core of a shared 2-core host, of which the walks of
-the maxima take 6-7 s and those of S2 wr S4, S4 wr S2 and S3 wr S3 about
-6 s; rerunning it reproduces the shipped file byte for byte.
+takes 14-15 s on one core of an idle 2-core host and 21-22 s when the host
+is shared and loaded, of which the walks of the maxima take 6-10 s and
+those of S2 wr S4, S4 wr S2 and S3 wr S3 6-10 s; rerunning it reproduces
+the shipped file byte for byte.
 """
 
 from __future__ import annotations
@@ -283,10 +285,8 @@ def wreath(k: int, m: int) -> list[Permutation]:
 #: (data/tables/r*.tsv), which the record itself does not repeat.  The
 #: primitive kind names every class, one per signature.  The other kinds ship
 #: every class too; an unnamed one, of the transitive kind only, ships as
-#: "T(n) order ... s=..." under the next of ``free_ids``.  Where two classes
-#: share a signature, a name with a third field goes to the class whose
-#: centre is nontrivial (True) or trivial (False), and the others go by
-#: position.
+#: "T(n) order ... s=..." under the next of ``free_ids``.  Where classes
+#: share a signature, the j-th of them in the sort takes the j-th name listed.
 CLOSURE_NAMES = {
     "primitive": {
         5: {(5, 8): [("5P1", "C5")], (10, 8): [("5P2", "D10")],
@@ -324,7 +324,7 @@ CLOSURE_NAMES = {
         6: {(6, 14): [("6S17", "C6")], (6, 16): [("6X4", "S3")],
             (12, 12): [("6S31", "A4")], (12, 13): [("6S33", "D12")],
             (18, 10): [("6T5", "C3xS3")],
-            (24, 11): [("6T6", "C2xA4", True), ("6T7", "S4", False)],
+            (24, 11): [("6T6", "C2xA4"), ("6T7", "S4")],
             (24, 10): [("6T8", "S4")],
             (36, 10): [("6T9", "S3xS3"), ("6T10", "C3^2:C4")],
             (48, 10): [("6T11", "C2xS4")], (72, 10): [("6T13", "C3^2:D8")]},
@@ -342,14 +342,14 @@ CLOSURE_NAMES = {
     },
     "two-orbit": {
         4: {(2, 10): [("4S2", "C2")], (4, 9): [("4S6", "C2xC2")]},
-        5: {(6, 12): [("5S10", "S3", False), ("5S11", "C6", True)],
+        5: {(6, 12): [("5S11", "C6"), ("5S10", "S3")],
             (12, 12): [("5S15", "D12")]},
         6: {(9, 16): [("6S28", "C3xC3")],
-            (18, 16): [("6S35", "(C3xC3):C2", False), ("6S37", "C3xS3", True)],
-            (24, 15): [("6S40", "C2xA4", True), ("6S41", "S4", False)],
+            (18, 16): [("6S37", "C3xS3"), ("6S35", "(C3xC3):C2")],
+            (24, 15): [("6S40", "C2xA4"), ("6S41", "S4")],
             (36, 16): [("6S45", "S3xS3")], (48, 15): [("6S49", "C2xS4")]},
         7: {(40, 18): [("7S75", "C2x(C5:C4)")],
-            (120, 18): [("7S87", "S5", False), ("7S88", "C2xA5", True)],
+            (120, 18): [("7S88", "C2xA5"), ("7S87", "S5")],
             (240, 18): [("7S92", "C2xS5")]},
     },
 }
@@ -382,15 +382,6 @@ def young(a: int, b: int) -> list[Permutation]:
         return [cyc(f"({pts})", a + b), cyc(f"({lo},{lo + 1})", a + b)][:1 if k == 2 else 2]
 
     return sym_on(1, a) + sym_on(a + 1, b)
-
-
-def has_centre(G: PermGroup) -> bool:
-    """Whether some element other than the identity commutes with every
-    generator."""
-    gens = [g.images for g in G.generators]
-    return any(any(x[i] != i for i in range(G.degree))
-               and all(x[g[i]] == g[x[i]] for g in gens for i in range(G.degree))
-               for x in G.iter_element_tuples())
 
 
 def _parents(n: int, kind: str) -> list[tuple[str, PermGroup]]:
@@ -452,36 +443,30 @@ def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
     The classes are sorted by (order, canonical key under the parent that
     walked them).  Two fused classes never share a key, which is the element
     list of one of their subgroups, so the order is total and rests on the
-    parents alone, not on their generators.  An unnamed class takes the next
-    of ``free_ids(n)``.
+    parents alone, not on their generators.  The j-th class of an (order, s)
+    in this order takes the j-th name ``CLOSURE_NAMES`` lists for it, and a
+    class beyond the names listed takes the next of ``free_ids(n)``.
     """
     names = CLOSURE_NAMES[kind][n]
     ordered = sorted(((c.order, c.canonical_key, s, c.representative)
                       for (_, s), classes in fused_classes(n, kind).items()
                       for c in classes), key=lambda t: t[:2])
-    named = {}
-    for sig, cited in names.items():
-        at = [i for i, (order, _, s, _) in enumerate(ordered) if (order, s) == sig]
-        assert len(at) >= len(cited), (sig, len(at))
-        if len(cited[0]) == 3:
-            by_centre = {has_centre(ordered[i][3]): i for i in at}
-            assert len(by_centre) == len(at) == len(cited), sig
-            at = [by_centre[central] for _, _, central in cited]
-        named.update((i, c[:2]) for i, c in zip(at, cited))
     free_x = free_ids(n)
     seen: Counter = Counter()
     out = []
-    for i, (order, _, s, G) in enumerate(ordered):
+    for order, _, s, G in ordered:
         seen[order, s] += 1
         j = seen[order, s]
-        if i in named:
-            ident, name = named[i]
+        cited = names.get((order, s), [])
+        if j <= len(cited):
+            ident, name = cited[j - 1]
         else:
             assert kind == "transitive", (order, s)
             ident = next(free_x)
             name = f"T({n}) order {order} s={s}" + (f" #{j}" if j > 1 else "")
         out.append(entry(ident, name, G.generators, order, s=s))
         assert ("primitive" in out[-1].tags) == (kind == "primitive")
+    assert all(seen[sig] >= len(cited) for sig, cited in names.items()), (n, kind)
     return out
 
 

@@ -162,6 +162,10 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
         for t in tags:
             if t not in MANIFEST:
                 raise CatalogError(f"line {lineno}: unknown tag {t!r}")
+        if tags_s != _tags_text(tags):
+            raise CatalogError(f"line {lineno}: tags {tags_s!r} are not "
+                               f"{_tags_text(tags)!r}, each once in manifest "
+                               f"order")
         generators = []
         for g in filter(None, gens_s.split(";")):
             try:
@@ -173,11 +177,16 @@ def parse_catalog(text: str) -> list[CatalogEntry]:
     return entries
 
 
+def _tags_text(tags: frozenset[str]) -> str:
+    """The tags field of a record: each tag once, in manifest order."""
+    return ",".join(t for t in MANIFEST if t in tags)
+
+
 def format_entry(e: CatalogEntry) -> str:
     """The record line of ``e``, which ``parse_catalog`` reads back as
     ``e``."""
     return "|".join((e.id, str(e.degree), e.name, str(e.expected_order),
-                     ",".join(t for t in MANIFEST if t in e.tags),
+                     _tags_text(e.tags),
                      ";".join(e.generator_texts), str(e.expected_s)))
 
 

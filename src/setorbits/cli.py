@@ -14,6 +14,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from . import catalog as cat
@@ -45,11 +46,8 @@ def _resolve_group(spec: str) -> PermGroup:
         text = spec[len("gens:"):].strip()
         if not text:
             raise ValueError("empty generator list after gens:")
-        degree = 0
-        for tok in text.replace("(", " ").replace(")", " ").replace(";", " ") \
-                        .replace(",", " ").split():
-            degree = max(degree, int(tok))
-        degree = max(degree, 1)
+        # the largest number written; parse_permutation judges each point
+        degree = max([1, *map(int, re.findall(r"\d+", text))])
         gens = [parse_permutation(g, degree) for g in text.split(";") if g]
         return build_group(gens, degree=degree)
     try:

@@ -104,6 +104,17 @@ def test_unknown_tag_rejected(tag):
         parse_catalog(f"a|2|X|2|{tag}|(1,2)|3\n")
 
 
+@pytest.mark.parametrize("tags", ["primitive,transitive",
+                                  "transitive,transitive,primitive",
+                                  "transitive,,primitive"])
+def test_tags_out_of_manifest_order_rejected(tags):
+    # format_entry writes each tag once in manifest order, so only that
+    # field reads back as the same record
+    with pytest.raises(CatalogError,
+                       match=r"line 2: tags .* are not 'transitive,primitive'"):
+        parse_catalog(f"# C5\n5X9|5|C5|5|{tags}|(1,2,3,4,5)|8\n")
+
+
 @pytest.mark.parametrize("text,field,value", [
     ("a|0|X|1|||2\n", "degree", 0),
     ("a|2|X|0|transitive|(1,2)|3\n", "order", 0),
@@ -517,27 +528,45 @@ def test_counting_routes_of_the_shipped_presentations():
         assert {i for i, r in routes.items() if r == route} == want, route
 
 
-@pytest.mark.parametrize("ident,central", [
-    ("5S10", False), ("5S11", True), ("6S35", False), ("6S37", True),
-    ("6S40", True), ("6S41", False), ("7S87", False), ("7S88", True),
-    ("6T6", True), ("6T7", False)])
-def test_shared_signatures_named_by_centre(ident, central):
-    """Of two classes with one (order, s), the direct product (C6, C3xS3,
-    C2xA4, C2xA5) has a nontrivial centre and the other (S3, (C3xC3):C2,
-    S4, S5) has none; the derivation names them by this check."""
-    assert _derive_catalog_script().has_centre(by_id(ident).group()) is central
+#: each entry that shares its (order, s) with one other class of its kind and
+#: degree: its name, generators of the group the name states, built apart
+#: from the catalog, and that sibling
+SHARED_SIGNATURE_GROUPS = {
+    "5S11": ("C6", "(1,2);(3,4,5)", "5S10"),
+    "5S10": ("S3", "(1,2)(4,5);(3,4,5)", "5S11"),
+    "6S37": ("C3xS3", "(1,2,3);(4,5,6);(5,6)", "6S35"),
+    "6S35": ("(C3xC3):C2", "(1,2,3);(4,5,6);(2,3)(5,6)", "6S37"),
+    "6S40": ("C2xA4", "(1,2);(3,4,5);(4,5,6)", "6S41"),
+    "6S41": ("S4", "(1,2)(3,4);(1,2)(3,4,5,6)", "6S40"),
+    "7S88": ("C2xA5", "(1,2);(3,4,5);(3,4,5,6,7)", "7S87"),
+    "7S87": ("S5", "(1,2)(3,4);(3,4,5,6,7)", "7S88"),
+    # C2xA4 on the octahedron's 6 vertices, S4 on the 2-subsets of {1..4}
+    "6T6": ("C2xA4", "(1,2)(3,4)(5,6);(1,3,5)(2,4,6);(3,4)(5,6)", "6T7"),
+    "6T7": ("S4", "(2,4)(3,5);(1,4,6,3)(2,5)", "6T6"),
+    "6T9": ("S3xS3", "(1,2,3);(4,5,6);(2,3)(5,6);(1,4)(2,5)(3,6)", "6T10"),
+    "6T10": ("C3^2:C4", "(1,2,3);(4,5,6);(1,4)(2,6,3,5)", "6T9"),
+}
 
 
-@pytest.mark.parametrize("gens,degree,central", [
-    ("(1,2,3,4,5,6)", 6, True),                 # C6
-    ("(1,2);(1,2,3)", 3, False),                # S3
-    ("(1,2);(1,2,3,4)", 4, False),              # S4
-    ("(1,2);(1,2,3,4,5)", 5, False),            # S5
-    ("(1,2);(3,4,5);(4,5,6)", 6, True),         # C2xA4
-    ("(1,2);(3,4,5);(3,4,5,6,7)", 7, True),     # C2xA5
-    ("(1,2,3);(4,5);(4,5,6)", 6, True),         # C3xS3
-    ("(1,2,3);(4,5,6);(2,3)(5,6)", 6, False)])  # (C3xC3):C2
-def test_centre_check(gens, degree, central):
-    """The centre check on the eight groups, built apart from the catalog."""
-    G = build_group([Permutation.parse(g, degree) for g in gens.split(";")])
-    assert _derive_catalog_script().has_centre(G) is central
+@lru_cache(maxsize=None)
+def _derived_closure(n, kind):
+    """The entries ``closure_entries(n, kind)`` derives, by ID."""
+    return {e.id: e for e in _derive_catalog_script().closure_entries(n, kind)}
+
+
+@pytest.mark.parametrize("ident", list(SHARED_SIGNATURE_GROUPS))
+def test_shared_signature_names_match_their_groups(ident):
+    """The script names the classes of one (order, s) by their place in its
+    sort; under this name, the shipped entry and the derived one are each
+    S_n-conjugate to the group the name states, and their sibling is not.
+    The 9X7-9X10 names state no group, so only their shipped lines pin
+    them."""
+    name, gens, sibling = SHARED_SIGNATURE_GROUPS[ident]
+    e = by_id(ident)
+    kind = "transitive" if "transitive" in e.tags else "two-orbit"
+    stated = build_group([Permutation.parse(g, e.degree) for g in gens.split(";")])
+    shipped = {i: by_id(i) for i in (ident, sibling)}
+    for entries in (shipped, _derived_closure(e.degree, kind)):
+        assert entries[ident].name == name
+        assert conjugate_in_sn(entries[ident].group(), stated) is not None
+        assert conjugate_in_sn(entries[sibling].group(), stated) is None

@@ -53,6 +53,25 @@ def test_orbits_unknown_id_is_usage_error(capout):
     assert "unknown catalog id" in cap.err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("gens:(1,2)(a)", "non-integer point in cycle 'a'"),
+    ("gens:(1, 2)(x,y)", "non-integer point in cycle 'x,y'"),
+    ("gens:(1,2.5)", "non-integer point in cycle '1,2.5'"),
+    ("gens:(1,2)x", "expected '(' at position 5 in '(1,2)x'"),
+    ("gens:(0)", "point 0 out of range 1..1")])
+def test_orbits_malformed_point_is_the_parse_error(capout, spec, message):
+    # the degree is the largest number written; parse_permutation reports
+    # what is wrong with each point
+    cap = capout(["orbits", "--group", spec], expect=2)
+    assert (cap.out, cap.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec,s", [
+    ("gens:;", 2), ("gens:(2,3)", 6)])
+def test_orbits_inline_degree_is_the_largest_point(capout, spec, s):
+    assert capout(["orbits", "--group", spec]).out == f"s={s}\n"
+
+
 def test_unknown_flag_is_usage_error(capout):
     cap = capout(["orbits", "--group", "12P2", "--frobnicate"], expect=2)
     assert "frobnicate" in cap.err
