@@ -7,7 +7,9 @@ Subcommands:
   catalog-verify  rebuild and check every shipped catalog entry
   classify        full classification run for one r, with optional golden diff
 
-Exit codes: 0 success, 1 verification or diff failure or data gap, 2 usage
+Exit codes: 0 success; 1 a verification or diff failure, a data gap, a
+request beyond a fixed limit (``GroupTooLargeError``, ``SubgroupCapError``),
+a malformed catalog, or a golden file that cannot be read or parsed; 2 usage
 error.
 """
 

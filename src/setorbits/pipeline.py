@@ -135,28 +135,27 @@ def pads_fit(n: int, s: int) -> bool:
     return n >= 2 and s % 2 == 0 and s >= 2 * n
 
 
-def _transitive_source(n: int, r: int) -> tuple[str, Optional[str]]:
-    """The manifest kind of the transitive candidates for s(G) = n + r at
-    degree n, and the lemma that makes them primitive when r >= n - 2."""
-    if r < n - 2:
-        return "primitive", None
-    floor = block_shape_floor(n)
-    if floor is None:
-        return "primitive", "prime degree"
-    if n + r < floor:
-        return "primitive", "block shape"
-    return "transitive", None
+def _parts(n: int, s: int) -> tuple[str, Optional[str], bool, bool]:
+    """The one decision on the pool of (n, s), which both the pool and its
+    source text read: the manifest kind of its transitive part, with the
+    lemma that makes it primitive at r = s - n >= n - 2, whether the
+    two-orbit catalog fits, and whether one-point paddings fit."""
+    kind, lemma = "primitive", None
+    if s - n >= n - 2:
+        floor = block_shape_floor(n)
+        if floor is not None and s >= floor:
+            kind = "transitive"
+        else:
+            lemma = "prime degree" if floor is None else "block shape"
+    return kind, lemma, two_orbit_shape_fits(n, s), pads_fit(n, s)
 
 
-def candidate_source(n: int, r: int) -> str:
-    """Where the candidates for s(G) = n + r at degree n come from."""
-    kind, lemma = _transitive_source(n, r)
-    source = f"{kind} catalog" + (f" ({lemma})" if lemma else "")
-    if two_orbit_shape_fits(n, n + r):
-        source += " + two-orbit catalog"
-    if pads_fit(n, n + r):
-        source += " + one-point paddings"
-    return source
+def _source(kind: str, lemma: Optional[str], two_orbit: bool,
+            pads: bool) -> str:
+    """The ``DegreeResult.source`` text of a pool's ``_parts``."""
+    return (f"{kind} catalog" + (f" ({lemma})" if lemma else "")
+            + (" + two-orbit catalog" if two_orbit else "")
+            + (" + one-point paddings" if pads else ""))
 
 
 def _pool(n: int, s: int, entries: Sequence[cat.CatalogEntry] | None,
@@ -164,16 +163,15 @@ def _pool(n: int, s: int, entries: Sequence[cat.CatalogEntry] | None,
     """Catalog entries, padded by fixed points as needed, among which every
     group of degree n with s(G) = s has an S_n-conjugate (the recursion in
     the module docstring); some have another s."""
-    r = s - n
-    kind, _ = _transitive_source(n, r)
-    t = forced_transitive_size(n, r)
+    kind, _, two_orbit, pads = _parts(n, s)
+    t = forced_transitive_size(n, s - n)
     out = [e for e in cat.pool(n, kind, entries)
            if t is None or binomial_divides(n, t, e.expected_order)]
-    if two_orbit_shape_fits(n, s):
+    if two_orbit:
         out += [e for e in cat.pool(n, "two-orbit", entries)
                 if math.prod(len(O) + 1
                              for O in point_orbits(e.generators, n)) <= s]
-    if pads_fit(n, s):
+    if pads:
         out += [cat.padded(e) for e in _pool(n - 1, s // 2, entries)
                 if e.expected_s == s // 2]
     return out
@@ -213,7 +211,7 @@ def _degree_result(n: int, r: int) -> DegreeResult:
     v = prune_degree(n, r)
     if v.eliminated:
         return DegreeResult(v)
-    source = candidate_source(n, r)
+    source = _source(*_parts(n, n + r))
     try:
         cands = candidate_groups(n, r)
     except DataGapError as exc:

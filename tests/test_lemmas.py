@@ -1,9 +1,13 @@
-"""The candidate lemmas of ``pipeline.candidate_source``, each checked
-against the S_n subgroup walk they replace."""
+"""The candidate lemmas behind ``pipeline._parts``, the one decision on
+each pool that the pool and its source text both read, each checked against
+the S_n subgroup walk it replaces; and the pool recursion against that walk
+up to degree 7 and against random subgroups of degrees 8 to 12."""
 
 import copy
 import dataclasses
+import functools
 import math
+import random
 import sys
 
 import pytest
@@ -11,8 +15,10 @@ import pytest
 from setorbits import catalog, pipeline, prune
 from setorbits.catalog import (
     MANIFEST,
+    PAD_SUFFIX,
     TRANSITIVE_COUNTS,
     TWO_ORBIT_COUNTS,
+    DataGapError,
     builtin,
     by_id,
     load_default,
@@ -20,13 +26,18 @@ from setorbits.catalog import (
     pool,
 )
 from setorbits.orbitcount import count_set_orbits, orbit_profile
-from setorbits.perm import _minimal_block_size, contains_alternating, is_primitive
+from setorbits.perm import (
+    _minimal_block_size,
+    build_group,
+    contains_alternating,
+    is_primitive,
+)
 from setorbits.pipeline import (
     MAX_R,
+    MIN_R,
     RunReport,
     block_shape_floor,
     candidate_groups,
-    candidate_source,
     classify,
     pads_fit,
     two_orbit_shape_fits,
@@ -106,7 +117,7 @@ def test_block_shape_floor_values(n, floor):
     (4, 2, "transitive catalog"),
 ])
 def test_block_shape_sources(n, r, source):
-    assert candidate_source(n, r) == source
+    assert pipeline._source(*pipeline._parts(n, n + r)) == source
 
 
 def test_transitive_catalog_needed_only_at_degrees_4_6_8():
@@ -114,7 +125,7 @@ def test_transitive_catalog_needed_only_at_degrees_4_6_8():
     shape gives more, so no r <= n needs a transitive catalog elsewhere."""
     for n in range(2, 200):
         for r in range(2, n + 1):
-            if candidate_source(n, r).startswith("transitive catalog"):
+            if pipeline._parts(n, n + r)[0] == "transitive":
                 assert n in TRANSITIVE_COUNTS, (n, r)
 
 
@@ -136,8 +147,27 @@ def test_two_orbit_catalog_needed_only_at_degrees_4_to_7():
             if fits:
                 assert n in TWO_ORBIT_COUNTS, (n, s)
         for r in range(2, MAX_R + 1):
-            if "two-orbit" in candidate_source(n, r):
+            if pipeline._parts(n, n + r)[2]:
                 assert n in TWO_ORBIT_COUNTS, (n, r)
+
+
+@pytest.mark.parametrize("r", range(MIN_R, MAX_R + 1))
+def test_source_names_every_part_the_pool_uses(r):
+    """At every surviving degree without a gap, each candidate comes from a
+    part that the degree's source names: a padded one from the one-point
+    paddings, a two-orbit one from the two-orbit catalog, and every other
+    one from the catalog kind the source starts with."""
+    for d in classify(r).degrees:
+        if d.verdict.eliminated or d.gap is not None:
+            continue
+        n, kind = d.verdict.n, d.source.split(" catalog")[0]
+        for c in candidate_groups(n, r):
+            if c.id.endswith(PAD_SUFFIX):
+                assert "one-point paddings" in d.source, (n, c.id)
+            elif "two-orbit" in c.tags:
+                assert "two-orbit catalog" in d.source, (n, c.id)
+            else:
+                assert kind in c.tags, (n, c.id, d.source)
 
 
 def test_block_shape_closes_degree9_and_10_gaps():
@@ -229,6 +259,79 @@ def test_candidates_match_sn_walk(n):
         cands = [G for G in (c.group() for c in candidate_groups(n, r))
                  if count_set_orbits(G) == n + r]
         assert _one_to_one(cands, walked), r
+
+
+# ---------------------------------------------------------------------------
+# the pool recursion against random subgroups of degrees 8 to 12
+
+def _random_subgroups():
+    """200 subgroups of degrees 8 to 12, each generated by one or two
+    random words in the generators of a shipped entry without A_n."""
+    rng = random.Random(2)
+    parents = [e for e in load_default() if 8 <= e.degree <= 12
+               and not contains_alternating(e.degree, e.expected_order)]
+    for _ in range(200):
+        e = rng.choice(parents)
+        words = []
+        for _ in range(rng.randint(1, 2)):
+            word = rng.choice(e.generators)
+            for _ in range(rng.randint(0, 5)):
+                word = word * rng.choice(e.generators)
+            words.append(word)
+        yield build_group(words, e.degree)
+
+
+@functools.cache
+def _landed():
+    """The random subgroups with s = n + r, MIN_R <= r <= MAX_R, at a
+    surviving degree whose pool is complete, each with its (n, r)."""
+    out = []
+    for H in _random_subgroups():
+        n = H.degree
+        r = count_set_orbits(H) - n
+        if not MIN_R <= r <= MAX_R or prune.prune_degree(n, r).eliminated:
+            continue
+        try:
+            candidate_groups(n, r)
+        except DataGapError:
+            continue
+        out.append((H, n, r))
+    return tuple(out)
+
+
+def _referee(landed, entries=None):
+    """For each landed subgroup, the ids of the candidates of
+    ``candidate_groups(n, r, entries)`` that are S_n-conjugate to it."""
+    return [[c.id for c in candidate_groups(n, r, entries)
+             if conjugate_in_sn(H, c.group()) is not None]
+            for H, n, r in landed]
+
+
+def test_candidates_match_random_subgroups():
+    """Each random subgroup that lands on a complete pool is S_n-conjugate
+    to exactly one candidate."""
+    landed = _landed()
+    assert len(landed) >= 20
+    assert all(len(ids) == 1 for ids in _referee(landed))
+
+
+def test_random_referee_names_a_dropped_entry(monkeypatch):
+    """Drop the entry one landed subgroup matches and lower its manifest
+    counts by one, so every pool check passes: the referee then finds no
+    candidate for exactly the subgroups that matched it or its padding."""
+    landed = _landed()
+    clean = _referee(landed)
+    dropped = by_id(next(ids[0] for ids in clean
+                         if not ids[0].endswith(PAD_SUFFIX)))
+    for tag in dropped.tags:
+        if dropped.degree in MANIFEST[tag]:
+            monkeypatch.setitem(MANIFEST[tag], dropped.degree,
+                                MANIFEST[tag][dropped.degree] - 1)
+    entries = [e for e in load_default() if e != dropped]
+    missed = [i for i, ids in enumerate(_referee(landed, entries)) if not ids]
+    assert missed == [i for i, ids in enumerate(clean)
+                      if ids[0] in (dropped.id, dropped.id + PAD_SUFFIX)]
+    assert missed
 
 
 # ---------------------------------------------------------------------------
