@@ -3,21 +3,20 @@
 
 Every generator set is produced from a first-principles construction:
 
-* one construction of each maximal primitive group of degrees 5-11 that
+* one construction of each maximal primitive group of degrees 5-12 that
   ``catalog.PRIMITIVE_MAXIMA`` lists (``MAXIMA``): PGL/PGammaL(2, q) on
   the projective line over GF(q), each generator one ``mobius`` map, with
   field arithmetic done here; AGL(1, p) over a prime field, the Moebius
   maps that fix infinity; the linear actions of GL(3,2) on the nonzero
   vectors of GF(2)^3 and of AGL(3,2), AGL(2,3) on GF(2)^3, GF(3)^2; and
-  stated generators for M_11;
-* PSL/PGL(2, 11) on the projective line, and stated generators for M_12
-  and the 12-point action of M_11 (the one primitive group of its order
-  and degree, so ``verify_entry`` certifies it);
+  stated generators for M_11 and M_12 (each the one primitive group of its
+  order and degree, so ``verify_entry`` certifies it);
 * wreath-type embeddings for the imprimitive groups the reference tables
   need;
 * the subgroup-closure walk ``setorbits.subgroups.subgroup_classes``, run
   by ``closure_entries`` over the maxima for the primitive groups of
-  degrees 5-11 other than A_n and S_n, over the wreath products
+  degrees 5-12 other than A_n and S_n (at degree 12 above an element of
+  order 11, ``SEEDS``), over the wreath products
   S_k wr S_m with k*m = 4, 6, 8, 9 for the imprimitive transitive groups,
   and over the Young subgroups S_a x S_b with a + b = 4..7 for the groups
   with two orbits and no fixed point; no S_n is walked.  The catalog's
@@ -25,8 +24,7 @@ Every generator set is produced from a first-principles construction:
   ``PRIMITIVE_MAXIMA``, a transitive or two-orbit closure at each degree
   ``catalog.MANIFEST`` counts for that kind; ``CLOSURE_NAMES`` only names
   the classes, each by its place among those of its (order, s) in
-  ``closure_entries``' sort.  Degree 12 stays stated: the M_12 walk takes
-  minutes and more than a gigabyte.
+  ``closure_entries``' sort.
 
 No group with a fixed point is written out: ``catalog.by_id("<id>+1")``
 builds entry ``<id>`` padded by one, so each group is shipped once.
@@ -49,11 +47,12 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 12, against the independent subset-orbit enumeration
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
-the same entries and ``check_manifest`` must find it complete.  The run
-takes 14-15 s on one core of an idle 2-core host and 21-22 s when the host
-is shared and loaded, of which the walks of the maxima take 6-10 s and
-those of S2 wr S4, S4 wr S2 and S3 wr S3 6-10 s; rerunning it reproduces
-the shipped file byte for byte.
+the same entries and ``check_manifest`` must find it complete; each check
+raises, so ``python -O`` keeps it.  The run takes 20-21 s at a 159 MB peak
+on a shared 2-core host, of which the walks of the maxima take about 14 s
+(M_12 above its 11-cycle 6.6-6.7 s) and those of S2 wr S4, S4 wr S2 and
+S3 wr S3 about 6 s; rerunning it reproduces the shipped file byte for
+byte.
 """
 
 from __future__ import annotations
@@ -242,7 +241,7 @@ def cyc(text: str, n: int) -> Permutation:
 
 
 #: a construction of each group of ``catalog.PRIMITIVE_MAXIMA``, by its id;
-#: ``closure_entries`` walks them for the primitive groups of degrees 5-11
+#: ``closure_entries`` walks them for the primitive groups of degrees 5-12
 MAXIMA = {
     "5P3": affine_line(F5),
     "6X1": pgl2(F5),
@@ -257,7 +256,21 @@ MAXIMA = {
     # M_11 on 11 points: the one primitive group of order 7920 and degree 11
     "11P6": [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 11),
              cyc("(3,7,11,8)(4,10,5,6)", 11)],
+    # M_12 on 12 points: the one primitive group of order 95040 and degree 12
+    "12P2": [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12),
+             cyc("(3,7,11,8)(4,10,5,6)", 12),
+             cyc("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 12)],
+    "12T218": pgl2(F11),
 }
+
+#: the element a closure walks above, by (degree, kind), where its parents
+#: force one.  Every primitive group of degree 12 other than A12 and S12 has
+#: order divisible by 11 (Dixon and Mortimer, Permutation Groups, 1996,
+#: App. B), and 11^2 does not divide 12!, so by Sylow each one that lies in
+#: a maximum contains a conjugate, under that maximum, of the group one
+#: element of order 11 generates; both maxima hold this 11-cycle.  The full
+#: walk of M_12 takes minutes and more than a gigabyte.
+SEEDS = {(12, "primitive"): cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12)}
 
 
 def wreath(k: int, m: int) -> list[Permutation]:
@@ -317,6 +330,10 @@ CLOSURE_NAMES = {
              (55, 44): [("11X3", "11:5")], (110, 30): [("11X4", "AGL(1,11)")],
              (660, 24): [("11X5", "PSL(2,11) deg 11")],
              (7920, 14): [("11P6", "M11")]},
+        12: {(660, 22): [("12T179", "PSL(2,11)")],
+             (1320, 20): [("12T218", "PGL(2,11)")],
+             (7920, 19): [("12P1", "M11 deg 12")],
+             (95040, 14): [("12P2", "M12")]},
     },
     "transitive": {
         4: {(4, 6): [("4T1", "C4")], (4, 7): [("4T2", "C2xC2")],
@@ -358,7 +375,7 @@ CLOSURE_NAMES = {
 #: the IDs of A_n and S_n at the degrees ``main`` derives in its loop
 ALT_SYM_IDS = {4: ("4P1", "4P2"), 5: ("5P4", "5P5"), 6: ("6X2", "6X3"),
                7: ("7X1", "7X2"), 8: ("8X1", "8X2"), 9: ("9X5", "9X6"),
-               10: ("10X3", "10X4"), 11: ("11X6", "11X7")}
+               10: ("10X3", "10X4"), 11: ("11X6", "11X7"), 12: ("12X1", "12X2")}
 
 #: every ID that CLOSURE_NAMES or ALT_SYM_IDS gives, in table order
 NAMED_IDS = tuple(
@@ -416,12 +433,13 @@ def fused_classes(n: int, kind: str) -> dict[tuple[int, int], list[SubgroupClass
     whose orbits are its two parts.  A transitive group is not primitive,
     since it keeps the blocks of its wreath.  The classes are fused under
     S_n by (order, s) and ``conjugate_in_sn``, keeping the first one walked
-    with the canonical key its own parent gave it.
+    with the canonical key its own parent gave it.  Where ``SEEDS`` forces
+    an element, each walk starts above it.
     """
     fused: dict[tuple[int, int], list[SubgroupClass]] = {}
     for label, parent in _parents(n, kind):
         t0 = time.time()
-        classes = subgroup_classes(parent)
+        classes = subgroup_classes(parent, above=SEEDS.get((n, kind)))
         print(f"{label}: {len(classes)} subgroup classes "
               f"({time.time() - t0:.1f}s)", flush=True)
         for c in classes:
@@ -460,13 +478,16 @@ def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
         cited = names.get((order, s), [])
         if j <= len(cited):
             ident, name = cited[j - 1]
-        else:
-            assert kind == "transitive", (order, s)
+        elif kind == "transitive":
             ident = next(free_x)
             name = f"T({n}) order {order} s={s}" + (f" #{j}" if j > 1 else "")
+        else:
+            raise ValueError(f"degree {n}: no {kind} name for {(order, s)}")
         out.append(entry(ident, name, G.generators, order, s=s))
-        assert ("primitive" in out[-1].tags) == (kind == "primitive")
-    assert all(seen[sig] >= len(cited) for sig, cited in names.items()), (n, kind)
+        if ("primitive" in out[-1].tags) != (kind == "primitive"):
+            raise ValueError(f"{ident}: primitive tag disagrees with {kind}")
+    if any(seen[sig] < len(cited) for sig, cited in names.items()):
+        raise ValueError(f"degree {n}: a {kind} name fits no class")
     return out
 
 
@@ -512,10 +533,10 @@ def entry(ident, name, gens, order, s) -> CatalogEntry:
     e = CatalogEntry(ident, G.degree, name, order, structure_tags(G),
                      tuple(gens), s)
     failures = verify_entry(e)
-    assert not failures, (ident, failures)
-    if e.degree <= 12:
-        check = profile_from_enumeration(G).total
-        assert check == s, f"{ident}: enumeration gives {check}"
+    if failures:
+        raise ValueError(f"{ident}: {failures}")
+    if e.degree <= 12 and (check := profile_from_enumeration(G).total) != s:
+        raise ValueError(f"{ident}: enumeration gives {check}, expected {s}")
     return e
 
 
@@ -575,7 +596,7 @@ def main():
                entry("3P1", "C3", [cyc("(1,2,3)", 3)], 3, s=4),
                entry("3P2", "S3", sym(3), 6, s=4)]
 
-    # ---- degrees 4..11: the primitive closure, A_n and S_n, the stated
+    # ---- degrees 4..12: the primitive closure, A_n and S_n, the stated
     # groups, then the transitive and two-orbit closures ---------------------
     for n, (alt_id, sym_id) in ALT_SYM_IDS.items():
         if n in PRIMITIVE_MAXIMA:
@@ -587,20 +608,6 @@ def main():
             if n in MANIFEST[kind]:
                 entries += closure_entries(n, kind)
 
-    # ---- degree 12 ---------------------------------------------------------
-    # M11 on the 12 cosets of a PSL(2,11): the one primitive group of order
-    # 7920 and degree 12
-    m11_12 = [cyc("(2,3,4,6,9,12,5,7,11,8,10)", 12),
-              cyc("(1,2)(3,5,8,4)(6,10)(7,9,11,12)", 12)]
-    m12 = [cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12), cyc("(3,7,11,8)(4,10,5,6)", 12),
-           cyc("(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)", 12)]
-    entries += [entry("12P1", "M11 deg 12", m11_12, 7920, s=19),
-                entry("12P2", "M12", m12, 95040, s=14),
-                entry("12T179", "PSL(2,11)", psl2(F11), 660, s=22),
-                entry("12T218", "PGL(2,11)", pgl2(F11), 1320, s=20),
-                entry("12X1", "A12", alt(12), 239500800, s=13),
-                entry("12X2", "S12", sym(12), 479001600, s=13)]
-
     # ---- structural cross-checks ------------------------------------------
     for e in entries:
         flags = ("P" if "primitive" in e.tags else "") + (
@@ -608,9 +615,10 @@ def main():
         print(f"  {e.id:10s} deg={e.degree:2d} order={e.expected_order:<9d} "
               f"s={e.expected_s:<3d} {flags:2s} {e.name}")
     text = "\n".join([HEADER] + [format_entry(e) for e in entries]) + "\n"
-    assert parse_catalog(text) == entries
-    problems = check_manifest(entries)
-    assert not problems, problems
+    if parse_catalog(text) != entries:
+        raise ValueError("the written text does not parse back as the entries")
+    if problems := check_manifest(entries):
+        raise ValueError(f"manifest: {problems}")
     OUT.write_text(text, encoding="utf-8")
     print(f"manifest OK; wrote {OUT} with {len(entries)} entries "
           f"({time.time() - t_start:.0f}s total)")
@@ -621,15 +629,14 @@ HEADER = """\
 # id|degree|name|order|tags|generators|set-orbit count
 #
 # Sources: the primitive subgroup classes of the maximal primitive groups
-# of degrees 5-11 (projective, affine and linear actions over small finite
-# fields, and M11), the transitive subgroup classes of the wreath products
-# S_k wr S_m (k*m = 4, 6, 8, 9) and the two-orbit subgroup classes of the
-# Young subgroups S_a x S_b (a + b = 4..7), each fused under S_n; projective
-# actions and stated generators for M11 and M12 at degree 12; wreath
-# embeddings.  No entry of degree >= 2 has a fixed point: "<id>+1" is entry
-# <id> padded by one.  A construction's list of three or more generators is
-# replaced by the first pair of products of its consecutive generators that
-# generates the same group, where one does.
+# of degrees 5-12 (projective, affine and linear actions over small finite
+# fields, M11 and M12), the transitive subgroup classes of the wreath
+# products S_k wr S_m (k*m = 4, 6, 8, 9) and the two-orbit subgroup classes
+# of the Young subgroups S_a x S_b (a + b = 4..7), each fused under S_n;
+# wreath embeddings.  No entry of degree >= 2 has a fixed point: "<id>+1"
+# is entry <id> padded by one.  A construction's list of three or more
+# generators is replaced by the first pair of products of its consecutive
+# generators that generates the same group, where one does.
 # Regenerate with scripts/derive_catalog.py; every entry is re-verified by
 # the test suite (order, transitivity, primitivity, two-orbit shape,
 # set-orbit count).\

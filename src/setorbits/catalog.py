@@ -6,7 +6,7 @@ degree 1), the transitive groups of degrees 4, 6, 8 and 9, the groups of
 degrees 4 to 7 with two orbits, no fixed point and s <= n + 11, and the
 auxiliary groups needed to reproduce the reference classification tables.
 ``scripts/derive_catalog.py`` derives the primitive groups of degrees 5 to
-11 other than A_n and S_n as the primitive subgroup classes of the maxima
+12 other than A_n and S_n as the primitive subgroup classes of the maxima
 ``PRIMITIVE_MAXIMA`` lists, and the transitive and two-orbit pools from
 walks of wreath products and Young subgroups.  Each word is parsed once,
 on load, into the entry's ``generators``; the entry is the unit the
@@ -47,20 +47,19 @@ from .perm import (PermError, PermGroup, Permutation, build_group,
 #: exactly this many primitive-tagged entries per degree.  Classical counts
 #: (Dixon and Mortimer, Permutation Groups, 1996, App. B).  Degrees 1-7 are
 #: rechecked against the walk of S_n (tests/test_lemmas.py); the entries of
-#: degrees 5-11 other than A_n and S_n are the primitive subgroup classes of
-#: PRIMITIVE_MAXIMA, fused under S_n (scripts/derive_catalog.py); degree 12
-#: is cited only.
+#: degrees 5-12 other than A_n and S_n are the primitive subgroup classes of
+#: PRIMITIVE_MAXIMA, fused under S_n (scripts/derive_catalog.py).
 PRIMITIVE_COUNTS = {1: 1, 2: 1, 3: 2, 4: 2, 5: 5, 6: 4, 7: 7, 8: 7, 9: 11,
                     10: 9, 11: 8, 12: 6}
 
-#: the maximal primitive groups of each degree other than A_n, by catalog
-#: id: the primitive groups not containing A_n that lie in no larger one,
-#: so every primitive group of degree n that does not contain A_n is
-#: S_n-conjugate to a subgroup of one of them (Dixon and Mortimer,
+#: the maximal primitive groups of each degree 5-12 other than A_n, by
+#: catalog id: the primitive groups not containing A_n that lie in no
+#: larger one, so every primitive group of degree n that does not contain
+#: A_n is S_n-conjugate to a subgroup of one of them (Dixon and Mortimer,
 #: Permutation Groups, 1996, App. B)
 PRIMITIVE_MAXIMA = {5: ("5P3",), 6: ("6X1",), 7: ("7P4", "7P5"),
                     8: ("8P3", "8P5"), 9: ("9P7", "9X4"), 10: ("10P7",),
-                    11: ("11X4", "11P6")}
+                    11: ("11X4", "11P6"), 12: ("12P2", "12T218")}
 
 #: number of transitive groups of the degrees whose transitive groups the
 #: shipped file carries in full (primitive + imprimitive: 2 + 3, 4 + 12,

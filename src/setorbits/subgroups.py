@@ -7,7 +7,10 @@ elements g of prime-power order in the parent (every subgroup arises as
 exhaustive), and the closures are deduplicated against the exact set of
 the element sets of every parent-conjugate of every discovered subgroup.
 Once g is tried, the rest of its double cosets HgH and Hg^-1H are skipped:
-each of their elements gives the same <H, g>.
+each of their elements gives the same <H, g>.  ``subgroup_classes(parent,
+above=x)`` starts the same walk at <x> instead: every H > <x> has a
+maximal subgroup M >= <x>, and H = <M, g> is that step again, so it lists
+exactly the classes of subgroups that contain a parent-conjugate of <x>.
 
 The default case is the parent S_n: ``all_subgroups(n)`` caches it per
 degree for n <= SUBGROUP_MAX_DEGREE = 7 (S_7: 96 classes, 11300
@@ -18,7 +21,8 @@ Everything is deterministic: candidates are scanned in sorted order and the
 result is sorted by (order, canonical key), where the canonical key of a
 class is the lexicographically minimal sorted element list over all its
 conjugates under the parent.  So the classes, their representatives and
-their order depend on the parent group alone, not on its generators.
+their order depend on the parent group (and x) alone, not on its
+generators.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .perm import (
     _compose_t,
     _conjugate_t,
     _cycle_lengths,
-    _identity_t,
     _inverse_t,
     is_transitive,
 )
@@ -102,7 +105,7 @@ def _conjugacy_orbit(elements: frozenset, conj_gens) -> tuple[set, tuple]:
     return orbit, canon
 
 
-def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
+def _enumerate_classes(parent: PermGroup, start: tuple) -> list[_ClassRec]:
     n = parent.degree
     conj_gens = parent.generator_tuples()
     classes: list[_ClassRec] = []
@@ -118,7 +121,7 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
         rec.class_size = len(orbit)
         seen.update(orbit)
 
-    register(frozenset([_identity_t(n)]), ())
+    register(frozenset(_Chain(start, n).iter_elements()), start)
     candidates = sorted(t for t in parent.iter_element_tuples()
                         if _prime_power_order(_cycle_lengths(t)))
     pos = 0
@@ -160,22 +163,28 @@ def _enumerate_classes(parent: PermGroup) -> list[_ClassRec]:
     return classes
 
 
-def subgroup_classes(parent: PermGroup) -> tuple[SubgroupClass, ...]:
+def subgroup_classes(parent: PermGroup, above: Optional[Permutation] = None
+                     ) -> tuple[SubgroupClass, ...]:
     """All conjugacy classes of subgroups of ``parent`` under conjugation by
-    ``parent``, sorted by (order, canonical key) and numbered from 1.
+    ``parent``, sorted by (order, canonical key) and numbered from 1; with
+    ``above``, only those that contain a parent-conjugate of <above>.
 
-    Includes the trivial group and ``parent`` itself.  Every element of the
-    parent is listed, so this is meant for parents of a few ten thousand
-    elements at most.
+    Includes the trivial group (or <above>) and ``parent`` itself.  Every
+    element of the parent is listed, so this is meant for parents of a few
+    ten thousand elements at most.  An ``above`` outside the parent raises
+    ValueError.
     """
     n = parent.degree
-    recs = _enumerate_classes(parent)
+    if above is not None and above not in parent:
+        raise ValueError(f"{above} is not an element of the parent group")
+    recs = _enumerate_classes(parent, () if above is None else (above.images,))
     recs.sort(key=lambda r: (r.order, r.canonical_key))
     out = []
     for i, rec in enumerate(recs, start=1):
         gens = [Permutation(t) for t in rec.gens]
         G = PermGroup(gens, degree=n)
-        assert G.order == rec.order
+        if G.order != rec.order:
+            raise RuntimeError(f"class {i}: generators give order {G.order}")
         out.append(SubgroupClass(
             representative=G, order=rec.order, class_size=rec.class_size,
             canonical_key=rec.canonical_key, transitive=is_transitive(G),

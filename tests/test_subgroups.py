@@ -3,7 +3,7 @@ from itertools import permutations
 
 import pytest
 
-from setorbits.catalog import builtin
+from setorbits.catalog import builtin, by_id
 from setorbits.orbitcount import count_set_orbits, profile_from_enumeration
 from setorbits.perm import Permutation, build_group, parse_permutation
 from setorbits.subgroups import (
@@ -236,6 +236,49 @@ def test_wreath_classes_match_join_closure_oracle(name, subgroups, classes):
     got = subgroup_classes(parent)
     census = _oracle_script().census(parent.iter_element_tuples())
     assert census == (sum(c.class_size for c in got), len(got)) == (subgroups, classes)
+
+
+# ---------------------------------------------------------------------------
+# the walk above a seed
+
+SEEDED_PARENTS = {
+    "S5": lambda: builtin("symmetric", 5),
+    "S6": lambda: builtin("symmetric", 6),
+    "AGL(1,11)": lambda: by_id("11X4").group(),
+    "PGL(2,11)": lambda: by_id("12T218").group(),
+}
+
+
+@pytest.mark.parametrize("name,seed", [
+    ("S5", "(1,2,3,4,5)"), ("S6", "(1,2,3,4,5)"), ("S6", "(1,2,3)"),
+    ("AGL(1,11)", "(1,2,3,4,5,6,7,8,9,10,11)"),
+    ("PGL(2,11)", "(1,2,3,4,5,6,7,8,9,10,11)")])
+def test_walk_above_a_seed_is_the_full_walk_above_it(name, seed):
+    """``above=x`` lists, field for field and in order, the classes of the
+    full walk whose subgroups contain a parent-conjugate of x, and so of
+    <x>; the conjugates are taken by brute conjugation."""
+    parent = SEEDED_PARENTS[name]()
+    n = parent.degree
+    above = parse_permutation(seed, n)
+    x = above.images
+    conjugates = set()
+    for t in parent.iter_element_tuples():
+        tinv = tuple(sorted(range(n), key=t.__getitem__))
+        conjugates.add(tuple(t[x[tinv[i]]] for i in range(n)))
+    want = [c for c in subgroup_classes(parent)
+            if not conjugates.isdisjoint(c.representative.iter_element_tuples())]
+    got = subgroup_classes(parent, above=above)
+
+    def fields(c):
+        return c.order, c.class_size, c.canonical_key
+
+    assert list(map(fields, got)) == list(map(fields, want))
+
+
+def test_walk_above_an_element_outside_the_parent_is_refused():
+    with pytest.raises(ValueError, match="not an element of the parent"):
+        subgroup_classes(builtin("alternating", 4),
+                         above=parse_permutation("(1,2)", 4))
 
 
 # ---------------------------------------------------------------------------
