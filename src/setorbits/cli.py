@@ -85,7 +85,8 @@ def cmd_prune(args) -> int:
                   f"{degrees.start} for r = {args.r}, got {args.max_degree}",
                   file=sys.stderr)
             return USAGE_ERROR
-        degrees = range(degrees.start, min(degrees.stop, args.max_degree + 1))
+        # past the window step 1 eliminates every degree, and it says so
+        degrees = range(degrees.start, args.max_degree + 1)
     for n in degrees:
         v = prune_degree(n, args.r)
         print(f"{n}\t{v.stage}\t{v.witness_text()}")
@@ -174,7 +175,8 @@ def build_parser() -> _Parser:
     pp = sub.add_parser("prune", help="degree elimination verdicts")
     pp.add_argument("--r", type=int, required=True, choices=R_RANGE,
                     metavar="R", help=f"{R_RANGE.start}..{R_RANGE.stop - 1}")
-    pp.add_argument("--max-degree", type=int, default=None)
+    pp.add_argument("--max-degree", type=int, default=None,
+                    help="last degree listed (default: the degree bound)")
     pp.set_defaults(func=cmd_prune)
 
     ps = sub.add_parser("subgroups", help="subgroup classes of S_n")

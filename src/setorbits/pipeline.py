@@ -1,7 +1,8 @@
 """End-to-end classification of permutation groups with s(G) = n + r.
 
-For a target excess r, the run bounds the degree (n <= 81 for r < 16),
-eliminates degrees by parity and the two prime-window arguments, selects
+For a target excess r, the run bounds the degree (``prune.degree_bound``:
+past it, step 1 eliminates every degree; n <= 55 for r <= 11), eliminates
+degrees by parity and the two prime-window arguments, selects
 candidate groups per surviving degree, computes s(G) exactly for each and
 keeps the hits.  The candidates for s(G) = s at degree n form a pool built
 by one recursion on (n, s), from the shipped catalog only:

@@ -1,19 +1,26 @@
 """Number-theoretic degree elimination for the s(G) = n + r classification.
 
-A group with s(G) = n + r has one orbit per subset size plus a budget of
-r - 1 more, so at most r - 1 sizes t have more than one t-orbit.  Orbit
-counts do not fall towards the middle size, so one split at t <= n/2 splits
-all n - 2t + 1 sizes in [t, n - t]; every size up to
+A group with s(G) = n + r, r >= 1, has one orbit per subset size plus a
+budget of r - 1 more, so at most r - 1 sizes t have more than one t-orbit.
+Orbit counts do not fall towards the middle size, so one split at t <= n/2
+splits all n - 2t + 1 sizes in [t, n - t]; every size up to
 t* = (n - r + 1) // 2 is forced to one orbit (``forced_transitive_size``).
 Both elimination steps use the one prime p, the least prime above
-(n + r) // 2 = n - t*:
+(n + r) // 2 = n - t*, so 2p >= n + r + 1:
 
-* step 1: when p < 2n/3, every size in (n - p, p) splits for a group not
-  containing A_n.  These are 2p - n - 1 >= r sizes, more than the budget.
-* step 2: when p <= n, the budget forces (n - p + 1)-transitivity, which
-  contradicts a transitivity bound from decompositions n = m*p0 + rem
-  (p0 prime, p0 > m, rem > m: no such group is more than rem-transitive,
-  save the 3-transitive families of ``known_transitivity_floor``).
+* step 1 (r >= 1): when p < 2n/3, every size in (n - p, p) splits for a
+  group not containing A_n.  These are 2p - n - 1 >= r sizes, more than the
+  budget of r - 1.
+* step 2 (r >= 1): when p <= n, the budget forces (n - p + 1)-transitivity,
+  which contradicts a transitivity bound from decompositions
+  n = m*p0 + rem (p0 prime, p0 > m, rem > m: no such group is more than
+  rem-transitive, save the 3-transitive families of
+  ``known_transitivity_floor``).
+
+Step 1 alone bounds the degree search (``degree_bound``).  By Nagura
+(Proc. Japan Acad. 28, 1952), for x >= 25 there is a prime in (x, 6x/5).
+With x = (n + r) // 2 >= 25 the split prime has 5p < 6x <= 3(n + r), so
+3p < 2n once n >= 9r: step 1 eliminates every n >= max(9r, 50 - r).
 
 All boundary comparisons are exact integer arithmetic; nothing goes through
 floats.
@@ -24,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import count
 from typing import Literal, Optional
 
 
@@ -203,10 +209,13 @@ def step2_eliminates(n: int, r: int) -> Optional[tuple[int, MillerDecomposition]
 
 
 def thm37_max_k0(n: int) -> Optional[int]:
-    """Largest k0 with 48 - (n+1)/2 <= k0 <= (5/54)n - 1/2, if one exists.
+    """Largest k0 with 48 - (n+1)/2 <= k0 <= (5/54)n - 1/2, if one exists:
+    the window of the paper's Theorem 3.7.
 
     Nonempty first at n = 81 (where it equals 7); relies on a prime in
-    (x, 9x/8) for x >= 48.  Comparisons are exact via cross-multiplication.
+    (x, 9x/8) for x >= 48.  Kept as the paper's statement, which the
+    acceptance tests check; the search reads ``degree_bound`` instead.
+    Comparisons are exact via cross-multiplication.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -219,19 +228,26 @@ def thm37_max_k0(n: int) -> Optional[int]:
     return hi
 
 
-#: the r for which the elimination stages and the degree bound are defined
+#: the r that ``setorbits prune --r`` accepts
 R_RANGE = range(2, 16)
 
-#: the least degree at which the window of ``thm37_max_k0`` is nonempty
-_THM37_DEGREE = next(n for n in count(2) if thm37_max_k0(n) is not None)
 
-
+@cache
 def degree_bound(r: int) -> int:
-    """Universal degree cap for the search, the same for every r < 16: the
-    least degree at which the window of Theorem 3.7 is nonempty (81)."""
-    if r not in R_RANGE:
-        raise ValueError(f"method cap exceeded: no degree bound for r = {r}")
-    return _THM37_DEGREE
+    """The largest degree that step 1 does not eliminate, for any r >= 1.
+
+    Step 1 eliminates every n >= max(9r, 50 - r) (Nagura; see the module
+    docstring), so the scan runs down from there and checks each degree
+    below it until step 1 leaves one.  It stops by degree 2 at the latest,
+    where 3p < 4 is impossible.  Cached, since ``degree_range``,
+    ``classify`` and ``prune`` ask for the same r again.
+    """
+    if r < 1:
+        raise ValueError(f"no degree bound for r = {r}: need r >= 1")
+    n = max(9 * r, 50 - r)
+    while step1_eliminates(n, r) is not None:
+        n -= 1
+    return n
 
 
 def binomial_divides(n: int, t: int, order: int) -> bool:
@@ -258,9 +274,10 @@ def prune_degree(n: int, r: int) -> PruneVerdict:
 
 
 def degree_range(r: int) -> range:
-    """Degrees the classification examines for a given r.
+    """Degrees the classification examines for a given r: up to
+    ``degree_bound(r)``, past which step 1 eliminates every degree.
 
     Degree 2 carries only {e} and S_2 (s = 4 and 3), so it is examined once
-    for r = 2 and set aside for every larger r.
+    for r = 2 and set aside for every other r.
     """
     return range(2 if r == 2 else 3, degree_bound(r) + 1)

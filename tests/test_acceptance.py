@@ -16,6 +16,7 @@ from setorbits.prune import (
     degree_range,
     miller_bound,
     prune_degree,
+    step1_eliminates,
     step2_eliminates,
     thm37_max_k0,
 )
@@ -111,9 +112,13 @@ def test_criterion_3_pruning():
 def test_criterion_4_degree_window():
     assert all(thm37_max_k0(n) is None for n in range(2, 81))
     assert thm37_max_k0(81) == 7
-    assert all(degree_bound(r) == 81 for r in range(2, 16))
-    report("criterion 4 PASS: window empty through n=80, k0(81)=7, "
-           "degree bound 81 for r=2..15")
+    for r in range(2, 16):
+        assert degree_bound(r) <= 81
+        assert all(step1_eliminates(n, r) is not None
+                   for n in range(degree_bound(r) + 1, 82))
+    report("criterion 4 PASS: window empty through n=80, k0(81)=7; for "
+           "r=2..15 the degree bound is at most 81 and step 1 eliminates "
+           "every degree between it and 81")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from setorbits import catalog
 from setorbits.cli import build_parser, run
+from setorbits.prune import degree_bound
 
 
 @pytest.fixture
@@ -132,7 +133,8 @@ def test_prune_output_format(capout):
     assert lines["7"] == "parity\t-"
 
 
-#: sha256 of the ``setorbits prune --r R`` output, R = 2..15
+#: sha256 of the ``setorbits prune --r R --max-degree 81`` output,
+#: R = 2..15: every verdict on degrees 2..81, Theorem 3.7's window
 PRUNE_TABLE_SHA256 = {
     2: "70bb1e2e2f8d37be5f66f826d760820a95890d7e4912a5db3c47f36e88229781",
     3: "8a8b190ad05ad425febe6e0cfd66630c6056de4fdb757a4b9f74da1f10c146b2",
@@ -153,8 +155,45 @@ PRUNE_TABLE_SHA256 = {
 
 @pytest.mark.parametrize("r", sorted(PRUNE_TABLE_SHA256))
 def test_prune_table_is_frozen(r, capout):
-    out = capout(["prune", "--r", str(r)]).out
+    out = capout(["prune", "--r", str(r), "--max-degree", "81"]).out
     assert hashlib.sha256(out.encode()).hexdigest() == PRUNE_TABLE_SHA256[r]
+
+
+#: sha256 of the ``setorbits prune --r R`` output, which ends at
+#: ``degree_bound(R)``, R = 2..15
+PRUNE_DEFAULT_SHA256 = {
+    2: "3a083d3c56001b9e7a2021048df430b204372b15797501de891cc0515b9e39c5",
+    3: "a30831e0a0ca676095b574d15b685e0de7756939333a43471e44a11560597f09",
+    4: "520a3941ea6366b0369f66da23247684a724acc95d12533fa1817ddbc832da36",
+    5: "4a8ecb0ecdfe09066cac1f58f5ee273aeb6ea016d74a30bf5f9d8f9efa8d36c6",
+    6: "9a1102977a4968ff6edded6927bacee784005c62ce8cfec3c8c94042ccf6bdf9",
+    7: "6a7b855202a457ede1f01b18a764a5dc73585c7278032dd1e09087f1140d0ab8",
+    8: "00e7ebcefbca94e94a4a52e8f9c22e55f530006220cdd9b1b31b7b7a88424ced",
+    9: "557fecae4e5f5fb575c1d321b1b3b313afcee25d24c2b94b99e5707e8b7afa94",
+    10: "806482c3e89425473e9b90a3d5471c45d0fb0fb52432ead1ee3fc3ae556c9809",
+    11: "7380822256897861ee1d403363539ccf8d6aa6ce5647ba7df97d3388797c6943",
+    12: "de1d7330ac0b732e707ed08bbe28ba030e337575e1171209c26dc9f0d3754ad1",
+    13: "4263ad3cd9aa2e8d01094338d3b86dec1b9d7752d07c0dd4195c26791863afe8",
+    14: "5d86cae632822f9e43485d7246610e417cbb126c9724bdbf887c532961e8f1b8",
+    15: "b89b6b7abb51d44e385230996410446972d8a7424d7cbabbe04bd0fd4437ea64",
+}
+
+
+@pytest.mark.parametrize("r", sorted(PRUNE_DEFAULT_SHA256))
+def test_prune_default_table_is_frozen_prefix_of_81(r, capout):
+    out = capout(["prune", "--r", str(r)]).out
+    assert hashlib.sha256(out.encode()).hexdigest() == PRUNE_DEFAULT_SHA256[r]
+    assert out.splitlines()[-1].startswith(f"{degree_bound(r)}\t")
+    full = capout(["prune", "--r", str(r), "--max-degree", "81"]).out
+    assert full.startswith(out)
+
+
+def test_prune_max_degree_runs_past_the_bound(capout):
+    out = capout(["prune", "--r", "15", "--max-degree", "200"]).out
+    lines = [line.split("\t") for line in out.strip().splitlines()]
+    assert [int(n) for n, _, _ in lines] == list(range(3, 201))
+    assert all(stage in ("parity", "step1") for n, stage, _ in lines
+               if int(n) > degree_bound(15))
 
 
 #: exit code, and sha256 of stdout and of stderr, of
@@ -237,7 +276,7 @@ def test_classify_output_is_frozen(r, fmt, tmp_path, capout):
 
 
 def test_prune_full_range_has_81_degrees(capout):
-    out = capout(["prune", "--r", "2"]).out
+    out = capout(["prune", "--r", "2", "--max-degree", "81"]).out
     assert len(out.strip().splitlines()) == 80  # degrees 2..81
 
 

@@ -1,3 +1,6 @@
+import math
+from bisect import bisect_right
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -235,10 +238,43 @@ def test_thm37_empty_below_81_nonempty_to_200():
 
 
 def test_degree_bound():
-    for r in range(2, 16):
-        assert degree_bound(r) == 81
+    want = {1: 25, 2: 25, **dict.fromkeys(range(3, 7), 43),
+            **dict.fromkeys(range(7, 13), 55), 13: 61, 14: 61, 15: 79}
+    assert {r: degree_bound(r) for r in range(1, 16)} == want
     with pytest.raises(ValueError):
-        degree_bound(16)
+        degree_bound(0)
+
+
+def test_degree_range_r1():
+    assert degree_range(1) == range(3, 26)
+
+
+@given(st.integers(1, 60))
+def test_step1_eliminates_every_degree_past_the_bound(r):
+    """Nagura's lemma as step 1 uses it: step 1 eliminates every degree
+    above ``degree_bound(r)``, checked 500 degrees past the scan's start
+    max(9r, 50 - r), and leaves the bound itself."""
+    bound = degree_bound(r)
+    assert step1_eliminates(bound, r) is None
+    top = max(9 * r, 50 - r) + 500
+    assert all(step1_eliminates(n, r) is not None
+               for n in range(bound + 1, top + 1))
+
+
+def test_nagura_prime_gap_up_to_10_000():
+    """Nagura (1952): for 25 <= x <= 10^4 some prime p has x < p < 6x/5.
+    The least prime above x is checked, from a sieve rather than
+    ``is_prime``; at x = 24 it is 29, and 5 * 29 > 6 * 24."""
+    top = 12_000
+    sieve = bytearray([1]) * (top + 1)
+    for d in range(2, math.isqrt(top) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytes(len(range(d * d, top + 1, d)))
+    primes = [p for p in range(2, top + 1) if sieve[p]]
+    least_above = {x: primes[bisect_right(primes, x)]
+                   for x in range(24, 10_001)}
+    assert all(5 * least_above[x] < 6 * x for x in range(25, 10_001))
+    assert least_above[24] == 29 and 5 * 29 > 6 * 24
 
 
 def test_binomial_divides():
