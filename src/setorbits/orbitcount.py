@@ -61,12 +61,14 @@ from .perm import (
 
 ENUMERATION_MAX_DEGREE = 22
 #: Burnside costs about |G|*n element-points, the enumeration kernel about
-#: 2^n*|gens| mask images.  Timed per unit on the pair-generated catalog
-#: groups of degree 9-12, one mask image takes about 0.21-0.25 times as
-#: long as one element-point.  The ratio stays at 0.4 because a route is
-#: judged on whole count operations (build, profile, order, count): near
-#: the boundary the two routes differ there within the noise, and whether
-#: a lower ratio pays on them is still open.
+#: 2^n*|gens| mask images.  Timed per unit on the 52 single-factor
+#: pair-generated catalog groups of degree 9-12 and order <= 10^5 (best of
+#: 7 per group, medians over groups, a shared 2-core host), one
+#: element-point takes 182-190 ns and one mask image 64-66 ns, about 0.35
+#: times as long.  The ratio stays at 0.4 because a route is judged on
+#: whole count operations (build, profile, order, count): near the
+#: boundary the two routes differ there within the noise, and whether
+#: another ratio pays on them is still open.
 ENUMERATION_COST_RATIO = 0.4
 
 #: the translate tables of ``_orbits``: a popcount byte plus one, and for

@@ -14,7 +14,7 @@ exactly the classes of subgroups that contain a parent-conjugate of <x>.
 
 The default case is the parent S_n: ``all_subgroups(n)`` caches it per
 degree for n <= SUBGROUP_MAX_DEGREE = 7 (S_7: 96 classes, 11300
-subgroups, about 4 s on one core of a 2-core host).  Nothing walks S_8,
+subgroups, about 2 s on one core of a 2-core host).  Nothing walks S_8,
 which takes minutes: the imprimitive transitive groups of degree 8 are
 walked inside S_2 wr S_4 and S_4 wr S_2 (scripts/derive_catalog.py).
 Everything is deterministic: candidates are scanned in sorted order and the
@@ -39,8 +39,8 @@ from .perm import (
     Permutation,
     _Chain,
     _compose_t,
-    _conjugate_t,
     _cycle_lengths,
+    _gather,
     _inverse_t,
     is_transitive,
 )
@@ -82,7 +82,9 @@ class _ClassRec:
 
 
 def _conjugate_set(elems: frozenset, s: tuple[int, ...]) -> frozenset:
-    return frozenset(_conjugate_t(s, x) for x in elems)
+    # s x s^-1 = s o (x o s^-1): two gathers, s^-1's getter built once
+    times_sinv = _gather(_inverse_t(s))
+    return frozenset(_compose_t(s, times_sinv(x)) for x in elems)
 
 
 def _conjugacy_orbit(elements: frozenset, conj_gens) -> tuple[set, tuple]:
@@ -131,6 +133,7 @@ def _enumerate_classes(parent: PermGroup, start: tuple) -> list[_ClassRec]:
         if rec.order == parent.order:
             continue
         E, gens = rec.elements, rec.gens
+        times_gens = [_gather(s) for s in gens]
         covered: set = set()
         for g in candidates:
             if g in E or g in covered:
@@ -149,14 +152,14 @@ def _enumerate_classes(parent: PermGroup, start: tuple) -> list[_ClassRec]:
             # <H, x> = <H, g> for every x in the double cosets HgH and
             # Hg^-1H: the cosets Hg and Hg^-1 closed under right
             # multiplication by H's generators
-            ginv = _inverse_t(g)
-            cosets = {_compose_t(h, x) for h in E for x in (g, ginv)}
+            times_g = (_gather(g), _gather(_inverse_t(g)))
+            cosets = {times_x(h) for h in E for times_x in times_g}
             covered |= cosets
             frontier = list(cosets)
             while frontier:
                 x = frontier.pop()
-                for s in gens:
-                    y = _compose_t(x, s)
+                for times_s in times_gens:
+                    y = times_s(x)
                     if y not in covered:
                         covered.add(y)
                         frontier.append(y)

@@ -369,7 +369,7 @@ def test_derived_imprimitive_entries_are_the_shipped_lines(n):
     """The closure derivation prints exactly the shipped imprimitive
     transitive and two-orbit lines of degree n, in order.  Degree 9 walks
     S3 wr S3 and has no two-orbit closure; degree 8, whose two wreath walks
-    take about 4 s, is left to the CI job that re-runs the script."""
+    take about 2 s, is left to the CI job that re-runs the script."""
     kinds = ({"transitive"}, {"two-orbit"})
     shipped = _shipped_lines(lambda e: e.degree == n and e.tags in kinds)
     script = _derive_catalog_script()

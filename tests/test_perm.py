@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import math
@@ -22,11 +23,14 @@ from setorbits.perm import (
     parse_permutation,
     transitivity_degree,
     _Chain,
+    _compose_t,
+    _conjugate_t,
     _cycle_lengths,
     _direct_factors,
     _inverse_t,
     _order_from_generators,
 )
+from setorbits.subgroups import _conjugate_set
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
@@ -314,6 +318,46 @@ def test_chain_matches_closure(case):
     assert len(elems) == len(want) and set(elems) == want
     for x in itertools.permutations(range(n)):
         assert chain.contains(x) == (x in want)
+
+
+#: elements compared when a chain is iterated, enough for S_6 whole
+ITERATED_PREFIX = 1000
+
+product_cases = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.permutations(range(n)).map(tuple),
+    st.permutations(range(n)).map(tuple),
+    st.lists(moving_some(n), max_size=3), st.booleans()))
+
+
+@given(product_cases)
+@settings(max_examples=60, deadline=None)
+@example((1, (0,), (0,), [], True))
+@example((1, (0,), (0,), [(0,)], False))
+@example((2, (1, 0), (0, 1), [(1, 0)], True))
+@example((2, (0, 1), (1, 0), [(1, 0)], False))
+def test_products_match_per_point_definitions(case):
+    """Products, conjugates and a chain's element list against their
+    point-by-point definitions at degrees 1 to 12: (a o b)(i) = a(b(i)),
+    s x s^-1 sends s(i) to s(x(i)), and a chain lists u_0 o u_1 o ... o u_k
+    over its sorted transversals, level 0 outermost."""
+    n, a, b, gens, forced = case
+
+    def product(a, b):
+        return tuple(a[b[i]] for i in range(n))
+
+    def conjugate(s, x):
+        return tuple(s[x[s.index(j)]] for j in range(n))
+
+    assert _compose_t(a, b) == product(a, b)
+    assert _conjugate_t(a, b) == conjugate(a, b)
+    elems = frozenset([a, b, *gens])
+    assert _conjugate_set(elems, a) == {conjugate(a, x) for x in elems}
+    chain = _Chain(gens, n, forced_base=range(n) if forced else ())
+    levels = [[u for _, u in sorted(t.items())] for t in chain.trans]
+    want = (functools.reduce(product, us, tuple(range(n)))
+            for us in itertools.product(*levels))
+    assert (list(itertools.islice(chain.iter_elements(), ITERATED_PREFIX))
+            == list(itertools.islice(want, ITERATED_PREFIX)))
 
 
 @given(chain_cases)
