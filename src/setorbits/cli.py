@@ -124,7 +124,8 @@ def cmd_catalog_verify(args) -> int:
 def cmd_classify(args) -> int:
     golden = None
     if args.golden:  # read and checked before the run prints anything
-        with open(args.golden, encoding="utf-8") as fh:
+        # utf-8-sig also reads a table an editor saved with a byte-order mark
+        with open(args.golden, encoding="utf-8-sig") as fh:
             golden = pipeline.parse_golden(fh.read(), args.r)
     report = pipeline.classify(args.r)
     if args.format == "tsv":

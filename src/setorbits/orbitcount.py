@@ -66,9 +66,13 @@ ENUMERATION_MAX_DEGREE = 22
 #: 7 per group, medians over groups, a shared 2-core host), one
 #: element-point takes 182-190 ns and one mask image 64-66 ns, about 0.35
 #: times as long.  The ratio stays at 0.4 because a route is judged on
-#: whole count operations (build, profile, order, count): near the
-#: boundary the two routes differ there within the noise, and whether
-#: another ratio pays on them is still open.
+#: whole count operations (build, order, profile), and there moving it
+#: does not pay.  Timed by both routes (raw, best of 5, three runs) over the
+#: 192 factor counts of a count-profiles round (seed 3601) whose
+#: |G|*n / (2^n*|gens|) lies in 0.2-0.8, the chosen routes take
+#: 28.8-33.0 ms, the faster route of each factor 1.9-2.7% less, and any
+#: one ratio in 0.2-0.35 0.7-1.9% less.  Only one-generator groups (C7,
+#: C8) gain 20% or more by switching.
 ENUMERATION_COST_RATIO = 0.4
 
 #: the translate tables of ``_orbits``: a popcount byte plus one, and for

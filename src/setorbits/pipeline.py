@@ -33,10 +33,10 @@ excluded throughout.
 The run report is the tuple of per-degree ``DegreeResult``s: the prune
 verdict and, per surviving degree, the candidates' source and either how
 many of them each counting route (``orbitcount.counting_route``) took or
-why the catalog cannot cover the degree (a data gap).  ``_degree_result``
-memoises each once per process and (n, r), so a warm ``classify(r)`` only
-gathers them; the s of each catalog entry is memoised apart
-(``_s_and_route``), since one entry is a candidate at several (n, r).
+why the catalog cannot cover the degree (a data gap).  ``classify``
+memoises the frozen report once per process and r, so a warm
+``classify(r)`` is one lookup; the s of each catalog entry is memoised
+apart (``_s_and_route``), since one entry is a candidate at several (n, r).
 """
 
 from __future__ import annotations
@@ -204,11 +204,10 @@ def _s_and_route(e: cat.CatalogEntry) -> tuple[int, str]:
     return count_set_orbits(G), counting_route(G)
 
 
-@cache
 def _degree_result(n: int, r: int) -> DegreeResult:
     """Prune degree n for r and, if it survives, select and count its
-    candidates; cached, since the result depends on (n, r) and the shipped
-    catalog only, and every classify(r) reads each degree of its window."""
+    candidates.  Uncached: only classify(r) asks for (n, r), once, and it
+    memoises the whole report."""
     v = prune_degree(n, r)
     if v.eliminated:
         return DegreeResult(v)
@@ -230,15 +229,17 @@ def _degree_result(n: int, r: int) -> DegreeResult:
                         routes=tuple(routes.items()))
 
 
+@cache
 def classify(r: int) -> RunReport:
     """Classify all permutation groups with s(G) = n + r.
 
     A surviving degree whose candidate pool the catalog lacks is a data gap:
     its ``DegreeResult`` records the reason and the run goes on to the next
     degree.  Rows are sorted by (degree, order, label) and every run over
-    the same inputs produces identical output.  Each degree is pruned,
-    selected and counted once per process (``_degree_result``); the report
-    is frozen and holds those memoised results.
+    the same inputs produces identical output.  Cached per r, since the
+    report depends on r and the shipped catalog only: every later call
+    hands out the same frozen report, whose ``rows`` and ``gaps`` are built
+    anew on each access.  An r out of range raises on every call.
     """
     if not MIN_R <= r <= MAX_R:
         raise ValueError(f"r must be in {MIN_R}..{MAX_R}")

@@ -26,11 +26,11 @@ def chain_builds(monkeypatch):
 
 @pytest.fixture
 def clear_memos():
-    """A function that empties the pipeline's two memos, the per-degree
-    results and the per-entry s-values; it has run once when the test
-    starts, so the test's first classify(r) prunes, selects and counts."""
+    """A function that empties the pipeline's two memos, the per-r reports
+    and the per-entry s-values; it has run once when the test starts, so
+    the test's first classify(r) prunes, selects and counts."""
     def clear():
-        pipeline._degree_result.cache_clear()
+        pipeline.classify.cache_clear()
         pipeline._s_and_route.cache_clear()
     clear()
     return clear

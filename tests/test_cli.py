@@ -363,6 +363,17 @@ def test_classify_r2_tsv_golden(tmp_path, capout):
     assert len(lines) == 10
 
 
+def test_classify_golden_with_byte_order_mark(tmp_path, capout):
+    """Some editors save a TSV with a UTF-8 byte-order mark; the table
+    still parses, header and all."""
+    golden = resources.files("setorbits").joinpath("data/tables/r2.tsv")
+    path = tmp_path / "r2.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" + golden.read_bytes())
+    cap = capout(["classify", "--r", "2", "--format", "tsv",
+                  "--golden", str(path)])
+    assert cap.err == "golden diff: empty diff\n"
+
+
 def test_classify_golden_mismatch_exit_code(tmp_path, capout):
     bad = "r\tdegree\tlabel\tname\torder\ts\n2\t4\tx\tfake\t99\t6\n"
     path = tmp_path / "bad.tsv"

@@ -414,12 +414,13 @@ def test_classify_builds_chains_only_for_burnside(chain_builds, clear_memos):
 def test_warm_classify_counts_nothing_and_builds_nothing(
         monkeypatch, chain_builds, clear_memos):
     """Once classify(r) has run, a second run gives the same report without
-    pruning, selecting, padding, counting, or building a group or a chain:
-    it reads every degree from the per-degree memo."""
+    pruning, selecting, padding, counting, or building a group or a chain,
+    and without reading a degree or its window: it is one memo lookup."""
     cold = {r: classify(r) for r in range(2, MAX_R + 1)}
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("warm classify pruned, selected, built or counted")
+        raise AssertionError("warm classify pruned, selected, built, counted "
+                             "or gathered")
 
     monkeypatch.setattr(pipeline, "count_set_orbits", forbidden)
     monkeypatch.setattr(pipeline, "candidate_groups", forbidden)
@@ -428,6 +429,8 @@ def test_warm_classify_counts_nothing_and_builds_nothing(
     monkeypatch.setattr(catalog, "padded", forbidden)
     monkeypatch.setattr(prune, "step1_eliminates", forbidden)
     monkeypatch.setattr(prune, "step2_eliminates", forbidden)
+    monkeypatch.setattr(pipeline, "_degree_result", forbidden)
+    monkeypatch.setattr(pipeline, "degree_range", forbidden)
     chain_builds.clear()
     for r in range(2, MAX_R + 1):
         warm = classify(r)

@@ -250,10 +250,16 @@ def test_survivor_sets_match_published_lists():
 
 
 def test_classify_r_out_of_range():
-    with pytest.raises(ValueError):
-        classify(1)
-    with pytest.raises(ValueError):
-        classify(12)
+    """An r out of range raises on every call: the per-r memo keeps no
+    exception, so neither a second call nor a valid run in between lets
+    one through."""
+    for r in (1, 12, 1, 12):
+        with pytest.raises(ValueError):
+            classify(r)
+    classify(2)
+    for r in (1, 12):
+        with pytest.raises(ValueError):
+            classify(r)
     with pytest.raises(ValueError):
         candidate_groups(4, 12)  # the two-orbit catalog stops at s = n + 11
 
