@@ -48,10 +48,10 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete; each check
-raises, so ``python -O`` keeps it.  The run takes 20-21 s at a 159 MB peak
-on a shared 2-core host, of which the walks of the maxima take about 14 s
-(M_12 above its 11-cycle 6.6-6.7 s) and those of S2 wr S4, S4 wr S2 and
-S3 wr S3 about 6 s; rerunning it reproduces the shipped file byte for
+raises, so ``python -O`` keeps it.  The run takes about 10 s at a 160 MB
+peak on a shared 2-core host, of which the walks of the maxima take about
+6.5 s (M_12 above its 11-cycle 3.5 s) and those of S2 wr S4, S4 wr S2 and
+S3 wr S3 about 3 s; rerunning it reproduces the shipped file byte for
 byte.
 """
 

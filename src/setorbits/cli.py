@@ -23,7 +23,7 @@ from . import catalog as cat
 from . import pipeline
 from .orbitcount import count_set_orbits, dump_orbits, orbit_profile
 from .perm import GroupTooLargeError, PermGroup, build_group, parse_permutation
-from .prune import R_RANGE, degree_range, prune_degree
+from .prune import degree_range, prune_degree
 from .subgroups import SubgroupCapError, all_subgroups
 
 USAGE_ERROR = 2
@@ -174,8 +174,8 @@ def build_parser() -> _Parser:
     po.set_defaults(func=cmd_orbits)
 
     pp = sub.add_parser("prune", help="degree elimination verdicts")
-    pp.add_argument("--r", type=int, required=True, choices=R_RANGE,
-                    metavar="R", help=f"{R_RANGE.start}..{R_RANGE.stop - 1}")
+    pp.add_argument("--r", type=positive_int, required=True, metavar="R",
+                    help="any R >= 1")
     pp.add_argument("--max-degree", type=int, default=None,
                     help="last degree listed (default: the degree bound)")
     pp.set_defaults(func=cmd_prune)

@@ -1,7 +1,8 @@
 """End-to-end classification of permutation groups with s(G) = n + r.
 
-For a target excess r, the run bounds the degree (``prune.degree_bound``:
-past it, step 1 eliminates every degree; n <= 55 for r <= 11), eliminates
+For a target excess r from 1 (the set-transitive groups) to ``MAX_R``,
+the run bounds the degree (``prune.degree_bound``: past it, step 1
+eliminates every degree; n <= 55 for r <= 11), eliminates
 degrees by parity and the two prime-window arguments, selects
 candidate groups per surviving degree, computes s(G) exactly for each and
 keeps the hits.  The candidates for s(G) = s at degree n form a pool built
@@ -56,7 +57,7 @@ from .prune import (PruneVerdict, binomial_divides, degree_range,
                     forced_transitive_size, prune_degree)
 
 #: classify(r) needs the two-orbit pools up to s = n + r
-MIN_R, MAX_R = 2, cat.TWO_ORBIT_MAX_EXCESS
+MIN_R, MAX_R = 1, cat.TWO_ORBIT_MAX_EXCESS
 
 
 @dataclass(frozen=True)

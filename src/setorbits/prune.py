@@ -208,30 +208,6 @@ def step2_eliminates(n: int, r: int) -> Optional[tuple[int, MillerDecomposition]
     return None
 
 
-def thm37_max_k0(n: int) -> Optional[int]:
-    """Largest k0 with 48 - (n+1)/2 <= k0 <= (5/54)n - 1/2, if one exists:
-    the window of the paper's Theorem 3.7.
-
-    Nonempty first at n = 81 (where it equals 7); relies on a prime in
-    (x, 9x/8) for x >= 48.  Kept as the paper's statement, which the
-    acceptance tests check; the search reads ``degree_bound`` instead.
-    Comparisons are exact via cross-multiplication.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    hi = (5 * n - 27) // 54  # floor((5/54)n - 1/2)
-    if hi < 1:
-        return None
-    # applicability: 48 - (n+1)/2 <= hi, i.e. 96 - n - 1 <= 2*hi
-    if 95 - n > 2 * hi:
-        return None
-    return hi
-
-
-#: the r that ``setorbits prune --r`` accepts
-R_RANGE = range(2, 16)
-
-
 @cache
 def degree_bound(r: int) -> int:
     """The largest degree that step 1 does not eliminate, for any r >= 1.
@@ -278,6 +254,8 @@ def degree_range(r: int) -> range:
     ``degree_bound(r)``, past which step 1 eliminates every degree.
 
     Degree 2 carries only {e} and S_2 (s = 4 and 3), so it is examined once
-    for r = 2 and set aside for every other r.
+    for r = 2 and set aside for every other r.  At r = 1 this keeps out S_2,
+    which is S_n but which ``contains_alternating`` (False below degree 3)
+    does not exclude.
     """
     return range(2 if r == 2 else 3, degree_bound(r) + 1)

@@ -18,7 +18,6 @@ from setorbits.prune import (
     prune_degree,
     step1_eliminates,
     step2_eliminates,
-    thm37_max_k0,
 )
 from setorbits.pipeline import classify, compare_to_golden, load_golden
 from setorbits.subgroups import all_subgroups
@@ -107,18 +106,15 @@ def test_criterion_3_pruning():
 
 
 # ---------------------------------------------------------------------------
-# 4. theorem 3.7 boundary
+# 4. the degree window
 
 def test_criterion_4_degree_window():
-    assert all(thm37_max_k0(n) is None for n in range(2, 81))
-    assert thm37_max_k0(81) == 7
-    for r in range(2, 16):
+    for r in range(1, 17):
         assert degree_bound(r) <= 81
         assert all(step1_eliminates(n, r) is not None
                    for n in range(degree_bound(r) + 1, 82))
-    report("criterion 4 PASS: window empty through n=80, k0(81)=7; for "
-           "r=2..15 the degree bound is at most 81 and step 1 eliminates "
-           "every degree between it and 81")
+    report("criterion 4 PASS: for r=1..16 the degree bound is at most 81 "
+           "and step 1 eliminates every degree between it and 81")
 
 
 # ---------------------------------------------------------------------------

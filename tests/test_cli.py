@@ -134,8 +134,9 @@ def test_prune_output_format(capout):
 
 
 #: sha256 of the ``setorbits prune --r R --max-degree 81`` output,
-#: R = 2..15: every verdict on degrees 2..81, Theorem 3.7's window
+#: R = 1..16: every verdict of the window's degrees up to 81
 PRUNE_TABLE_SHA256 = {
+    1: "e24bd0e400aae3c8d2a9a3ec32706af10162312376c2caf6f795df72d77d97ad",
     2: "70bb1e2e2f8d37be5f66f826d760820a95890d7e4912a5db3c47f36e88229781",
     3: "8a8b190ad05ad425febe6e0cfd66630c6056de4fdb757a4b9f74da1f10c146b2",
     4: "ff0df566fdc374b3117f2a1fe0b267ca01ac2a7028d92d3ba4171611c6f66692",
@@ -150,6 +151,7 @@ PRUNE_TABLE_SHA256 = {
     13: "b967ee5d34957a011ed066fa25fef6b5996a6095844fd20614df7531edb652fe",
     14: "959ec65bbff7396a9c5fa8077f09f2ee1f806b875b92c2fbb99c567f4e08e02a",
     15: "0c0823a3ed9d057b0495920ad3b94a4433b65bd5297a5b3c062e9a64982a39d5",
+    16: "efaea4e15419f889da072110404fa8407457107b5e85f186357fb387e965aecf",
 }
 
 
@@ -160,8 +162,9 @@ def test_prune_table_is_frozen(r, capout):
 
 
 #: sha256 of the ``setorbits prune --r R`` output, which ends at
-#: ``degree_bound(R)``, R = 2..15
+#: ``degree_bound(R)``, R = 1..16
 PRUNE_DEFAULT_SHA256 = {
+    1: "2bbbe93b5225723b1d705e7a7e1fd9c11e5f4f6546f5c52944e5e587b132f8b6",
     2: "3a083d3c56001b9e7a2021048df430b204372b15797501de891cc0515b9e39c5",
     3: "a30831e0a0ca676095b574d15b685e0de7756939333a43471e44a11560597f09",
     4: "520a3941ea6366b0369f66da23247684a724acc95d12533fa1817ddbc832da36",
@@ -176,6 +179,7 @@ PRUNE_DEFAULT_SHA256 = {
     13: "4263ad3cd9aa2e8d01094338d3b86dec1b9d7752d07c0dd4195c26791863afe8",
     14: "5d86cae632822f9e43485d7246610e417cbb126c9724bdbf887c532961e8f1b8",
     15: "b89b6b7abb51d44e385230996410446972d8a7424d7cbabbe04bd0fd4437ea64",
+    16: "d81e5e8a3820210f9bc8b8ca34dff7771998757ca27ccb130df710deacb616a7",
 }
 
 
@@ -198,8 +202,14 @@ def test_prune_max_degree_runs_past_the_bound(capout):
 
 #: exit code, and sha256 of stdout and of stderr, of
 #: ``setorbits classify --r R --format F --golden rR.tsv`` on the shipped
-#: golden table, R = 2..11
+#: golden table, R = 1..11
 CLASSIFY_SHA256 = {
+    (1, "tsv"): (0,
+        "19c1c4fbc7d73dcd9cae3d29ab6ddd8962d70cee3f10828a4bc0096326967b37",
+        "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
+    (1, "pretty"): (0,
+        "5204486079ae6d533be909e848d43c7d5d2ae159f2dd21d9ca5cc97f3e1182ec",
+        "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
     (2, "tsv"): (0,
         "55d4c666b50e1d07e6dac35aa110f2c0fd774556085460afcb315a782c235afd",
         "e0a369c1548c6ef0967dbfed18db5960bf7069095214c6806d0409d7626d421b"),
@@ -280,13 +290,15 @@ def test_prune_full_range_has_81_degrees(capout):
     assert len(out.strip().splitlines()) == 80  # degrees 2..81
 
 
-@pytest.mark.parametrize("argv", [["classify", "--r", "1"],
+@pytest.mark.parametrize("argv", [["classify", "--r", "0"],
                                   ["classify", "--r", "12"],
-                                  ["prune", "--r", "1"],
-                                  ["prune", "--r", "16"]])
+                                  ["prune", "--r", "0"]])
 def test_r_out_of_range_is_usage_error(argv, capout):
+    """classify takes 1..MAX_R; prune takes every r >= 1."""
     cap = capout(argv, expect=2)
-    assert "invalid choice" in cap.err and not cap.out
+    message = ("must be at least 1" if argv[0] == "prune"
+               else "invalid choice")
+    assert message in cap.err and not cap.out
 
 
 @pytest.mark.parametrize("r, max_degree", [("2", "-3"), ("3", "2")])

@@ -146,7 +146,7 @@ def test_two_orbit_catalog_needed_only_at_degrees_4_to_7():
             assert two_orbit_shape_fits(n, s) == fits, (n, s)
             if fits:
                 assert n in TWO_ORBIT_COUNTS, (n, s)
-        for r in range(2, MAX_R + 1):
+        for r in range(MIN_R, MAX_R + 1):
             if pipeline._parts(n, n + r)[2]:
                 assert n in TWO_ORBIT_COUNTS, (n, r)
 
@@ -236,7 +236,7 @@ def test_set_transitive_groups_are_primitive():
 def test_padded_rows_resolve_by_id():
     """Every row label, padded or not, is a catalog ID with a ``+1`` per
     fixed point, and resolves to the row's degree, order and s."""
-    for r in range(2, MAX_R + 1):
+    for r in range(MIN_R, MAX_R + 1):
         for row in classify(r).rows:
             e = by_id(row.group_label)
             assert (e.degree, e.expected_order, e.expected_s) == (
@@ -248,13 +248,13 @@ def test_padded_rows_resolve_by_id():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_candidates_match_sn_walk(n):
-    """For r = 2..11, the candidates with s = n + r and the subgroup
+    """For r = 1..11, the candidates with s = n + r and the subgroup
     classes of S_n with s = n + r (less A_n from degree 3 on) match one to
     one up to S_n-conjugacy."""
     classes = [(c.representative, count_set_orbits(c.representative))
                for c in all_subgroups(n)
                if not contains_alternating(n, c.order)]
-    for r in range(2, MAX_R + 1):
+    for r in range(MIN_R, MAX_R + 1):
         walked = [G for G, s in classes if s == n + r]
         cands = [G for G in (c.group() for c in candidate_groups(n, r))
                  if count_set_orbits(G) == n + r]
@@ -395,14 +395,14 @@ def test_classify_walks_no_sn(monkeypatch, clear_memos):
             for name in ("subgroup_classes", "all_subgroups"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, walk)
-    for r in range(2, MAX_R + 1):
+    for r in range(MIN_R, MAX_R + 1):
         assert classify(r).rows
 
 
 def test_classify_builds_chains_only_for_burnside(chain_builds, clear_memos):
     """Only the Burnside route iterates elements; every other route, the
     A_n exclusion and the row orders read the catalog's certified order."""
-    for r in range(2, MAX_R + 1):
+    for r in range(MIN_R, MAX_R + 1):
         clear_memos()
         chain_builds.clear()
         report = classify(r)
@@ -416,7 +416,7 @@ def test_warm_classify_counts_nothing_and_builds_nothing(
     """Once classify(r) has run, a second run gives the same report without
     pruning, selecting, padding, counting, or building a group or a chain,
     and without reading a degree or its window: it is one memo lookup."""
-    cold = {r: classify(r) for r in range(2, MAX_R + 1)}
+    cold = {r: classify(r) for r in range(MIN_R, MAX_R + 1)}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("warm classify pruned, selected, built, counted "
@@ -432,7 +432,7 @@ def test_warm_classify_counts_nothing_and_builds_nothing(
     monkeypatch.setattr(pipeline, "_degree_result", forbidden)
     monkeypatch.setattr(pipeline, "degree_range", forbidden)
     chain_builds.clear()
-    for r in range(2, MAX_R + 1):
+    for r in range(MIN_R, MAX_R + 1):
         warm = classify(r)
         for f in dataclasses.fields(RunReport):
             assert getattr(warm, f.name) == getattr(cold[r], f.name), (r, f.name)
@@ -442,7 +442,7 @@ def test_warm_classify_counts_nothing_and_builds_nothing(
 def test_classify_reports_share_no_container():
     """A report is frozen, and changing the rows list or the gaps dict one
     report hands out changes no later report."""
-    for r in range(2, MAX_R + 1):
+    for r in range(MIN_R, MAX_R + 1):
         first = classify(r)
         kept = copy.deepcopy(first)
         first.rows.clear()
@@ -465,6 +465,6 @@ def test_classify_parses_no_word_after_load(monkeypatch, clear_memos):
         raise AssertionError("generator word parsed again")
 
     monkeypatch.setattr(catalog, "parse_permutation", forbidden)
-    for r in range(2, MAX_R + 1):
+    for r in range(MIN_R, MAX_R + 1):
         clear_memos()
         assert classify(r).rows, r

@@ -173,6 +173,19 @@ def test_classification_matches_golden(r, rows):
     assert diff.empty, (diff.missing, diff.extra)
 
 
+def test_r1_is_the_set_transitive_classification():
+    """Table 1 is Beaumont and Peterson's list of the set-transitive groups
+    other than A_n and S_n ("Set-transitive permutation groups", Canad. J.
+    Math. 7, 1955), and classify(1) gives exactly its rows, with no gap."""
+    golden = load_golden(1)
+    assert [(g.degree, g.name, g.order) for g in golden] == [
+        (5, "AGL(1,5)", 20), (6, "PGL(2,5)", 120), (9, "PSL(2,8)", 504),
+        (9, "PGammaL(2,8)", 1512)]
+    report = classify(1)
+    assert not report.gaps
+    assert report.rows == golden
+
+
 def test_classification_row_invariant():
     report = classify(2)
     for row in report.rows:
@@ -253,11 +266,11 @@ def test_classify_r_out_of_range():
     """An r out of range raises on every call: the per-r memo keeps no
     exception, so neither a second call nor a valid run in between lets
     one through."""
-    for r in (1, 12, 1, 12):
+    for r in (0, 12, 0, 12):
         with pytest.raises(ValueError):
             classify(r)
     classify(2)
-    for r in (1, 12):
+    for r in (0, 12):
         with pytest.raises(ValueError):
             classify(r)
     with pytest.raises(ValueError):
@@ -292,7 +305,7 @@ def test_golden_self_comparison_empty():
     assert compare_to_golden(report, load_golden(2)).empty
 
 
-@pytest.mark.parametrize("r", range(2, 8))
+@pytest.mark.parametrize("r", range(1, 8))
 def test_golden_rows_round_trip(r):
     """Reference tables and run reports share one row type: a report's TSV
     parses back to its own rows."""
@@ -359,8 +372,8 @@ def test_ambiguous_signatures_flagged():
 
 
 def test_golden_tables_have_expected_row_counts():
-    for r, n in [(2, 9), (3, 8), (4, 10), (5, 10), (6, 5), (7, 19), (8, 9),
-                 (9, 10), (10, 14), (11, 28)]:
+    for r, n in [(1, 4), (2, 9), (3, 8), (4, 10), (5, 10), (6, 5), (7, 19),
+                 (8, 9), (9, 10), (10, 14), (11, 28)]:
         assert len(load_golden(r)) == n
 
 

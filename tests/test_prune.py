@@ -24,7 +24,6 @@ from setorbits.prune import (
     prune_degree,
     step1_eliminates,
     step2_eliminates,
-    thm37_max_k0,
 )
 
 
@@ -225,17 +224,6 @@ def test_bound_holds_for_every_built_group():
 
 # ---------------------------------------------------------------------------
 # theorem-based bounds
-
-def test_thm37_boundary():
-    assert thm37_max_k0(81) == 7
-    assert thm37_max_k0(80) is None
-    assert thm37_max_k0(108) == 9
-
-
-def test_thm37_empty_below_81_nonempty_to_200():
-    assert all(thm37_max_k0(n) is None for n in range(2, 81))
-    assert all(thm37_max_k0(n) is not None for n in range(81, 201))
-
 
 def test_degree_bound():
     want = {1: 25, 2: 25, **dict.fromkeys(range(3, 7), 43),
