@@ -8,8 +8,11 @@ gives s(G) and the profile (s_0, ..., s_n); every division is asserted exact.
 A group is first split into its direct factors on disjoint supports
 (``_direct_factors``).  The set-orbits of a direct product are the products
 of its factors' set-orbits, so the profile is the convolution of the
-factors' profiles, and of (1, 1) once per fixed point.  A product of two
-degree-8 groups thus costs two walks over 2^8 masks, not one over 2^16.
+factors' profiles, and of (1, 1) once per fixed point, and the partition
+``enumerate_set_orbits`` lists is assembled from its factors' partitions,
+with {0}, {p} for each fixed point p.  A product of two degree-8 groups
+thus costs two walks over 2^8 masks, not one over 2^16, whether it is
+counted or listed.
 
 Each factor is counted by one of two independent routes, kept deliberately
 separate: the Burnside average over a stabilizer chain (scales with |G|,
@@ -18,11 +21,12 @@ runs for |G| <= 10^7) and a walk over the subset bitmasks (scales with
 two or more nontrivial factors; for a lone factor it picks the shortcut for
 natural symmetric and alternating actions or else the cheaper route that
 fits, by the cost model |G|*n against ENUMERATION_COST_RATIO*2^n*|gens|.
-One table-driven walk over the masks, ``_orbits``, serves both the
-enumeration route of ``orbit_profile``, which only counts its orbits, and
-``enumerate_set_orbits``, which keeps them as the explicit partition (for
-dumps).  Taking complements commutes with every permutation of the points,
-so it maps the orbits on t-subsets one to one onto the orbits on
+One table-driven walk over the masks of a group that does not split,
+``_orbits``, serves both the enumeration route of ``orbit_profile``, which
+only counts its orbits, and ``enumerate_set_orbits``, which keeps them as
+the explicit partition (for dumps) of the group or of each of its
+factors.  Taking complements commutes with every permutation of the
+points, so it maps the orbits on t-subsets one to one onto the orbits on
 (n-t)-subsets and s_t = s_{n-t}: the walk visits only the masks of at most
 n // 2 points (2510 of M12's 4096), and both callers mirror the rest.  With
 one or two generators no mask loops over them: the orbits of a group on one
@@ -31,9 +35,9 @@ test, and a pair has both image lookups written out; only other generator
 counts loop over the tables.  Each image is two lookups, in tables for the
 low min(8, (n + 1) // 2) bits of a mask and for the rest, so a small degree
 builds small tables (8 + 8 entries per generator at n = 6).
-``enumerate_set_orbits`` files each orbit under its size; the walk finds
-the orbits of each size up to n // 2 by ascending smallest mask, so only
-the mirrored sizes are sorted.
+A walked partition files each orbit under its size; the walk finds the
+orbits of each size up to n // 2 by ascending smallest mask, so only the
+mirrored sizes are sorted.
 ``profile_from_enumeration`` is the oracle: a separate walk over all 2^n
 masks that computes every image bit by bit, shares no table or code with
 ``_orbits`` and does not use the complement lemma.  Tests hold the routes
@@ -56,6 +60,7 @@ from .perm import (
     PermGroup,
     _cycle_lengths,
     _direct_factors,
+    _factor_supports,
     contains_alternating,
 )
 
@@ -317,13 +322,50 @@ def enumerate_set_orbits(G: PermGroup) -> list[list[int]]:
     """Partition of all 2^n subsets into orbits, subsets as bitmasks.
 
     Orbits are sorted by (subset size, smallest member mask); within an
-    orbit, masks are ascending.  Each orbit is filed under its size: the
-    walk finds the orbits of at most n / 2 points by ascending smallest
-    mask, so only the buckets of more than n / 2 points, the complements
-    of the walked ones, are sorted.  Requires degree <= 22.
+    orbit, masks are ascending.  Requires degree <= 22.
+
+    A group that does not split (``_direct_factors``), the trivial group
+    included, is walked whole (``_partition``).  Otherwise each nontrivial
+    factor is walked on its own points, each fixed point p adds the two
+    orbits {} and {p}, and the orbits of G are the products of one orbit
+    per factor: masks on disjoint supports combine by ``|``.  A factor's
+    mask maps back to G's points by the image table of its support
+    (``_factor_supports``); no group order is asked for, so no chain is
+    built.  Each product orbit is then sorted, and its first mask, the sum
+    of its factors' smallest masks, gives its size and its place.
     """
     n = G.degree
     _require_enumerable(n)
+    factors, _ = _direct_factors(G)
+    if factors[0] is G:
+        return _partition(G)
+    orbits = [[0]]
+    fixed = (1 << n) - 1
+    for F, support in zip(factors, _factor_supports(G)):
+        lift = _image_table(support, 0, F.degree)
+        fixed ^= lift[-1]  # the factor's whole support
+        lifted = [[lift[m] for m in orbit] for orbit in _partition(F)]
+        orbits = [[a | b for a in X for b in Y] for X in orbits for Y in lifted]
+    while fixed:
+        bit = fixed & -fixed
+        fixed ^= bit
+        orbits += [[a | bit for a in X] for X in orbits]
+    by_size = [[] for _ in range(n + 1)]
+    for orbit in orbits:
+        orbit.sort()
+        by_size[orbit[0].bit_count()].append(orbit)
+    for bucket in by_size:
+        bucket.sort()
+    return [orbit for bucket in by_size for orbit in bucket]
+
+
+def _partition(G: PermGroup) -> list[list[int]]:
+    """The partition of ``enumerate_set_orbits`` by one walk of G on all
+    its points.  Each orbit is filed under its size: the walk finds the
+    orbits of at most n / 2 points by ascending smallest mask, so only the
+    buckets of more than n / 2 points, the complements of the walked ones,
+    are sorted."""
+    n = G.degree
     full = (1 << n) - 1
     by_size = [[] for _ in range(n + 1)]
     for orbit in _orbits(G):

@@ -536,20 +536,35 @@ def _direct_factors(G: PermGroup) -> tuple[tuple[PermGroup, ...], int]:
     links them, so a subdirect product is never split.  A lone factor is a
     faithful restriction and carries G's known order, so no chain is built
     for it.  G itself is its lone factor when it fixes no point, or every
-    point (the trivial group is counted as a whole).  The split is kept on
-    G, so every caller shares the same factor groups, with their chains
-    and orders.
+    point (the trivial group is counted as a whole).  The split, with each
+    factor's points (``_factor_supports``), is kept on G, so every caller
+    shares the same factor groups, with their chains and orders: the
+    counting routes, ``PermGroup.order`` and the orbit partition of
+    ``orbitcount.enumerate_set_orbits``.
     """
     split = G._factors
     if split is None:
         split = _split(G)
         object.__setattr__(G, "_factors", split)
     # G is not kept in its own slot, which would make it a reference cycle
-    return split or ((G,), 0)
+    return split[0] if split else ((G,), 0)
 
 
-def _split(G: PermGroup) -> tuple[tuple[PermGroup, ...], int] | tuple[()]:
-    """The split of ``_direct_factors``, or () when G is its lone factor."""
+def _factor_supports(G: PermGroup) -> tuple[tuple[int, ...], ...]:
+    """The points of G (0-based, ascending) that each factor of
+    ``_direct_factors(G)`` acts on, in the same order: factor point k is
+    G's point ``support[k]``.  G's lone factor acts on all its points."""
+    _direct_factors(G)
+    split = G._factors
+    return split[1] if split else (tuple(range(G.degree)),)
+
+
+def _split(G: PermGroup) -> tuple[tuple[tuple[PermGroup, ...], int],
+                                  tuple[tuple[int, ...], ...]] | tuple[()]:
+    """The split of ``_direct_factors`` and the factors' supports, or ()
+    when G is its lone factor.  Each class's points, ascending, are both
+    the relabelling of its generators and the support kept for
+    ``_factor_supports``."""
     n = G.degree
     parent = list(range(n))
 
@@ -581,13 +596,14 @@ def _split(G: PermGroup) -> tuple[tuple[PermGroup, ...], int] | tuple[()]:
     for g, first in zip(gens, firsts):
         classes[root(first)][1].append(g)
     order = G.known_order if len(classes) == 1 else None
-    factors = []
+    factors, supports = [], []
     for points, own in classes.values():
         index = {p: k for k, p in enumerate(points)}
         factors.append(PermGroup(
             [Permutation([index[g[p]] for p in points]) for g in own],
             degree=len(points), order=order))
-    return tuple(factors), fixed
+        supports.append(tuple(points))
+    return (tuple(factors), fixed), tuple(supports)
 
 
 def build_group(gens: Sequence[Permutation], degree: int | None = None,

@@ -229,6 +229,30 @@ def test_direct_product_profile_matches_oracles(case):
     assert math.prod(F.order for F in factors) == G.order
     prof = orbit_profile(G)
     assert prof == profile_from_enumeration(G) == _burnside_profile(G)
+    assert enumerate_set_orbits(G) == brute_orbits(G)
+
+
+@pytest.mark.parametrize("G, degrees", [
+    pytest.param(C8XC8, [8, 8], id="C8XC8"),
+    # S3 on {1,5,7}, S4 on {2,3,6,8}, S2 on {4,9}
+    pytest.param(gset("(4,9)", "(1,5)", "(1,5,7)", "(2,3)", "(2,3,6,8)",
+                      degree=9), [2, 3, 4], id="S2xS3xS4"),
+    pytest.param(by_id("7P2+1").group(), [7], id="7P2+1")])
+def test_product_partition_walks_only_the_factors(monkeypatch, chain_builds,
+                                                  G, degrees):
+    """A direct product's partition is assembled from walks of its
+    nontrivial factors, each on its own points, and asks for no order."""
+    walked = []
+    walk = orbitcount._orbits
+
+    def recorded(F):
+        walked.append(F.degree)
+        return walk(F)
+
+    monkeypatch.setattr(orbitcount, "_orbits", recorded)
+    orbits = enumerate_set_orbits(G)
+    assert sorted(walked) == degrees and not chain_builds
+    assert orbits == brute_orbits(G)
 
 
 @pytest.mark.parametrize("text, degree", [("(1,2)(3,4)", 4),
@@ -480,17 +504,19 @@ def _dihedral_gens(n):
 
 
 #: one group per walk of ``_orbits`` (no generator, one, two, three or
-#: more) at degrees 10-11; the trivial group's partition is its 1024 masks
-#: as singletons, in (size, mask) order.  Then every degree 1..14, so every
+#: more) at degree 10; the trivial group's partition is its 1024 masks as
+#: singletons, in (size, mask) order.  Then every degree 1..14, so every
 #: split width of the image tables below 15 points, with the first 0 to 3
 #: of ``_dihedral_gens``; degree 1 has no permutation but the identity, so
-#: only the trivial group
+#: only the trivial group.  Each group is its own lone factor, so
+#: ``enumerate_set_orbits`` walks it whole: the generators of each link
+#: all its points, or it is trivial
 WALKS = {
     "trivial": (build_group([], degree=10), 0),
-    "cycles-3-5-2": (gset("(1,2,3)(4,5,6,7,8)(9,10)", degree=11), 1),
+    "cycles-3-5-2": (gset("(1,2,3)(4,5,6,7,8)(9,10)", degree=10), 1),
     "pair": (gset("(1,2,3,4,5,6,7,8,9,10)", "(1,10)(2,9)(3,8)(4,7)(5,6)",
                   degree=10), 2),
-    "three": (gset("(1,2,3)(9,10)", "(4,5)(6,7)", "(1,9)(2,10)(3,8)",
+    "three": (gset("(1,2,3)(9,10)", "(4,5)(6,7)", "(1,9)(2,10)(3,8)(6,7)",
                    degree=10), 3),
 }
 WALKS.update({
@@ -502,6 +528,7 @@ WALKS.update({
 def test_each_walk_matches_oracles(name):
     G, gens = WALKS[name]
     assert len(G.generators) == gens
+    assert _direct_factors(G) == ((G,), 0)
     with _deadline(5):
         orbits = enumerate_set_orbits(G)
         profile = _enumeration_profile(G)
@@ -509,10 +536,11 @@ def test_each_walk_matches_oracles(name):
     assert profile == profile_from_enumeration(G)
 
 
-#: sha1 of "\n".join(dump_orbits(G)).  D13 and C8XC8 (two generators each,
-#: one odd and one even degree) were recorded when the walk still covered
-#: all 2^n masks, C13 (one generator) while every walk still looped over
-#: the generators per mask
+#: sha1 of "\n".join(dump_orbits(G)).  C8XC8 pins the product assembly of
+#: a direct product's partition, D13 the two-generator walk and C13 the
+#: one-generator walk.  D13 and C8XC8 were recorded when one walk still
+#: covered all 2^n masks, C13 while every walk still looped over the
+#: generators per mask
 DUMP_SHA1 = {
     "D13": (builtin("dihedral", 13),
             "8088508c89d41d227b114a682584bcc3762ad702"),

@@ -27,6 +27,7 @@ from setorbits.perm import (
     _conjugate_t,
     _cycle_lengths,
     _direct_factors,
+    _factor_supports,
     _inverse_t,
     _order_from_generators,
 )
@@ -461,6 +462,9 @@ def test_split_is_kept_on_the_group(chain_builds):
                      ("(1,2)(3,4)", "(1,3)(2,4)", "(5,6,7)")], degree=7)
     factors, fixed = _direct_factors(G)
     assert fixed == 0 and [F.degree for F in factors] == [4, 3]
+    # each factor's points in G, kept with the split; a lone factor has all
+    assert _factor_supports(G) == ((0, 1, 2, 3), (4, 5, 6))
+    assert _factor_supports(factors[1]) == ((0, 1, 2),)
     assert G.order == 12 and len(chain_builds) == 1
     again, _ = _direct_factors(G)
     assert all(a is b for a, b in zip(again, factors))
