@@ -11,20 +11,26 @@ Every generator set is produced from a first-principles construction:
   vectors of GF(2)^3 and of AGL(3,2), AGL(2,3) on GF(2)^3, GF(3)^2; and
   stated generators for M_11 and M_12 (each the one primitive group of its
   order and degree, so ``verify_entry`` certifies it);
-* wreath-type embeddings for the imprimitive groups the reference tables
-  need;
 * the subgroup-closure walk ``setorbits.subgroups.subgroup_classes``, run
   by ``closure_entries`` over the maxima for the primitive groups of
-  degrees 5-12 other than A_n and S_n (at degree 12 above an element of
-  order 11, ``SEEDS``), over the wreath products
-  S_k wr S_m with k*m = 4, 6, 8, 9 for the imprimitive transitive groups,
-  and over the Young subgroups S_a x S_b with a + b = 4..7 for the groups
-  with two orbits and no fixed point; no S_n is walked.  The catalog's
-  tables decide the degrees walked: a primitive closure at each degree of
-  ``PRIMITIVE_MAXIMA``, a transitive or two-orbit closure at each degree
-  ``catalog.MANIFEST`` counts for that kind; ``CLOSURE_NAMES`` only names
-  the classes, each by its place among those of its (order, s) in
-  ``closure_entries``' sort.
+  degrees 5-12 other than A_n and S_n, over the wreath products
+  S_k wr S_m with k*m = 4, 6, 8, 9, 10 for the imprimitive transitive
+  groups, and over the Young subgroups S_a x S_b with a + b = 4..7 for the
+  groups with two orbits and no fixed point; no S_n is walked.  Where the
+  groups needed all hold a conjugate of one element, the walk starts above
+  it (``SEEDS``): at degree 12, both maxima above an 11-cycle; at degree
+  10, S2 wr S5 above (1,3,5,7,9)(2,4,6,8,10) and S5 wr S2 above
+  (1,2,3,4,5)(6,7,8,9,10), each of cycle type 5^2, which every transitive
+  group of degree 10 holds.  The catalog's tables decide the degrees
+  walked: a primitive closure at each degree of ``PRIMITIVE_MAXIMA``, a
+  transitive or two-orbit closure at each degree ``CLOSURE_NAMES`` lists
+  for that kind, which holds every degree ``catalog.MANIFEST`` counts.
+  ``CLOSURE_NAMES`` names the classes, each by its place among those of
+  its (order, s) in ``closure_entries``' sort.  At a counted degree every
+  class ships; at degree 10, which ``catalog.TRANSITIVE_COUNTS`` does not
+  count, only the eight table groups it names do, of 36 classes.
+
+So every entry of degrees 4-12 is a class of a closure walk, or A_n or S_n.
 
 No group with a fixed point is written out: ``catalog.by_id("<id>+1")``
 builds entry ``<id>`` padded by one, so each group is shipped once.
@@ -48,15 +54,17 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete; each check
-raises, so ``python -O`` keeps it.  The run takes about 10 s at a 160 MB
-peak on a shared 2-core host, of which the walks of the maxima take about
-6.5 s (M_12 above its 11-cycle 3.5 s) and those of S2 wr S4, S4 wr S2 and
-S3 wr S3 about 3 s; rerunning it reproduces the shipped file byte for
-byte.
+raises, so ``python -O`` keeps it.  The run takes 14-15 s at a 160 MB
+peak on a shared 2-core host, as its last line reports, of which the
+walks of the maxima take about 6 s (M_12 above its 11-cycle about 3 s),
+those of S2 wr S4, S4 wr S2 and S3 wr S3 about 2.5 s, and those of degree
+10 about 6 s (S5 wr S2 above its seed 5-6 s, 51 classes; S2 wr S5 0.3-0.4
+s, 26 classes); rerunning it reproduces the shipped file byte for byte.
 """
 
 from __future__ import annotations
 
+import resource
 import sys
 import time
 from collections import Counter
@@ -263,14 +271,25 @@ MAXIMA = {
     "12T218": pgl2(F11),
 }
 
-#: the element a closure walks above, by (degree, kind), where its parents
-#: force one.  Every primitive group of degree 12 other than A12 and S12 has
-#: order divisible by 11 (Dixon and Mortimer, Permutation Groups, 1996,
-#: App. B), and 11^2 does not divide 12!, so by Sylow each one that lies in
-#: a maximum contains a conjugate, under that maximum, of the group one
-#: element of order 11 generates; both maxima hold this 11-cycle.  The full
-#: walk of M_12 takes minutes and more than a gigabyte.
-SEEDS = {(12, "primitive"): cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12)}
+#: the element a closure walks above, by the label ``_parents`` gives the
+#: parent: each class the walk must find holds a parent-conjugate of it.
+#: - Degree 12: every primitive group other than A12 and S12 has order
+#:   divisible by 11 (Dixon and Mortimer, Permutation Groups, 1996, App. B),
+#:   and 11^2 does not divide 12!, so by Sylow each one that lies in a
+#:   maximum contains a conjugate, under that maximum, of the group one
+#:   element of order 11 generates; both maxima hold this 11-cycle.  The
+#:   full walk of M_12 takes minutes and more than a gigabyte.
+#: - Degree 10: in a transitive group of degree n every orbit of a Sylow
+#:   p-subgroup has length divisible by the p-part of n (Wielandt, Finite
+#:   Permutation Groups, 1964, Thm 3.4), so each transitive group of degree
+#:   10 holds an element of cycle type 5^2.  In each wreath product these
+#:   elements form one class (384 in S2 wr S5, 576 in S5 wr S2), which
+#:   holds its seed.  No element of type 5^2 lies in both parents.  The full
+#:   walk of S5 wr S2 takes minutes.
+SEEDS = {"12P2": cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12),
+         "12T218": cyc("(1,2,3,4,5,6,7,8,9,10,11)", 12),
+         "S2 wr S5": cyc("(1,3,5,7,9)(2,4,6,8,10)", 10),
+         "S5 wr S2": cyc("(1,2,3,4,5)(6,7,8,9,10)", 10)}
 
 
 def wreath(k: int, m: int) -> list[Permutation]:
@@ -291,15 +310,18 @@ def wreath(k: int, m: int) -> list[Permutation]:
 
 #: the names of the classes ``closure_entries`` derives, by kind, degree and
 #: (order, set-orbit count), by ascending order; it writes them in the order
-#: of its own sort, not of this table.  The table only names classes: the
-#: degrees walked are those of ``catalog.PRIMITIVE_MAXIMA`` for the primitive
-#: kind and of ``catalog.MANIFEST`` for the others.  An ID that is not an
-#: X-ID is the group's row label in the reference tables
+#: of its own sort, not of this table.  The degrees walked are those of
+#: ``catalog.PRIMITIVE_MAXIMA`` for the primitive kind and of this table for
+#: the others, which holds every degree ``catalog.MANIFEST`` counts.  An ID
+#: that is not an X-ID is the group's row label in the reference tables
 #: (data/tables/r*.tsv), which the record itself does not repeat.  The
-#: primitive kind names every class, one per signature.  The other kinds ship
-#: every class too; an unnamed one, of the transitive kind only, ships as
-#: "T(n) order ... s=..." under the next of ``free_ids``.  Where classes
-#: share a signature, the j-th of them in the sort takes the j-th name listed.
+#: primitive kind names every class, one per signature.  At a degree the
+#: manifest counts, the other kinds ship every class too; an unnamed one, of
+#: the transitive kind only, ships as "T(n) order ... s=..." under the next
+#: of ``free_ids``.  At transitive degree 10, which the manifest does not
+#: count, only the 8 named classes ship: those the tables cite, all with
+#: s = 21; the other 28 of the walk have s >= 22.  Where classes share a
+#: signature, the j-th of them in the sort takes the j-th name listed.
 CLOSURE_NAMES = {
     "primitive": {
         5: {(5, 8): [("5P1", "C5")], (10, 8): [("5P2", "D10")],
@@ -356,6 +378,14 @@ CLOSURE_NAMES = {
             (648, 20): [("9X9", "wreath block group order 648 #1"),
                         ("9X10", "wreath block group order 648 #2")],
             (1296, 20): [("9S534", "S3wrS3")]},
+        10: {(800, 21): [("10S1496", "AGL(1,5)wrC2")],
+             (1920, 21): [("10S1543", "C2x(2^4:A5)"),
+                          ("10S1542", "2^4:S5 (twisted)")],
+             (3840, 21): [("10S1561", "C2x(2^4:S5)")],
+             (7200, 21): [("10S1569", "(A5xA5):C2")],
+             (14400, 21): [("10S1576", "(A5xA5):(C2xC2)"),
+                           ("10S1577", "(A5xA5):C4")],
+             (28800, 21): [("10S1584", "S5wrC2")]},
     },
     "two-orbit": {
         4: {(2, 10): [("4S2", "C2")], (4, 9): [("4S6", "C2xC2")]},
@@ -439,7 +469,7 @@ def fused_classes(n: int, kind: str) -> dict[tuple[int, int], list[SubgroupClass
     fused: dict[tuple[int, int], list[SubgroupClass]] = {}
     for label, parent in _parents(n, kind):
         t0 = time.time()
-        classes = subgroup_classes(parent, above=SEEDS.get((n, kind)))
+        classes = subgroup_classes(parent, above=SEEDS.get(label))
         print(f"{label}: {len(classes)} subgroup classes "
               f"({time.time() - t0:.1f}s)", flush=True)
         for c in classes:
@@ -456,14 +486,15 @@ def fused_classes(n: int, kind: str) -> dict[tuple[int, int], list[SubgroupClass
 
 
 def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
-    """One entry for each class ``fused_classes(n, kind)`` gives: every
-    class of every degree walked ships, with no rule per degree or kind.
-    The classes are sorted by (order, canonical key under the parent that
-    walked them).  Two fused classes never share a key, which is the element
-    list of one of their subgroups, so the order is total and rests on the
-    parents alone, not on their generators.  The j-th class of an (order, s)
-    in this order takes the j-th name ``CLOSURE_NAMES`` lists for it, and a
-    class beyond the names listed takes the next of ``free_ids(n)``.
+    """One entry for each class ``fused_classes(n, kind)`` gives, at every
+    degree ``catalog.MANIFEST`` counts for the kind; elsewhere, one for each
+    class ``CLOSURE_NAMES`` names.  The classes are sorted by (order,
+    canonical key under the parent that walked them).  Two fused classes
+    never share a key, which is the element list of one of their subgroups,
+    so the order is total and rests on the parents alone, not on their
+    generators.  The j-th class of an (order, s) in this order takes the
+    j-th name ``CLOSURE_NAMES`` lists for it, and a class beyond the names
+    listed takes the next of ``free_ids(n)`` where the degree is counted.
     """
     names = CLOSURE_NAMES[kind][n]
     ordered = sorted(((c.order, c.canonical_key, s, c.representative)
@@ -478,6 +509,8 @@ def closure_entries(n: int, kind: str) -> list[CatalogEntry]:
         cited = names.get((order, s), [])
         if j <= len(cited):
             ident, name = cited[j - 1]
+        elif n not in MANIFEST[kind]:
+            continue
         elif kind == "transitive":
             ident = next(free_x)
             name = f"T({n}) order {order} s={s}" + (f" #{j}" if j > 1 else "")
@@ -540,47 +573,6 @@ def entry(ident, name, gens, order, s) -> CatalogEntry:
     return e
 
 
-def stated_entries(n: int) -> list[CatalogEntry]:
-    """The groups of degree n that no closure derives and that follow A_n
-    and S_n in the file: at degree 10, the wreath-type groups the reference
-    tables cite; no other degree has any."""
-    if n != 10:
-        return []
-    u = cyc("(1,6)(2,7)(3,8)(4,9)(5,10)", 10)
-    f20a = [cyc("(1,2,3,4,5)", 10), cyc("(2,3,5,4)", 10)]
-    f20b = [cyc("(6,7,8,9,10)", 10), cyc("(7,8,10,9)", 10)]
-    a5a = [cyc("(1,2,3)", 10), cyc("(1,2,3,4,5)", 10)]
-    a5b = [cyc("(6,7,8)", 10), cyc("(6,7,8,9,10)", 10)]
-    # the Klein extension adjoins the block swap u and an (odd, odd) pair
-    # separately; the cyclic one adjoins w with w^2 = (1,2)(6,7), an (odd,
-    # odd) element, so its quotient over A5 x A5 is C4
-    tpair = cyc("(1,2)(6,7)", 10)
-    w4 = cyc("(1,6,2,7)(3,8)(4,9)(5,10)", 10)
-    # blocks of size 2: base flips b_i = (2i-1, 2i), top S5 on the blocks.
-    # Of the three index-2 subgroups of S2 wr S5 the tables cite the twisted
-    # one (base flip parity = block permutation parity) and 2^5:A5; the
-    # even-base 2^4:S5 has s = 22 and is not a table group.
-    b1 = cyc("(1,2)", 10)
-    b12 = cyc("(1,2)(3,4)", 10)
-    top_t = cyc("(1,3)(2,4)", 10)
-    top_c = cyc("(1,3,5,7,9)(2,4,6,8,10)", 10)
-    top_3 = cyc("(1,3,5)(2,4,6)", 10)
-    return [
-        entry("10S1496", "AGL(1,5)wrC2", f20a + f20b + [u], 800, s=21),
-        entry("10S1569", "(A5xA5):C2", a5a + a5b + [u], 7200, s=21),
-        entry("10S1576", "(A5xA5):(C2xC2)", a5a + a5b + [u, tpair], 14400,
-              s=21),
-        entry("10S1577", "(A5xA5):C4", a5a + a5b + [w4], 14400, s=21),
-        entry("10S1584", "S5wrC2",
-              [cyc("(1,2)", 10), cyc("(1,2,3,4,5)", 10),
-               cyc("(6,7)", 10), cyc("(6,7,8,9,10)", 10), u], 28800, s=21),
-        entry("10S1542", "2^4:S5 (twisted)", [b12, top_c, b1 * top_t], 1920,
-              s=21),
-        entry("10S1543", "C2x(2^4:A5)", [b1, top_3, top_c], 1920, s=21),
-        entry("10S1561", "C2x(2^4:S5)", [b1, top_t, top_c], 3840, s=21),
-    ]
-
-
 def main():
     t_start = time.time()
 
@@ -596,16 +588,15 @@ def main():
                entry("3P1", "C3", [cyc("(1,2,3)", 3)], 3, s=4),
                entry("3P2", "S3", sym(3), 6, s=4)]
 
-    # ---- degrees 4..12: the primitive closure, A_n and S_n, the stated
-    # groups, then the transitive and two-orbit closures ---------------------
+    # ---- degrees 4..12: the primitive closure, A_n and S_n, then the
+    # transitive and two-orbit closures --------------------------------------
     for n, (alt_id, sym_id) in ALT_SYM_IDS.items():
         if n in PRIMITIVE_MAXIMA:
             entries += closure_entries(n, "primitive")
         entries += [entry(alt_id, f"A{n}", alt(n), factorial(n) // 2, s=n + 1),
                     entry(sym_id, f"S{n}", sym(n), factorial(n), s=n + 1)]
-        entries += stated_entries(n)
         for kind in ("transitive", "two-orbit"):
-            if n in MANIFEST[kind]:
+            if n in CLOSURE_NAMES[kind]:
                 entries += closure_entries(n, kind)
 
     # ---- structural cross-checks ------------------------------------------
@@ -620,8 +611,9 @@ def main():
     if problems := check_manifest(entries):
         raise ValueError(f"manifest: {problems}")
     OUT.write_text(text, encoding="utf-8")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"manifest OK; wrote {OUT} with {len(entries)} entries "
-          f"({time.time() - t_start:.0f}s total)")
+          f"({time.time() - t_start:.0f}s total, {peak_mb:.0f} MB peak)")
 
 
 HEADER = """\
@@ -631,12 +623,13 @@ HEADER = """\
 # Sources: the primitive subgroup classes of the maximal primitive groups
 # of degrees 5-12 (projective, affine and linear actions over small finite
 # fields, M11 and M12), the transitive subgroup classes of the wreath
-# products S_k wr S_m (k*m = 4, 6, 8, 9) and the two-orbit subgroup classes
-# of the Young subgroups S_a x S_b (a + b = 4..7), each fused under S_n;
-# wreath embeddings.  No entry of degree >= 2 has a fixed point: "<id>+1"
-# is entry <id> padded by one.  A construction's list of three or more
-# generators is replaced by the first pair of products of its consecutive
-# generators that generates the same group, where one does.
+# products S_k wr S_m (k*m = 4, 6, 8, 9, 10; at degree 10 the eight that
+# the reference tables cite) and the two-orbit subgroup classes of the
+# Young subgroups S_a x S_b (a + b = 4..7), each fused under S_n.  No
+# entry of degree >= 2 has a fixed point: "<id>+1" is entry <id> padded by
+# one.  A construction's list of three or more generators is replaced by
+# the first pair of products of its consecutive generators that generates
+# the same group, where one does.
 # Regenerate with scripts/derive_catalog.py; every entry is re-verified by
 # the test suite (order, transitivity, primitivity, two-orbit shape,
 # set-orbit count).\

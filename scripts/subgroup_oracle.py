@@ -3,12 +3,14 @@
 the independent oracle behind the frozen class-count fixtures.
 
 Method, deliberately different from the production enumerator (no stabilizer
-chains, no prime-power element walk, no conjugate maps): list every cyclic
-subgroup, then close the collection under pairwise join until nothing new
-appears.  Every subgroup is a join of cyclic subgroups, so the fixpoint is
-the complete subgroup lattice.  A join is computed by plain breadth-first
-closure of the two generator lists.  Conjugacy classes are then formed by
-explicit conjugation with every element of the group.
+chains, no prime-power element walk, no conjugate maps), and sharing no code
+with the package: it imports nothing from ``setorbits`` and takes products
+and conjugates point by point.  List every cyclic subgroup, then close the
+collection under pairwise join until nothing new appears.  Every subgroup is
+a join of cyclic subgroups, so the fixpoint is the complete subgroup
+lattice.  A join is computed by plain breadth-first closure of the two
+generator lists.  Conjugacy classes are then formed by explicit conjugation
+with every element of the group.
 
 Usage: subgroup_oracle.py [max_n]     (S_1..S_max_n; default 5; n = 6 takes
 some minutes)
@@ -19,11 +21,19 @@ from __future__ import annotations
 import sys
 import time
 from itertools import permutations
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from setorbits.perm import _compose_t, _conjugate_t
+def compose(a: tuple, b: tuple) -> tuple:
+    """a o b, b applied first: (a o b)(i) = a(b(i))."""
+    return tuple([a[i] for i in b])
+
+
+def conjugate(s: tuple, x: tuple) -> tuple:
+    """s x s^-1, which sends s(i) to s(x(i))."""
+    out = [0] * len(s)
+    for i, j in enumerate(x):
+        out[s[i]] = s[j]
+    return tuple(out)
 
 
 def bfs_closure(gens: tuple, n: int) -> frozenset:
@@ -34,7 +44,7 @@ def bfs_closure(gens: tuple, n: int) -> frozenset:
         new = []
         for x in frontier:
             for g in gens:
-                y = _compose_t(x, g)
+                y = compose(x, g)
                 if y not in out:
                     out.add(y)
                     new.append(y)
@@ -57,7 +67,7 @@ def census(elements) -> tuple[int, int]:
         x = g
         while x != ident:
             sub.add(x)
-            x = _compose_t(x, g)
+            x = compose(x, g)
         cyclics.setdefault(frozenset(sub), (g,))
     subgroups: dict[frozenset, tuple] = {frozenset([ident]): ()}
     subgroups.update(cyclics)
@@ -81,7 +91,7 @@ def census(elements) -> tuple[int, int]:
             continue
         classes += 1
         for s in everyone:
-            seen.add(frozenset(_conjugate_t(s, x) for x in H))
+            seen.add(frozenset(conjugate(s, x) for x in H))
     return len(subgroups), classes
 
 

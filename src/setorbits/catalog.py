@@ -4,15 +4,16 @@ The database (``data/groups.cat``) holds generator words in cycle notation
 for the primitive groups of every degree up to 12 (and the trivial group of
 degree 1), the transitive groups of degrees 4, 6, 8 and 9, the groups of
 degrees 4 to 7 with two orbits, no fixed point and s <= n + 11, and the
-auxiliary groups needed to reproduce the reference classification tables.
-``scripts/derive_catalog.py`` derives the primitive groups of degrees 5 to
-12 other than A_n and S_n as the primitive subgroup classes of the maxima
-``PRIMITIVE_MAXIMA`` lists, and the transitive and two-orbit pools from
-walks of wreath products and Young subgroups.  Each word is parsed once,
-on load, into the entry's ``generators``; the entry is the unit the
-classification works with.  This module alone reads and writes the record
-format: ``parse_catalog`` reads it and ``format_entry`` writes one record
-back.  No generator set is trusted: ``verify_entry`` rebuilds every group
+eight imprimitive groups of degree 10 that the reference classification
+tables cite.  ``scripts/derive_catalog.py`` derives the primitive groups of
+degrees 5 to 12 other than A_n and S_n as the primitive subgroup classes of
+the maxima ``PRIMITIVE_MAXIMA`` lists, and the transitive and two-orbit
+pools and degree 10's eight from walks of wreath products and Young
+subgroups: every entry of degrees 4 to 12 is a class of one of these walks,
+or A_n or S_n.  Each word is parsed once, on load, into the entry's
+``generators``; the entry is the unit the classification works with.  This
+module alone reads and writes the record format: ``parse_catalog`` reads
+it and ``format_entry`` writes one record back.  No generator set is trusted: ``verify_entry`` rebuilds every group
 and checks its order, the tags ``structure_tags`` says it earns and its
 set-orbit count, and the test suite runs this over the whole file.
 

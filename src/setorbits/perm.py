@@ -70,16 +70,6 @@ def _inverse_t(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _conjugate_t(s: tuple[int, ...], x: tuple[int, ...]) -> tuple[int, ...]:
-    # s x s^-1, evaluated without building the inverse: for one x this loop
-    # beats inverting s for two gathers; conjugating many x by one s pays
-    # for s^-1's getter (``subgroups._conjugate_set``)
-    out = [0] * len(s)
-    for i, j in enumerate(x):
-        out[s[i]] = s[j]
-    return tuple(out)
-
-
 def _cycle_lengths(p: tuple[int, ...]) -> tuple[int, ...]:
     """Sorted cycle lengths of ``p``, fixed points included."""
     n = len(p)

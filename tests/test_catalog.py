@@ -35,6 +35,7 @@ from setorbits.perm import (Permutation, _Chain, _order_from_generators,
                             is_transitive)
 from setorbits.pipeline import candidate_groups, forced_transitive_size
 from setorbits.subgroups import conjugate_in_sn
+from test_perm import _oracle_script
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +397,38 @@ def test_free_ids_skip_every_named_id():
 
 def test_closure_names_cover_exactly_the_walked_degrees():
     """The script walks the primitive closure at the degrees of
-    PRIMITIVE_MAXIMA and the others at the degrees MANIFEST counts; its
-    names table has exactly these degrees, so a count added without names
-    fails here, not partway through the script."""
+    PRIMITIVE_MAXIMA and the others at the degrees its names table lists.
+    Every degree MANIFEST counts is named, so a count added without names
+    fails here, not partway through the script.  Transitive degree 10, whose
+    eight table groups the script derives with no count, is the one named
+    degree that is not counted."""
     names = _derive_catalog_script().CLOSURE_NAMES
     assert names.keys() == {"primitive", "transitive", "two-orbit"}
     assert names["primitive"].keys() == PRIMITIVE_MAXIMA.keys()
+    uncounted = set()
     for kind in ("transitive", "two-orbit"):
-        assert names[kind].keys() == MANIFEST[kind].keys(), kind
+        assert names[kind].keys() >= MANIFEST[kind].keys(), kind
+        uncounted |= {(kind, n) for n in names[kind].keys() - MANIFEST[kind].keys()}
+    assert uncounted == {("transitive", 10)}
+
+
+def test_s2_wr_s5_above_its_seed_derives_three_shipped_lines(monkeypatch, capsys):
+    """The quick half of degree 10: S2 wr S5 above its seed gives 26
+    classes, and its three table classes (s = 21) are the shipped lines of
+    10S1543, 10S1542 and 10S1561, in order; its unnamed classes do not
+    ship.  The walk of S5 wr S2 (5-7 s), which the other five need, is left
+    to the CI job that re-runs the script."""
+    script = _derive_catalog_script()
+    parents = script._parents(10, "transitive")
+    assert [label for label, _ in parents] == ["S2 wr S5", "S5 wr S2"]
+    quick = ("10S1543", "10S1542", "10S1561")
+    names = {sig: cited for sig, cited in script.CLOSURE_NAMES["transitive"][10].items()
+             if cited[0][0] in quick}
+    monkeypatch.setattr(script, "_parents", lambda n, kind: parents[:1])
+    monkeypatch.setitem(script.CLOSURE_NAMES["transitive"], 10, names)
+    derived = script.closure_entries(10, "transitive")
+    assert capsys.readouterr().out.startswith("S2 wr S5: 26 subgroup classes")
+    assert [format_entry(e) for e in derived] == _shipped_lines(lambda e: e.id in quick)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 9, 10])
@@ -527,6 +552,74 @@ def test_counting_routes_of_the_shipped_presentations():
         assert {i for i, r in routes.items() if r == route} == want, route
 
 
+#: the eight table groups of degree 10 on the generators the catalog shipped
+#: before the closure walk derived them: wreath-type constructions, made by
+#: hand from the structure each name states
+HAND_BUILT_10 = {
+    "10S1496": "(2,3,5,4);(1,8,2,10)(3,7,5,6)(4,9)",
+    "10S1543": "(1,3,5)(2,4,6);(1,6,4,8,10,2,5,3,7,9)",
+    "10S1542": "(1,3,5,7,9)(2,4,6,8,10);(1,3,2,4)",
+    "10S1561": "(1,3)(2,4);(1,6,8,10,2,5,7,9)",
+    "10S1569": "(1,2,3);(1,8,2,9,5,6,3,7,4,10)",
+    "10S1576": "(1,6)(2,7)(3,8)(4,9)(5,10);(1,6,3,9,5,7,4,10,2,8)",
+    "10S1577": "(1,2,3);(1,8)(2,9,5,6,3,7,4,10)",
+    "10S1584": "(1,2);(1,6,3,8,4,9,5,10)(2,7)",
+}
+
+
+def _built(gens, degree):
+    return build_group([Permutation.parse(g, degree) for g in gens.split(";")])
+
+
+@pytest.mark.parametrize("ident", list(HAND_BUILT_10))
+def test_degree_10_entries_are_the_hand_built_groups(ident):
+    """Each derived table group of degree 10 is S_10-conjugate to the group
+    built by hand for its name; SHARED_SIGNATURE_GROUPS tells the two pairs
+    of one (order, s) apart."""
+    e = by_id(ident)
+    hand = _built(HAND_BUILT_10[ident], 10)
+    assert hand.order == e.expected_order
+    assert conjugate_in_sn(e.group(), hand) is not None
+
+
+def _conjugacy_class(x, gens):
+    """The class of x under the group ``gens`` generate, by the oracle's
+    point-by-point conjugation."""
+    conjugate = _oracle_script().conjugate
+    out, todo = {x}, [x]
+    while todo:
+        y = todo.pop()
+        for z in (conjugate(g, y) for g in gens):
+            if z not in out:
+                out.add(z)
+                todo.append(z)
+    return out
+
+
+def test_every_transitive_group_of_degree_10_holds_a_seed_conjugate():
+    """Wielandt (Finite Permutation Groups, 1964, Thm 3.4): an orbit of a
+    Sylow 5-subgroup of a transitive group of degree 10 has length 5 or 10,
+    so the group holds an element of cycle type 5^2.  Each shipped
+    transitive entry of degree 10 below A_10 does.  In each wreath product
+    the script walks, those elements form one class, which holds the seed:
+    so every transitive subgroup meets the seed's class, and the walk above
+    the seed misses none."""
+    def five_squared(p):
+        return perm._cycle_lengths(p) == (5, 5)
+
+    for e in load_default():
+        if (e.degree == 10 and "transitive" in e.tags
+                and not contains_alternating(10, e.expected_order)):
+            assert any(map(five_squared, e.group().iter_element_tuples())), e.id
+    script = _derive_catalog_script()
+    for (label, parent), size in zip(script._parents(10, "transitive"), (384, 576)):
+        seed = script.SEEDS[label]
+        assert seed in parent
+        every = {p for p in parent.iter_element_tuples() if five_squared(p)}
+        assert len(every) == size
+        assert _conjugacy_class(seed.images, parent.generator_tuples()) == every
+
+
 #: each entry that shares its (order, s) with one other class of its kind and
 #: degree: its name, generators of the group the name states, built apart
 #: from the catalog, and that sibling
@@ -544,6 +637,10 @@ SHARED_SIGNATURE_GROUPS = {
     "6T7": ("S4", "(2,4)(3,5);(1,4,6,3)(2,5)", "6T6"),
     "6T9": ("S3xS3", "(1,2,3);(4,5,6);(2,3)(5,6);(1,4)(2,5)(3,6)", "6T10"),
     "6T10": ("C3^2:C4", "(1,2,3);(4,5,6);(1,4)(2,6,3,5)", "6T9"),
+    "10S1543": ("C2x(2^4:A5)", HAND_BUILT_10["10S1543"], "10S1542"),
+    "10S1542": ("2^4:S5 (twisted)", HAND_BUILT_10["10S1542"], "10S1543"),
+    "10S1576": ("(A5xA5):(C2xC2)", HAND_BUILT_10["10S1576"], "10S1577"),
+    "10S1577": ("(A5xA5):C4", HAND_BUILT_10["10S1577"], "10S1576"),
 }
 
 
@@ -558,14 +655,16 @@ def test_shared_signature_names_match_their_groups(ident):
     """The script names the classes of one (order, s) by their place in its
     sort; under this name, the shipped entry and the derived one are each
     S_n-conjugate to the group the name states, and their sibling is not.
-    The 9X7-9X10 names state no group, so only their shipped lines pin
-    them."""
+    At degree 10, whose S5 wr S2 walk is left to the CI job that re-runs the
+    script, only the shipped side is checked.  The 9X7-9X10 names state no
+    group, so only their shipped lines pin them."""
     name, gens, sibling = SHARED_SIGNATURE_GROUPS[ident]
     e = by_id(ident)
     kind = "transitive" if "transitive" in e.tags else "two-orbit"
-    stated = build_group([Permutation.parse(g, e.degree) for g in gens.split(";")])
+    stated = _built(gens, e.degree)
     shipped = {i: by_id(i) for i in (ident, sibling)}
-    for entries in (shipped, _derived_closure(e.degree, kind)):
+    sides = [shipped] if e.degree == 10 else [shipped, _derived_closure(e.degree, kind)]
+    for entries in sides:
         assert entries[ident].name == name
         assert conjugate_in_sn(entries[ident].group(), stated) is not None
         assert conjugate_in_sn(entries[sibling].group(), stated) is None
