@@ -54,12 +54,12 @@ Each group becomes a ``catalog.CatalogEntry`` with the tags
 ``profile_from_enumeration``.  ``catalog.format_entry`` writes the lines;
 before the file is written, ``parse_catalog`` must read the text back as
 the same entries and ``check_manifest`` must find it complete; each check
-raises, so ``python -O`` keeps it.  The run takes 14-15 s at a 160 MB
+raises, so ``python -O`` keeps it.  The run takes 14-17 s at a 97 MB
 peak on a shared 2-core host, as its last line reports, of which the
-walks of the maxima take about 6 s (M_12 above its 11-cycle about 3 s),
+walks of the maxima take about 6 s (M_12 above its 11-cycle about 2.5 s),
 those of S2 wr S4, S4 wr S2 and S3 wr S3 about 2.5 s, and those of degree
-10 about 6 s (S5 wr S2 above its seed 5-6 s, 51 classes; S2 wr S5 0.3-0.4
-s, 26 classes); rerunning it reproduces the shipped file byte for byte.
+10 about 7 s (S5 wr S2 above its seed, 51 classes; S2 wr S5 0.2 s, 26
+classes); rerunning it reproduces the shipped file byte for byte.
 """
 
 from __future__ import annotations

@@ -46,12 +46,13 @@ def _resolve_group(spec: str) -> PermGroup:
     """A group from a catalog id or inline ``gens:"(...);(...)"`` syntax."""
     if spec.startswith("gens:"):
         text = spec[len("gens:"):].strip()
-        if not text:
+        words = [g for g in text.split(";") if g]
+        if not words:
             raise ValueError("empty generator list after gens:")
         # the largest number written; parse_permutation judges each point
         degree = max([1, *map(int, re.findall(r"\d+", text))])
-        gens = [parse_permutation(g, degree) for g in text.split(";") if g]
-        return build_group(gens, degree=degree)
+        return build_group([parse_permutation(g, degree) for g in words],
+                           degree=degree)
     try:
         entry = cat.by_id(spec)
     except KeyError:

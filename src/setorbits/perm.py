@@ -6,9 +6,9 @@ right-to-left: ``compose(a, b)`` applies ``b`` first, then ``a``.  On image
 tuples a product is a C-level gather, ``itemgetter(*b)(a)``, whose getter is
 built once where one right factor meets many left factors (transversal
 elements while listing a group, a representative across its Schreier
-pairs, s^-1 while conjugating a subgroup); at degree 1, where
-``itemgetter(0)`` would return a point rather than a 1-tuple, the product
-is its left factor.
+pairs, s^-1 while tabling the conjugation of a subgroup walk's parent by
+its generator s); at degree 1, where ``itemgetter(0)`` would return a
+point rather than a 1-tuple, the product is its left factor.
 
 Groups are backed by a deterministic stabilizer chain (Schreier-Sims, no
 randomization), which gives exact orders, membership tests and duplicate-free

@@ -4,19 +4,23 @@
 trivial group, every known class representative H is extended by single
 elements g of prime-power order in the parent (every subgroup arises as
 <M, g> with M maximal and g of prime-power order outside M, so the walk is
-exhaustive), and the closures are deduplicated against the exact set of
-the element sets of every parent-conjugate of every discovered subgroup.
-Once g is tried, the rest of its double cosets HgH and Hg^-1H are skipped:
-each of their elements gives the same <H, g>.  ``subgroup_classes(parent,
-above=x)`` starts the same walk at <x> instead: every H > <x> has a
-maximal subgroup M >= <x>, and H = <M, g> is that step again, so it lists
-exactly the classes of subgroups that contain a parent-conjugate of <x>.
+exhaustive).  The parent's elements are numbered once, in sorted order,
+and a subgroup is keyed by the frozenset of its elements' indices; each
+closure is deduplicated against the keys of every parent-conjugate of
+every discovered subgroup, conjugated by one index table per parent
+generator.  Once g is tried, the rest of its double cosets HgH and Hg^-1H
+are skipped: each of their elements gives the same <H, g>.
+``subgroup_classes(parent, above=x)`` starts the same walk at <x>
+instead: every H > <x> has a maximal subgroup M >= <x>, and H = <M, g> is
+that step again, so it lists exactly the classes of subgroups that
+contain a parent-conjugate of <x>.
 
 The default case is the parent S_n: ``all_subgroups(n)`` caches it per
 degree for n <= SUBGROUP_MAX_DEGREE = 7 (S_7: 96 classes, 11300
-subgroups, about 2 s on one core of a 2-core host).  Nothing walks S_8,
-which takes minutes: the imprimitive transitive groups of degree 8 are
-walked inside S_2 wr S_4 and S_4 wr S_2 (scripts/derive_catalog.py).
+subgroups, 1.6-3.5 s at a 36 MB peak on a shared 2-core host).  Nothing
+walks S_8, which takes over a minute at a 300 MB peak: the imprimitive
+transitive groups of degree 8 are walked inside S_2 wr S_4 and S_4 wr S_2
+(scripts/derive_catalog.py).
 Everything is deterministic: candidates are scanned in sorted order and the
 result is sorted by (order, canonical key), where the canonical key of a
 class is the lexicographically minimal sorted element list over all its
@@ -30,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import builtin
 from .prune import is_prime_power
@@ -70,83 +74,77 @@ def _prime_power_order(lengths: tuple[int, ...]) -> bool:
     return is_prime_power(math.lcm(*lengths))
 
 
-class _ClassRec:
-    __slots__ = ("gens", "elements", "order", "class_size", "canonical_key")
-
-    def __init__(self, gens, elements, order):
-        self.gens = gens
-        self.elements = elements
-        self.order = order
-        self.class_size = 0
-        self.canonical_key = ()
-
-
-def _conjugate_set(elems: frozenset, s: tuple[int, ...]) -> frozenset:
-    # s x s^-1 = s o (x o s^-1): two gathers, s^-1's getter built once
-    times_sinv = _gather(_inverse_t(s))
-    return frozenset(_compose_t(s, times_sinv(x)) for x in elems)
-
-
-def _conjugacy_orbit(elements: frozenset, conj_gens) -> tuple[set, tuple]:
-    """The element sets of all conjugates of one subgroup under the group
-    generated by ``conj_gens``, and the class's canonical key: the
-    lexicographically least sorted element list among them."""
-    orbit = {elements}
-    queue = [elements]
-    canon = tuple(sorted(elements))
-    while queue:
-        cur = queue.pop()
-        for s in conj_gens:
-            img = _conjugate_set(cur, s)
-            if img not in orbit:
-                orbit.add(img)
-                queue.append(img)
-                key = tuple(sorted(img))
-                if key < canon:
-                    canon = key
-    return orbit, canon
+class _ClassRec(NamedTuple):
+    gens: tuple
+    key: frozenset  # the indices of the representative's elements
+    order: int
+    class_size: int
+    canonical_key: tuple
 
 
 def _enumerate_classes(parent: PermGroup, start: tuple) -> list[_ClassRec]:
     n = parent.degree
-    conj_gens = parent.generator_tuples()
+    # numbered in sorted order, so sorted index lists order as the sorted
+    # element lists do
+    elements = sorted(parent.iter_element_tuples())
+    index = {x: i for i, x in enumerate(elements)}
+    # per parent generator s, the index of s x s^-1 at the index of x
+    conj_tables = []
+    for s in parent.generator_tuples():
+        times_sinv = _gather(_inverse_t(s))  # s x s^-1 = s o (x o s^-1)
+        conj_tables.append([index[_compose_t(s, times_sinv(x))]
+                            for x in elements])
     classes: list[_ClassRec] = []
     by_order: dict[int, list[_ClassRec]] = {}
-    # the element set of every parent-conjugate of every class found
+    # the key of every parent-conjugate of every class found
     seen: set[frozenset] = set()
 
-    def register(elements: frozenset, gens: tuple) -> None:
-        rec = _ClassRec(gens, elements, len(elements))
+    def register(key: frozenset, gens: tuple) -> None:
+        orbit = {key}
+        queue = [key]
+        canon = sorted(key)
+        while queue:
+            cur = queue.pop()
+            for table in conj_tables:
+                img = frozenset(map(table.__getitem__, cur))
+                if img not in orbit:
+                    orbit.add(img)
+                    queue.append(img)
+                    canon = min(canon, sorted(img))
+        seen.update(orbit)
+        rec = _ClassRec(gens, key, len(key), len(orbit),
+                        tuple(map(elements.__getitem__, canon)))
         classes.append(rec)
         by_order.setdefault(rec.order, []).append(rec)
-        orbit, rec.canonical_key = _conjugacy_orbit(elements, conj_gens)
-        rec.class_size = len(orbit)
-        seen.update(orbit)
 
-    register(frozenset(_Chain(start, n).iter_elements()), start)
-    candidates = sorted(t for t in parent.iter_element_tuples()
-                        if _prime_power_order(_cycle_lengths(t)))
+    register(frozenset(map(index.__getitem__,
+                           _Chain(start, n).iter_elements())), start)
+    candidates = [i for i, t in enumerate(elements)
+                  if _prime_power_order(_cycle_lengths(t))]
     pos = 0
     while pos < len(classes):
         rec = classes[pos]
         pos += 1
         if rec.order == parent.order:
             continue
-        E, gens = rec.elements, rec.gens
+        key, gens = rec.key, rec.gens
+        gen_indices = [index[x] for x in gens]
+        E = [elements[i] for i in key]
         times_gens = [_gather(s) for s in gens]
         covered: set = set()
-        for g in candidates:
-            if g in E or g in covered:
+        for gi in candidates:
+            g = elements[gi]
+            if gi in key or g in covered:
                 continue
             new_gens = gens + (g,)
             chain = _Chain(new_gens, n)
             o = chain.order
             for cls in by_order.get(o, ()):
-                ce = cls.elements
-                if g in ce and all(x in ce for x in gens):
+                ck = cls.key
+                if gi in ck and all(i in ck for i in gen_indices):
                     break  # closure is exactly that known representative
             else:
-                elems = frozenset(chain.iter_elements())
+                elems = frozenset(map(index.__getitem__, chain.iter_elements()))
                 if elems not in seen:
                     register(elems, new_gens)
             # <H, x> = <H, g> for every x in the double cosets HgH and

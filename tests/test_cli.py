@@ -68,9 +68,17 @@ def test_orbits_malformed_point_is_the_parse_error(capout, spec, message):
 
 
 @pytest.mark.parametrize("spec,s", [
-    ("gens:;", 2), ("gens:(2,3)", 6)])
+    ("gens:()", 2), ("gens:(2,3)", 6)])
 def test_orbits_inline_degree_is_the_largest_point(capout, spec, s):
     assert capout(["orbits", "--group", spec]).out == f"s={s}\n"
+
+
+@pytest.mark.parametrize("spec", ["gens:", "gens:;", "gens: ; ", "gens:;;"])
+def test_orbits_spec_without_a_generator_is_a_usage_error(capout, spec):
+    # "()" is a word, the identity; separators alone name no group
+    cap = capout(["orbits", "--group", spec], expect=2)
+    assert (cap.out, cap.err) == (
+        "", "error: empty generator list after gens:\n")
 
 
 def test_unknown_flag_is_usage_error(capout):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import permutations
 
@@ -12,6 +13,7 @@ from setorbits.subgroups import (
     conjugate_in_sn,
     subgroup_classes,
 )
+from test_catalog import _derive_catalog_script
 from test_perm import _oracle_script
 
 # class and subgroup counts for S_5 / S_6 were computed once by the naive
@@ -112,17 +114,22 @@ def test_cap_errors():
 
 
 def test_class_size_orbit_stabilizer():
-    """class_size * |N_{S_n}(H)| = n!, normalizer by brute conjugation."""
+    """class_size * |N_{S_n}(H)| = n!, normalizer by brute conjugation, and
+    the canonical key is the least sorted element list over the
+    conjugates."""
     for n in (3, 4, 5):
         elems = [tuple(p) for p in permutations(range(n))]
         for c in all_subgroups(n):
             H = frozenset(c.representative.iter_element_tuples())
-            norm = 0
+            conjugates = []
             for s in elems:
                 sinv = tuple(sorted(range(n), key=s.__getitem__))
-                if all(tuple(s[h[sinv[i]]] for i in range(n)) in H for h in H):
-                    norm += 1
+                conjugates.append(frozenset(
+                    tuple(s[h[sinv[i]]] for i in range(n)) for h in H))
+            norm = conjugates.count(H)
             assert c.class_size * norm == math.factorial(n), (n, c.index)
+            assert c.canonical_key == min(
+                tuple(sorted(K)) for K in conjugates), (n, c.index)
 
 
 def test_representatives_pairwise_nonconjugate():
@@ -147,6 +154,32 @@ def test_burnside_vs_enumeration_cross_validation():
 def test_deterministic_ordering():
     a = [(c.order, c.canonical_key) for c in all_subgroups(5)]
     assert a == sorted(a)
+
+
+#: sha256 of one ``repr`` line per class, in order, of (order, class size,
+#: canonical key, the representative's generator tuples)
+CLASS_DIGESTS = {
+    "S5": "62dd9b5a9e3d0b2a0741cfaab6d31aa4f8c6e129508d9a82b0d34483360131e5",
+    "S6": "3296d3848f06efafebeaf552a312bcbf8f7010a4cfa97b69340827f7c919ed11",
+    "S7": "7aa16853b240c45593539a78cc168e53c8689521a098c6b495da4ad245411383",
+    "S2 wr S5": "5e7c0dad7cb8e4afce0396aa3cd797b96fd2bb0365a3ea54152adec512416e2b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_DIGESTS))
+def test_class_digests(name):
+    """The classes of S_5, S_6, S_7, and of S2 wr S5 above the seed of
+    scripts/derive_catalog.py, with their representatives' generators."""
+    if name == "S2 wr S5":
+        script = _derive_catalog_script()
+        classes = subgroup_classes(build_group(script.wreath(2, 5)),
+                                   above=script.SEEDS[name])
+    else:
+        classes = all_subgroups(int(name[1:]))
+    lines = "".join(
+        repr((c.order, c.class_size, c.canonical_key,
+              c.representative.generator_tuples())) + "\n" for c in classes)
+    assert hashlib.sha256(lines.encode()).hexdigest() == CLASS_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------
