@@ -29,12 +29,13 @@ factors.  Taking complements commutes with every permutation of the
 points, so it maps the orbits on t-subsets one to one onto the orbits on
 (n-t)-subsets and s_t = s_{n-t}: the walk visits only the masks of at most
 n // 2 points (2510 of M12's 4096), and both callers mirror the rest.  With
-one or two generators no mask loops over them: the orbits of a group on one
+one to four generators no mask loops over them: the orbits of a group on one
 generator are its cycles, followed back to their start with no visited
-test, and a pair has both image lookups written out; only other generator
-counts loop over the tables.  Each image is two lookups, in tables for the
-low min(8, (n + 1) // 2) bits of a mask and for the rest, so a small degree
-builds small tables (8 + 8 entries per generator at n = 6).
+test, and two, three or four generators have each image lookup written
+out; only none, or five and more, loop over the tables.  Each image is two
+lookups, in tables for the low min(8, (n + 1) // 2) bits of a mask and for
+the rest, so a small degree builds small tables (8 + 8 entries per
+generator at n = 6).
 A walked partition files each orbit under its size; the walk finds the
 orbits of each size up to n // 2 by ascending smallest mask, so only the
 mirrored sizes are sorted.
@@ -77,7 +78,14 @@ ENUMERATION_MAX_DEGREE = 22
 #: |G|*n / (2^n*|gens|) lies in 0.2-0.8, the chosen routes take
 #: 28.8-33.0 ms, the faster route of each factor 1.9-2.7% less, and any
 #: one ratio in 0.2-0.35 0.7-1.9% less.  Only one-generator groups (C7,
-#: C8) gain 20% or more by switching.
+#: C8) gain 20% or more by switching.  On the 15 catalog groups with three
+#: or four generators (degree 6-9, best of 7 per group, medians over
+#: groups, five alternating runs per side on the same host), the
+#: written-out walks take 70-74 ns per mask image against 80-84 ns for the
+#: loop over the tables, in four runs of five (the fifth read 111 and 99 ns
+#: on a slowed host), and one element-point 256-263 ns in the same runs,
+#: so 0.26-0.28 times as long per unit (0.32-0.34 before).  No route of a
+#: catalog entry or of its one-point padding moves at 0.4, so it stays.
 ENUMERATION_COST_RATIO = 0.4
 
 #: the translate tables of ``_orbits``: a popcount byte plus one, and for
@@ -234,14 +242,17 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
     lookups and the tables have 2^w and 2^(n - w) entries: 16 + 16 at
     n = 8, and the full 256 low entries from n = 15 on.
 
-    The walk is chosen by the number of generators, so that with one or
-    two no mask loops over them:
+    The walk is chosen by the number of generators, so that with one to
+    four no mask loops over them:
     - one generator: the orbit of a start is its cycle, followed until it
       returns to the start, with no visited test per image;
-    - two: both lookups written out;
-    - none, or three or more: a loop over the tables per mask.
-    In the last two, each orbit list is its own work queue.  The caller
-    checks the degree first.
+    - two, three or four: one split of each mask into its low and high
+      part, and each generator's lookups and visited test written out, in
+      generator order;
+    - none, or five or more: a loop over the tables per mask.
+    In the last two, each orbit list is its own work queue, so every walk
+    but the first yields each orbit in the same breadth-first order.  The
+    caller checks the degree first.
     """
     n = G.degree
     w = min(8, (n + 1) // 2)
@@ -279,6 +290,54 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
                     seen[img] = 1
                     push(img)
                 img = c[lo] | d[hi]
+                if not seen[img]:
+                    seen[img] = 1
+                    push(img)
+            yield orbit
+            start = seen.find(0, start + 1)
+    elif len(tables) == 3:
+        (a, b), (c, d), (e, f) = tables
+        while start >= 0:
+            seen[start] = 1
+            orbit = [start]
+            push = orbit.append
+            for m in orbit:
+                lo, hi = m & low, m >> w
+                img = a[lo] | b[hi]
+                if not seen[img]:
+                    seen[img] = 1
+                    push(img)
+                img = c[lo] | d[hi]
+                if not seen[img]:
+                    seen[img] = 1
+                    push(img)
+                img = e[lo] | f[hi]
+                if not seen[img]:
+                    seen[img] = 1
+                    push(img)
+            yield orbit
+            start = seen.find(0, start + 1)
+    elif len(tables) == 4:
+        (a, b), (c, d), (e, f), (g, h) = tables
+        while start >= 0:
+            seen[start] = 1
+            orbit = [start]
+            push = orbit.append
+            for m in orbit:
+                lo, hi = m & low, m >> w
+                img = a[lo] | b[hi]
+                if not seen[img]:
+                    seen[img] = 1
+                    push(img)
+                img = c[lo] | d[hi]
+                if not seen[img]:
+                    seen[img] = 1
+                    push(img)
+                img = e[lo] | f[hi]
+                if not seen[img]:
+                    seen[img] = 1
+                    push(img)
+                img = g[lo] | h[hi]
                 if not seen[img]:
                     seen[img] = 1
                     push(img)

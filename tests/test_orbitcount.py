@@ -495,22 +495,27 @@ def _deadline(seconds):
 
 
 def _dihedral_gens(n):
-    """The rotation i -> i + 1, the reflection i -> n - 1 - i and the
-    inverse rotation on n >= 2 points: none is the identity, and the
-    rotations carry a point across every split of the masks."""
+    """On n >= 2 points, the rotation i -> i + 1, the reflection
+    i -> n - 1 - i, the inverse rotation and the reflections i -> 1 - i and
+    i -> n(n - 1)/2 - i (mod n): none is the identity, from n = 3 on no two
+    are equal, and the rotations carry a point across every split of the
+    masks.  All five lie in the dihedral group, of order 2n."""
     rot = Permutation([(i + 1) % n for i in range(n)])
     flip = Permutation([n - 1 - i for i in range(n)])
-    return [rot, flip, Permutation([(i - 1) % n for i in range(n)])]
+    return [rot, flip, Permutation([(i - 1) % n for i in range(n)]),
+            Permutation([(1 - i) % n for i in range(n)]),
+            Permutation([(n * (n - 1) // 2 - i) % n for i in range(n)])]
 
 
-#: one group per walk of ``_orbits`` (no generator, one, two, three or
-#: more) at degree 10; the trivial group's partition is its 1024 masks as
+#: one group per walk of ``_orbits`` (no generator, one, two, three) at
+#: degree 10; the trivial group's partition is its 1024 masks as
 #: singletons, in (size, mask) order.  Then every degree 1..14, so every
-#: split width of the image tables below 15 points, with the first 0 to 3
-#: of ``_dihedral_gens``; degree 1 has no permutation but the identity, so
-#: only the trivial group.  Each group is its own lone factor, so
-#: ``enumerate_set_orbits`` walks it whole: the generators of each link
-#: all its points, or it is trivial
+#: split width of the image tables below 15 points, with the first 0 to 5
+#: of ``_dihedral_gens``: each written-out walk (one to four generators)
+#: and the loop over the tables (none, or five).  Degree 1 has no
+#: permutation but the identity, so only the trivial group.  Each group is
+#: its own lone factor, so ``enumerate_set_orbits`` walks it whole: the
+#: generators of each link all its points, or it is trivial
 WALKS = {
     "trivial": (build_group([], degree=10), 0),
     "cycles-3-5-2": (gset("(1,2,3)(4,5,6,7,8)(9,10)", degree=10), 1),
@@ -521,7 +526,7 @@ WALKS = {
 }
 WALKS.update({
     f"n{n}-gens{k}": (build_group(_dihedral_gens(n)[:k], degree=n), k)
-    for n in range(1, 15) for k in range(4 if n > 1 else 1)})
+    for n in range(1, 15) for k in range(6 if n > 1 else 1)})
 
 
 @pytest.mark.parametrize("name", WALKS)
@@ -536,16 +541,23 @@ def test_each_walk_matches_oracles(name):
     assert profile == profile_from_enumeration(G)
 
 
-#: sha1 of "\n".join(dump_orbits(G)).  C8XC8 pins the product assembly of
-#: a direct product's partition, D13 the two-generator walk and C13 the
-#: one-generator walk.  D13 and C8XC8 were recorded when one walk still
-#: covered all 2^n masks, C13 while every walk still looped over the
-#: generators per mask
+#: sha1 of "\n".join(dump_orbits(G)).  C8XC8 pins the partition of a
+#: direct product, assembled from its factors'; C13 the one-generator walk,
+#: D13 the two-generator walk, S4 wr S2 on its three natural generators the
+#: three-generator walk and S3 wr S3 on its four the four-generator walk.
+#: D13 and C8XC8 were recorded when one walk still covered all 2^n masks,
+#: C13 while every walk still looped over the generators per mask, and
+#: the two wreath products while three or four generators still did
 DUMP_SHA1 = {
     "D13": (builtin("dihedral", 13),
             "8088508c89d41d227b114a682584bcc3762ad702"),
     "C8XC8": (C8XC8, "708ff288f57d55a2a0c8bf9c71e8e13538268e47"),
     "C13": (builtin("cyclic", 13), "2d734a3d276b30510b6a5c062007f846f10981a4"),
+    "S4wrS2": (gset("(1,2)", "(1,2,3,4)", "(1,5)(2,6)(3,7)(4,8)", degree=8),
+               "2cfd83933d94b1622e7c6d7a8f35c537da6380de"),
+    "S3wrS3": (gset("(1,2)", "(1,2,3)", "(1,4)(2,5)(3,6)",
+                    "(1,4,7)(2,5,8)(3,6,9)", degree=9),
+               "1830f2d02d963c6c051a68275de08d9f1d0a25b3"),
 }
 
 
