@@ -3,7 +3,7 @@
 For a target excess r from 1 (the set-transitive groups) to ``MAX_R``,
 the run bounds the degree (``prune.degree_bound``: past it, step 1
 eliminates every degree; n <= 55 for r <= 11), eliminates
-degrees by parity and the two prime-window arguments, selects
+degrees by parity, the prime window and the homogeneity bound, selects
 candidate groups per surviving degree, computes s(G) exactly for each and
 keeps the hits.  The candidates for s(G) = s at degree n form a pool built
 by one recursion on (n, s), from the shipped catalog only:

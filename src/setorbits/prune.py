@@ -4,18 +4,22 @@ A group with s(G) = n + r, r >= 1, has one orbit per subset size plus a
 budget of r - 1 more, so at most r - 1 sizes t have more than one t-orbit.
 Orbit counts do not fall towards the middle size, so one split at t <= n/2
 splits all n - 2t + 1 sizes in [t, n - t]; every size up to
-t* = (n - r + 1) // 2 is forced to one orbit (``forced_transitive_size``).
-Both elimination steps use the one prime p, the least prime above
-(n + r) // 2 = n - t*, so 2p >= n + r + 1:
+t* = (n - r + 1) // 2 is forced to one orbit (``forced_transitive_size``),
+so the group is t*-homogeneous.  Two steps eliminate a degree for every
+group not containing A_n:
 
-* step 1 (r >= 1): when p < 2n/3, every size in (n - p, p) splits for a
-  group not containing A_n.  These are 2p - n - 1 >= r sizes, more than the
-  budget of r - 1.
-* step 2 (r >= 1): when p <= n, the budget forces (n - p + 1)-transitivity,
-  which contradicts a transitivity bound from decompositions
-  n = m*p0 + rem (p0 prime, p0 > m, rem > m: no such group is more than
-  rem-transitive, save the 3-transitive families of
-  ``known_transitivity_floor``).
+* step 1 (r >= 1): p is the least prime above (n + r) // 2 = n - t*, so
+  2p >= n + r + 1.  When p < 2n/3, every size in (n - p, p) splits.  These
+  are 2p - n - 1 >= r sizes, more than the budget of r - 1.
+* step 2, homogeneity (r >= 1): t* > h(n), where h(n)
+  (``homogeneity_bound``) is the largest k <= n/2 for which a degree-n
+  group without A_n can be k-homogeneous.  Three classical results give
+  h(n).  Livingstone and Wagner (Math. Z. 90, 1965): a k-homogeneous group
+  with 2k <= n is (k - 1)-transitive, and k-transitive once k >= 5.  Kantor
+  (Math. Z. 124, 1972): the k-homogeneous groups that are not k-transitive,
+  k >= 2.  The classification of the 2-transitive groups (Cameron, Bull.
+  LMS 13, 1981; Dixon and Mortimer, Permutation Groups, 1996, section 7.7):
+  the 3-transitive groups without A_n.
 
 Step 1 alone bounds the degree search (``degree_bound``).  By Nagura
 (Proc. Japan Acad. 28, 1952), for x >= 25 there is a prime in (x, 6x/5).
@@ -36,8 +40,8 @@ from typing import Literal, Optional
 
 @cache
 def is_prime(n: int) -> bool:
-    """Trial division; cached, since ``_split_prime`` and ``miller_bound``
-    test the same integers again for neighbouring degrees."""
+    """Trial division; cached, since ``_split_prime`` tests the same
+    integers again for neighbouring degrees."""
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
@@ -45,38 +49,15 @@ def is_prime(n: int) -> bool:
 # records
 
 @dataclass(frozen=True)
-class MillerDecomposition:
-    """n = m*p0 + rem with p0 prime, p0 > m, rem > m."""
-
-    n: int
-    m: int
-    p0: int
-    rem: int
-
-    def __post_init__(self):
-        if self.n != self.m * self.p0 + self.rem:
-            raise ValueError("inconsistent decomposition")
-        if not (is_prime(self.p0) and self.p0 > self.m and self.rem > self.m):
-            raise ValueError("decomposition violates the hypothesis")
-
-    def __str__(self) -> str:
-        return f"{self.m}x{self.p0}+{self.rem}"
-
-    @property
-    def bound(self) -> int:
-        """Most transitivity a degree-n group without A_n can have: rem,
-        raised to ``known_transitivity_floor(n)``."""
-        return max(self.rem, known_transitivity_floor(self.n))
-
-
-@dataclass(frozen=True)
 class PruneVerdict:
-    """Per-degree outcome of the elimination stages."""
+    """Per-degree outcome of the elimination stages: step 1's prime, or
+    step 2's forced size t* and bound h(n)."""
 
     n: int
-    stage: Literal["parity", "step1", "step2", "survived"]
+    stage: Literal["parity", "step1", "homogeneity", "survived"]
     witness_prime: Optional[int] = None
-    miller: Optional[MillerDecomposition] = None
+    forced_size: Optional[int] = None
+    bound: Optional[int] = None
 
     @property
     def eliminated(self) -> bool:
@@ -85,10 +66,8 @@ class PruneVerdict:
     def witness_text(self) -> str:
         if self.stage == "step1":
             return f"p={self.witness_prime}"
-        if self.stage == "step2":
-            bound = self.miller.bound
-            floor = f",floor={bound}" if bound != self.miller.rem else ""
-            return f"miller={self.miller}{floor},p={self.witness_prime}"
+        if self.stage == "homogeneity":
+            return f"t*={self.forced_size},h={self.bound}"
         return "-"
 
 
@@ -116,7 +95,7 @@ def forced_transitive_size(n: int, r: int) -> Optional[int]:
 
 
 def _split_prime(n: int, r: int) -> int:
-    """The least prime p > (n + r) // 2, the prime of steps 1 and 2.
+    """The least prime p > (n + r) // 2, the prime of step 1.
 
     Taken from the raw bound rather than from ``forced_transitive_size``,
     so that r >= n still gives p > n, which eliminates nothing.
@@ -137,36 +116,6 @@ def step1_eliminates(n: int, r: int) -> Optional[int]:
     return p if 3 * p < 2 * n else None
 
 
-def miller_bound(n: int) -> Optional[MillerDecomposition]:
-    """The decomposition n = m*p0 + rem with the least rem, and among those
-    the least m.
-
-    A group of degree n not containing A_n is at most rem-transitive.  Returns
-    None when no decomposition satisfies the hypothesis.
-
-    For a fixed m, rem = n - m*p0 falls as p0 grows, so the least rem for
-    that m comes from the largest prime p0 with m < p0 <= (n - m - 1) // m
-    (the bound that keeps rem > m): the scan for each m runs down from
-    (n - m - 1) // m and stops at the first prime.
-    """
-    best = None  # (rem, m, p0)
-    for m in range(1, math.isqrt(n)):  # p0, rem >= m + 1 force (m+1)^2 <= n
-        for p0 in range((n - m - 1) // m, m, -1):
-            if is_prime(p0):
-                if best is None or n - m * p0 < best[0]:
-                    best = (n - m * p0, m, p0)
-                break
-    if best is None:
-        return None
-    rem, m, p0 = best
-    return MillerDecomposition(n, m, p0, rem)
-
-
-# The 4- and 5-transitive Mathieu groups, and the 3-transitive M_22 and
-# Aut(M_22), by degree: their transitivity.
-_MATHIEU_TRANSITIVITY = {11: 4, 12: 5, 22: 3, 23: 4, 24: 5}
-
-
 def is_prime_power(q: int) -> bool:
     if q < 2:
         return False
@@ -176,36 +125,26 @@ def is_prime_power(q: int) -> bool:
     return q == 1
 
 
-def known_transitivity_floor(n: int) -> int:
-    """Highest transitivity of a known group of degree n without A_n, when it
-    is at least 3; 0 otherwise.
+def homogeneity_bound(n: int) -> int:
+    """h(n): the largest k <= n/2 for which a group of degree n without A_n
+    can be k-homogeneous (module docstring).
 
-    By the classification of 2-transitive groups, the 3-transitive groups
-    without A_n are PGL(2, q) <= G <= PGammaL(2, q) on the q + 1 points of
-    the projective line (q >= 5), AGL(d, 2) and its subgroups on 2^d points
-    (d >= 3), and the Mathieu groups.  The Miller remainder can fall short of
-    them (9 = 1*7 + 2 and 33 = 1*31 + 2 carry PGammaL(2, 8) and PGammaL(2, 32)).
+    5 for M_12 and M_24; 4 for M_11, M_23 and the 4-homogeneous PGammaL(2, 8)
+    and PGammaL(2, 32) on 9 and 33 points; 3 for the 3-homogeneous groups:
+    those between PSL(2, q) and PGammaL(2, q) on the q + 1 points of the
+    projective line (q >= 5), the affine groups on 2^d points (d >= 3), and
+    M_22; 2 elsewhere.
     """
-    floor = _MATHIEU_TRANSITIVITY.get(n, 0)
-    if (n >= 6 and is_prime_power(n - 1)) or (n >= 8 and n & (n - 1) == 0):
-        floor = max(floor, 3)
-    return floor
-
-
-def step2_eliminates(n: int, r: int) -> Optional[tuple[int, MillerDecomposition]]:
-    """Witness (p, decomposition) eliminating degree n via the Miller bound.
-
-    Uses the split prime p; the degree is eliminated when p <= n and
-    n - p + 1 exceeds the decomposition's ``bound``, since a group with few
-    set-orbits would have to be (n - p + 1)-transitive.
-    """
-    p = _split_prime(n, r)
-    if p > n:
-        return None
-    decomp = miller_bound(n)
-    if decomp is not None and n - p + 1 > decomp.bound:
-        return p, decomp
-    return None
+    if n in (12, 24):
+        h = 5
+    elif n in (9, 11, 23, 33):
+        h = 4
+    elif ((n >= 6 and is_prime_power(n - 1)) or (n >= 8 and n & (n - 1) == 0)
+          or n == 22):
+        h = 3
+    else:
+        h = 2
+    return min(h, n // 2)
 
 
 @cache
@@ -237,15 +176,15 @@ def binomial_divides(n: int, t: int, order: int) -> bool:
 # per-degree driver
 
 def prune_degree(n: int, r: int) -> PruneVerdict:
-    """Run parity, step 1 and step 2 for one degree."""
+    """Run parity, step 1 and step 2 (homogeneity) for one degree."""
     if not parity_admissible(n, r):
         return PruneVerdict(n, "parity")
     p = step1_eliminates(n, r)
     if p is not None:
         return PruneVerdict(n, "step1", witness_prime=p)
-    hit = step2_eliminates(n, r)
-    if hit is not None:
-        return PruneVerdict(n, "step2", witness_prime=hit[0], miller=hit[1])
+    t, h = forced_transitive_size(n, r), homogeneity_bound(n)
+    if t is not None and t > h:
+        return PruneVerdict(n, "homogeneity", forced_size=t, bound=h)
     return PruneVerdict(n, "survived")
 
 

@@ -14,10 +14,8 @@ from setorbits.perm import Permutation, build_group, transitivity_degree
 from setorbits.prune import (
     degree_bound,
     degree_range,
-    miller_bound,
     prune_degree,
     step1_eliminates,
-    step2_eliminates,
 )
 from setorbits.pipeline import classify, compare_to_golden, load_golden
 from setorbits.subgroups import all_subgroups
@@ -97,10 +95,7 @@ def test_criterion_3_pruning():
             not in ("parity", "step1")] == [2, 4, 6, 8, 10, 12, 14, 16, 24]
     assert classify(2).survivors() == [2, 4, 6, 8, 12]
     assert classify(3).survivors() == [3, 4, 5, 6, 7, 8, 9, 11, 12]
-    d = miller_bound(24)
-    assert (d.m, d.p0, d.rem) == (1, 19, 5)
-    p, dd = step2_eliminates(24, 2)
-    assert p == 17 and str(dd) == "1x19+5"
+    assert prune_degree(24, 2).witness_text() == "t*=11,h=5"
     report("criterion 3 PASS: step-1/step-2 survivor lists and the n=24 "
            "witness reproduce exactly")
 

@@ -135,7 +135,7 @@ def test_readme_command_lines_parse(capout):
 def test_prune_output_format(capout):
     out = capout(["prune", "--r", "2", "--max-degree", "24"]).out
     lines = dict(line.split("\t", 1) for line in out.strip().splitlines())
-    assert lines["24"] == "step2\tmiller=1x19+5,p=17"
+    assert lines["24"] == "homogeneity\tt*=11,h=5"
     assert lines["18"] == "step1\tp=11"
     assert lines["12"] == "survived\t-"
     assert lines["7"] == "parity\t-"
@@ -144,22 +144,22 @@ def test_prune_output_format(capout):
 #: sha256 of the ``setorbits prune --r R --max-degree 81`` output,
 #: R = 1..16: every verdict of the window's degrees up to 81
 PRUNE_TABLE_SHA256 = {
-    1: "e24bd0e400aae3c8d2a9a3ec32706af10162312376c2caf6f795df72d77d97ad",
-    2: "70bb1e2e2f8d37be5f66f826d760820a95890d7e4912a5db3c47f36e88229781",
-    3: "8a8b190ad05ad425febe6e0cfd66630c6056de4fdb757a4b9f74da1f10c146b2",
-    4: "ff0df566fdc374b3117f2a1fe0b267ca01ac2a7028d92d3ba4171611c6f66692",
-    5: "8502221be9c79ac56bf35444351763fed2e550c5a18903f50a5461b4a9233f93",
-    6: "425fa7719a2f94a5b4c7e5fc11b997b7a177dccb1a911b0fba1354923349a4b0",
-    7: "a24520169e82ea6dc94765f3a143552f3be35a75a627f160332a520bae4ab84b",
-    8: "102c7d17061d3e877494159363b74d24031495eed9f07e8f5b9cbd316003a2c5",
-    9: "00328d4f44657b91f302102389e921dc5b3a69191e894f29194ca34c219f2d88",
-    10: "1bdbf3867d51763c06d7e85f653416c9e7ba5d3d85ecc6d6b1e5413f7a954a24",
-    11: "6bf60155ee9bfc9e369c83826547e6f8ea5225949bfda31452dd168aeb6e3b92",
-    12: "20fe37b31b193bd6e1b841e0d961ce79ada67af03e9c15e33f6677065a883b67",
-    13: "b967ee5d34957a011ed066fa25fef6b5996a6095844fd20614df7531edb652fe",
-    14: "959ec65bbff7396a9c5fa8077f09f2ee1f806b875b92c2fbb99c567f4e08e02a",
-    15: "0c0823a3ed9d057b0495920ad3b94a4433b65bd5297a5b3c062e9a64982a39d5",
-    16: "efaea4e15419f889da072110404fa8407457107b5e85f186357fb387e965aecf",
+    1: "8af49c1a13947c630904098e3e39d1addef3d7e86221573e1a8eea221eb659c0",
+    2: "126c5fd74bd25bd6cc1cffd4e79c7576cb691becde0b8a01d081a7da0815a82a",
+    3: "7b169c8d905008c401bdc43bd05143ad51324f1c7f4a4df5a7389c4fc769141b",
+    4: "ad7046363df1b35798eeaa9dccf70e248251ca051f56e75668109946f0f4268f",
+    5: "e1569c23584d8853bdd805273cc2bb992a27ef3b81d4c36daa144368295d9200",
+    6: "c6512933c96a7adeaecd461511ccd6775f469f0eee9cc7a58adc68a21c67312b",
+    7: "ed11db49a680f5aab4085547315a503f6318bca5ae8cc8bee5782f21647ad784",
+    8: "cc9b6c0c29382a0e692a902bae584cc5c942f05ee3a2b836cceacb8cde9c262f",
+    9: "772b9ea9479eff067e285e265bf9f4fa04a8a33b8decfbadb2df1f2076c63021",
+    10: "4ba9a6668f1c0e64fd025bc39557fd6e2d09bf9e40e8ee93bdba8ac9f3d06764",
+    11: "586c456c412dc6cf2ace3ad9b5e141629d0604d54b9ac906eb84fa651574e10c",
+    12: "f9cc7c29d744dd2169366bbc4834e1cacbb8587bf1d38ea2d6aff74cb2e84a66",
+    13: "4c9a9a2eb4203f7e4a111e70aa385b0211cbc0e5b0d79d7ddb1c64464bad0047",
+    14: "5256dd6396e3e9a34364779ad20e4d36d5194b1a335dda0cb0dcd4a19ad17652",
+    15: "ee49882156d6052e225b745008801fa13ede74f5fae7c504f5f691cf3979d8c2",
+    16: "976ad6d20ce4b01e20911547aa1af6551b9939bba3862f492c8cdcd8435d5a04",
 }
 
 
@@ -172,22 +172,22 @@ def test_prune_table_is_frozen(r, capout):
 #: sha256 of the ``setorbits prune --r R`` output, which ends at
 #: ``degree_bound(R)``, R = 1..16
 PRUNE_DEFAULT_SHA256 = {
-    1: "2bbbe93b5225723b1d705e7a7e1fd9c11e5f4f6546f5c52944e5e587b132f8b6",
-    2: "3a083d3c56001b9e7a2021048df430b204372b15797501de891cc0515b9e39c5",
-    3: "a30831e0a0ca676095b574d15b685e0de7756939333a43471e44a11560597f09",
-    4: "520a3941ea6366b0369f66da23247684a724acc95d12533fa1817ddbc832da36",
-    5: "4a8ecb0ecdfe09066cac1f58f5ee273aeb6ea016d74a30bf5f9d8f9efa8d36c6",
-    6: "9a1102977a4968ff6edded6927bacee784005c62ce8cfec3c8c94042ccf6bdf9",
-    7: "6a7b855202a457ede1f01b18a764a5dc73585c7278032dd1e09087f1140d0ab8",
-    8: "00e7ebcefbca94e94a4a52e8f9c22e55f530006220cdd9b1b31b7b7a88424ced",
-    9: "557fecae4e5f5fb575c1d321b1b3b313afcee25d24c2b94b99e5707e8b7afa94",
-    10: "806482c3e89425473e9b90a3d5471c45d0fb0fb52432ead1ee3fc3ae556c9809",
-    11: "7380822256897861ee1d403363539ccf8d6aa6ce5647ba7df97d3388797c6943",
-    12: "de1d7330ac0b732e707ed08bbe28ba030e337575e1171209c26dc9f0d3754ad1",
-    13: "4263ad3cd9aa2e8d01094338d3b86dec1b9d7752d07c0dd4195c26791863afe8",
-    14: "5d86cae632822f9e43485d7246610e417cbb126c9724bdbf887c532961e8f1b8",
-    15: "b89b6b7abb51d44e385230996410446972d8a7424d7cbabbe04bd0fd4437ea64",
-    16: "d81e5e8a3820210f9bc8b8ca34dff7771998757ca27ccb130df710deacb616a7",
+    1: "8a8fc8ece0d28dc04ea60687b3076026c0551e04dc8321f326ce45de43f693fd",
+    2: "8ba9ab13c28127e9a866be172feed39081b8ea804008f92229c0e57de5945962",
+    3: "067587934e7f184f4a4ad51debb430f72102f10605dca626648177136681fc18",
+    4: "e1f9d42997e372f48c63868b3c9b2afb94a6bef28524cfaa36c24bbd51e185c5",
+    5: "0e7928f4caa2968fb87161008e60e10950ee9c9bcabe2c0c318a43fdc52b3d0b",
+    6: "f0a46e048a534d4409335757174fec1ba06dc2d7ac430223529c2f3cee813295",
+    7: "3975d8553180c4c0134f1f8e2bec04a76b89ac136b1aada84406ed5c664a583f",
+    8: "92de34c378562829106b0d808f5de9d3625a0480448dfaae5ad06293de53c84e",
+    9: "6a40b0ebb952d2aa5dd73feb62f664d90e76448edd0def8346dcad7e6c324b8f",
+    10: "bc15e13e24c286770cfaad7adfad8506c5257395c81d8edecfe72f2a846eae6a",
+    11: "c5873dcaf26058a6ba179f174272353e99da686eb85e8c2893265b1cad256e5a",
+    12: "068e0f4e496c00a6db6e66f703d11f1a738058f3bf418f908504e399330badf4",
+    13: "a6c442d69293fb837f08dd71e37c6166336221663375956735c31f7b1daba6f1",
+    14: "1755560f9e2aa3d3d76db7587894ef63dc0fe13f6bb85f893fd3e498cfb3d8fc",
+    15: "cc6085b4f47bee96469fcdd7cc2199a75ba6c1916043ce4c2259145bb3e461bf",
+    16: "0aa1ac1871f7e370d2d4d4b6dca6b0cd9d51020cb3369ffd8ccbfd5fcb342274",
 }
 
 
@@ -256,28 +256,28 @@ CLASSIFY_SHA256 = {
         "50e8975840dcff0473bcfbf91a4571c532d07e8889e4ae622b09211988989fdf"),
     (8, "tsv"): (1,
         "f6645210c96cdb797da3830176e5132dac6a2c8cbc68806312f69d3e90fe447d",
-        "3f14975c444eb0fc0d65ad32729a6cb221327b6c22ff707f96e282affba8ed4c"),
+        "0239bc94655087bddebe51577b79a967b26263bdabc656c35b9f7df545c175c8"),
     (8, "pretty"): (1,
-        "c6e27222e010aec40190c218fbd8a188fbbeab1d14a4bb684f25377e02bc7ef3",
-        "3f14975c444eb0fc0d65ad32729a6cb221327b6c22ff707f96e282affba8ed4c"),
+        "17f0c274156e81069266bb464161dec2d9fc64d76f872c6b69ad074c3489fbee",
+        "0239bc94655087bddebe51577b79a967b26263bdabc656c35b9f7df545c175c8"),
     (9, "tsv"): (1,
         "4b9cc9cf4f800c7d7989c96efd129d79a7031a7d507dc6e6c4994c8b93b4fc56",
-        "37df88beb5a1f13d25bd1aae828aaeb0c657e95b6e8eb26d4977a14e53497ff2"),
+        "fdd822ff8a008c38d8375519f88aaa4f86d7b380726a91df75e53e67d0213cfb"),
     (9, "pretty"): (1,
-        "49a17d8a2eb31d268a3a06dcfaf2d197fe8b573080c148a6d6858a73235a0f10",
-        "37df88beb5a1f13d25bd1aae828aaeb0c657e95b6e8eb26d4977a14e53497ff2"),
+        "42d39bfefb318bc234844f6e578c84d0877e76153f0e858b0b180abb85156310",
+        "fdd822ff8a008c38d8375519f88aaa4f86d7b380726a91df75e53e67d0213cfb"),
     (10, "tsv"): (1,
         "7b60d20d1f37709e3d2b495246193af29922e24866a9c16c6f54da659cc03306",
-        "86c870610c9a4b02da3f3dbba713ec3a8e3ccd8f95973c39aeb905343379c97d"),
+        "3184c74ef79f0f72ad7abe685ff7b4b11718b45f0bd34d846c1b146430745073"),
     (10, "pretty"): (1,
-        "5719e1b8f000aca85717de5005cd46e44a76bcb0cdef74eec094ee17f810cf23",
-        "86c870610c9a4b02da3f3dbba713ec3a8e3ccd8f95973c39aeb905343379c97d"),
+        "a55f532e775bedb65a8e4f7e8b22b55fddda4aab3975f029a45301f093dc7523",
+        "3184c74ef79f0f72ad7abe685ff7b4b11718b45f0bd34d846c1b146430745073"),
     (11, "tsv"): (1,
         "639d0a6b3d310e07e0dc77097defbba509656773807041d4b1660be386ec46aa",
-        "b7879039ef7e71fbbe8b269f7ad6e3b0b671cdfd31825597c5efdc276e0d1048"),
+        "e58443988423f494f3e52aaedf33a0edc6573978a4f20f6d6c0014aec69a7f11"),
     (11, "pretty"): (1,
-        "28f6131ab273ffb1cce423bf22da32d518c6a34a878cc2a210a98a5c1f0124b7",
-        "b7879039ef7e71fbbe8b269f7ad6e3b0b671cdfd31825597c5efdc276e0d1048"),
+        "68a823ca897a2b418bfea552acb5e190fc8476ad889b63ada31584991022144c",
+        "e58443988423f494f3e52aaedf33a0edc6573978a4f20f6d6c0014aec69a7f11"),
 }
 
 
@@ -452,8 +452,8 @@ def test_classify_gap_failure_names_resource(capout):
     assert "primitive catalog does not cover degree 14" in cap.err
 
 
-R8_GAPS = ("degree 14: primitive catalog does not cover degree 14",
-           "degree 18: primitive catalog does not cover degree 18")
+#: degree 18 is no gap: step 2 eliminates it (t* = 5 > h(18) = 3)
+R8_GAPS = ("degree 14: primitive catalog does not cover degree 14",)
 
 
 def test_classify_gaps_print_report_and_diff(tmp_path, capout):
@@ -470,9 +470,11 @@ def test_classify_gaps_print_report_and_diff(tmp_path, capout):
     for reason in R8_GAPS:
         assert cap.err.count(reason) == 1
         assert f"error: data gap: {reason}\n" in cap.err
+    assert cap.err.count("error: data gap:") == len(R8_GAPS)
 
 
 def test_classify_tsv_reports_gaps_and_exits_1(capout):
     cap = capout(["classify", "--r", "8", "--format", "tsv"], expect=1)
     assert all(cap.err.count(reason) == 1 for reason in R8_GAPS)
+    assert cap.err.count("error: data gap:") == len(R8_GAPS)
     assert len(cap.out.splitlines()) == 10  # header + 9 rows

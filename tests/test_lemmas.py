@@ -428,7 +428,7 @@ def test_warm_classify_counts_nothing_and_builds_nothing(
     monkeypatch.setattr(catalog, "pool", forbidden)
     monkeypatch.setattr(catalog, "padded", forbidden)
     monkeypatch.setattr(prune, "step1_eliminates", forbidden)
-    monkeypatch.setattr(prune, "step2_eliminates", forbidden)
+    monkeypatch.setattr(prune, "homogeneity_bound", forbidden)
     monkeypatch.setattr(pipeline, "_degree_result", forbidden)
     monkeypatch.setattr(pipeline, "degree_range", forbidden)
     chain_builds.clear()

@@ -386,22 +386,17 @@ def test_spot_checks_fully_reproduce(r, golden_check_failures):
 
 
 @pytest.mark.parametrize("r,gaps", [
-    (8, {14: "degree 14: primitive catalog does not cover degree 14",
-         18: "degree 18: primitive catalog does not cover degree 18"}),
+    (8, {14: "degree 14: primitive catalog does not cover degree 14"}),
     (9, {13: "degree 13: primitive catalog does not cover degree 13",
-         14: "degree 14: primitive catalog does not cover degree 14",
-         17: "degree 17: primitive catalog does not cover degree 17",
-         18: "degree 18: primitive catalog does not cover degree 18"}),
+         14: "degree 14: primitive catalog does not cover degree 14"}),
     (10, {14: "degree 14: primitive catalog does not cover degree 14",
-          16: "degree 16: primitive catalog does not cover degree 16",
-          18: "degree 18: primitive catalog does not cover degree 18"}),
+          16: "degree 16: primitive catalog does not cover degree 16"}),
     (11, {10: "degree 10: transitive catalog does not cover degree 10",
           13: "degree 13: primitive catalog does not cover degree 13",
           14: "degree 14: primitive catalog does not cover degree 14",
           15: "degree 15: primitive catalog does not cover degree 15",
           16: "degree 16: primitive catalog does not cover degree 16",
-          17: "degree 17: primitive catalog does not cover degree 17",
-          18: "degree 18: primitive catalog does not cover degree 18"})],
+          17: "degree 17: primitive catalog does not cover degree 17"})],
     ids=["8", "9", "10", "11"])
 def test_gap_degrees(r, gaps):
     """Every gap degree of r = 8..11, with its reason byte for byte."""

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from setorbits.orbitcount import orbit_profile
 from setorbits.perm import (
     Permutation,
     build_group,
@@ -12,18 +13,15 @@ from setorbits.perm import (
     transitivity_degree,
 )
 from setorbits.prune import (
-    MillerDecomposition,
     binomial_divides,
     degree_bound,
     degree_range,
     forced_transitive_size,
+    homogeneity_bound,
     is_prime,
-    known_transitivity_floor,
-    miller_bound,
     parity_admissible,
     prune_degree,
     step1_eliminates,
-    step2_eliminates,
 )
 
 
@@ -104,46 +102,14 @@ def test_step1_witness_satisfies_window(n, r):
 
 
 # ---------------------------------------------------------------------------
-# Miller decompositions and step 2
-
-def test_miller_bound_examples():
-    d = miller_bound(24)
-    assert (d.m, d.p0, d.rem) == (1, 19, 5)
-    assert str(d) == "1x19+5"
-    assert miller_bound(12).rem == 5 and str(miller_bound(12)) == "1x7+5"
-    assert miller_bound(43).rem == 2 and str(miller_bound(43)) == "1x41+2"
-
-
-def test_miller_no_decomposition_is_none():
-    assert [miller_bound(n) for n in range(4)] == [None] * 4
-    assert miller_bound(4).rem == 2  # 4 = 1*2 + 2
-
-
-def test_miller_decomposition_validation():
-    with pytest.raises(ValueError):
-        MillerDecomposition(10, 1, 7, 4)  # inconsistent sum
-    with pytest.raises(ValueError):
-        MillerDecomposition(8, 2, 3, 2)   # rem = m violates rem > m
-    with pytest.raises(ValueError):
-        MillerDecomposition(11, 2, 4, 3)  # p0 not prime
-
-
-def test_miller_minimality_exhaustive():
-    """The whole decomposition is the brute-force one under the documented
-    tie rule: least rem, then least m (rem and m fix p0).  No two m tie on
-    the least rem for n <= 400, so this pins every (m, p0, rem)."""
-    for n in range(3, 401):
-        got = miller_bound(n)
-        # p0 >= m + 1 and rem >= m + 1 need m*(m + 1) + m + 1 <= n
-        brute = min(((n - m * p0, m, p0) for m in range(1, n)
-                     if m * (m + 2) < n for p0 in range(m + 1, n // m + 1)
-                     if is_prime(p0) and n - m * p0 > m), default=None)
-        assert ((got.rem, got.m, got.p0) if got else None) == brute, n
-
+# step 2: the homogeneity bound h(n)
 
 def test_step2_witness_for_24():
-    p, d = step2_eliminates(24, 2)
-    assert p == 17 and str(d) == "1x19+5"
+    # r = 2 forces 11-homogeneity; M_24 is the most homogeneous at degree 24
+    assert forced_transitive_size(24, 2) == 11
+    assert homogeneity_bound(24) == 5
+    v = prune_degree(24, 2)
+    assert (v.stage, v.forced_size, v.bound) == ("homogeneity", 11, 5)
 
 
 def test_step2_survivors():
@@ -156,11 +122,43 @@ def test_step2_survivors():
     assert step2_survivors(5) == [3, 4, 5, 6, 7, 8, 9, 10, 11, 12]
 
 
+#: Survivors of parity, step 1 and the Miller step that step 2 replaced,
+#: r = 1..16, as that step printed them.  Step 2 eliminates six more
+#: (n, r), none holding a golden row of r = 1..11.
+MILLER_SURVIVORS = {
+    1: [3, 4, 5, 6, 9],
+    2: [2, 4, 6, 8, 12],
+    3: [3, 4, 5, 6, 7, 8, 9, 11, 12],
+    4: [4, 6, 8, 10, 12],
+    5: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+    6: [4, 6, 8, 10, 12],
+    7: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+    8: [4, 6, 8, 10, 12, 14, 18],
+    9: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18],
+    10: [4, 6, 8, 10, 12, 14, 16, 18],
+    11: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18],
+    12: [4, 6, 8, 10, 12, 14, 16, 18],
+    13: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18],
+    14: [4, 6, 8, 10, 12, 14, 16, 18, 20, 24],
+    15: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+         23, 24],
+    16: [4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 30],
+}
+
+
+def test_step2_keeps_every_miller_elimination_and_adds_six():
+    newly = {(18, 8), (17, 9), (18, 9), (18, 10), (18, 11), (30, 16)}
+    for r, kept in MILLER_SURVIVORS.items():
+        now = [n for n in degree_range(r) if not prune_degree(n, r).eliminated]
+        assert now == [n for n in kept if (n, r) not in newly], r
+    assert all(prune_degree(n, r).stage == "homogeneity" for n, r in newly)
+
+
 def test_degree9_survives_r3():
-    # 9 = 1*7 + 2 would suggest a 2-transitivity cap, but the degree-9
-    # projective groups over GF(8) are 3-transitive without A_9, so step 2
-    # must not eliminate the degree
-    assert step2_eliminates(9, 3) is None
+    # r = 3 forces 3-homogeneity, and PGammaL(2, 8) on the 9 points of the
+    # projective line over GF(8) is 4-homogeneous without A_9
+    assert forced_transitive_size(9, 3) == 3 and homogeneity_bound(9) == 4
+    assert not prune_degree(9, 3).eliminated
 
 
 def _pgl2_32():
@@ -190,36 +188,59 @@ def _pgl2_32():
 def test_degree33_bound_covers_pgl2_32():
     G = _pgl2_32()
     assert G.order == 32 * (32**2 - 1)
-    assert transitivity_degree(G) == 3
-    # the Miller remainder alone (33 = 1*31 + 2) would claim 2-transitive
-    decomp = miller_bound(33)
-    assert decomp.rem == 2 and decomp.bound >= 3
+    assert transitivity_degree(G) == 3 <= homogeneity_bound(33)
     v = prune_degree(33, 5)
-    assert v.stage == "step2" and v.miller.bound >= 3
-    assert v.witness_text() == "miller=1x31+2,floor=3,p=23"
+    assert v.stage == "homogeneity"
+    assert v.witness_text() == "t*=14,h=4"
 
 
-def test_known_floor_families():
-    assert known_transitivity_floor(9) == 3      # PGammaL(2, 8)
-    assert known_transitivity_floor(16) == 3     # AGL(4, 2)
-    assert known_transitivity_floor(12) == 5     # M_12
-    assert known_transitivity_floor(5) == 0      # PGL(2, 4) = A_5
-    assert known_transitivity_floor(15) == 0
+def test_homogeneity_bound_families():
+    assert [homogeneity_bound(n) for n in (12, 24)] == [5, 5]   # M_12, M_24
+    # PGammaL(2, 8), M_11, M_23, PGammaL(2, 32)
+    assert [homogeneity_bound(n) for n in (9, 11, 23, 33)] == [4] * 4
+    # PGL(2, q) on q + 1 points for q = 5, 16, 17; AGL(4, 2), AGL(5, 2); M_22
+    assert [homogeneity_bound(n) for n in (6, 17, 18, 16, 32, 22)] == [3] * 6
+    assert homogeneity_bound(5) == 2      # PGL(2, 4) = A_5: n >= 6
+    assert homogeneity_bound(15) == 2
+    assert [homogeneity_bound(n) for n in (2, 3, 4)] == [1, 1, 2]  # n // 2
+
+
+def _homogeneity(profile):
+    """The largest k <= n/2 with s_t = 1 for every t <= k."""
+    n = len(profile) - 1
+    k = 0
+    while k < n // 2 and profile[k + 1] == 1:
+        k += 1
+    return k
 
 
 def test_bound_holds_for_every_built_group():
     """No catalog group and no subgroup class of S_3..S_7 without A_n is
-    more transitive than step 2 allows."""
+    more homogeneous than h(n), and the bound is reached at degrees 5-12."""
     from setorbits.catalog import load_default
     from setorbits.subgroups import all_subgroups
     groups = [(e.id, e.group()) for e in load_default()]
     groups += [(f"S{n}-cls{c.index}", c.representative)
                for n in range(3, 8) for c in all_subgroups(n)]
+    reached = set()
     for label, G in groups:
-        mb = miller_bound(G.degree)
-        if mb is None or contains_alternating(G.degree, G.order):
+        if contains_alternating(G.degree, G.order):
             continue
-        assert transitivity_degree(G) <= mb.bound, label
+        k = _homogeneity(orbit_profile(G).by_size)
+        assert k <= homogeneity_bound(G.degree), label
+        if k == homogeneity_bound(G.degree):
+            reached.add(G.degree)
+    assert set(range(5, 13)) <= reached
+
+
+def test_livingstone_wagner_on_the_catalog():
+    """A k-homogeneous group with 2k <= n is (k - 1)-transitive."""
+    from setorbits.catalog import load_default
+    for e in load_default():
+        G = e.group()
+        prof = orbit_profile(G).by_size
+        k = max(k for k in range(G.degree // 2 + 1) if prof[k] == 1)
+        assert transitivity_degree(G) >= k - 1, e.id
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +299,7 @@ def test_binomial_divides():
 
 def test_verdict_witness_text():
     v = prune_degree(24, 2)
-    assert v.stage == "step2" and v.witness_text() == "miller=1x19+5,p=17"
+    assert v.stage == "homogeneity" and v.witness_text() == "t*=11,h=5"
     v = prune_degree(18, 2)
     assert v.stage == "step1" and v.witness_text() == "p=11"
     v = prune_degree(7, 2)
