@@ -8,11 +8,12 @@ gives s(G) and the profile (s_0, ..., s_n); every division is asserted exact.
 A group is first split into its direct factors on disjoint supports
 (``_direct_factors``).  The set-orbits of a direct product are the products
 of its factors' set-orbits, so the profile is the convolution of the
-factors' profiles, and of (1, 1) once per fixed point, and the partition
-``enumerate_set_orbits`` lists is assembled from its factors' partitions,
-with {0}, {p} for each fixed point p.  A product of two degree-8 groups
-thus costs two walks over 2^8 masks, not one over 2^16, whether it is
-counted or listed.
+factors' profiles, and of (1, 1) once per fixed point (the first factor's
+profile seeds it, so a lone factor with no fixed point is convolved with
+nothing), and the partition ``enumerate_set_orbits`` lists is assembled
+from its factors' partitions, with {0}, {p} for each fixed point p.  A
+product of two degree-8 groups thus costs two walks over 2^8 masks, not one
+over 2^16, whether it is counted or listed.
 
 Each factor is counted by one of two independent routes, kept deliberately
 separate: the Burnside average over a stabilizer chain (scales with |G|,
@@ -28,7 +29,9 @@ the explicit partition (for dumps) of the group or of each of its
 factors.  Taking complements commutes with every permutation of the
 points, so it maps the orbits on t-subsets one to one onto the orbits on
 (n-t)-subsets and s_t = s_{n-t}: the walk visits only the masks of at most
-n // 2 points (2510 of M12's 4096), and both callers mirror the rest.  With
+n // 2 points (2510 of M12's 4096), and both callers mirror the rest; a
+walk starts from a copy of its degree's visited template, kept once built,
+in which the masks of more than n // 2 points are already marked.  With
 one to four generators no mask loops over them: the orbits of a group on one
 generator are its cycles, followed back to their start with no visited
 test, and two, three or four generators have each image lookup written
@@ -53,7 +56,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 from .perm import (
     ITERATION_MAX_ORDER,
@@ -88,11 +92,8 @@ ENUMERATION_MAX_DEGREE = 22
 #: catalog entry or of its one-point padding moves at 0.4, so it stays.
 ENUMERATION_COST_RATIO = 0.4
 
-#: the translate tables of ``_orbits``: a popcount byte plus one, and for
-#: each h <= ENUMERATION_MAX_DEGREE // 2, 1 for a popcount above h, else 0
+#: a popcount byte plus one, the translate table of ``_above_half``
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
-_ABOVE = [bytes(c > h for c in range(256))
-          for h in range(ENUMERATION_MAX_DEGREE // 2 + 1)]
 
 
 @dataclass(frozen=True)
@@ -182,11 +183,12 @@ def orbit_profile(G: PermGroup) -> OrbitProfile:
     once per fixed point.  Each factor is counted by the route ``_route``
     picks for it: the all-ones profile for natural symmetric and
     alternating groups, else the cheaper of Burnside and the enumeration
-    kernel; a factor beyond both routes raises GroupTooLargeError.
+    kernel; a factor beyond both routes raises GroupTooLargeError.  The
+    first factor's profile seeds the product, so a lone factor with no
+    fixed point is returned as its route computed it.
     """
     factors, fixed = _direct_factors(G)
-    # (1, 1) convolved once per fixed point
-    by_size = [math.comb(fixed, t) for t in range(fixed + 1)]
+    by_size = None
     for F in factors:
         route = _route(F)
         if route == "burnside":
@@ -195,12 +197,21 @@ def orbit_profile(G: PermGroup) -> OrbitProfile:
             inner = _enumeration_profile(F).by_size
         else:
             inner = (1,) * (F.degree + 1)
-        out = [0] * (len(by_size) + F.degree)
-        for i, a in enumerate(by_size):
-            for j, b in enumerate(inner):
-                out[i + j] += a * b
-        by_size = out
+        by_size = inner if by_size is None else _convolve(by_size, inner)
+    if fixed:
+        # (1, 1) convolved once per fixed point
+        binomial = [math.comb(fixed, t) for t in range(fixed + 1)]
+        by_size = _convolve(by_size, binomial)
     return OrbitProfile(tuple(by_size))
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The coefficients of the product of the polynomials ``a`` and ``b``."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _burnside_profile(G: PermGroup) -> OrbitProfile:
@@ -228,6 +239,20 @@ def _require_enumerable(n: int) -> None:
             f"{ENUMERATION_MAX_DEGREE})")
 
 
+@lru_cache(maxsize=None)
+def _above_half(n: int) -> bytes:
+    """Byte m is 1 when mask m has more than n // 2 of its n bits set, else
+    0: the start of ``_orbits``'s visited array, kept per degree (at most
+    4 MB, at degree 22).  Built by doubling a popcount array with
+    ``bytes.translate``, so no Python loop runs per mask."""
+    popcount = bytearray(1)
+    for _ in range(n):
+        popcount += popcount.translate(_PLUS_ONE)
+    # at most two arrays of 2^n bytes alive at once
+    popcount = bytes(popcount)
+    return popcount.translate(bytes(c > n // 2 for c in range(256)))
+
+
 def _orbits(G: PermGroup) -> Iterator[list[int]]:
     """Every orbit of G on the subset masks of at most n // 2 points, each
     starting at its smallest mask; the starts ascend.
@@ -235,12 +260,11 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
     Taking complements commutes with every permutation, so the orbits on
     the larger subsets are the complements of these (s_t = s_{n-t}); the
     callers mirror them.  The masks above n // 2 points are marked visited
-    before the walk, from a popcount array built by doubling with
-    ``bytes.translate``, so no Python loop runs per mask.  Per generator,
-    one table maps the low w = min(8, (n + 1) // 2) bits of a mask to their
-    image and one maps the remaining n - w <= 14 bits, so an image costs two
-    lookups and the tables have 2^w and 2^(n - w) entries: 16 + 16 at
-    n = 8, and the full 256 low entries from n = 15 on.
+    before the walk, by a copy of the degree's ``_above_half``.  Per
+    generator, one table maps the low w = min(8, (n + 1) // 2) bits of a
+    mask to their image and one maps the remaining n - w <= 14 bits, so an
+    image costs two lookups and the tables have 2^w and 2^(n - w) entries:
+    16 + 16 at n = 8, and the full 256 low entries from n = 15 on.
 
     The walk is chosen by the number of generators, so that with one to
     four no mask loops over them:
@@ -259,11 +283,7 @@ def _orbits(G: PermGroup) -> Iterator[list[int]]:
     low = (1 << w) - 1
     tables = [(_image_table(g, 0, w), _image_table(g, w, n - w))
               for g in G.generator_tuples()]
-    popcount = bytearray(1)
-    for _ in range(n):
-        popcount += popcount.translate(_PLUS_ONE)
-    seen = popcount.translate(_ABOVE[n // 2])
-    del popcount
+    seen = bytearray(_above_half(n))
     start = 0
     if len(tables) == 1:
         ((a, b),) = tables

@@ -15,13 +15,16 @@ randomization), which gives exact orders, membership tests and duplicate-free
 element iteration.  A ``PermGroup`` builds its chain on first need: the first
 membership test, element iteration or order query that the generators alone
 cannot answer.  The generators answer the order of a trivial group (1), a
-cyclic one (the lcm of its generator's cycle lengths) and a primitive group
-with a transposition or a 3-cycle among its generators, which contains A_n
-by Jordan's theorem (n!, or n!/2 when every generator is even); so no chain
-is built to learn that a natural S_11 or S_12 has order n!.  A group that
-splits into direct factors on disjoint supports (``_direct_factors``, kept
-on the group once found) has the product of its factors' orders, each read
-off the factor's generators or its own chain.  A group given
+cyclic one (the lcm of its generator's cycle lengths) and a group with a
+transposition or a 3-cycle c among its generators when the smallest block
+through two points that c moves is all n points: it then contains A_n by
+Jordan's theorem (n!, or n!/2 when every generator is even).  So no chain
+is built, and one block is computed in place of a primitivity test, to
+learn that a natural S_11 or S_12 has order n!.  A group that splits into
+direct factors on disjoint supports (``_direct_factors``, kept on the
+group once found, and found at once when a generator moves every point)
+has the product of its factors' orders, each read off the factor's
+generators or its own chain.  A group given
 its ``order`` reports that order without a chain, trusting it, and checks
 it against the chain once one is built.  The generators and the order
 never change, so a group can be shared freely between threads: two threads
@@ -32,7 +35,7 @@ deterministic.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 #: largest group order whose elements are ever listed one by one
@@ -253,6 +256,13 @@ class _Chain:
     for every k <= i, so adding h to a level k <= i changes neither H_k nor
     orbit k, and by Schreier's lemma the pairs level k has already sifted
     still generate (H_k)_{b_k}.
+
+    Two pairs of a level can give the same Schreier generator; the second
+    sift strips it to the identity, since the first left it in the next
+    level's group.  Skipping such repeats by a set of the generators sifted
+    per level was measured no faster on the groups of a count-profiles
+    round: about 2200 of 5750 sifts repeat, but they strip through 1.5
+    levels on average, and hashing every sifted generator costs as much.
     """
 
     __slots__ = ("n", "base", "trans", "_inv", "order", "_gens", "_done")
@@ -445,8 +455,8 @@ class PermGroup:
     @property
     def order(self) -> int:
         """|G|: the given order, else the order the generators give with no
-        chain (``_order_from_generators``: trivial, cyclic, or primitive and
-        containing A_n by Jordan's theorem), else, when G splits
+        chain (``_order_from_generators``: trivial, cyclic, or containing
+        A_n by Jordan's theorem, decided by one block), else, when G splits
         (``_direct_factors``), the product of its factors' orders, else a
         chain's."""
         if self._order is None:
@@ -554,8 +564,12 @@ def _split(G: PermGroup) -> tuple[tuple[tuple[PermGroup, ...], int],
     """The split of ``_direct_factors`` and the factors' supports, or ()
     when G is its lone factor.  Each class's points, ascending, are both
     the relabelling of its generators and the support kept for
-    ``_factor_supports``."""
+    ``_factor_supports``.  A generator that moves every point links them
+    all into one class and leaves none fixed, so it answers () at once."""
     n = G.degree
+    gens = G.generator_tuples()
+    if any(all(map(ne, g, range(n))) for g in gens):
+        return ()
     parent = list(range(n))
 
     def root(p: int) -> int:
@@ -563,7 +577,6 @@ def _split(G: PermGroup) -> tuple[tuple[tuple[PermGroup, ...], int],
             parent[p] = p = parent[parent[p]]
         return p
 
-    gens = G.generator_tuples()
     moved = [False] * n
     firsts = []  # each generator's first moved point
     for g in gens:
@@ -679,9 +692,19 @@ def _order_from_generators(G: PermGroup) -> int | None:
 
     * no generator: G is trivial, of order 1;
     * one generator g: G is cyclic, of order the lcm of g's cycle lengths;
-    * a generator that is a transposition or a 3-cycle, in a primitive G:
-      G contains A_n (Jordan; Wielandt, Thm 13.3), so |G| is n!, or n!/2
-      when every generator is even.
+    * a generator c that is a transposition or a 3-cycle, moving a and b,
+      whose smallest block containing {a, b} is all n points: G contains
+      A_n (Jordan; Wielandt, Thm 13.3), so |G| is n!, or n!/2 when every
+      generator is even.
+
+    One block decides Jordan's rule for the first such c.  Lemma: the
+    G-conjugates of c are transpositions or 3-cycles whose supports are
+    the G-images of c's support, and they generate S_n, or contain A_n,
+    exactly when those images connect all n points.  The finest block
+    system in which a ~ b has the connected components as its blocks (c
+    maps the block of a and b to itself, so it holds c's third point), so
+    the rule answers exactly when G contains A_n, that is when G is
+    primitive.
 
     None when no rule answers.
     """
@@ -689,9 +712,13 @@ def _order_from_generators(G: PermGroup) -> int | None:
     if len(gens) <= 1:
         return math.lcm(*_cycle_lengths(gens[0])) if gens else 1
     n = G.degree
-    if not any(sum(p != q for p, q in enumerate(g)) in (2, 3) for g in gens):
+    for g in gens:
+        moved = [p for p in range(n) if g[p] != p]
+        if len(moved) <= 3:
+            break
+    else:
         return None
-    if not is_primitive(G):
+    if _minimal_block_size(gens, n, moved[0], moved[1]) != n:
         return None
     # g is even exactly when n minus its number of cycles is even
     if any((n - len(_cycle_lengths(g))) % 2 for g in gens):

@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import hashlib
 import math
 import signal
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,8 @@ from setorbits.perm import (
     transitivity_degree,
 )
 from setorbits.subgroups import all_subgroups
+
+import closed_forms
 
 
 def brute_orbits(G):
@@ -665,3 +669,128 @@ def test_profile_degree_and_total_read_off_by_size():
     prof = OrbitProfile((1, 1, 2, 1, 1))
     assert (prof.degree, prof.total) == (4, 6)
     assert prof == orbit_profile(C4)
+
+
+# ---------------------------------------------------------------------------
+# closed forms: the counting path against arithmetic that builds no group
+
+def _cycle_on(points, n):
+    img = list(range(n))
+    for p, q in zip(points, points[1:] + points[:1]):
+        img[p] = q
+    return Permutation(img)
+
+
+def _symmetric_on(points, n):
+    return [_cycle_on(points[:2], n), _cycle_on(points, n)] if len(points) > 1 else []
+
+
+def family_group(kind, params):
+    """The group of a closed-form family, with its order by formula."""
+    if kind == "cyclic":
+        (n,) = params
+        return build_group([_cycle_on(list(range(n)), n)], degree=n), n
+    if kind == "dihedral":
+        (n,) = params
+        return build_group([_cycle_on(list(range(n)), n),
+                            Permutation([-i % n for i in range(n)])]), 2 * n
+    if kind == "young":
+        a, b = params
+        n = a + b
+        gens = _symmetric_on(list(range(a)), n) + _symmetric_on(list(range(a, n)), n)
+        return (build_group(gens, degree=n),
+                math.factorial(a) * math.factorial(b))
+    if kind == "wreath":
+        # S_k on the first block, a swap of the first two blocks, and a
+        # rotation of all m blocks
+        k, m = params
+        n = k * m
+        swap = list(range(n))
+        for i in range(k):
+            swap[i], swap[k + i] = k + i, i
+        rotate = [(p + k) % n for p in range(n)]
+        gens = _symmetric_on(list(range(k)), n) + [Permutation(swap),
+                                                    Permutation(rotate)]
+        return (build_group(gens, degree=n),
+                math.factorial(k) ** m * math.factorial(m))
+    (p,) = params
+    root = next(g for g in range(1, p)
+                if len({pow(g, e, p) for e in range(p - 1)}) == p - 1)
+    return build_group([Permutation([(x + 1) % p for x in range(p)]),
+                        Permutation([root * x % p for x in range(p)])]), p * (p - 1)
+
+
+CLOSED_FORMS = {"cyclic": closed_forms.necklaces, "dihedral": closed_forms.bracelets,
+                "young": closed_forms.young, "wreath": closed_forms.wreath,
+                "affine": closed_forms.affine}
+
+#: every family up to degree 16
+FAMILIES_TO_16 = (
+    [("cyclic", (n,)) for n in range(1, 17)]
+    + [("dihedral", (n,)) for n in range(3, 17)]
+    + [("young", (a, b)) for a in range(1, 16) for b in range(1, a + 1) if a + b <= 16]
+    + [("wreath", (k, m)) for k in range(2, 9) for m in range(2, 9) if k * m <= 16]
+    + [("affine", (p,)) for p in (2, 3, 5, 7, 11, 13)])
+
+#: the catalog entries of the families: each is conjugate in S_n to its
+#: family's group (found by ``subgroups.conjugate_in_sn`` over every entry
+#: and every family group of its degree and order)
+CLOSED_FORM_ENTRIES = {
+    "1P1": ("cyclic", (1,)), "2P1": ("affine", (2,)), "3P1": ("cyclic", (3,)),
+    "3P2": ("affine", (3,)), "4T1": ("cyclic", (4,)), "4T3": ("dihedral", (4,)),
+    "4S6": ("young", (2, 2)), "5P1": ("cyclic", (5,)), "5P2": ("dihedral", (5,)),
+    "5P3": ("affine", (5,)), "5S15": ("young", (3, 2)), "6S17": ("cyclic", (6,)),
+    "6S33": ("dihedral", (6,)), "6T11": ("wreath", (2, 3)),
+    "6T13": ("wreath", (3, 2)), "6S45": ("young", (3, 3)),
+    "6S49": ("young", (4, 2)), "7P1": ("cyclic", (7,)), "7P2": ("dihedral", (7,)),
+    "7P4": ("affine", (7,)), "7S92": ("young", (5, 2)), "8X6": ("cyclic", (8,)),
+    "8X12": ("dihedral", (8,)), "8T44": ("wreath", (2, 4)),
+    "8T47": ("wreath", (4, 2)), "9X12": ("cyclic", (9,)),
+    "9X15": ("dihedral", (9,)), "9S534": ("wreath", (3, 3)),
+    "10S1561": ("wreath", (2, 5)), "10S1584": ("wreath", (5, 2)),
+    "11X1": ("cyclic", (11,)), "11X2": ("dihedral", (11,)),
+    "11X4": ("affine", (11,)),
+}
+
+
+def test_closed_forms_import_nothing_from_the_package():
+    """The referee is independent: plain arithmetic, with no product of the
+    package under test behind it."""
+    modules = set()
+    tree = ast.parse(Path(closed_forms.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert "math" in modules
+    assert not {m for m in modules if m.split(".")[0] == "setorbits"}
+
+
+def test_closed_forms_small_values():
+    """Values checked by hand: 2-colourings of a square up to rotation (6)
+    and up to symmetry (6), of a hexagon (14 and 13), and AGL(1, 5), which
+    is 2-homogeneous, so one orbit per size (6)."""
+    assert [closed_forms.necklaces(n) for n in (1, 4, 6)] == [2, 6, 14]
+    assert [closed_forms.bracelets(n) for n in (4, 6)] == [6, 13]
+    assert (closed_forms.young(3, 2), closed_forms.wreath(2, 3),
+            closed_forms.affine(5)) == (12, 10, 6)
+
+
+def test_closed_forms_match_the_counting_path():
+    """Every family up to degree 16, counted by ``count_set_orbits`` on
+    whatever route it takes (shortcut, product, Burnside or enumeration),
+    against its closed form."""
+    for kind, params in FAMILIES_TO_16:
+        G, order = family_group(kind, params)
+        assert G.order == order, (kind, params)
+        assert count_set_orbits(G) == CLOSED_FORMS[kind](*params), (kind, params)
+
+
+def test_closed_forms_match_the_catalog_entries():
+    for ident, (kind, params) in CLOSED_FORM_ENTRIES.items():
+        e = by_id(ident)
+        G, order = family_group(kind, params)
+        assert (e.degree, e.expected_order) == (G.degree, order), ident
+        s = CLOSED_FORMS[kind](*params)
+        assert e.expected_s == count_set_orbits(e.group()) == s, ident

@@ -1,16 +1,19 @@
 import ast
 import functools
+import hashlib
 import importlib.util
 import itertools
 import math
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from setorbits.catalog import load_default, padded
 from setorbits.perm import (
     GroupTooLargeError,
     PermError,
@@ -31,6 +34,7 @@ from setorbits.perm import (
     _inverse_t,
     _order_from_generators,
 )
+from setorbits.subgroups import all_subgroups
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(n)).map(Permutation))
@@ -395,13 +399,17 @@ S8_WR_S2 = ["(1,2)", "(1,2,3,4,5,6,7,8)",
             "(1,9)(2,10)(3,11)(4,12)(5,13)(6,14)(7,15)(8,16)"]
 
 
-@pytest.mark.parametrize("n, texts, order", [
+LARGE_GROUPS = [
     (12, ["(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)",
           "(1,12)(2,11)(3,6)(4,8)(5,9)(7,10)"], 95040),
     (12, ["(1,2)", "(1,2,3,4,5,6,7,8,9,10,11,12)"], math.factorial(12)),
     (11, ["(1,2,3)", "(1,2,3,4,5,6,7,8,9,10,11)"], math.factorial(11) // 2),
     (16, S8_WR_S2, 3251404800),
-], ids=["M12", "S12", "A11", "S8wrS2"])
+]
+
+
+@pytest.mark.parametrize("n, texts, order", LARGE_GROUPS,
+                         ids=["M12", "S12", "A11", "S8wrS2"])
 def test_chain_order_of_large_groups(n, texts, order):
     gens = [parse_permutation(t, n).images for t in texts]
     assert _Chain(gens, n).order == order
@@ -429,7 +437,7 @@ def test_order_rule_matches_chain(case):
             assert rule == _Chain(G.generator_tuples(), n).order
 
 
-@pytest.mark.parametrize("n, texts, order", [
+RULE_CASES = [
     (12, ["(1,2)", "(1,2,3,4,5,6,7,8,9,10,11,12)"], math.factorial(12)),
     (11, ["(1,2,3)", "(1,2,3,4,5,6,7,8,9,10,11)"], math.factorial(11) // 2),
     (10, ["(1,2,3,4)(5,6,7,8,9,10)"], 12),
@@ -439,19 +447,27 @@ def test_order_rule_matches_chain(case):
     (6, ["(1,2,3)", "(2,3,4)"], 12),
     # S_3 x C_4: the factors' orders multiply
     (7, ["(1,2)", "(1,2,3)", "(4,5,6,7)"], 24),
-], ids=["S12", "A11", "C12", "trivial", "A4+2", "S3xC4"])
+]
+
+
+@pytest.mark.parametrize("n, texts, order", RULE_CASES,
+                         ids=["S12", "A11", "C12", "trivial", "A4+2", "S3xC4"])
 def test_order_rule_needs_no_chain(chain_builds, n, texts, order):
     G = build_group([parse_permutation(t, n) for t in texts], degree=n)
     assert G.order == G.known_order == order and not chain_builds
 
 
-@pytest.mark.parametrize("n, texts, order, chain_degree", [
+FALL_THROUGH_CASES = [
     # S2 wr S3: a transposition, but blocks {1,2}, {3,4}, {5,6}
     (6, ["(1,2)", "(1,3,5)(2,4,6)", "(1,3)(2,4)"], 48, 6),
     # the Klein four-group and two fixed points: no rule answers its
     # factor either, whose chain is on its 4 points, not on all 6
     (6, ["(1,2)(3,4)", "(1,3)(2,4)"], 4, 4),
-], ids=["S2wrS3", "V4+2"])
+]
+
+
+@pytest.mark.parametrize("n, texts, order, chain_degree", FALL_THROUGH_CASES,
+                         ids=["S2wrS3", "V4+2"])
 def test_order_rule_falls_through_to_chain(chain_builds, n, texts, order,
                                            chain_degree):
     G = build_group([parse_permutation(t, n) for t in texts], degree=n)
@@ -476,6 +492,61 @@ def test_split_is_kept_on_the_group(chain_builds):
     again, _ = _direct_factors(G)
     assert all(a is b for a, b in zip(again, factors))
     assert G.order == math.prod(F.order for F in again) and len(chain_builds) == 1
+
+
+def buildable_groups(max_subgroup_degree):
+    """Every catalog entry and its one-point padding, then every subgroup
+    class of S_1 .. S_max_subgroup_degree."""
+    entries = load_default()
+    groups = [e.group() for e in entries] + [padded(e).group() for e in entries]
+    return groups + [c.representative for n in range(1, max_subgroup_degree + 1)
+                     for c in all_subgroups(n)]
+
+
+def test_order_rule_answers_exactly_where_a_n_is_contained():
+    """The lemma of the one-block rule, on every group the repo builds and
+    on this file's cases: with two or more generators, the order rule gives
+    the chain's order when a generator is a transposition or a 3-cycle and
+    the group contains A_n, and None otherwise.  With one generator or none
+    it gives the chain's order always."""
+    cases = [(n, texts) for n, texts, *_ in
+             LARGE_GROUPS + RULE_CASES + FALL_THROUGH_CASES]
+    groups = buildable_groups(7) + [
+        build_group([parse_permutation(t, n) for t in texts], degree=n)
+        for n, texts in cases]
+    # groups with a transposition or 3-cycle generator, by whether they
+    # contain A_n: both sides of the rule are reached many times
+    small = Counter()
+    for G in groups:
+        gens, n = G.generator_tuples(), G.degree
+        order = _Chain(gens, n).order
+        if len(gens) <= 1:
+            assert _order_from_generators(G) == order
+            continue
+        if not any(sum(p != q for p, q in enumerate(g)) <= 3 for g in gens):
+            assert _order_from_generators(G) is None
+            continue
+        jordan = contains_alternating(n, order)
+        small[jordan] += 1
+        assert _order_from_generators(G) == (order if jordan else None)
+    assert small[True] >= 30 and small[False] >= 100
+
+
+#: sha256 over the base, the sorted transversal items and the order of the
+#: chain of each group of ``buildable_groups(6)``, in that order.  A change
+#: to the catalog moves it; a change to the chain build must not.
+CHAIN_SHA256 = "5148b7c21614d70f9d4cf5de123acf68abcbe43edca832b3c8e66fe69803b5c3"
+
+
+def test_chains_are_pinned():
+    """The chain build is deterministic, and a change to it that keeps
+    every order but moves a base point or a representative shows here."""
+    digest = hashlib.sha256()
+    for G in buildable_groups(6):
+        chain = _Chain(G.generator_tuples(), G.degree)
+        digest.update(repr((chain.base, [sorted(t.items()) for t in chain.trans],
+                            chain.order)).encode())
+    assert digest.hexdigest() == CHAIN_SHA256
 
 
 # ---------------------------------------------------------------------------
